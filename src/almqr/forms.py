@@ -1,24 +1,29 @@
 """Exterior algebra of k-forms on (R^n)^d with group symmetrization.
 
-Covectors are stored sparsely over elementary covectors dx_I (strictly
-increasing index tuples over the flat coordinates of (R^n)^d, block j
-occupying positions [j*n, (j+1)*n)).  An elementary covector evaluates as
-the determinant of the selected components, so dx_1^dx_2 applied to
-(e_1, e_2) is 1 and the wedge of elementary covectors is the signed merge
-of their index tuples.
+Elementary covectors dx_I are indexed by strictly increasing index tuples
+over the flat coordinates of (R^n)^d (block j occupying positions
+[j*n, (j+1)*n)).  An elementary covector evaluates as the determinant of the
+selected components, so dx_1^dx_2 applied to (e_1, e_2) is 1 and the wedge
+of elementary covectors is the signed merge of their index tuples.
+
+Forms are array-backed and batch-first: the coefficient function of a
+``KForm`` maps points (P, N) to an array (P, C(N, k)) over the lexicographic
+basis ``combinations(range(N), k)``, and so does its analytic derivative.
+Sums, wedges, traces, symmetrization, tensor products, the exterior
+derivative and pull-backs act on all P points at once through index tables
+that are built on first use.  ``KCovector``, sparse over the same index
+tuples, stays the pointwise type: ``KForm.at`` returns one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, Optional
 
 import numpy as np
-
-
-# ---------------------------------------------------------------------------
-# covectors
 
 
 def _sort_with_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -39,6 +44,102 @@ def _sort_with_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(arr), sign
 
 
+# ---------------------------------------------------------------------------
+# the lexicographic basis and its index tables
+
+
+@functools.lru_cache(maxsize=None)
+def basis(N: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The increasing index tuples of length k over range(N), in lexicographic order."""
+    return tuple(itertools.combinations(range(N), k))
+
+
+@functools.lru_cache(maxsize=None)
+def _position(N: int, k: int) -> dict[tuple[int, ...], int]:
+    return {I: i for i, I in enumerate(basis(N, k))}
+
+
+def _frozen(*arrays: np.ndarray):
+    """Read-only arrays: the cached tables are shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_array(N: int, k: int) -> np.ndarray:
+    return _frozen(np.array(basis(N, k), dtype=np.int64).reshape(-1, k))
+
+
+@functools.lru_cache(maxsize=None)
+def _wedge_table(N: int, k1: int, k2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, c, sign) with dx_{I_a} ^ dx_{J_b} = sign dx_{K_c}, over the pairs that do not vanish."""
+    pos = _position(N, k1 + k2)
+    rows = []
+    for a, I in enumerate(basis(N, k1)):
+        for b, J in enumerate(basis(N, k2)):
+            K, sign = _sort_with_sign(I + J)
+            if sign:
+                rows.append((a, b, pos[K], sign))
+    a, b, c, sign = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return _frozen(a, b, c, sign.astype(np.float64))
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_permutation(N: int, k: int, gather: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, sign): pulling coefficients A back along v -> v[gather] puts sign * A in columns cols."""
+    pos = _position(N, k)
+    cols, signs = [], []
+    for I in basis(N, k):
+        J, sign = _sort_with_sign(tuple(gather[i] for i in I))
+        cols.append(pos[J])
+        signs.append(sign)
+    return _frozen(np.array(cols, dtype=np.int64), np.array(signs, dtype=np.float64))
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_columns(n_src: int, k: int, N: int, shift: int) -> np.ndarray:
+    """The basis columns of R^N that dx_I on R^{n_src} lands in when its indices shift by ``shift``."""
+    pos = _position(N, k)
+    return _frozen(np.array([pos[tuple(i + shift for i in I)] for I in basis(n_src, k)], dtype=np.int64))
+
+
+def _wedge_rows(A: np.ndarray, B: np.ndarray, N: int, k1: int, k2: int) -> np.ndarray:
+    """Pointwise wedge of coefficient rows (P, C(N,k1)) and (P, C(N,k2))."""
+    a, b, c, sign = _wedge_table(N, k1, k2)
+    out = np.zeros((len(A), comb(N, k1 + k2)))
+    np.add.at(out, (slice(None), c), sign * A[:, a] * B[:, b])
+    return out
+
+
+def pullback_coeffs(A: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
+    """Pull coefficient rows A (P, C(N,k)) back along linear maps T (P, N, m): (P, C(m,k)).
+
+    k = 1 is a batched matrix product; for k >= 2 each coefficient is a sum
+    of k x k minors of T over the basis columns where A is not zero.
+    """
+    P, N, m = T.shape
+    if k == 0:
+        return np.array(A, dtype=np.float64)
+    if k == 1:
+        return np.einsum("pi,pij->pj", A, T)
+    used = np.flatnonzero(np.any(A != 0.0, axis=0))
+    cols = _basis_array(m, k)
+    if len(used) == 0 or len(cols) == 0:
+        return np.zeros((P, len(cols)))
+    rows = _basis_array(N, k)[used]
+    M = T[:, rows[:, None, :, None], cols[None, :, None, :]]  # (P, used, C(m,k), k, k)
+    if k == 2:
+        dets = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    else:
+        dets = np.linalg.det(M)
+    return np.einsum("pi,pij->pj", A[:, used], dets)
+
+
+# ---------------------------------------------------------------------------
+# covectors
+
+
 @dataclass(frozen=True)
 class KCovector:
     """A k-covector on R^N, sparse over increasing elementary index tuples."""
@@ -55,6 +156,19 @@ class KCovector:
                 raise ValueError(f"index tuple {I} out of range for dim {self.dim}")
             if any(a >= b for a, b in zip(I, I[1:])):
                 raise ValueError(f"index tuple {I} not strictly increasing")
+
+    @classmethod
+    def from_array(cls, dim: int, degree: int, row: np.ndarray) -> "KCovector":
+        """The covector with coefficients ``row`` over ``basis(dim, degree)``, zeros left out."""
+        return cls(dim, degree, {I: float(c) for I, c in zip(basis(dim, degree), row) if c != 0.0})
+
+    def to_array(self) -> np.ndarray:
+        """Dense coefficients over ``basis(dim, degree)``."""
+        pos = _position(self.dim, self.degree)
+        out = np.zeros(len(pos))
+        for I, c in self.coeffs.items():
+            out[pos[I]] = c
+        return out
 
     def __call__(self, vectors: np.ndarray) -> float:
         """Evaluate on k row vectors, shape (k, N)."""
@@ -99,36 +213,11 @@ class KCovector:
                     del out[K]
         return KCovector(self.dim, k, out)
 
-    def pullback_gather(self, gather: np.ndarray) -> "KCovector":
-        """Pull back along the coordinate permutation v -> v[gather]."""
-        out: dict[tuple[int, ...], float] = {}
-        for I, c in self.coeffs.items():
-            J, sign = _sort_with_sign(tuple(int(gather[i]) for i in I))
-            if sign == 0:
-                continue
-            out[J] = out.get(J, 0.0) + sign * c
-            if out[J] == 0.0:
-                del out[J]
-        return KCovector(self.dim, self.degree, out)
-
     def pullback_linear(self, T: np.ndarray) -> "KCovector":
         """Pull back along a linear map R^m -> R^N given as an (N, m) matrix."""
         T = np.asarray(T, dtype=np.float64)
-        m = T.shape[1]
-        k = self.degree
-        out: dict[tuple[int, ...], float] = {}
-        if k == 0:
-            return KCovector(m, 0, dict(self.coeffs))
-        for I, c in self.coeffs.items():
-            sub = T[list(I), :]
-            for J in itertools.combinations(range(m), k):
-                M = sub[:, J]
-                val = c * (float(np.linalg.det(M)) if k > 1 else float(M[0, 0]))
-                if val != 0.0:
-                    out[J] = out.get(J, 0.0) + val
-                    if out[J] == 0.0:
-                        del out[J]
-        return KCovector(m, k, out)
+        row = pullback_coeffs(self.to_array()[None], T[None], self.degree)[0]
+        return KCovector.from_array(T.shape[1], self.degree, row)
 
     def l2(self) -> float:
         return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
@@ -198,33 +287,49 @@ class GroupAction:
 # ---------------------------------------------------------------------------
 # forms
 
+Coeffs = Callable[[np.ndarray], np.ndarray]
+
 
 @dataclass
 class KForm:
-    """A k-form on (R^n)^d: a covector-valued coefficient function.
+    """A k-form on (R^n)^d with batch-first coefficients.
 
-    ``invariance`` is a bookkeeping tag ("full", ("split", d0, d1) or
-    "none"); it is set by the constructors that guarantee it and checked by
-    sampling in the test suite, not enforced pointwise.
+    ``coeff_fn`` maps points (P, N) to coefficients (P, C(N, k)) over
+    ``basis(N, k)``; ``analytic_derivative``, when known, maps them to the
+    coefficients (P, C(N, k+1)) of d(form).  ``constant_row`` is the
+    coefficient row of a constant form.  ``invariance`` is a bookkeeping
+    tag ("full", ("split", d0, d1) or "none"); it is set by the
+    constructors that guarantee it and checked by sampling in the test
+    suite, not enforced pointwise.
     """
 
     degree: int
     n: int
     d: int
-    coeff_fn: Callable[[np.ndarray], KCovector]
-    is_constant: bool = False
-    constant_value: Optional[KCovector] = None
-    analytic_derivative: Optional[Callable[[np.ndarray], KCovector]] = None
+    coeff_fn: Coeffs
+    analytic_derivative: Optional[Coeffs] = None
     invariance: object = "none"
+    constant_row: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
         return self.n * self.d
 
+    @property
+    def is_constant(self) -> bool:
+        return self.constant_row is not None
+
+    def coeffs(self, X: np.ndarray) -> np.ndarray:
+        """Coefficients at the rows of X (P, N): an array (P, C(N, k))."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"expected points of shape (P, {self.dim}), got {X.shape}")
+        return self.coeff_fn(X)
+
     def at(self, x: np.ndarray) -> KCovector:
-        if self.is_constant:
-            return self.constant_value
-        return self.coeff_fn(np.asarray(x, dtype=np.float64).reshape(self.dim))
+        """The covector at one point: the batch of one."""
+        row = self.coeffs(np.asarray(x, dtype=np.float64).reshape(1, self.dim))[0]
+        return KCovector.from_array(self.dim, self.degree, row)
 
     def __call__(self, x: np.ndarray, vectors: np.ndarray) -> float:
         return self.at(x)(vectors)
@@ -233,57 +338,63 @@ class KForm:
     def constant(cls, cov: KCovector, n: int, d: int, invariance="none") -> "KForm":
         if cov.dim != n * d:
             raise ValueError("covector dimension mismatch")
-        return cls(
-            degree=cov.degree,
-            n=n,
-            d=d,
-            coeff_fn=lambda x, _c=cov: _c,
-            is_constant=True,
-            constant_value=cov,
-            analytic_derivative=lambda x, _n=n * d, _k=cov.degree: KCovector(_n, _k + 1, {}),
-            invariance=invariance,
-        )
+        return _constant_form(cov.to_array(), cov.degree, n, d, invariance)
 
     @classmethod
     def zero(cls, degree: int, n: int, d: int) -> "KForm":
-        return cls.constant(KCovector(n * d, degree, {}), n, d, invariance="full")
+        return _constant_form(np.zeros(comb(n * d, degree)), degree, n, d, invariance="full")
 
     def add(self, other: "KForm", scale: float = 1.0) -> "KForm":
         if (self.degree, self.n, self.d) != (other.degree, other.n, other.d):
             raise ValueError("incompatible forms")
         inv = self.invariance if self.invariance == other.invariance else "none"
         if self.is_constant and other.is_constant:
-            return KForm.constant(
-                self.constant_value.add(other.constant_value, scale), self.n, self.d, inv
-            )
-        a, b = self, other
+            return _constant_form(self.constant_row + scale * other.constant_row, self.degree, self.n, self.d, inv)
+        a, b = self.coeff_fn, other.coeff_fn
         deriv = None
-        if a.analytic_derivative and b.analytic_derivative:
-            deriv = lambda x: a.analytic_derivative(x).add(b.analytic_derivative(x), scale)
+        if self.analytic_derivative and other.analytic_derivative:
+            da, db = self.analytic_derivative, other.analytic_derivative
+            deriv = lambda X: da(X) + scale * db(X)
         return KForm(
             degree=self.degree,
             n=self.n,
             d=self.d,
-            coeff_fn=lambda x: a.at(x).add(b.at(x), scale),
+            coeff_fn=lambda X: a(X) + scale * b(X),
             analytic_derivative=deriv,
             invariance=inv,
         )
 
     def scaled(self, a: float) -> "KForm":
         if self.is_constant:
-            return KForm.constant(self.constant_value.scaled(a), self.n, self.d, self.invariance)
-        base = self
+            return _constant_form(a * self.constant_row, self.degree, self.n, self.d, self.invariance)
+        base = self.coeff_fn
         deriv = None
-        if base.analytic_derivative:
-            deriv = lambda x: base.analytic_derivative(x).scaled(a)
+        if self.analytic_derivative:
+            base_d = self.analytic_derivative
+            deriv = lambda X: a * base_d(X)
         return KForm(
             degree=self.degree,
             n=self.n,
             d=self.d,
-            coeff_fn=lambda x: base.at(x).scaled(a),
+            coeff_fn=lambda X: a * base(X),
             analytic_derivative=deriv,
             invariance=self.invariance,
         )
+
+
+def _constant_form(row: np.ndarray, degree: int, n: int, d: int, invariance="none") -> KForm:
+    """The constant form with coefficient row ``row`` over ``basis(n*d, degree)``."""
+    row = np.asarray(row, dtype=np.float64)
+    C_next = comb(n * d, degree + 1)
+    return KForm(
+        degree=degree,
+        n=n,
+        d=d,
+        coeff_fn=lambda X: np.tile(row, (len(X), 1)),
+        analytic_derivative=lambda X: np.zeros((len(X), C_next)),
+        invariance=invariance,
+        constant_row=row,
+    )
 
 
 def symmetrize(form: KForm, action: GroupAction) -> KForm:
@@ -293,76 +404,70 @@ def symmetrize(form: KForm, action: GroupAction) -> KForm:
     tag = "full" if action.name.startswith("S_") and "x" not in action.name else (
         "split" if "x" in action.name else "none"
     )
-    m = len(action.gathers)
+    N, k = form.dim, form.degree
+    G = np.stack(action.gathers)
+
+    def average(fn: Coeffs, degree: int) -> Coeffs:
+        perms = [_signed_permutation(N, degree, tuple(g.tolist())) for g in action.gathers]
+        C, m = comb(N, degree), len(perms)
+
+        def avg(X: np.ndarray) -> np.ndarray:
+            P = len(X)
+            # every group element's point in one batch: (m * P, N)
+            Y = fn(X[:, G].transpose(1, 0, 2).reshape(m * P, N)).reshape(m, P, C)
+            acc = np.zeros((P, C))
+            pulled = np.empty((P, C))
+            for (cols, sign), Yg in zip(perms, Y):
+                pulled[:, cols] = sign * Yg
+                acc += (1.0 / m) * pulled
+            return acc
+
+        return avg
 
     if form.is_constant:
-        cov = form.constant_value
-        acc = KCovector(cov.dim, cov.degree, {})
-        for g in action.gathers:
-            acc = acc.add(cov.pullback_gather(g), 1.0 / m)
-        return KForm.constant(acc, form.n, form.d, invariance=tag)
-
-    coeff = lambda x: _avg_pullback(form.at, x, action, form.dim, form.degree)
+        row = average(form.coeff_fn, k)(np.zeros((1, N)))[0]
+        return _constant_form(row, k, form.n, form.d, invariance=tag)
     deriv = None
     if form.analytic_derivative is not None:
-        base_d = form.analytic_derivative
-        deriv = lambda x: _avg_pullback(base_d, x, action, form.dim, form.degree + 1)
+        deriv = average(form.analytic_derivative, k + 1)
     return KForm(
-        degree=form.degree,
+        degree=k,
         n=form.n,
         d=form.d,
-        coeff_fn=coeff,
+        coeff_fn=average(form.coeff_fn, k),
         analytic_derivative=deriv,
         invariance=tag,
     )
-
-
-def _avg_pullback(fn, x, action: GroupAction, dim: int, degree: int) -> KCovector:
-    x = np.asarray(x, dtype=np.float64).reshape(dim)
-    m = len(action.gathers)
-    acc = KCovector(dim, degree, {})
-    for g in action.gathers:
-        acc = acc.add(fn(x[g]).pullback_gather(g), 1.0 / m)
-    return acc
-
-
-def block_embed(cov: KCovector, block: int, n: int, d: int) -> KCovector:
-    """Reindex a covector on R^n into block ``block`` of (R^n)^d."""
-    shift = block * n
-    return KCovector(n * d, cov.degree, {tuple(i + shift for i in I): c for I, c in cov.coeffs.items()})
 
 
 def trace_form(alpha: KForm, d: int) -> KForm:
     """Sum of the block-projection pullbacks of a form on R^n; S_d-invariant."""
     if alpha.d != 1:
         raise ValueError("trace takes a form on R^n (d = 1)")
-    n = alpha.n
+    n, k, N = alpha.n, alpha.degree, alpha.n * d
+
+    def blocks(fn: Coeffs, degree: int) -> Coeffs:
+        cols = [_shift_columns(n, degree, N, j * n) for j in range(d)]
+        C = comb(N, degree)
+
+        def coeff(X: np.ndarray) -> np.ndarray:
+            P = len(X)
+            A = fn(X.reshape(P * d, n)).reshape(P, d, -1)  # every block in one batch
+            out = np.zeros((P, C))
+            for j in range(d):
+                out[:, cols[j]] += A[:, j]
+            return out
+
+        return coeff
+
     if alpha.is_constant:
-        acc = KCovector(n * d, alpha.degree, {})
-        for j in range(d):
-            acc = acc.add(block_embed(alpha.constant_value, j, n, d))
-        return KForm.constant(acc, n, d, invariance="full")
-
-    def coeff(x: np.ndarray) -> KCovector:
-        x = np.asarray(x, dtype=np.float64).reshape(n * d)
-        acc = KCovector(n * d, alpha.degree, {})
-        for j in range(d):
-            acc = acc.add(block_embed(alpha.at(x[j * n : (j + 1) * n]), j, n, d))
-        return acc
-
+        row = blocks(alpha.coeff_fn, k)(np.zeros((1, N)))[0]
+        return _constant_form(row, k, n, d, invariance="full")
     deriv = None
     if alpha.analytic_derivative is not None:
-        base_d = alpha.analytic_derivative
-
-        def deriv(x: np.ndarray) -> KCovector:
-            x = np.asarray(x, dtype=np.float64).reshape(n * d)
-            acc = KCovector(n * d, alpha.degree + 1, {})
-            for j in range(d):
-                acc = acc.add(block_embed(base_d(x[j * n : (j + 1) * n]), j, n, d))
-            return acc
-
+        deriv = blocks(alpha.analytic_derivative, k + 1)
     return KForm(
-        degree=alpha.degree, n=n, d=d, coeff_fn=coeff, analytic_derivative=deriv, invariance="full"
+        degree=k, n=n, d=d, coeff_fn=blocks(alpha.coeff_fn, k), analytic_derivative=deriv, invariance="full"
     )
 
 
@@ -372,26 +477,31 @@ def natural_volume_form(n: int, d: int) -> KForm:
     return trace_form(vol, d)
 
 
+def _leibniz(a: Coeffs, da: Coeffs, b: Coeffs, db: Coeffs, N: int, ka: int, kb: int) -> Coeffs:
+    """d(a ^ b) = da ^ b + (-1)^ka a ^ db, on coefficient functions."""
+    sign = -1.0 if ka % 2 else 1.0
+    return lambda X: _wedge_rows(da(X), b(X), N, ka + 1, kb) + sign * _wedge_rows(a(X), db(X), N, ka, kb + 1)
+
+
 def wedge(f1: KForm, f2: KForm) -> KForm:
     """Pointwise wedge (signed index merge of elementary covectors)."""
     if f1.n != f2.n or f1.d != f2.d:
         raise ValueError("wedge requires the same ambient space")
     if f1.degree + f2.degree > f1.dim:
         raise ValueError("degree overflow")
+    N, k1, k2 = f1.dim, f1.degree, f2.degree
     if f1.is_constant and f2.is_constant:
-        return KForm.constant(f1.constant_value.wedge(f2.constant_value), f1.n, f1.d)
-    a, b = f1, f2
+        row = _wedge_rows(f1.constant_row[None], f2.constant_row[None], N, k1, k2)[0]
+        return _constant_form(row, k1 + k2, f1.n, f1.d)
+    a, b = f1.coeff_fn, f2.coeff_fn
     deriv = None
-    if a.analytic_derivative and b.analytic_derivative:
-        sign = -1.0 if a.degree % 2 else 1.0
-        deriv = lambda x: a.analytic_derivative(x).wedge(b.at(x)).add(
-            a.at(x).wedge(b.analytic_derivative(x)), sign
-        )
+    if f1.analytic_derivative and f2.analytic_derivative:
+        deriv = _leibniz(a, f1.analytic_derivative, b, f2.analytic_derivative, N, k1, k2)
     return KForm(
-        degree=f1.degree + f2.degree,
+        degree=k1 + k2,
         n=f1.n,
         d=f1.d,
-        coeff_fn=lambda x: a.at(x).wedge(b.at(x)),
+        coeff_fn=lambda X: _wedge_rows(a(X), b(X), N, k1, k2),
         analytic_derivative=deriv,
         invariance="none",
     )
@@ -403,52 +513,37 @@ def tensor_product(f0: KForm, f1: KForm) -> KForm:
         raise ValueError("tensor product requires the same base dimension")
     n, d0, d1 = f0.n, f0.d, f1.d
     d = d0 + d1
+    N, k0, k1 = n * d, f0.degree, f1.degree
     tag = ("split", d0, d1) if f0.invariance == "full" and f1.invariance == "full" else "none"
 
-    def lift(form: KForm, offset_blocks: int, nblocks: int):
-        # reinterpret a covector on (R^n)^{form.d} inside (R^n)^d
-        def at(x: np.ndarray) -> KCovector:
-            x = np.asarray(x, dtype=np.float64).reshape(n * d)
-            sub = x[offset_blocks * n : (offset_blocks + nblocks) * n]
-            cov = form.at(sub)
-            return KCovector(
-                n * d,
-                cov.degree,
-                {tuple(i + offset_blocks * n for i in I): c for I, c in cov.coeffs.items()},
-            )
+    def lift(fn: Coeffs, degree: int, offset_blocks: int, nblocks: int) -> Coeffs:
+        # reinterpret coefficients on (R^n)^{nblocks} inside (R^n)^d
+        lo, hi = offset_blocks * n, (offset_blocks + nblocks) * n
+        cols = _shift_columns(hi - lo, degree, N, lo)
+        C = comb(N, degree)
 
-        return at
+        def coeff(X: np.ndarray) -> np.ndarray:
+            out = np.zeros((len(X), C))
+            out[:, cols] = fn(X[:, lo:hi])
+            return out
 
-    at0 = lift(f0, 0, d0)
-    at1 = lift(f1, d0, d1)
-    const = f0.is_constant and f1.is_constant
-    if const:
-        x0 = np.zeros(n * d)
-        return KForm.constant(at0(x0).wedge(at1(x0)), n, d, invariance=tag)
+        return coeff
+
+    at0 = lift(f0.coeff_fn, k0, 0, d0)
+    at1 = lift(f1.coeff_fn, k1, d0, d1)
+    if f0.is_constant and f1.is_constant:
+        x0 = np.zeros((1, N))
+        return _constant_form(_wedge_rows(at0(x0), at1(x0), N, k0, k1)[0], k0 + k1, n, d, invariance=tag)
     deriv = None
     if f0.analytic_derivative and f1.analytic_derivative:
-        def lift_d(form: KForm, offset_blocks: int, nblocks: int):
-            def at(x: np.ndarray) -> KCovector:
-                x = np.asarray(x, dtype=np.float64).reshape(n * d)
-                sub = x[offset_blocks * n : (offset_blocks + nblocks) * n]
-                cov = form.analytic_derivative(sub)
-                return KCovector(
-                    n * d,
-                    cov.degree,
-                    {tuple(i + offset_blocks * n for i in I): c for I, c in cov.coeffs.items()},
-                )
-
-            return at
-
-        d_at0 = lift_d(f0, 0, d0)
-        d_at1 = lift_d(f1, d0, d1)
-        sign = -1.0 if f0.degree % 2 else 1.0
-        deriv = lambda x: d_at0(x).wedge(at1(x)).add(at0(x).wedge(d_at1(x)), sign)
+        d_at0 = lift(f0.analytic_derivative, k0 + 1, 0, d0)
+        d_at1 = lift(f1.analytic_derivative, k1 + 1, d0, d1)
+        deriv = _leibniz(at0, d_at0, at1, d_at1, N, k0, k1)
     return KForm(
-        degree=f0.degree + f1.degree,
+        degree=k0 + k1,
         n=n,
         d=d,
-        coeff_fn=lambda x: at0(x).wedge(at1(x)),
+        coeff_fn=lambda X: _wedge_rows(at0(X), at1(X), N, k0, k1),
         analytic_derivative=deriv,
         invariance=tag,
     )
@@ -601,42 +696,27 @@ def exterior_derivative(form: KForm, fd_step: float = 1e-5) -> KForm:
     N = form.dim
     k = form.degree
     if form.analytic_derivative is not None:
-        base_d = form.analytic_derivative
         return KForm(
-            degree=k + 1, n=form.n, d=form.d, coeff_fn=lambda x: base_d(x), invariance=form.invariance
+            degree=k + 1, n=form.n, d=form.d, coeff_fn=form.analytic_derivative, invariance=form.invariance
         )
 
-    base = form.at
+    base = form.coeff_fn
+    steps = np.array([fd_step, -fd_step, fd_step / 2.0, -fd_step / 2.0])
+    offsets = steps[:, None, None] * np.eye(N)  # (4, N, N): the step along each axis
+    a, b, c, sign = _wedge_table(N, 1, k)
+    C = comb(N, k + 1)
 
-    def coeff(x: np.ndarray) -> KCovector:
-        x = np.asarray(x, dtype=np.float64).reshape(N)
-        partials: list[dict[tuple[int, ...], float]] = []
-        for i in range(N):
-            e = np.zeros(N)
-            e[i] = 1.0
-
-            def delta(h: float) -> KCovector:
-                return base(x + h * e).add(base(x - h * e), -1.0).scaled(1.0 / (2.0 * h))
-
-            d1 = delta(fd_step)
-            d2 = delta(fd_step / 2.0)
-            rich = d2.scaled(4.0 / 3.0).add(d1, -1.0 / 3.0)
-            partials.append(rich.coeffs)
-        out: dict[tuple[int, ...], float] = {}
-        keys = set()
-        for p in partials:
-            keys.update(p.keys())
-        for I in keys:
-            for i in range(N):
-                c = partials[i].get(I, 0.0)
-                if c == 0.0:
-                    continue
-                J, sign = _sort_with_sign((i,) + I)
-                if sign == 0:
-                    continue
-                out[J] = out.get(J, 0.0) + sign * c
-        out = {J: c for J, c in out.items() if c != 0.0}
-        return KCovector(N, k + 1, out)
+    def coeff(X: np.ndarray) -> np.ndarray:
+        P = len(X)
+        # all 4N shifted copies of every point in one batch
+        vals = base((X[:, None, None, :] + offsets).reshape(-1, N)).reshape(P, 4, N, -1)
+        d1 = (vals[:, 0] - vals[:, 1]) * (1.0 / (2.0 * fd_step))
+        d2 = (vals[:, 2] - vals[:, 3]) * (1.0 / fd_step)
+        partials = (4.0 / 3.0) * d2 - (1.0 / 3.0) * d1  # (P, N, C(N, k)): d/dx_i of each coefficient
+        # d form = sum_i dx_i ^ (d/dx_i form)
+        out = np.zeros((P, C))
+        np.add.at(out, (slice(None), c), sign * partials[:, a, b])
+        return out
 
     return KForm(degree=k + 1, n=form.n, d=form.d, coeff_fn=coeff, invariance=form.invariance)
 
@@ -652,16 +732,17 @@ class MultiPoly:
     nvars: int
     terms: dict[tuple[int, ...], float]
 
-    def __call__(self, x: np.ndarray) -> float:
+    def __call__(self, x: np.ndarray):
+        """The value at x (m,), or the values at the rows of x (P, m)."""
         x = np.asarray(x, dtype=np.float64)
-        total = 0.0
+        total = np.zeros(x.shape[:-1])
         for exps, c in self.terms.items():
             v = c
-            for xi, e in zip(x, exps):
+            for i, e in enumerate(exps):
                 if e:
-                    v *= xi**e
-            total += v
-        return total
+                    v = v * x[..., i] ** e
+            total = total + v
+        return total if total.ndim else float(total)
 
     def partial(self, i: int) -> "MultiPoly":
         out: dict[tuple[int, ...], float] = {}
@@ -679,21 +760,15 @@ def polynomial_one_form(n: int, components: list[MultiPoly]) -> KForm:
     """sum_b p_b dx_b on R^n with exact exterior derivative."""
     if len(components) != n:
         raise ValueError("need one polynomial per coordinate")
-
-    def coeff(x: np.ndarray) -> KCovector:
-        return KCovector(n, 1, {(b,): components[b](x) for b in range(n) if components[b](x) != 0.0})
-
     partials = [[components[b].partial(i) for i in range(n)] for b in range(n)]
+    pairs = basis(n, 2)
 
-    def deriv(x: np.ndarray) -> KCovector:
-        out: dict[tuple[int, ...], float] = {}
-        for i in range(n):
-            for b in range(n):
-                if i >= b:
-                    continue
-                c = partials[b][i](x) - partials[i][b](x)
-                if c != 0.0:
-                    out[(i, b)] = c
-        return KCovector(n, 2, out)
+    def coeff(X: np.ndarray) -> np.ndarray:
+        return np.stack([p(X) for p in components], axis=1)
+
+    def deriv(X: np.ndarray) -> np.ndarray:
+        # coefficient of dx_i ^ dx_b, i < b
+        cols = [partials[b][i](X) - partials[i][b](X) for i, b in pairs]
+        return np.stack(cols, axis=1) if cols else np.zeros((len(X), 0))
 
     return KForm(degree=1, n=n, d=1, coeff_fn=coeff, analytic_derivative=deriv, invariance="none")

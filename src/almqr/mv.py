@@ -9,14 +9,15 @@ affine maps) or by matching-based central differences.  The frame norm
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import kernels
 from .almgren import AlmgrenPoint, distance_to_diagonal, distance_value
-from .covers import BranchedCoverSpec, NumericalError, branch_differentials, minv, op_norm
-from .forms import KCovector, KForm
+from .covers import BranchedCoverSpec, CoverError, NumericalError, branch_differentials, minv, op_norm
+from .forms import KCovector, KForm, exterior_derivative, pullback_coeffs
 
 
 class PullbackError(ValueError):
@@ -29,7 +30,11 @@ class PullbackError(ValueError):
 
 @dataclass
 class MultiValuedMap:
-    """A map from an open region of R^m into the space of unordered d-tuples."""
+    """A map from an open region of R^m into the space of unordered d-tuples.
+
+    ``exact_branches``, when known, is batch-first: points (P, m) go to
+    branch values (P, d, n) and branch differentials (P, d, n, m).
+    """
 
     domain: object
     m: int
@@ -47,10 +52,29 @@ class MultiValuedMap:
 
 
 def from_cover(f: BranchedCoverSpec, domain) -> MultiValuedMap:
-    """The multi-valued inverse of a catalog cover as a map on image coordinates."""
+    """The multi-valued inverse of a catalog cover as a map on image coordinates.
 
-    def branches(y: np.ndarray):
-        X, _, L = branch_differentials(f, y)
+    Branches come from the cover's batch oracles where it has them, and
+    otherwise from ``branch_differentials`` point by point; both fail closed
+    outside the image and at singular or non-finite branch differentials.
+    """
+
+    def branches(Y: np.ndarray):
+        Y = np.asarray(Y, dtype=np.float64).reshape(-1, f.n)
+        if f.fiber_batch is None or f.branch_diff_batch is None:
+            per_point = [branch_differentials(f, y) for y in Y]
+            return np.stack([X for X, _, _ in per_point]), np.stack([L for _, _, L in per_point])
+        for y in Y:
+            if not f.contains_image(y):
+                raise CoverError(f"{y.tolist()} is outside the image of {f.name}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            X, L = f.fiber_batch(Y), f.branch_diff_batch(Y)
+        finite = np.isfinite(L).all(axis=(1, 2, 3))
+        # the scalar oracle's test |det Df| <= 1e-13, on the inverse Df^-1
+        bad = ~finite
+        bad[finite] = (np.abs(np.linalg.det(L[finite])) >= 1e13).any(axis=1)
+        if bad.any():
+            raise NumericalError(f"branch differential singular over {Y[np.argmax(bad)].tolist()}")
         return X, L
 
     return MultiValuedMap(
@@ -78,9 +102,10 @@ def from_affine_branches(branches: list[tuple[np.ndarray, np.ndarray]], domain, 
     def ev(x: np.ndarray) -> AlmgrenPoint:
         return AlmgrenPoint.from_points([A @ x + b for A, b in zip(As, bs)])
 
-    def branches_fn(x: np.ndarray):
-        vals = np.stack([A @ x + b for A, b in zip(As, bs)])
-        return vals, L.copy()
+    def branches_fn(X: np.ndarray):
+        X = np.asarray(X, dtype=np.float64).reshape(-1, m)
+        vals = np.stack([X @ A.T + b for A, b in zip(As, bs)], axis=1)
+        return vals, np.broadcast_to(L, (len(X),) + L.shape).copy()
 
     return MultiValuedMap(
         domain=domain,
@@ -151,6 +176,36 @@ def _enforce_shared_differentials(values: np.ndarray, L: np.ndarray, tol: float)
     return touched
 
 
+def _exact_branch_batch(F: MultiValuedMap, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Branch values (P, d, n), differentials (P, d, n, m) and on-singular-set flags (P,)
+    at the rows of X, with the differentials shared over coincident branches."""
+    values, L = F.exact_branches(X)
+    values = np.asarray(values, dtype=np.float64)
+    L = np.array(L, dtype=np.float64)
+    tol = 1e-8 * (1.0 + np.max(np.abs(values), axis=(1, 2)))
+    gaps = np.linalg.norm(values[:, :, None, :] - values[:, None, :, :], axis=-1)
+    # rows where some pair of distinct branches coincides (the diagonal always does)
+    rows = np.flatnonzero((gaps <= tol[:, None, None]).sum(axis=(1, 2)) > values.shape[1])
+    touched = np.zeros(len(values), dtype=bool)
+    for p in rows:
+        touched[p] = _enforce_shared_differentials(values[p], L[p], tol[p])
+    return values, L, touched
+
+
+def _branch_batch(F: MultiValuedMap, X: np.ndarray, h: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """Branch values (P, d, n) and differentials (P, d, n, m) at the rows of X (P, m).
+
+    Exact maps answer in one batch; the others take the matched central
+    differences of ``differential`` point by point.
+    """
+    X = np.asarray(X, dtype=np.float64).reshape(-1, F.m)
+    if F.exact_branches is not None:
+        values, L, _ = _exact_branch_batch(F, X)
+        return values, L
+    diffs = [differential(F, x, h=h) for x in X]
+    return np.stack([D.values for D in diffs]), np.stack([D.L for D in diffs])
+
+
 def _match(base: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, float]:
     diff = base[:, None, :] - other[None, :, :]
     cost = np.einsum("ijk,ijk->ij", diff, diff)
@@ -172,12 +227,8 @@ def differential(F: MultiValuedMap, x, h: float = 1e-5) -> MVDifferential:
     x = np.asarray(x, dtype=np.float64).reshape(F.m)
     scale = 1.0
     if F.exact_branches is not None:
-        values, L = F.exact_branches(x)
-        values = np.asarray(values, dtype=np.float64)
-        L = np.asarray(L, dtype=np.float64).copy()
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(values))))
-        on_sing = _enforce_shared_differentials(values, L, tol)
-        return MVDifferential(x0=x, values=values, L=L, on_singular_set=on_sing)
+        values, L, on_sing = _exact_branch_batch(F, x[None])
+        return MVDifferential(x0=x, values=values[0], L=L[0], on_singular_set=bool(on_sing[0]))
 
     X = F(x).expand()
     d, n = X.shape
@@ -285,10 +336,10 @@ class MultiValuedPair:
         branches = None
         if f0.exact_branches is not None and f1.exact_branches is not None:
 
-            def branches(x: np.ndarray):
-                v0, L0 = f0.exact_branches(x)
-                v1, L1 = f1.exact_branches(x)
-                return np.concatenate([v0, v1]), np.concatenate([L0, L1])
+            def branches(X: np.ndarray):
+                v0, L0 = f0.exact_branches(X)
+                v1, L1 = f1.exact_branches(X)
+                return np.concatenate([v0, v1], axis=1), np.concatenate([L0, L1], axis=1)
 
         return MultiValuedMap(
             domain=f0.domain,
@@ -421,7 +472,8 @@ class BumpTestForm:
 
     phi = amp * prod_i (1 - u_i^2)^q with u the box-normalized coordinates;
     C^{q-1} on R^m, smooth inside the box, vanishing to order q on the
-    boundary.  The gradient is analytic.
+    boundary.  The gradient is analytic.  Both take one point (m,) or the
+    rows of an array (P, m).
     """
 
     lo: np.ndarray
@@ -436,24 +488,20 @@ class BumpTestForm:
     def _u(self, x: np.ndarray) -> np.ndarray:
         return (2.0 * x - (self.lo + self.hi)) / (self.hi - self.lo)
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray):
         u = self._u(np.asarray(x, dtype=np.float64))
-        if np.any(np.abs(u) >= 1.0):
-            return 0.0
-        return float(self.amp * np.prod((1.0 - u * u) ** self.q))
+        inside = np.all(np.abs(u) < 1.0, axis=-1)
+        out = np.where(inside, self.amp * np.prod((1.0 - u * u) ** self.q, axis=-1), 0.0)
+        return out if out.ndim else float(out)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        u = self._u(x)
-        if np.any(np.abs(u) >= 1.0):
-            return np.zeros_like(x)
-        fac = (1.0 - u * u) ** self.q
-        total = self.amp * np.prod(fac)
-        grad = np.empty_like(x)
-        for i in range(len(x)):
-            dui = 2.0 / (self.hi[i] - self.lo[i])
-            grad[i] = total / (1.0 - u[i] ** 2) * (-2.0 * self.q * u[i]) * dui
-        return grad
+        u = self._u(np.asarray(x, dtype=np.float64))
+        inside = np.all(np.abs(u) < 1.0, axis=-1, keepdims=True)
+        total = self.amp * np.prod((1.0 - u * u) ** self.q, axis=-1, keepdims=True)
+        dui = 2.0 / (self.hi - self.lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad = total / (1.0 - u**2) * (-2.0 * self.q * u) * dui
+        return np.where(inside, grad, 0.0)
 
 
 def weak_stokes_check(
@@ -462,15 +510,22 @@ def weak_stokes_check(
     alpha: BumpTestForm,
     orders: tuple[int, ...] = (16, 32, 64),
     fd_step: float = 1e-5,
-    differential_cache: Optional[dict] = None,
 ) -> dict:
     """Quadrature comparison of int dalpha ^ F*omega with (-1)^{k+1} int alpha ^ F*(d omega).
 
     Implemented for scalar (degree-0) test forms, i.e. forms omega of degree
     m-1 on maps from R^m; top-degree closed forms degenerate to the 0 = 0
     identity and are reported as such.  Tensor Gauss-Legendre rules of the
-    given orders are used on the support box of alpha; the discrepancy is
-    reported per refinement level.
+    given orders are used on the support box of alpha; each level evaluates
+    the branches, omega, d omega and the bump at all its nodes in one batch.
+
+    The discrepancy is reported per level, relative to the larger side, but
+    never to less than sqrt(eps) times the integrand mass S: the weighted
+    sum of the sizes of the terms both integrands add up, |dalpha| |omega|
+    k! |DF|^k and |alpha| |d omega| (k+1)! |DF|^(k+1) (coefficient 1-norms,
+    largest entry of the stacked branch differentials).  Where both sides
+    cancel to rounding noise (a closed or vanishing pull-back) the level is
+    flagged ``degenerate`` instead of failing on noise / noise.
     """
     from .regions import Box, box_quadrature
 
@@ -479,57 +534,51 @@ def weak_stokes_check(
     if k not in (m - 1, m):
         raise PullbackError("scalar test forms require deg(omega) in {m-1, m}")
     box = Box(alpha.lo, alpha.hi)
-    domega = None
-    if omega.analytic_derivative is None and not omega.is_constant:
-        from .forms import exterior_derivative
-
-        domega = exterior_derivative(omega, fd_step=fd_step)
+    domega = exterior_derivative(omega, fd_step=fd_step)
+    # integration by parts: int dalpha ^ beta = (-1)^(m-k) int alpha ^ dbeta
+    sign = (-1.0) ** (m - k)
+    floor = float(np.sqrt(np.finfo(np.float64).eps))
 
     levels = []
     for order in orders:
         pts, wts = box_quadrature(box, order)
-        I1 = 0.0
-        I2 = 0.0
-        for x, w in zip(pts, wts):
-            key = (float(x[0]), float(x[1])) if m == 2 else tuple(map(float, x))
-            if differential_cache is not None and key in differential_cache:
-                diff = differential_cache[key]
-            else:
-                diff = differential(F, x, h=fd_step)
-                if differential_cache is not None:
-                    differential_cache[key] = diff
-            if k == m:
-                # both integrands vanish identically by degree
-                continue
-            cov = _pullback_at(omega, diff.values, diff.L)  # (m-1)-covector on R^m
-            g = alpha.gradient(x)
-            # dalpha ^ F*omega, coefficient on the volume covector
-            if m == 2:
-                u = cov.coeffs.get((0,), 0.0)
-                v = cov.coeffs.get((1,), 0.0)
-                I1 += w * (g[0] * v - g[1] * u)
-            else:
-                acc = 0.0
-                for j in range(m):
-                    J = tuple(i for i in range(m) if i != j)
-                    acc += (-1.0) ** j * g[j] * cov.coeffs.get(J, 0.0)
-                I1 += w * acc
-            # alpha ^ F*(d omega)
-            if omega.analytic_derivative is not None:
-                dcov_amb = omega.analytic_derivative(diff.values.reshape(-1))
-            elif omega.is_constant:
-                dcov_amb = KCovector(omega.dim, k + 1, {})
-            else:
-                dcov_amb = domega.at(diff.values.reshape(-1))
-            T = diff.L.reshape(F.d * F.n, m)
-            dcov = dcov_amb.pullback_linear(T)
-            I2 += w * alpha.value(x) * dcov.coeffs.get(tuple(range(m)), 0.0)
-        # integration by parts: int dalpha ^ beta = (-1)^(m-k) int alpha ^ dbeta
-        sign = (-1.0) ** (m - k)
+        values, L = _branch_batch(F, pts, h=fd_step)
+        if k == m:
+            # both integrands vanish identically by degree
+            I1 = I2 = S = 0.0
+        else:
+            flat = values.reshape(len(pts), -1)
+            T = L.reshape(len(pts), F.d * F.n, m)
+            A, dA = omega.coeffs(flat), domega.coeffs(flat)
+            grad, val = alpha.gradient(pts), alpha.value(pts)
+            # F*omega over the (m-1)-tuples; the one leaving out j sits in column m-1-j
+            cov = pullback_coeffs(A, T, k)
+            dcov = pullback_coeffs(dA, T, k + 1)[:, 0]
+            # dalpha ^ F*omega and alpha F*(d omega), on the volume covector
+            f1 = ((-1.0) ** np.arange(m) * grad * cov[:, ::-1]).sum(axis=1)
+            f2 = val * dcov
+            I1, I2 = float(wts @ f1), float(wts @ f2)
+            # the size of the terms summed before they cancel: a k x k minor of T
+            # is at most k! max|T|^k
+            t = np.abs(T).max(axis=(1, 2))
+            size1 = np.abs(grad).sum(axis=1) * np.abs(A).sum(axis=1) * factorial(k) * t**k
+            size2 = np.abs(val) * np.abs(dA).sum(axis=1) * factorial(k + 1) * t ** (k + 1)
+            S = float(wts @ (size1 + size2))
+            if not np.isfinite(S):
+                raise NumericalError(f"weak Stokes integrands not finite at order {order}")
         disc = abs(I1 - sign * I2)
-        scale = max(abs(I1), abs(I2), 1e-30)
+        side = max(abs(I1), abs(I2))
+        scale = max(side, floor * S, 1e-30)
         levels.append(
-            {"order": order, "lhs": I1, "rhs": I2, "abs_discrepancy": disc, "rel_discrepancy": disc / scale}
+            {
+                "order": order,
+                "lhs": I1,
+                "rhs": I2,
+                "abs_discrepancy": disc,
+                "rel_discrepancy": disc / scale,
+                "S": S,
+                "degenerate": side < floor * S,
+            }
         )
     finest = levels[-1]
     return {
@@ -538,6 +587,8 @@ def weak_stokes_check(
         "levels": levels,
         "abs_discrepancy": finest["abs_discrepancy"],
         "rel_discrepancy": finest["rel_discrepancy"],
+        "S": finest["S"],
+        "degenerate": finest["degenerate"],
         "decreasing": all(
             levels[i + 1]["abs_discrepancy"] <= levels[i]["abs_discrepancy"] * 1.5 + 1e-14
             for i in range(len(levels) - 1)

@@ -348,7 +348,6 @@ def _check_stokes(config, seed):
     worst = 0.0
     all_decreasing = True
     rows = []
-    cache: dict = {}  # branch differentials are form-independent, share across forms
     for i in range(n_forms):
         if "form" in config:
             omega = build_form(config["form"])
@@ -364,11 +363,18 @@ def _check_stokes(config, seed):
                 c = rng.uniform(0.7, 1.3, size=2)
                 w = rng.uniform(0.25, 0.55, size=2)
                 alpha = BumpTestForm(lo=c - w, hi=c + w, q=3, amp=float(rng.uniform(0.5, 2.0)))
-            rep = weak_stokes_check(F, omega, alpha, orders=orders, differential_cache=cache)
+            rep = weak_stokes_check(F, omega, alpha, orders=orders)
             worst = max(worst, rep["rel_discrepancy"])
             all_decreasing = all_decreasing and rep["decreasing"]
             rows.append(
-                {"form": i, "testform": j, "rel": rep["rel_discrepancy"], "decreasing": rep["decreasing"]}
+                {
+                    "form": i,
+                    "testform": j,
+                    "rel": rep["rel_discrepancy"],
+                    "decreasing": rep["decreasing"],
+                    "S": rep["S"],
+                    "degenerate": rep["degenerate"],
+                }
             )
     passed = worst <= tol and all_decreasing
     metrics = {"worst_rel_discrepancy": worst, "decreasing": all_decreasing, "rows": rows}

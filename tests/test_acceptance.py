@@ -221,7 +221,6 @@ def test_07_weak_stokes():
     F = from_cover(planar_power(2), Box([0.4, 0.4], [1.8, 1.8]))
     worst = 0.0
     decreasing = True
-    cache: dict = {}
     for _ in range(5):
         p = MultiPoly(2, {(0, 1): float(rng.normal()), (2, 0): float(rng.normal())})
         q = MultiPoly(2, {(1, 0): float(rng.normal()), (0, 2): float(rng.normal())})
@@ -230,7 +229,7 @@ def test_07_weak_stokes():
             c = rng.uniform(0.75, 1.35, size=2)
             w = rng.uniform(0.25, 0.5, size=2)
             alpha = BumpTestForm(lo=c - w, hi=c + w, q=3, amp=float(rng.uniform(0.5, 2.0)))
-            rep = weak_stokes_check(F, om, alpha, orders=(16, 32, 64), differential_cache=cache)
+            rep = weak_stokes_check(F, om, alpha, orders=(16, 32, 64))
             worst = max(worst, rep["rel_discrepancy"])
             decreasing = decreasing and rep["decreasing"]
     ok = worst < 1e-3 and decreasing
