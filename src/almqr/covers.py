@@ -32,6 +32,10 @@ class LiftError(NumericalError):
         self.t = t
 
 
+# a branch differential with |det Df| at or below this is treated as singular
+SINGULAR_DET = 1e-13
+
+
 # ---------------------------------------------------------------------------
 # small matrix helpers
 
@@ -159,13 +163,38 @@ def branch_differentials(f: BranchedCoverSpec, y) -> tuple[np.ndarray, np.ndarra
     for loc, w in zip(p.locations, p.weights):
         D = f.differential(loc)
         det = np.linalg.det(D)
-        if abs(det) <= 1e-13:
+        if abs(det) <= SINGULAR_DET:
             raise NumericalError(f"branch differential singular at fiber point {loc.tolist()}")
         Dinv = np.linalg.inv(D)
         for _ in range(int(w)):
             L[j] = Dinv
             j += 1
     return X, idx, L
+
+
+def branch_differentials_batch(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Branch values (P, d, n) and branch differentials (P, d, n, n) at points Y (P, n).
+
+    Uses the cover's ``fiber_batch``/``branch_diff_batch`` where it has both,
+    and otherwise stacks ``branch_differentials`` point by point.  Both routes
+    fail closed alike: CoverError outside the image, NumericalError where a
+    branch differential is non-finite or |det Df| <= SINGULAR_DET.
+    """
+    Y = np.asarray(Y, dtype=np.float64).reshape(-1, f.n)
+    if f.fiber_batch is None or f.branch_diff_batch is None:
+        per_point = [branch_differentials(f, y) for y in Y]
+        return np.stack([X for X, _, _ in per_point]), np.stack([L for _, _, L in per_point])
+    for y in Y:
+        if not f.contains_image(y):
+            raise CoverError(f"{y.tolist()} is outside the image of {f.name}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X, L = f.fiber_batch(Y), f.branch_diff_batch(Y)
+    bad = ~np.isfinite(L).all(axis=(1, 2, 3))
+    # L = Df^-1, so |det Df| <= SINGULAR_DET reads |det L| >= 1 / SINGULAR_DET
+    bad[~bad] = (np.abs(np.linalg.det(L[~bad])) >= 1.0 / SINGULAR_DET).any(axis=1)
+    if bad.any():
+        raise NumericalError(f"branch differential singular over {Y[np.argmax(bad)].tolist()}")
+    return X, L
 
 
 def minv_metric_jacobian(f: BranchedCoverSpec, y) -> float:

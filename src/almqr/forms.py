@@ -129,11 +129,7 @@ def pullback_coeffs(A: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
         return np.zeros((P, len(cols)))
     rows = _basis_array(N, k)[used]
     M = T[:, rows[:, None, :, None], cols[None, :, None, :]]  # (P, used, C(m,k), k, k)
-    if k == 2:
-        dets = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    else:
-        dets = np.linalg.det(M)
-    return np.einsum("pi,pij->pj", A[:, used], dets)
+    return np.einsum("pi,pij->pj", A[:, used], np.linalg.det(M))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .almgren import AlmgrenPoint, distance_to_diagonal, distance_value
-from .covers import BranchedCoverSpec, CoverError, NumericalError, branch_differentials, minv, op_norm
+from .covers import BranchedCoverSpec, NumericalError, branch_differentials, branch_differentials_batch, minv, op_norm
 from .forms import KCovector, KForm, exterior_derivative, pullback_coeffs
 
 
@@ -54,29 +54,9 @@ class MultiValuedMap:
 def from_cover(f: BranchedCoverSpec, domain) -> MultiValuedMap:
     """The multi-valued inverse of a catalog cover as a map on image coordinates.
 
-    Branches come from the cover's batch oracles where it has them, and
-    otherwise from ``branch_differentials`` point by point; both fail closed
-    outside the image and at singular or non-finite branch differentials.
+    Branches come from ``covers.branch_differentials_batch``, which fails
+    closed outside the image and at singular or non-finite differentials.
     """
-
-    def branches(Y: np.ndarray):
-        Y = np.asarray(Y, dtype=np.float64).reshape(-1, f.n)
-        if f.fiber_batch is None or f.branch_diff_batch is None:
-            per_point = [branch_differentials(f, y) for y in Y]
-            return np.stack([X for X, _, _ in per_point]), np.stack([L for _, _, L in per_point])
-        for y in Y:
-            if not f.contains_image(y):
-                raise CoverError(f"{y.tolist()} is outside the image of {f.name}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            X, L = f.fiber_batch(Y), f.branch_diff_batch(Y)
-        finite = np.isfinite(L).all(axis=(1, 2, 3))
-        # the scalar oracle's test |det Df| <= 1e-13, on the inverse Df^-1
-        bad = ~finite
-        bad[finite] = (np.abs(np.linalg.det(L[finite])) >= 1e13).any(axis=1)
-        if bad.any():
-            raise NumericalError(f"branch differential singular over {Y[np.argmax(bad)].tolist()}")
-        return X, L
-
     return MultiValuedMap(
         domain=domain,
         m=f.n,
@@ -84,7 +64,7 @@ def from_cover(f: BranchedCoverSpec, domain) -> MultiValuedMap:
         d=f.degree,
         evaluate=lambda y: minv(f, y),
         provenance="inverse-of-cover",
-        exact_branches=branches,
+        exact_branches=lambda Y: branch_differentials_batch(f, Y),
         cover=f,
     )
 

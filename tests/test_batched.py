@@ -188,7 +188,15 @@ def test_branch_batch_shares_differentials_at_coincident_branches():
 
 
 def per_node_levels(F, omega, alpha, orders):
-    """(lhs, rhs) per level, node by node through KForm.at and pullback_linear."""
+    """(lhs, rhs) per level, node by node, from parts independent of the batched path.
+
+    Branches come from the scalar ``branch_differentials`` in its lex-sorted
+    order, not the batch oracles' order: the forms are invariant, so the sums
+    do not depend on it, and the branches themselves are matched against the
+    batch in ``test_cover_branches_batch_matches_branch_differentials``. Each
+    pulled-back coefficient is the covector ``omega.at(flat)`` evaluated on the
+    pushed-forward basis vectors.
+    """
     m, k = F.m, omega.degree
     domega = exterior_derivative(omega)
     out = []
@@ -196,14 +204,14 @@ def per_node_levels(F, omega, alpha, orders):
         pts, wts = box_quadrature(Box(alpha.lo, alpha.hi), order)
         I1 = I2 = 0.0
         for x, w in zip(pts, wts):
-            D = differential(F, x)
             if k == m:
                 continue
-            flat, T = D.values.reshape(-1), D.stacked()
-            cov = omega.at(flat).pullback_linear(T)
+            X, _, L = branch_differentials(F.cover, x)
+            flat, T = X.reshape(-1), L.reshape(-1, m)
+            cov, dcov = omega.at(flat), domega.at(flat)
             g = alpha.gradient(x)
-            I1 += w * sum((-1.0) ** j * g[j] * cov.coeffs.get(tuple(i for i in range(m) if i != j), 0.0) for j in range(m))
-            I2 += w * alpha.value(x) * domega.at(flat).pullback_linear(T).coeffs.get(tuple(range(m)), 0.0)
+            I1 += w * sum((-1.0) ** j * g[j] * cov(np.delete(T.T, j, axis=0)) for j in range(m))
+            I2 += w * alpha.value(x) * dcov(T.T)
         out.append((I1, I2))
     return out
 
