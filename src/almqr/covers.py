@@ -5,6 +5,14 @@ planar power maps z -> z^k, the 3D winding map (r, theta, z) -> (r, k theta, z),
 and affine precompositions of these.  Every catalog map carries evaluation,
 differential, Jacobian, fiber (with local indices) and exact distortion
 constants, which is what the verifiers consume.
+
+Fibers come in two shapes.  ``minv(f, y)`` is the scalar oracle: one point,
+one merged AlmgrenPoint; path lifting steps through it point by point.
+``minv_batch(f, Y)`` evaluates the multivalued inverse over a whole point
+set (P, n) in one call of the cover's ``fiber_batch`` and returns expanded,
+index-weighted fibers (P, d, n) in no promised row order; quadrature and
+Monte Carlo checks go through it.  Both fail closed alike: CoverError
+outside the image, NumericalError for a non-finite or miscounted fiber.
 """
 
 from __future__ import annotations
@@ -77,7 +85,10 @@ class BranchedCoverSpec:
     """A proper branched cover f with point oracles.
 
     ``fiber(y)`` returns (locations (m, n), weights (m,)) with local indices
-    as weights; properness and the stated degree are guaranteed by
+    as weights; ``fiber_batch(Y)`` maps points (P, n) to expanded fibers
+    (P, d, n), each row an unordered tuple with every location repeated by
+    its local index; ``contains_image(Y)`` maps points (P, n) to a (P,)
+    boolean mask.  Properness and the stated degree are guaranteed by
     construction of the catalog maps, not re-checked.
     """
 
@@ -88,13 +99,13 @@ class BranchedCoverSpec:
     differential: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], float]
     fiber: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    fiber_batch: Callable[[np.ndarray], np.ndarray]
     K_I: float
     K_O: float
     branch_value_distance: Callable[[np.ndarray], float]
-    contains_image: Callable[[np.ndarray], bool]
+    contains_image: Callable[[np.ndarray], np.ndarray]
     spec: dict = field(default_factory=dict)
     # optional fast paths / extras
-    fiber_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     branch_diff_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     normal_neighborhood_boundary: Optional[Callable] = None
 
@@ -106,7 +117,7 @@ class BranchedCoverSpec:
 def minv(f: BranchedCoverSpec, y) -> AlmgrenPoint:
     """The fiber over y counted with local indices, as an unordered tuple."""
     y = np.asarray(y, dtype=np.float64).reshape(f.n)
-    if not f.contains_image(y):
+    if not f.contains_image(y[None])[0]:
         raise CoverError(f"{y.tolist()} is outside the image of {f.name}")
     locs, ws = f.fiber(y)
     p = AlmgrenPoint.from_points(locs, ws)
@@ -115,6 +126,33 @@ def minv(f: BranchedCoverSpec, y) -> AlmgrenPoint:
             f"fiber weights sum to {p.d}, expected degree {f.degree} (root clustering failed)"
         )
     return p
+
+
+def minv_batch(f: BranchedCoverSpec, Y) -> np.ndarray:
+    """Expanded fibers (P, d, n) of the multi-valued inverse over points Y (P, n).
+
+    Row i holds the points of ``minv(f, Y[i])``, each repeated by its local
+    index as ``expand()`` does, in no promised order.  Fails closed like
+    ``minv``: CoverError if a point is outside the image, NumericalError if a
+    point or its fiber is non-finite or a fiber does not have d points.
+    """
+    Y = np.asarray(Y, dtype=np.float64).reshape(-1, f.n)
+    # whole-array tests first: the row-wise ones cost ten times as much
+    if not np.isfinite(Y).all():
+        raise NumericalError(f"non-finite point {Y[np.argmin(np.isfinite(Y).all(axis=1))].tolist()}")
+    inside = f.contains_image(Y)
+    if not inside.all():
+        raise CoverError(f"{Y[np.argmin(inside)].tolist()} is outside the image of {f.name}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X = f.fiber_batch(Y)
+    if X.shape != (len(Y), f.degree, f.n):
+        raise NumericalError(
+            f"fibers of {f.name} have shape {X.shape}, expected {(len(Y), f.degree, f.n)} (root clustering failed)"
+        )
+    if not np.isfinite(X).all():
+        bad = np.argmin(np.isfinite(X).all(axis=(1, 2)))
+        raise NumericalError(f"non-finite fiber of {f.name} over {Y[bad].tolist()}")
+    return X
 
 
 def local_index(f: BranchedCoverSpec, x) -> int:
@@ -175,20 +213,18 @@ def branch_differentials(f: BranchedCoverSpec, y) -> tuple[np.ndarray, np.ndarra
 def branch_differentials_batch(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Branch values (P, d, n) and branch differentials (P, d, n, n) at points Y (P, n).
 
-    Uses the cover's ``fiber_batch``/``branch_diff_batch`` where it has both,
-    and otherwise stacks ``branch_differentials`` point by point.  Both routes
-    fail closed alike: CoverError outside the image, NumericalError where a
-    branch differential is non-finite or |det Df| <= SINGULAR_DET.
+    Uses ``minv_batch`` and the cover's ``branch_diff_batch`` where it has
+    one, and otherwise stacks ``branch_differentials`` point by point.  Both
+    routes fail closed alike: CoverError outside the image, NumericalError
+    where a branch differential is non-finite or |det Df| <= SINGULAR_DET.
     """
     Y = np.asarray(Y, dtype=np.float64).reshape(-1, f.n)
-    if f.fiber_batch is None or f.branch_diff_batch is None:
+    if f.branch_diff_batch is None:
         per_point = [branch_differentials(f, y) for y in Y]
         return np.stack([X for X, _, _ in per_point]), np.stack([L for _, _, L in per_point])
-    for y in Y:
-        if not f.contains_image(y):
-            raise CoverError(f"{y.tolist()} is outside the image of {f.name}")
+    X = minv_batch(f, Y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        X, L = f.fiber_batch(Y), f.branch_diff_batch(Y)
+        L = f.branch_diff_batch(Y)
     bad = ~np.isfinite(L).all(axis=(1, 2, 3))
     # L = Df^-1, so |det Df| <= SINGULAR_DET reads |det L| >= 1 / SINGULAR_DET
     bad[~bad] = (np.abs(np.linalg.det(L[~bad])) >= 1.0 / SINGULAR_DET).any(axis=1)
@@ -212,6 +248,10 @@ def minv_metric_jacobian(f: BranchedCoverSpec, y) -> float:
 
 # ---------------------------------------------------------------------------
 # catalog maps
+
+
+def _whole_plane(ys: np.ndarray) -> np.ndarray:
+    return np.ones(len(ys), dtype=bool)
 
 
 def _poly_eval(coeffs: np.ndarray, z: complex) -> complex:
@@ -297,20 +337,33 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
         z = complex(x[0], x[1])
         return abs(_poly_eval(dc, z)) ** 2
 
-    def fiber(y):
-        w = complex(y[0], y[1])
-        shifted = c.copy()
-        shifted[0] -= w
-        roots = _companion_roots(shifted)
+    def fiber_batch(ys):
+        """Roots of p - w for every row: stacked companion matrices (m, deg, deg)."""
+        w = ys[:, 0] + 1j * ys[:, 1]
+        const = c[0] - w
+        C = np.zeros((len(w), deg, deg), dtype=np.complex128)
+        C[:, 1:, :-1] = np.eye(deg - 1)
+        C[:, :, -1] = -c[:-1] / c[-1]
+        C[:, 0, -1] = -const / c[-1]
+        roots = np.linalg.eigvals(C)
         # Newton polish for well-separated roots
         for _ in range(2):
-            pv = np.array([_poly_eval(shifted, z) for z in roots])
-            dv = np.array([_poly_eval(dc, z) for z in roots])
+            pv = _poly_eval(c[1:], roots) * roots + const[:, None]
+            dv = _poly_eval(dc, roots)
             ok = np.abs(dv) > 1e-8 * (1 + np.abs(roots))
-            roots[ok] = roots[ok] - pv[ok] / dv[ok]
-        centers, sizes = _cluster_roots(roots, 1e-7 * (1.0 + abs(w)))
-        locs = np.stack([centers.real, centers.imag], axis=1)
-        return locs, sizes
+            roots = np.where(ok, roots - pv / np.where(ok, dv, 1.0), roots)
+        # merge near-coincident roots, only in rows that have any
+        radius = 1e-7 * (1.0 + np.abs(w))
+        gaps = np.abs(roots[:, :, None] - roots[:, None, :])
+        gaps[:, np.arange(deg), np.arange(deg)] = np.inf
+        for i in np.flatnonzero(gaps.min(axis=(1, 2)) <= radius):
+            centers, sizes = _cluster_roots(roots[i], radius[i])
+            roots[i] = np.repeat(centers, sizes)
+        return np.stack([roots.real, roots.imag], axis=2)
+
+    def fiber(y):
+        roots = fiber_batch(np.asarray(y, dtype=np.float64).reshape(1, 2))[0]
+        return np.unique(roots, axis=0, return_counts=True)
 
     def branch_dist(y):
         if len(crit_values) == 0:
@@ -326,10 +379,11 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
         differential=differential,
         jacobian=jacobian,
         fiber=fiber,
+        fiber_batch=fiber_batch,
         K_I=1.0,
         K_O=1.0,
         branch_value_distance=branch_dist,
-        contains_image=lambda y: True,
+        contains_image=_whole_plane,
         spec={"map": "poly", "coeffs": [[v.real, v.imag] for v in c]},
     )
 
@@ -405,12 +459,12 @@ def planar_power(k: int) -> BranchedCoverSpec:
         differential=differential,
         jacobian=jacobian,
         fiber=fiber,
+        fiber_batch=fiber_batch,
         K_I=1.0,
         K_O=1.0,
         branch_value_distance=lambda y: float(np.hypot(y[0], y[1])) if k > 1 else np.inf,
-        contains_image=lambda y: True,
+        contains_image=_whole_plane,
         spec={"map": "power", "k": k},
-        fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
         normal_neighborhood_boundary=nn_boundary,
     )
@@ -456,9 +510,13 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
         locs = np.stack([r * np.cos(ang), r * np.sin(ang), np.full(k, y[2])], axis=1)
         return locs, np.ones(k, dtype=np.int64)
 
-    def contains_image(y):
-        r = np.hypot(y[0], y[1])
-        return bool(r <= r_max and abs(y[2]) <= z_half)
+    def fiber_batch(ys):
+        r = np.hypot(ys[:, 0], ys[:, 1])[:, None]
+        ang = np.arctan2(ys[:, 1], ys[:, 0])[:, None] / k + 2 * np.pi * np.arange(k) / k
+        return np.stack([r * np.cos(ang), r * np.sin(ang), np.repeat(ys[:, 2:], k, axis=1)], axis=2)
+
+    def contains_image(ys):
+        return (np.hypot(ys[:, 0], ys[:, 1]) <= r_max) & (np.abs(ys[:, 2]) <= z_half)
 
     return BranchedCoverSpec(
         name=f"wind3(k={k})",
@@ -468,6 +526,7 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
         differential=differential,
         jacobian=jacobian,
         fiber=fiber,
+        fiber_batch=fiber_batch,
         K_I=float(k),
         K_O=float(k) ** 2,
         branch_value_distance=lambda y: float(np.hypot(y[0], y[1])) if k > 1 else np.inf,
@@ -507,6 +566,9 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
         locs, ws = base.fiber(y)
         return (locs - b) @ Ainv.T, ws
 
+    def fiber_batch(ys):
+        return (base.fiber_batch(ys) - b) @ Ainv.T
+
     return BranchedCoverSpec(
         name=f"precomposed({base.name}, lambda={lam:.3g})",
         n=n,
@@ -515,6 +577,7 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
         differential=differential,
         jacobian=jacobian,
         fiber=fiber,
+        fiber_batch=fiber_batch,
         K_I=base.K_I * lam,
         K_O=base.K_O * lam,
         branch_value_distance=base.branch_value_distance,
@@ -702,14 +765,14 @@ def preimage_measure_check(
     """
     if n_samples < 100:
         return {"ok": False, "reason": "sample budget too small", "n_samples": n_samples}
+    from .modulus import metric_jacobian_values
+
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     zC = center.expand()
 
     # LHS: Lebesgue measure of {x in domain : d_A(minv(f(x)), z) < r}
     xs = domain_region.sample(rng, n_samples)
-    fibers = np.empty((n_samples, f.degree, f.n))
-    for i, x in enumerate(xs):
-        fibers[i] = minv(f, f.evaluate(x)).expand()
+    fibers = minv_batch(f, np.array([f.evaluate(x) for x in xs]))
     ind = kernels.dist_sq_one_to_many(zC, fibers) < radius**2
     vol = domain_region.volume()
     p_hat = ind.mean()
@@ -718,11 +781,9 @@ def preimage_measure_check(
 
     # RHS: integral of the indicator times the metric Jacobian over the image
     ys = image_region.sample(rng, n_samples)
+    inside = kernels.dist_sq_one_to_many(zC, minv_batch(f, ys)) < radius**2
     vals = np.zeros(n_samples)
-    for i, y in enumerate(ys):
-        fib = minv(f, y)
-        if kernels.dist_sq(fib.expand(), zC) < radius**2:
-            vals[i] = minv_metric_jacobian(f, y)
+    vals[inside] = metric_jacobian_values(f, ys[inside])
     rhs = image_region.volume() * float(vals.mean())
     rhs_sd = image_region.volume() * float(vals.std(ddof=1) / np.sqrt(n_samples))
 

@@ -16,7 +16,15 @@ import numpy as np
 
 from . import kernels
 from .almgren import AlmgrenPoint, distance_to_diagonal, distance_value
-from .covers import BranchedCoverSpec, NumericalError, branch_differentials, branch_differentials_batch, minv, op_norm
+from .covers import (
+    BranchedCoverSpec,
+    NumericalError,
+    branch_differentials,
+    branch_differentials_batch,
+    minv,
+    minv_batch,
+    op_norm,
+)
 from .forms import KCovector, KForm, exterior_derivative, pullback_coeffs
 
 
@@ -368,10 +376,14 @@ def hodge_star_top(alpha: KCovector) -> float:
     return float(alpha.coeffs.get(tuple(range(alpha.dim)), 0.0))
 
 
-def generalized_inverse(f: BranchedCoverSpec, y) -> np.ndarray:
-    """Index-weighted sum of the fiber locations; equals d times the fiber barycenter."""
-    p = minv(f, y)
-    return np.asarray((p.weights[:, None] * p.locations).sum(axis=0), dtype=np.float64)
+def generalized_inverse(f: BranchedCoverSpec, Y) -> np.ndarray:
+    """Index-weighted sum of the fiber locations; equals d times the fiber barycenter.
+
+    Points (P, n) give sums (P, n) from one ``minv_batch`` call; a single
+    point (n,) gives (n,).
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    return minv_batch(f, Y).sum(axis=1).reshape(Y.shape)
 
 
 # ---------------------------------------------------------------------------

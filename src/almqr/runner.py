@@ -402,9 +402,9 @@ def _check_area(config, seed):
     pre = Annulus(np.zeros(2), E.r_in ** (1.0 / d), E.r_out ** (1.0 / d))
     tol = float(config.get("tol", 1e-3))
     gs = {
-        "one": lambda x: 1.0,
-        "sq_norm": lambda x: float(x @ x),
-        "inv_grad_sq": lambda x: 1.0 / max(np.hypot(x[0], x[1]) ** (2 * (d - 1)) * d * d, 1e-300),
+        "one": lambda X: np.ones(len(X)),
+        "sq_norm": lambda X: np.einsum("ij,ij->i", X, X),
+        "inv_grad_sq": lambda X: 1.0 / np.maximum(np.hypot(X[:, 0], X[:, 1]) ** (2 * (d - 1)) * d * d, 1e-300),
     }
     worst = 0.0
     rows = {}
@@ -437,9 +437,8 @@ def _check_gen_inverse(config, seed):
         f = planar_power(int(d)) if config.get("use_power", False) else build_map(
             {"map": "poly", "coeffs": [0.0] * int(d) + [1.0]}
         )
-        rng = seeded_rng(seed, 9, ix)
-        for y in region.sample(rng, n_samples):
-            worst = max(worst, float(np.linalg.norm(generalized_inverse(f, y))))
+        ys = region.sample(seeded_rng(seed, 9, ix), n_samples)
+        worst = max(worst, float(np.linalg.norm(generalized_inverse(f, ys), axis=1).max()))
     passed = worst <= tol
     return passed, {"max_norm": worst, "n_samples": n_samples, "degrees": degrees}, {"tol": tol}, 0
 
@@ -452,7 +451,7 @@ def _check_modulus(config, seed):
     exact = ring_modulus_exact(region.r_in, region.r_out)
     rel = abs(res.value - exact) / exact
     tol = float(config.get("tol", 0.05))
-    passed = rel <= tol
+    passed = rel <= tol and res.converged
     metrics = {"value": res.value, "exact": exact, "rel_error": rel, **res.to_json()}
     return passed, metrics, {"rel_tol": tol}, 0
 

@@ -1,8 +1,11 @@
 """Catalog branched covers: fibers, indices, push-forward, distortion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from almqr import kernels
 from almqr.almgren import AlmgrenPoint, distance_value
 from almqr.covers import (
     CoverError,
@@ -14,6 +17,7 @@ from almqr.covers import (
     local_index,
     min_singular,
     minv,
+    minv_batch,
     minv_metric_jacobian,
     op_norm,
     planar_power,
@@ -238,3 +242,130 @@ def test_jacobian_positive_off_branch_set():
             # x is off the branch set iff its fiber point has index 1
             if local_index(f, x) == 1:
                 assert f.jacobian(x) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# minv_batch against routes that share no code with the catalog oracles
+
+EPS = np.finfo(float).eps
+
+
+def _match_ulps(row, ref):
+    """Largest coordinate gap between two expanded fibers (d, n) after the
+    optimal matching, in units of eps * max(1, |ref|)."""
+    cost = ((row[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
+    _, perm = kernels.solve_assignment(cost)
+    return float(np.abs(row - ref[perm]).max() / (EPS * max(1.0, np.abs(ref).max())))
+
+
+def _as_points(z):
+    return np.stack([z.real, z.imag], axis=-1)
+
+
+def _kth_roots(w, k):
+    """All complex k-th roots of each w, from numpy's principal power."""
+    return w[:, None] ** (1.0 / k) * np.exp(2j * np.pi * np.arange(k) / k)
+
+
+@pytest.mark.parametrize("coeffs", [[0.3, -1.0, 0.5, 1.0], [[0.2, 0.1], 0, [1, -0.5], 0, 2.0], [0, 0, 0, 0, 1]])
+def test_minv_batch_poly_matches_np_roots(coeffs):
+    f = build_map({"map": "poly", "coeffs": coeffs})
+    c = np.array([complex(*v) if isinstance(v, list) else complex(v) for v in coeffs])
+    ys = np.random.default_rng(3).normal(scale=1.5, size=(300, 2))
+    X = minv_batch(f, ys)
+    assert X.shape == (300, f.degree, 2)
+    for y, row in zip(ys, X):
+        p = c[::-1].copy()  # np.roots / np.polyval order: highest degree first
+        p[-1] -= complex(*y)
+        r = np.roots(p)
+        r = r - np.polyval(p, r) / np.polyval(np.polyder(p), r)  # one Newton step on the reference
+        assert _match_ulps(row, _as_points(r)) <= 4
+        assert np.allclose([f.evaluate(x) for x in row], y, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_minv_batch_power_matches_complex_roots(k):
+    f = planar_power(k)
+    ys = np.random.default_rng(k).normal(scale=1.5, size=(300, 2))
+    ref = _as_points(_kth_roots(ys[:, 0] + 1j * ys[:, 1], k))
+    for y, row, r in zip(ys, minv_batch(f, ys), ref):
+        assert _match_ulps(row, r) <= 4
+        assert np.allclose([f.evaluate(x) for x in row], y, atol=1e-12)
+
+
+def test_minv_batch_wind3_matches_complex_roots():
+    k = 3
+    f = winding_map_3d(k, r_max=2.0, z_half=1.0)
+    rng = np.random.default_rng(11)
+    ys = np.column_stack([rng.uniform(-1.4, 1.4, size=(300, 2)), rng.uniform(-1.0, 1.0, 300)])
+    w = ys[:, 0] + 1j * ys[:, 1]
+    # (r, k theta) -> (r, theta): unit k-th roots of the direction, scaled by r
+    z = np.abs(w)[:, None] * _kth_roots(w / np.abs(w), k)
+    ref = np.concatenate([_as_points(z), np.repeat(ys[:, None, 2:], k, axis=1)], axis=2)
+    for y, row, r in zip(ys, minv_batch(f, ys), ref):
+        assert _match_ulps(row, r) <= 4
+        assert np.allclose([f.evaluate(x) for x in row], y, atol=1e-12)
+    with pytest.raises(CoverError):
+        minv_batch(f, np.vstack([ys[:5], [[5.0, 0.0, 0.0]]]))
+    with pytest.raises(CoverError):
+        minv_batch(f, [[0.1, 0.1, 1.5]])
+
+
+def test_minv_batch_precompose_matches_affine_preimage():
+    A = np.array([[1.4, 0.2], [0.0, 0.8]])
+    b = np.array([0.3, -0.1])
+    f = precomposed(A, planar_power(3), b)
+    ys = np.random.default_rng(12).normal(scale=1.5, size=(300, 2))
+    roots = _as_points(_kth_roots(ys[:, 0] + 1j * ys[:, 1], 3))
+    for y, row, r in zip(ys, minv_batch(f, ys), roots):
+        ref = np.linalg.solve(A, (r - b).T).T  # x with A x + b = root
+        assert _match_ulps(row, ref) <= 8
+        assert np.allclose([f.evaluate(x) for x in row], y, atol=1e-12)
+
+
+def test_minv_batch_agrees_with_minv_per_point():
+    rng = np.random.default_rng(13)
+    maps = [
+        planar_power(3),
+        complex_polynomial([0.3, -1.0, 0.5, 1.0]),
+        precomposed(np.array([[1.2, 0.1], [0.0, 0.9]]), complex_polynomial([-1, 0, 1])),
+        winding_map_3d(2),
+    ]
+    for f in maps:
+        ys = rng.uniform(-0.9, 0.9, size=(100, f.n))
+        for y, row in zip(ys, minv_batch(f, ys)):
+            assert _match_ulps(row, minv(f, y).expand()) <= 4
+
+
+def test_minv_batch_double_root_at_critical_value():
+    f = complex_polynomial([0.0, -3.0, 0.0, 1.0])  # z^3 - 3z: p(1) = -2 with p'(1) = 0
+    row = minv_batch(f, [[-2.0, 0.0], [0.5, 0.0]])[0]
+    double = row[np.linalg.norm(row - [1.0, 0.0], axis=1) < 1e-6]
+    assert len(double) == 2 and np.array_equal(double[0], double[1])  # one merged cluster
+    # a double root is only known to about sqrt(eps); the simple root to rounding
+    assert np.allclose(double[0], [1.0, 0.0], atol=1e-8)
+    assert np.allclose(row[np.linalg.norm(row - [1.0, 0.0], axis=1) >= 1e-6], [[-2.0, 0.0]], atol=1e-12)
+    p = minv(f, [-2.0, 0.0])
+    assert sorted(p.weights.tolist()) == [1, 2]
+    # the power map's branch value: the origin with full index
+    assert np.array_equal(minv_batch(planar_power(3), [[0.0, 0.0]])[0], np.zeros((3, 2)))
+
+
+def test_minv_batch_fails_closed():
+    with pytest.raises(NumericalError):
+        minv_batch(planar_power(2), [[1.0, 0.0], [np.nan, 0.0]])
+    with pytest.raises(NumericalError):
+        minv_batch(complex_polynomial([0.3, -1.0, 1.0]), [[np.inf, 0.0]])
+    f = planar_power(2)
+
+    def nan_row(ys):
+        X = f.fiber_batch(ys)
+        X[-1, 0, 0] = np.nan
+        return X
+
+    with pytest.raises(NumericalError):
+        minv_batch(dataclasses.replace(f, fiber_batch=nan_row), [[1.0, 0.0], [0.5, 0.5]])
+    # a fiber batch that lost a point (failed clustering) is not padded or accepted
+    short = dataclasses.replace(f, fiber_batch=lambda ys: f.fiber_batch(ys)[:, :1])
+    with pytest.raises(NumericalError):
+        minv_batch(short, [[1.0, 0.0]])

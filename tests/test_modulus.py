@@ -1,9 +1,13 @@
 """Discrete modulus, geometric quasiconformality and measure checks."""
 
+import dataclasses
+from functools import partial
+
 import numpy as np
 import pytest
 
-from almqr.covers import identity_map, planar_power, precomposed, preimage_measure_check, minv
+from almqr import modulus, runner
+from almqr.covers import NumericalError, identity_map, planar_power, precomposed, preimage_measure_check, minv
 from almqr.modulus import (
     CurveFamily,
     ahlfors_sampler,
@@ -99,6 +103,38 @@ def test_pushforward_modulus_affine_band():
     assert rep["pass"]
 
 
+def test_pushforward_modulus_fails_closed_on_lift_failures():
+    f = planar_power(2)
+
+    def fiber(y):
+        if y[1] > 1.5:  # the stub cannot invert a band of the plane
+            raise NumericalError("stub fiber undefined here")
+        return f.fiber(y)
+
+    stub = dataclasses.replace(f, fiber=fiber)
+    rep = pushforward_modulus_check(stub, radial_family(ANN, 64), ANN, grid=64, slack=10.0, lift_steps=32)
+    assert 0 < rep["lift_failures"] < 64
+    assert rep["bound_lo"] <= rep["ratio"] <= rep["bound_hi"]  # the ratio alone would pass
+    assert not rep["pass"]
+
+
+def test_modulus_verdicts_fail_closed_on_non_convergence(monkeypatch):
+    fam = radial_family(ANN, 64)
+    res = discrete_modulus(fam, ANN, grid=64)
+    assert res.converged and res.to_json()["converged"] is True
+    short = discrete_modulus(fam, ANN, grid=64, max_iters=10)
+    assert not short.converged and short.iterations == 10
+    assert not discrete_modulus(fam, ANN, grid=64, n=3.0, max_iters=10).converged
+    # both verdicts that rest on the solver need it converged, however loose the tolerance
+    monkeypatch.setattr(runner, "discrete_modulus", partial(discrete_modulus, max_iters=10))
+    monkeypatch.setattr(modulus, "discrete_modulus", partial(discrete_modulus, max_iters=10))
+    family = {"family": "radial", "count": 64}
+    ring = runner.run_check("modulus", {"grid": 64, "family": family, "tol": 10.0})
+    assert ring.metrics["converged"] is False and not ring.passed
+    qc = runner.run_check("geom-qc", {"grid": 64, "family": family, "slack": 10.0, "lift_steps": 32})
+    assert not qc.passed
+
+
 def test_upper_gradient_conformal_and_distorted():
     fam = radial_family(Annulus(np.zeros(2), 0.5, 1.5), 8)
     for f in (identity_map(), planar_power(2), planar_power(3)):
@@ -115,9 +151,9 @@ def test_area_formula_and_energy():
     for d in (2, 3):
         f = planar_power(d)
         pre = Annulus(np.zeros(2), 1.0 ** (1 / d), 4.0 ** (1 / d))
-        rep = area_formula_check(f, lambda x: 1.0, E, pre, orders=(16, 32))
+        rep = area_formula_check(f, lambda X: np.ones(len(X)), E, pre, orders=(16, 32))
         assert rep["rel_discrepancy"] < 1e-6
-        rep2 = area_formula_check(f, lambda x: float(x @ x), E, pre, orders=(16, 32))
+        rep2 = area_formula_check(f, lambda X: np.einsum("ij,ij->i", X, X), E, pre, orders=(16, 32))
         assert rep2["rel_discrepancy"] < 1e-6
     eb = energy_bound_check(planar_power(2), E, Annulus(np.zeros(2), 1.0, 2.0), order=32)
     assert eb["pass"]
@@ -127,13 +163,13 @@ def test_area_formula_and_energy():
 
 def test_area_formula_identity_exact():
     E = Annulus(np.zeros(2), 0.5, 1.5)
-    rep = area_formula_check(identity_map(), lambda x: float(x[0] ** 2 + 1.0), E, E, orders=(8, 16))
+    rep = area_formula_check(identity_map(), lambda X: X[:, 0] ** 2 + 1.0, E, E, orders=(8, 16))
     assert rep["rel_discrepancy"] < 1e-12
 
 
 def test_area_formula_indicator_fallback():
     E = Annulus(np.zeros(2), 1.0, 2.0)
-    rep = area_formula_check(planar_power(2), lambda x: 1.0, E, None, orders=(24,))
+    rep = area_formula_check(planar_power(2), lambda X: np.ones(len(X)), E, None, orders=(24,))
     assert rep["indicator_fallback"]
     assert rep["rel_discrepancy"] < 0.05  # indicator integrand: first-order accuracy only
 
@@ -147,6 +183,12 @@ def test_ahlfors_identity_and_square():
     for s in outs2:
         assert s.ratio <= 1.0 + s.ratio_ci
         assert s.boundary_fraction == 0.0
+
+
+def test_ahlfors_rejects_truncated_balls():
+    # a box a hundredth of the ball's size still cuts it after every growth
+    with pytest.raises(NumericalError):
+        ahlfors_sampler(planar_power(2), [np.array([1.0, 0.0])], [0.05], n_samples=2000, seed=0, box_safety=0.01)
 
 
 def test_metric_qc_rows():
