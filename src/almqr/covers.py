@@ -13,6 +13,11 @@ set (P, n) in one call of the cover's ``fiber_batch`` and returns expanded,
 index-weighted fibers (P, d, n) in no promised row order; quadrature and
 Monte Carlo checks go through it.  Both fail closed alike: CoverError
 outside the image, NumericalError for a non-finite or miscounted fiber.
+
+The branch differentials Df^{-1} at the fiber points have one batch route,
+``branch_differentials_batch(f, Y)``: the cover's ``branch_diff_batch`` on
+the fibers of ``minv_batch``, failing closed on non-finite or singular
+rows.  The scalar ``branch_differentials`` is the independent reference.
 """
 
 from __future__ import annotations
@@ -48,32 +53,48 @@ SINGULAR_DET = 1e-13
 # small matrix helpers
 
 
-def op_norm(M: np.ndarray) -> float:
-    """Operator (spectral) norm; closed form for 2x2."""
+def _gram_eigs_2x2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (larger, smaller) of M^T M for M (..., 2, 2)."""
+    a = M[..., 0, 0] ** 2 + M[..., 1, 0] ** 2
+    c = M[..., 0, 1] ** 2 + M[..., 1, 1] ** 2
+    b = M[..., 0, 0] * M[..., 0, 1] + M[..., 1, 0] * M[..., 1, 1]
+    disc = np.sqrt(np.maximum(((a - c) / 2) ** 2 + b * b, 0.0))
+    return (a + c) / 2 + disc, (a + c) / 2 - disc
+
+
+def op_norm_sq(M: np.ndarray) -> np.ndarray:
+    """Squared operator (spectral) norm over the trailing (n, m) axes; closed form for 2x2."""
     M = np.asarray(M, dtype=np.float64)
-    if M.shape == (2, 2):
-        a = M[0, 0] ** 2 + M[1, 0] ** 2
-        c = M[0, 1] ** 2 + M[1, 1] ** 2
-        b = M[0, 0] * M[0, 1] + M[1, 0] * M[1, 1]
-        disc = np.sqrt(max(((a - c) / 2) ** 2 + b * b, 0.0))
-        return float(np.sqrt(max((a + c) / 2 + disc, 0.0)))
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    if M.shape[-2:] == (2, 2):
+        return np.maximum(_gram_eigs_2x2(M)[0], 0.0)
+    return np.linalg.svd(M, compute_uv=False)[..., 0] ** 2
 
 
-def min_singular(M: np.ndarray) -> float:
+def op_norm(M: np.ndarray) -> np.ndarray:
+    """Operator (spectral) norm over the trailing (n, m) axes; closed form for 2x2."""
+    return np.sqrt(op_norm_sq(M))
+
+
+def min_singular(M: np.ndarray) -> np.ndarray:
+    """Smallest singular value over the trailing (n, m) axes; closed form for 2x2."""
     M = np.asarray(M, dtype=np.float64)
-    if M.shape == (2, 2):
-        a = M[0, 0] ** 2 + M[1, 0] ** 2
-        c = M[0, 1] ** 2 + M[1, 1] ** 2
-        b = M[0, 0] * M[0, 1] + M[1, 0] * M[1, 1]
-        disc = np.sqrt(max(((a - c) / 2) ** 2 + b * b, 0.0))
-        return float(np.sqrt(max((a + c) / 2 - disc, 0.0)))
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
+    if M.shape[-2:] == (2, 2):
+        return np.sqrt(np.maximum(_gram_eigs_2x2(M)[1], 0.0))
+    return np.linalg.svd(M, compute_uv=False)[..., -1]
 
 
-def _conformal_matrix(w: complex) -> np.ndarray:
-    """The real 2x2 matrix of multiplication by w."""
-    return np.array([[w.real, -w.imag], [w.imag, w.real]])
+def det(M: np.ndarray) -> np.ndarray:
+    """Determinant over the trailing (n, n) axes; closed form for 2x2 (a fraction of np.linalg.det)."""
+    M = np.asarray(M, dtype=np.float64)
+    if M.shape[-2:] == (2, 2):
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return np.linalg.det(M)
+
+
+def _conformal_matrix(w) -> np.ndarray:
+    """The real 2x2 matrices (..., 2, 2) of multiplication by each entry of w (...)."""
+    w = np.asarray(w)
+    return np.stack([w.real, -w.imag, w.imag, w.real], axis=-1).reshape(w.shape + (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +108,11 @@ class BranchedCoverSpec:
     ``fiber(y)`` returns (locations (m, n), weights (m,)) with local indices
     as weights; ``fiber_batch(Y)`` maps points (P, n) to expanded fibers
     (P, d, n), each row an unordered tuple with every location repeated by
-    its local index; ``contains_image(Y)`` maps points (P, n) to a (P,)
-    boolean mask.  Properness and the stated degree are guaranteed by
-    construction of the catalog maps, not re-checked.
+    its local index; ``branch_diff_batch(X)`` maps such fibers (P, d, n) to
+    the branch differentials (P, d, n, n), Df(X[p, j])^{-1} row by row;
+    ``contains_image(Y)`` maps points (P, n) to a (P,) boolean mask.
+    Properness and the stated degree are guaranteed by construction of the
+    catalog maps, not re-checked.
     """
 
     name: str
@@ -100,13 +123,12 @@ class BranchedCoverSpec:
     jacobian: Callable[[np.ndarray], float]
     fiber: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     fiber_batch: Callable[[np.ndarray], np.ndarray]
+    branch_diff_batch: Callable[[np.ndarray], np.ndarray]
     K_I: float
     K_O: float
     branch_value_distance: Callable[[np.ndarray], float]
     contains_image: Callable[[np.ndarray], np.ndarray]
     spec: dict = field(default_factory=dict)
-    # optional fast paths / extras
-    branch_diff_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     normal_neighborhood_boundary: Optional[Callable] = None
 
     def __post_init__(self):
@@ -211,39 +233,27 @@ def branch_differentials(f: BranchedCoverSpec, y) -> tuple[np.ndarray, np.ndarra
 
 
 def branch_differentials_batch(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Branch values (P, d, n) and branch differentials (P, d, n, n) at points Y (P, n).
+    """Branch values X (P, d, n) and branch differentials L (P, d, n, n) at points Y (P, n).
 
-    Uses ``minv_batch`` and the cover's ``branch_diff_batch`` where it has
-    one, and otherwise stacks ``branch_differentials`` point by point.  Both
-    routes fail closed alike: CoverError outside the image, NumericalError
-    where a branch differential is non-finite or |det Df| <= SINGULAR_DET.
+    X comes from ``minv_batch`` and L = ``f.branch_diff_batch(X)``, so
+    L[p, j] = Df(X[p, j])^{-1} row by row.  Fails closed like ``minv_batch``
+    (CoverError outside the image), and with NumericalError where a branch
+    differential is non-finite, misshapen or |det Df| <= SINGULAR_DET.
     """
     Y = np.asarray(Y, dtype=np.float64).reshape(-1, f.n)
-    if f.branch_diff_batch is None:
-        per_point = [branch_differentials(f, y) for y in Y]
-        return np.stack([X for X, _, _ in per_point]), np.stack([L for _, _, L in per_point])
     X = minv_batch(f, Y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        L = f.branch_diff_batch(Y)
-    bad = ~np.isfinite(L).all(axis=(1, 2, 3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        L = f.branch_diff_batch(X)
+    if L.shape != X.shape + (f.n,):
+        raise NumericalError(f"branch differentials of {f.name} have shape {L.shape}, expected {X.shape + (f.n,)}")
+    if not np.isfinite(L).all():
+        bad = np.argmin(np.isfinite(L).all(axis=(1, 2, 3)))
+        raise NumericalError(f"non-finite branch differential of {f.name} over {Y[bad].tolist()}")
     # L = Df^-1, so |det Df| <= SINGULAR_DET reads |det L| >= 1 / SINGULAR_DET
-    bad[~bad] = (np.abs(np.linalg.det(L[~bad])) >= 1.0 / SINGULAR_DET).any(axis=1)
-    if bad.any():
-        raise NumericalError(f"branch differential singular over {Y[np.argmax(bad)].tolist()}")
+    dets = np.abs(det(L))  # (P, d)
+    if dets.max() >= 1.0 / SINGULAR_DET:
+        raise NumericalError(f"branch differential of {f.name} singular over {Y[np.argmax(dets) // f.degree].tolist()}")
     return X, L
-
-
-def minv_metric_jacobian(f: BranchedCoverSpec, y) -> float:
-    """Metric Jacobian of the multi-valued inverse at y.
-
-    sqrt of the Gram determinant of the stacked branch differentials, i.e.
-    sqrt(det(sum_j L_j^T L_j)).  For conformal branches this equals
-    sum_j |g_j'|^2 = H(y)^2.
-    """
-    X, _, L = branch_differentials(f, y)
-    G = np.einsum("jki,jkl->il", L, L)
-    det = float(np.linalg.det(G))
-    return float(np.sqrt(max(det, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +375,9 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
         roots = fiber_batch(np.asarray(y, dtype=np.float64).reshape(1, 2))[0]
         return np.unique(roots, axis=0, return_counts=True)
 
+    def branch_diff_batch(X):
+        return _conformal_matrix(1.0 / _poly_eval(dc, X[..., 0] + 1j * X[..., 1]))
+
     def branch_dist(y):
         if len(crit_values) == 0:
             return np.inf
@@ -380,6 +393,7 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
         jacobian=jacobian,
         fiber=fiber,
         fiber_batch=fiber_batch,
+        branch_diff_batch=branch_diff_batch,
         K_I=1.0,
         K_O=1.0,
         branch_value_distance=branch_dist,
@@ -423,17 +437,8 @@ def planar_power(k: int) -> BranchedCoverSpec:
         ang = t0[:, None] + 2 * np.pi * np.arange(k)[None, :] / k
         return np.stack([r[:, None] * np.cos(ang), r[:, None] * np.sin(ang)], axis=2)
 
-    def branch_diff_batch(ys):
-        """Vectorized branch differentials (m, k, 2, 2) off the branch value."""
-        roots = fiber_batch(ys)
-        z = roots[..., 0] + 1j * roots[..., 1]
-        g = 1.0 / (k * z ** (k - 1))
-        out = np.empty(roots.shape[:2] + (2, 2))
-        out[..., 0, 0] = g.real
-        out[..., 0, 1] = -g.imag
-        out[..., 1, 0] = g.imag
-        out[..., 1, 1] = g.real
-        return out
+    def branch_diff_batch(X):
+        return _conformal_matrix(1.0 / (k * (X[..., 0] + 1j * X[..., 1]) ** (k - 1)))
 
     def nn_boundary(x, r, samples=256):
         """Boundary polyline of the normal neighborhood U(x, r), r < |x|^k."""
@@ -460,12 +465,12 @@ def planar_power(k: int) -> BranchedCoverSpec:
         jacobian=jacobian,
         fiber=fiber,
         fiber_batch=fiber_batch,
+        branch_diff_batch=branch_diff_batch,
         K_I=1.0,
         K_O=1.0,
         branch_value_distance=lambda y: float(np.hypot(y[0], y[1])) if k > 1 else np.inf,
         contains_image=_whole_plane,
         spec={"map": "power", "k": k},
-        branch_diff_batch=branch_diff_batch,
         normal_neighborhood_boundary=nn_boundary,
     )
 
@@ -515,6 +520,15 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
         ang = np.arctan2(ys[:, 1], ys[:, 0])[:, None] / k + 2 * np.pi * np.arange(k) / k
         return np.stack([r * np.cos(ang), r * np.sin(ang), np.repeat(ys[:, 2:], k, axis=1)], axis=2)
 
+    def branch_diff_batch(X):
+        """Df^-1 = R_theta diag(1, 1/k) R_{-k theta} on the first two coordinates,
+        with e^{i theta} = z / |z|; NaN on the branch axis, where Df is undefined."""
+        u = (X[..., 0] + 1j * X[..., 1]) / np.hypot(X[..., 0], X[..., 1])
+        out = np.zeros(X.shape + (3,))
+        out[..., :2, :2] = _conformal_matrix(u) @ np.diag([1.0, 1.0 / k]) @ _conformal_matrix(u.conj() ** k)
+        out[..., 2, 2] = 1.0
+        return out
+
     def contains_image(ys):
         return (np.hypot(ys[:, 0], ys[:, 1]) <= r_max) & (np.abs(ys[:, 2]) <= z_half)
 
@@ -527,6 +541,7 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
         jacobian=jacobian,
         fiber=fiber,
         fiber_batch=fiber_batch,
+        branch_diff_batch=branch_diff_batch,
         K_I=float(k),
         K_O=float(k) ** 2,
         branch_value_distance=lambda y: float(np.hypot(y[0], y[1])) if k > 1 else np.inf,
@@ -569,6 +584,10 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
     def fiber_batch(ys):
         return (base.fiber_batch(ys) - b) @ Ainv.T
 
+    def branch_diff_batch(X):
+        # D(base o (A x + b)) = Dbase(A x + b) A, inverted
+        return Ainv @ base.branch_diff_batch(X @ A.T + b)
+
     return BranchedCoverSpec(
         name=f"precomposed({base.name}, lambda={lam:.3g})",
         n=n,
@@ -578,6 +597,7 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
         jacobian=jacobian,
         fiber=fiber,
         fiber_batch=fiber_batch,
+        branch_diff_batch=branch_diff_batch,
         K_I=base.K_I * lam,
         K_O=base.K_O * lam,
         branch_value_distance=base.branch_value_distance,

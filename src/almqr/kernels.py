@@ -1,24 +1,17 @@
 """Backend selector for the assignment kernels.
 
 Prefers the compiled extension (:mod:`almqr._fast`); falls back to the
-numpy implementation if the extension was not built.  Set
-``ALMQR_FORCE_PYTHON=1`` before import to force the fallback (used by the
-benchmark and the backend-parity tests).
+numpy implementation if the extension was not built.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _kernels_py
 
-if os.environ.get("ALMQR_FORCE_PYTHON") == "1":
+try:
+    from . import _fast as _impl  # type: ignore[no-redef]
+except ImportError:
     _impl = _kernels_py
-else:
-    try:
-        from . import _fast as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
 
 BACKEND: str = _impl.BACKEND
 

@@ -24,12 +24,12 @@ from .covers import (
     BranchedCoverSpec,
     CoverError,
     NumericalError,
+    branch_differentials_batch,
+    det,
     h_function,
     lift_path,
     minv,
     minv_batch,
-    minv_metric_jacobian,
-    op_norm,
 )
 from .regions import Annulus, Box, annulus_quadrature, box_quadrature
 
@@ -332,15 +332,20 @@ def ring_modulus_exact(r_in: float, r_out: float) -> float:
 
 
 def metric_jacobian_values(f: BranchedCoverSpec, ys: np.ndarray) -> np.ndarray:
-    """Metric Jacobian of the multi-valued inverse at many points."""
-    ys = np.atleast_2d(ys)
-    if f.branch_diff_batch is not None and f.n == 2:
-        L = f.branch_diff_batch(ys)  # (m, d, 2, 2)
-        G00 = (L[..., 0, 0] ** 2 + L[..., 1, 0] ** 2).sum(axis=1)
-        G11 = (L[..., 0, 1] ** 2 + L[..., 1, 1] ** 2).sum(axis=1)
-        G01 = (L[..., 0, 0] * L[..., 0, 1] + L[..., 1, 0] * L[..., 1, 1]).sum(axis=1)
-        return np.sqrt(np.maximum(G00 * G11 - G01**2, 0.0))
-    return np.array([minv_metric_jacobian(f, y) for y in ys])
+    """Metric Jacobian of the multi-valued inverse at points ys (m, n).
+
+    sqrt of the Gram determinant of the stacked branch differentials,
+    sqrt(det(sum_j L_j^T L_j)); for conformal branches this is H(y)^2.
+    """
+    _, L = branch_differentials_batch(f, ys)
+    # G entry by entry (rows k, then branches j): a quarter of the time of one (j, k, i, l) product
+    G = np.empty((len(L), f.n, f.n))
+    for i, l in zip(*np.triu_indices(f.n)):
+        col = L[..., 0, i] * L[..., 0, l]
+        for k in range(1, f.n):
+            col += L[..., k, i] * L[..., k, l]
+        G[:, i, l] = G[:, l, i] = col.sum(axis=1)
+    return np.sqrt(np.maximum(det(G), 0.0))
 
 
 def pushforward_modulus_check(
@@ -491,11 +496,12 @@ def area_formula_check(
     f: BranchedCoverSpec,
     g: Callable[[np.ndarray], float],
     image_region,
-    preimage_region=None,
+    preimage_region,
     orders: tuple[int, ...] = (32, 64),
 ) -> dict:
     """Quadrature comparison of the push-forward integral with the domain-side
-    integral of g * Jf; exact preimage regions keep the integrands smooth.
+    integral of g * Jf over the exact preimage region, which keeps the
+    integrands smooth.
 
     ``g`` is batch-first: points (M, n) to values (M,).  Each level takes
     the fibers of all its image-side nodes in one ``minv_batch`` call.
@@ -511,14 +517,7 @@ def area_formula_check(
         pts, w = quad(image_region, order)
         fibers = minv_batch(f, pts)  # (M, d, n), index-weighted by repetition
         lhs = float(w @ g(fibers.reshape(-1, f.n)).reshape(len(pts), f.degree).sum(axis=1))
-        indicator = preimage_region is None
-        if indicator:
-            # no exact preimage description: integrate with an indicator
-            pts2, w2 = quad(image_region.bbox(), order)
-            keep = image_region.contains(np.array([f.evaluate(x) for x in pts2]))
-            pts2, w2 = pts2[keep], w2[keep]
-        else:
-            pts2, w2 = quad(preimage_region, order)
+        pts2, w2 = quad(preimage_region, order)
         rhs = float(w2 @ (g(pts2) * np.array([f.jacobian(x) for x in pts2])))
         disc = abs(lhs - rhs)
         scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -529,7 +528,6 @@ def area_formula_check(
         "map": f.name,
         "levels": levels,
         "rel_discrepancy": finest["rel_discrepancy"],
-        "indicator_fallback": indicator,
     }
 
 

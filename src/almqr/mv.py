@@ -19,11 +19,12 @@ from .almgren import AlmgrenPoint, distance_to_diagonal, distance_value
 from .covers import (
     BranchedCoverSpec,
     NumericalError,
-    branch_differentials,
     branch_differentials_batch,
+    det,
     minv,
     minv_batch,
     op_norm,
+    op_norm_sq,
 )
 from .forms import KCovector, KForm, exterior_derivative, pullback_coeffs
 
@@ -414,23 +415,8 @@ def qr_curve_check(
     ys_used = ys[keep]
     excluded = int((~keep).sum())
 
-    ratios = np.empty(len(ys_used))
-    if f.branch_diff_batch is not None and n == 2:
-        L = f.branch_diff_batch(ys_used)  # (m, d, 2, 2)
-        a = L[..., 0, 0] ** 2 + L[..., 1, 0] ** 2
-        c = L[..., 0, 1] ** 2 + L[..., 1, 1] ** 2
-        b = L[..., 0, 0] * L[..., 0, 1] + L[..., 1, 0] * L[..., 1, 1]
-        disc = np.sqrt(np.maximum(((a - c) / 2) ** 2 + b * b, 0.0))
-        opsq = (a + c) / 2 + disc
-        frame_sq = opsq.sum(axis=1)
-        dets = (L[..., 0, 0] * L[..., 1, 1] - L[..., 0, 1] * L[..., 1, 0]).sum(axis=1)
-        ratios = frame_sq ** (n / 2.0) / (const * dets)
-    else:
-        for i, y in enumerate(ys_used):
-            _, _, L = branch_differentials(f, y)
-            frame_sq = sum(op_norm(Lj) ** 2 for Lj in L)
-            star = float(sum(np.linalg.det(Lj) for Lj in L))
-            ratios[i] = frame_sq ** (n / 2.0) / (const * star)
+    _, L = branch_differentials_batch(f, ys_used)
+    ratios = op_norm_sq(L).sum(axis=1) ** (n / 2.0) / (const * det(L).sum(axis=1))
 
     spread = float(ratios.max() - ratios.min())
     if spread < 64 * np.finfo(float).eps * max(1.0, abs(float(ratios.max()))):

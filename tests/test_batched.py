@@ -12,6 +12,7 @@ from almqr.covers import (
     complex_polynomial,
     identity_map,
     planar_power,
+    precomposed,
     winding_map_3d,
 )
 from almqr.forms import (
@@ -151,9 +152,17 @@ def test_pullback_coeffs_evaluates_on_pushed_vectors(k):
         assert back(V) == pytest.approx(cov(V @ T[p].T), rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("cover", [planar_power(3), complex_polynomial([0.5, -1.0, 0.0, 1.0]), winding_map_3d(2)])
+@pytest.mark.parametrize(
+    "cover",
+    [
+        planar_power(3),
+        complex_polynomial([0.5, -1.0, 0.0, 1.0]),
+        winding_map_3d(2),
+        precomposed(np.array([[1.3, 0.2], [-0.1, 0.9]]), planar_power(2), [0.1, 0.0]),
+    ],
+)
 def test_cover_branches_batch_matches_branch_differentials(cover):
-    # planar powers answer through fiber_batch/branch_diff_batch, the others point by point
+    # the batch route (minv_batch, then branch_diff_batch) against the scalar one
     rng = np.random.default_rng(27)
     Y = rng.uniform(0.3, 0.9, size=(6, cover.n))
     values, L = from_cover(cover, None).exact_branches(Y)

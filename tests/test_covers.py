@@ -10,6 +10,7 @@ from almqr.almgren import AlmgrenPoint, distance_value
 from almqr.covers import (
     CoverError,
     NumericalError,
+    branch_differentials,
     build_map,
     complex_polynomial,
     h_function,
@@ -18,13 +19,15 @@ from almqr.covers import (
     min_singular,
     minv,
     minv_batch,
-    minv_metric_jacobian,
     op_norm,
     planar_power,
     precomposed,
     push_forward,
     winding_map_3d,
 )
+from almqr.modulus import metric_jacobian_values
+from almqr.mv import qr_curve_check
+from almqr.regions import Annulus
 
 
 def test_minv_square_examples():
@@ -105,12 +108,25 @@ def test_h_function_singular_fiber():
 
 def test_metric_jacobian_conformal_equals_H_squared():
     f = planar_power(3)
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        y = rng.normal(size=2)
-        if np.hypot(*y) < 0.1:
-            continue
-        assert minv_metric_jacobian(f, y) == pytest.approx(h_function(f, y) ** 2, rel=1e-10)
+    ys = np.random.default_rng(2).normal(size=(30, 2))
+    ys = ys[np.hypot(ys[:, 0], ys[:, 1]) >= 0.1]
+    J = metric_jacobian_values(f, ys)
+    assert J == pytest.approx([h_function(f, y) ** 2 for y in ys], rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [precomposed(np.array([[1.4, 0.3], [-0.1, 0.8]]), planar_power(2), [0.2, -0.1]), winding_map_3d(3)],
+    ids=["precompose", "wind3"],
+)
+def test_metric_jacobian_values_matches_scalar_gram(f):
+    # not conformal: sqrt(det sum_j L_j^T L_j) from the scalar branch differentials
+    ys = np.random.default_rng(4).uniform(0.2, 0.9, size=(40, f.n))
+    ref = []
+    for y in ys:
+        _, _, L = branch_differentials(f, y)
+        ref.append(np.sqrt(np.linalg.det(np.einsum("jki,jkl->il", L, L))))
+    assert metric_jacobian_values(f, ys) == pytest.approx(ref, rel=1e-12)
 
 
 def test_catalog_distortion_invariants():
@@ -217,16 +233,47 @@ def test_fiber_batch_matches_scalar():
         assert np.allclose(got, expect, atol=1e-12)
 
 
-def test_branch_diff_batch_matches_differential():
-    f = planar_power(2)
-    rng = np.random.default_rng(6)
-    ys = rng.normal(size=(20, 2))
-    L = f.branch_diff_batch(ys)
-    for y, Ls in zip(ys, L):
-        roots = f.fiber_batch(y[None])[0]
-        for root, Lj in zip(roots, Ls):
-            D = f.differential(root)
-            assert np.allclose(Lj, np.linalg.inv(D), atol=1e-10)
+BRANCH_DIFF_MAPS = {
+    "poly": complex_polynomial([0.3, -1.0, 0.5, 1.0]),
+    "power": planar_power(3),
+    "wind3": winding_map_3d(3),
+    "precompose-power": precomposed(np.array([[1.4, 0.2], [0.0, 0.8]]), planar_power(2), [0.3, -0.1]),
+    "precompose-poly": precomposed(np.array([[1.2, -0.3], [0.1, 0.9]]), complex_polynomial([0.5, -1.0, 0.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("kind", list(BRANCH_DIFF_MAPS))
+def test_branch_diff_batch_matches_differential(kind):
+    f = BRANCH_DIFF_MAPS[kind]
+    ys = np.random.default_rng(6).uniform(-0.9, 0.9, size=(40, f.n))
+    X = minv_batch(f, ys)
+    L = f.branch_diff_batch(X)
+    assert L.shape == X.shape + (f.n,)
+    for row, Ls in zip(X, L):
+        for x, Lj in zip(row, Ls):
+            Dinv = np.linalg.inv(f.differential(x))
+            assert np.abs(Lj - Dinv).max() <= 1e-10 * max(1.0, np.abs(Dinv).max())
+
+
+def _with_bad_row(f, block):
+    """f whose branch_diff_batch returns ``block`` for every branch of one row."""
+
+    def branch_diff_batch(X):
+        L = f.branch_diff_batch(X)
+        L[len(L) // 2] = block
+        return L
+
+    return dataclasses.replace(f, branch_diff_batch=branch_diff_batch)
+
+
+@pytest.mark.parametrize("block", [np.full((2, 2), np.nan), 1e7 * np.eye(2)], ids=["nan", "singular"])
+def test_branch_diff_batch_fails_closed(block):
+    # 1e7 * I has |det L| = 1e14 >= 1 / SINGULAR_DET: Df is singular there
+    bad = _with_bad_row(planar_power(2), block)
+    with pytest.raises(NumericalError):
+        qr_curve_check(bad, Annulus(np.zeros(2), 0.3, 1.5), n_samples=200, seed=0)
+    with pytest.raises(NumericalError):
+        metric_jacobian_values(bad, np.random.default_rng(0).uniform(0.3, 1.0, size=(20, 2)))
 
 
 def test_jacobian_positive_off_branch_set():

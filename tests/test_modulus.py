@@ -167,13 +167,6 @@ def test_area_formula_identity_exact():
     assert rep["rel_discrepancy"] < 1e-12
 
 
-def test_area_formula_indicator_fallback():
-    E = Annulus(np.zeros(2), 1.0, 2.0)
-    rep = area_formula_check(planar_power(2), lambda X: np.ones(len(X)), E, None, orders=(24,))
-    assert rep["indicator_fallback"]
-    assert rep["rel_discrepancy"] < 0.05  # indicator integrand: first-order accuracy only
-
-
 def test_ahlfors_identity_and_square():
     outs = ahlfors_sampler(identity_map(), [np.array([0.6, 0.1])], [0.05, 0.1], n_samples=20000, seed=0)
     for s in outs:

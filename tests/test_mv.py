@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from almqr.almgren import AlmgrenPoint, distance_to_diagonal, distance_value
-from almqr.covers import identity_map, planar_power, precomposed
+from almqr.covers import branch_differentials, identity_map, planar_power, precomposed, winding_map_3d
 from almqr.forms import GroupAction, KForm, MultiPoly, natural_volume_form, polynomial_one_form, symmetrize, tensor_product, trace_form
 from almqr.mv import (
     MultiValuedMap,
@@ -19,7 +19,7 @@ from almqr.mv import (
     pullback,
     qr_curve_check,
 )
-from almqr.regions import Annulus, Box
+from almqr.regions import Annulus, Box, Cylinder
 
 
 BOX = Box([-1.0, -1.0], [1.0, 1.0])
@@ -184,6 +184,37 @@ def test_qr_curve_affine_bounded():
     f = precomposed(np.array([[1.5, 0.2], [0.0, 0.8]]), planar_power(2))
     rep = qr_curve_check(f, Annulus(np.zeros(2), 0.3, 1.5), n_samples=500, seed=1, tol=1e-6)
     assert rep["pass"]
+
+
+def _qr_ratios_per_point(f, region, n_samples, seed, margin_frac=1e-3):
+    """qr_curve_check's ratios from the scalar branch differentials, one point at a time."""
+    ys = region.sample(np.random.default_rng(np.random.SeedSequence([seed, 7])), n_samples)
+    const = f.degree ** (f.n / 2 - 1) * f.K_I
+    ratios = []
+    for y in ys:
+        if f.branch_value_distance(y) <= margin_frac * region.diameter():
+            continue
+        _, _, L = branch_differentials(f, y)
+        frame_sq = sum(np.linalg.svd(Lj, compute_uv=False)[0] ** 2 for Lj in L)
+        star = sum(np.linalg.det(Lj) for Lj in L)
+        ratios.append(frame_sq ** (f.n / 2) / (const * star))
+    return np.array(ratios)
+
+
+@pytest.mark.parametrize(
+    "f, region",
+    [
+        (winding_map_3d(2), Cylinder(0.3, 1.5, -0.9, 0.9)),
+        (precomposed(np.array([[1.5, 0.2], [0.0, 0.8]]), planar_power(2)), Annulus(np.zeros(2), 0.3, 1.5)),
+    ],
+    ids=["wind3", "affine"],
+)
+def test_qr_curve_batch_matches_per_point(f, region):
+    rep = qr_curve_check(f, region, n_samples=400, seed=3, tol=1e-6)
+    ref = _qr_ratios_per_point(f, region, 400, 3)
+    assert rep["n_used"] == len(ref)
+    for key, value in (("max_ratio", ref.max()), ("min_ratio", ref.min()), ("mean_ratio", ref.mean())):
+        assert rep[key] == pytest.approx(value, rel=1e-12)
 
 
 def test_qr_curve_identity():
