@@ -28,6 +28,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+SUITE_SEED = 0  # default seed of ``almqr suite``
+
 
 def _load_json_arg(text: str):
     if text.startswith("@"):
@@ -160,16 +162,18 @@ def _run_manifest_entry(entry_seed):
     return entry.get("id", name), record
 
 
-def _cmd_suite(args) -> int:
-    if args.manifest == "builtin":
+def load_manifest(path: str) -> dict:
+    """A suite manifest read from a JSON file, or the shipped one for ``"builtin"``."""
+    if path == "builtin":
         from importlib import resources
 
-        text = resources.files("almqr").joinpath("data/acceptance_manifest.json").read_text()
-        manifest = json.loads(text)
-    else:
-        with open(args.manifest) as fh:
-            manifest = json.load(fh)
-    runs = manifest.get("runs", [])
+        return json.loads(resources.files("almqr").joinpath("data/acceptance_manifest.json").read_text())
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _cmd_suite(args) -> int:
+    runs = load_manifest(args.manifest).get("runs", [])
     results: list[tuple[str, ReportRecord]] = []
     tasks = [(entry, args.seed, args.out) for entry in runs]
     if args.jobs > 1 and len(tasks) > 1:
@@ -272,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run a manifest of checks and summarize")
     p.add_argument("--manifest", required=True, help="manifest JSON path, or 'builtin'")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SUITE_SEED)
     p.add_argument("--out", help="directory for per-run reports")
     p.add_argument("--summary", help="markdown summary path")
     p.set_defaults(fn=_cmd_suite)

@@ -97,6 +97,13 @@ def _conformal_matrix(w) -> np.ndarray:
     return np.stack([w.real, -w.imag, w.imag, w.real], axis=-1).reshape(w.shape + (2, 2))
 
 
+def _axis_distance(k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """branch_value_distance of a degree-k cover branched over {y_1 = y_2 = 0}."""
+    if k == 1:
+        return lambda ys: np.full(len(ys), np.inf)
+    return lambda ys: np.hypot(ys[:, 0], ys[:, 1])
+
+
 # ---------------------------------------------------------------------------
 # the cover description and its oracles
 
@@ -110,7 +117,8 @@ class BranchedCoverSpec:
     (P, d, n), each row an unordered tuple with every location repeated by
     its local index; ``branch_diff_batch(X)`` maps such fibers (P, d, n) to
     the branch differentials (P, d, n, n), Df(X[p, j])^{-1} row by row;
-    ``contains_image(Y)`` maps points (P, n) to a (P,) boolean mask.
+    ``contains_image(Y)`` maps points (P, n) to a (P,) boolean mask and
+    ``branch_value_distance(Y)`` to the (P,) distances to the branch values.
     Properness and the stated degree are guaranteed by construction of the
     catalog maps, not re-checked.
     """
@@ -126,7 +134,7 @@ class BranchedCoverSpec:
     branch_diff_batch: Callable[[np.ndarray], np.ndarray]
     K_I: float
     K_O: float
-    branch_value_distance: Callable[[np.ndarray], float]
+    branch_value_distance: Callable[[np.ndarray], np.ndarray]
     contains_image: Callable[[np.ndarray], np.ndarray]
     spec: dict = field(default_factory=dict)
     normal_neighborhood_boundary: Optional[Callable] = None
@@ -378,11 +386,11 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
     def branch_diff_batch(X):
         return _conformal_matrix(1.0 / _poly_eval(dc, X[..., 0] + 1j * X[..., 1]))
 
-    def branch_dist(y):
+    def branch_dist(ys):
         if len(crit_values) == 0:
-            return np.inf
-        w = complex(y[0], y[1])
-        return float(np.min(np.abs(crit_values - w)))
+            return np.full(len(ys), np.inf)
+        w = ys[:, 0] + 1j * ys[:, 1]
+        return np.abs(crit_values - w[:, None]).min(axis=1)
 
     return BranchedCoverSpec(
         name=f"poly(deg={deg})",
@@ -468,7 +476,7 @@ def planar_power(k: int) -> BranchedCoverSpec:
         branch_diff_batch=branch_diff_batch,
         K_I=1.0,
         K_O=1.0,
-        branch_value_distance=lambda y: float(np.hypot(y[0], y[1])) if k > 1 else np.inf,
+        branch_value_distance=_axis_distance(k),
         contains_image=_whole_plane,
         spec={"map": "power", "k": k},
         normal_neighborhood_boundary=nn_boundary,
@@ -544,7 +552,7 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
         branch_diff_batch=branch_diff_batch,
         K_I=float(k),
         K_O=float(k) ** 2,
-        branch_value_distance=lambda y: float(np.hypot(y[0], y[1])) if k > 1 else np.inf,
+        branch_value_distance=_axis_distance(k),
         contains_image=contains_image,
         spec={"map": "wind3", "k": k},
     )

@@ -440,11 +440,12 @@ def upper_gradient_check(
     viol_high = 0
     worst_low = 0.0
     worst_high = 0.0
+    ts = (np.arange(samples_per_curve) + 0.5) / samples_per_curve
     for pts in family.polylines:
         gamma = polyline(pts)
-        for t in (np.arange(samples_per_curve) + 0.5) / samples_per_curve:
-            y = gamma(t)
-            if f.branch_value_distance(y) < margin:
+        ys = np.array([gamma(t) for t in ts])
+        for t, y, near in zip(ts, ys, f.branch_value_distance(ys) < margin):
+            if near:
                 excluded += 1
                 continue
             yp, ym = gamma(t + fd_step), gamma(t - fd_step)

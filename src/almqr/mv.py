@@ -411,7 +411,7 @@ def qr_curve_check(
     n, d = f.n, f.degree
     const = d ** (n / 2.0 - 1.0) * f.K_I
 
-    keep = np.array([f.branch_value_distance(y) > margin for y in ys])
+    keep = f.branch_value_distance(ys) > margin
     ys_used = ys[keep]
     excluded = int((~keep).sum())
 

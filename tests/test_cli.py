@@ -1,12 +1,12 @@
-"""CLI dispatch, report determinism, suite aggregation, exit codes."""
+"""CLI dispatch, report determinism, suite aggregation, exit codes, verdict rules."""
 
+import dataclasses
 import json
-import os
 
-import numpy as np
 import pytest
 
-from almqr.cli import main
+from almqr import runner
+from almqr.cli import load_manifest, main
 from almqr.reports import stable_body
 from almqr.runner import CHECKS, run_check
 
@@ -127,18 +127,34 @@ def test_suite_aggregation_and_summary(tmp_path, capsys):
 
 
 def test_builtin_manifest_loads():
-    from importlib import resources
-
-    text = resources.files("almqr").joinpath("data/acceptance_manifest.json").read_text()
-    manifest = json.loads(text)
-    names = {entry["check"] for entry in manifest["runs"]}
-    assert names <= set(CHECKS)
-    assert len(manifest["runs"]) >= 19
+    runs = load_manifest("builtin")["runs"]
+    assert {entry["check"] for entry in runs} == set(CHECKS)
+    ids = [entry["id"] for entry in runs]
+    assert len(ids) == len(set(ids))
 
 
 def test_run_check_unknown():
     with pytest.raises(KeyError):
         run_check("no-such-check", {})
+
+
+def test_invariant_projection_catches_wrong_derivative(monkeypatch):
+    # d(P w) comes from finite differences, so a wrong analytic d w shows
+    poly_kform = runner._poly_kform
+
+    def wrong_derivative(rng, n, d):
+        w = poly_kform(rng, n, d)
+        return dataclasses.replace(w, analytic_derivative=lambda X: 2.0 * w.analytic_derivative(X))
+
+    monkeypatch.setattr(runner, "_poly_kform", wrong_derivative)
+    assert not run_check("invariant-projection", {}).passed
+
+
+def test_preimage_measure_degree_one_is_two_sided(monkeypatch):
+    # for the identity the ratio is 1: 0.8 +- 0.01 is below the bound but still wrong
+    rep = {"ok": True, "lhs_measure": 0.8, "rhs_measure": 1.0, "ratio": 0.8, "ratio_sd": 0.01}
+    monkeypatch.setattr(runner, "preimage_measure_check", lambda *args, **kwargs: rep)
+    assert not run_check("preimage-measure", {"map": {"map": "power", "k": 1}}).passed
 
 
 def test_sample_ahlfors_cli(tmp_path, capsys):

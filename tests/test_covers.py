@@ -236,10 +236,21 @@ def test_fiber_batch_matches_scalar():
 BRANCH_DIFF_MAPS = {
     "poly": complex_polynomial([0.3, -1.0, 0.5, 1.0]),
     "power": planar_power(3),
+    "identity": identity_map(),
     "wind3": winding_map_3d(3),
     "precompose-power": precomposed(np.array([[1.4, 0.2], [0.0, 0.8]]), planar_power(2), [0.3, -0.1]),
     "precompose-poly": precomposed(np.array([[1.2, -0.3], [0.1, 0.9]]), complex_polynomial([0.5, -1.0, 0.0, 1.0])),
 }
+
+
+def _branch_values(spec):
+    """The branch values of a catalog map as complex numbers, from its spec."""
+    if spec["map"] == "precompose":
+        return _branch_values(spec["base"])
+    if spec["map"] == "poly":
+        p = np.polynomial.Polynomial([complex(*c) for c in spec["coeffs"]])
+        return p(p.deriv().roots())
+    return np.zeros(1 if spec["k"] > 1 else 0)  # power and wind3: over the axis
 
 
 @pytest.mark.parametrize("kind", list(BRANCH_DIFF_MAPS))
@@ -253,6 +264,10 @@ def test_branch_diff_batch_matches_differential(kind):
         for x, Lj in zip(row, Ls):
             Dinv = np.linalg.inv(f.differential(x))
             assert np.abs(Lj - Dinv).max() <= 1e-10 * max(1.0, np.abs(Dinv).max())
+    # branch_value_distance is batch-first too: min |b - y| over the branch values b
+    bvals = _branch_values(f.spec)
+    expect = [np.abs(bvals - complex(y[0], y[1])).min(initial=np.inf) for y in ys]
+    np.testing.assert_allclose(f.branch_value_distance(ys), expect, rtol=1e-12)
 
 
 def _with_bad_row(f, block):

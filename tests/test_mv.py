@@ -191,9 +191,7 @@ def _qr_ratios_per_point(f, region, n_samples, seed, margin_frac=1e-3):
     ys = region.sample(np.random.default_rng(np.random.SeedSequence([seed, 7])), n_samples)
     const = f.degree ** (f.n / 2 - 1) * f.K_I
     ratios = []
-    for y in ys:
-        if f.branch_value_distance(y) <= margin_frac * region.diameter():
-            continue
+    for y in ys[f.branch_value_distance(ys) > margin_frac * region.diameter()]:
         _, _, L = branch_differentials(f, y)
         frame_sq = sum(np.linalg.svd(Lj, compute_uv=False)[0] ** 2 for Lj in L)
         star = sum(np.linalg.det(Lj) for Lj in L)
