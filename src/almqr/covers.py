@@ -7,12 +7,14 @@ differential, Jacobian, fiber (with local indices) and exact distortion
 constants, which is what the verifiers consume.
 
 Fibers come in two shapes.  ``minv(f, y)`` is the scalar oracle: one point,
-one merged AlmgrenPoint; path lifting steps through it point by point.
-``minv_batch(f, Y)`` evaluates the multivalued inverse over a whole point
-set (P, n) in one call of the cover's ``fiber_batch`` and returns expanded,
-index-weighted fibers (P, d, n) in no promised row order; quadrature and
-Monte Carlo checks go through it.  Both fail closed alike: CoverError
-outside the image, NumericalError for a non-finite or miscounted fiber.
+one merged AlmgrenPoint.  ``minv_batch(f, Y)`` evaluates the multivalued
+inverse over a whole point set (P, n) in one call of the cover's
+``fiber_batch`` and returns expanded, index-weighted fibers (P, d, n) in no
+promised row order; quadrature and Monte Carlo checks go through it, and so
+does path lifting: ``lift_paths`` steps every curve of a family in lockstep,
+one ``minv_batch`` call per attempted step, and ``lift_path`` is its batch
+of one.  Both oracles fail closed alike: CoverError outside the image,
+NumericalError for a non-finite or miscounted fiber.
 
 The branch differentials Df^{-1} at the fiber points have one batch route,
 ``branch_differentials_batch(f, Y)``: the cover's ``branch_diff_batch`` on
@@ -22,6 +24,8 @@ rows.  The scalar ``branch_differentials`` is the independent reference.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -259,7 +263,7 @@ def branch_differentials_batch(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.
         raise NumericalError(f"non-finite branch differential of {f.name} over {Y[bad].tolist()}")
     # L = Df^-1, so |det Df| <= SINGULAR_DET reads |det L| >= 1 / SINGULAR_DET
     dets = np.abs(det(L))  # (P, d)
-    if dets.max() >= 1.0 / SINGULAR_DET:
+    if dets.size and dets.max() >= 1.0 / SINGULAR_DET:
         raise NumericalError(f"branch differential of {f.name} singular over {Y[np.argmax(dets) // f.degree].tolist()}")
     return X, L
 
@@ -669,16 +673,172 @@ class LiftedPath:
         return perm
 
 
-def _distinct_gap(X: np.ndarray, merge_tol: float) -> float:
-    """Min pairwise distance among cluster representatives; inf if one cluster."""
-    d = len(X)
-    dists = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            r = float(np.linalg.norm(X[i] - X[j]))
-            if r > merge_tol:
-                dists.append(r)
-    return min(dists) if dists else np.inf
+def _lex_sorted(X: np.ndarray) -> np.ndarray:
+    """Each fiber of X (P, d, n) in lexicographic order, the row order of ``minv(f, y).expand()``."""
+    order = np.lexsort([X[:, :, k] for k in reversed(range(X.shape[2]))], axis=-1)
+    return np.take_along_axis(X, order[:, :, None], axis=1)
+
+
+def _fibers_failing_alone(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``minv_batch`` over Y (A, n), except that a row it rejects fails alone.
+
+    Returns the fibers (A, d, n) and {row: the error minv_batch raises for that
+    row by itself}; failed rows of the fibers are NaN.
+    """
+    try:
+        return minv_batch(f, Y), {}
+    except (CoverError, NumericalError):
+        pass
+    F = np.full((len(Y), f.degree, f.n), np.nan)
+    errors = {}
+    for i, y in enumerate(Y):
+        try:
+            F[i] = minv_batch(f, y[None])[0]
+        except (CoverError, NumericalError) as exc:
+            errors[i] = exc
+    return F, errors
+
+
+@functools.lru_cache(maxsize=None)
+def _permutations(d: int) -> np.ndarray:
+    """All d! permutations of range(d), (d!, d), in lexicographic order (read-only, shared)."""
+    perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64).reshape(-1, d)
+    perms.setflags(write=False)
+    return perms
+
+
+def _match(X: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Optimal assignment perm (A, d) of the fibers F (A, d, n) to the lifts X, F[a, perm[a]] ~ X[a].
+
+    For d <= 6 every permutation is priced at once and the first minimum in
+    lexicographic order wins; above that each row goes to ``kernels.solve_assignment``.
+    """
+    cost = ((X[:, :, None, :] - F[:, None, :, :]) ** 2).sum(axis=3)
+    d = X.shape[1]
+    if d > 6:
+        return np.array([kernels.solve_assignment(c)[1] for c in cost], dtype=np.int64).reshape(-1, d)
+    perms = _permutations(d)
+    totals = cost[:, np.arange(d), perms].sum(axis=2)  # (A, d!)
+    return perms[np.argmin(totals, axis=1)]
+
+
+def _distinct_gaps(X: np.ndarray, merge_tol: float) -> np.ndarray:
+    """Per row of X (A, d, n): the smallest distance above merge_tol between two of its points; inf if none."""
+    i, j = np.triu_indices(X.shape[1], 1)
+    r = np.linalg.norm(X[:, i] - X[:, j], axis=2)
+    return np.where(r > merge_tol, r, np.inf).min(axis=1, initial=np.inf)
+
+
+def lift_paths(
+    f: BranchedCoverSpec,
+    gamma: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    P: int,
+    t0: float = 0.0,
+    t1: float = 1.0,
+    initial_steps: int = 128,
+    jump_factor: float = 0.5,
+    h_min: float = 1e-8,
+    merge_tol: float = 1e-6,
+) -> list[LiftedPath | CoverError | NumericalError]:
+    """Track the d total lifts of P paths in lockstep by predictor-corrector continuation.
+
+    ``gamma(rows, t)`` maps path indices (A,) and parameters (A,) to base
+    points (A, n).  At each step the fiber of the new base point is matched
+    to the current lift positions by optimal assignment; the step is halved
+    when the matched jump exceeds ``jump_factor`` times the smallest distinct
+    fiber gap.  When the halving reaches ``h_min`` and the fiber has
+    collapsed below ``merge_tol`` (or the jump is within the larger gap), the
+    passage is recorded as a branch crossing.
+
+    Every path keeps its own step size, so it takes the same step decisions
+    as when lifted alone; each attempt makes one ``minv_batch`` call, one
+    batched matching and one distinct-gap pass over the paths still running.
+    The lift labels start in the order of ``minv(f, gamma(t0)).expand()``.
+    Entry p of the result is path p's LiftedPath, or the error that stopped
+    it alone: CoverError off the image, NumericalError for a non-finite
+    fiber, LiftError on step underflow.
+    """
+    if P == 0:
+        return []
+    out: list = [None] * P
+    rows = np.arange(P)
+    t = np.full(P, float(t0))
+    y_start = np.asarray(gamma(rows, t), dtype=np.float64)
+    X, errors = _fibers_failing_alone(f, y_start)
+    X = _lex_sorted(X)
+    running = np.ones(P, dtype=bool)
+    for i, exc in errors.items():
+        out[i] = exc
+        running[i] = False
+    chunks = [(rows[running], t[running], y_start[running], X[running])]  # accepted points, step by step
+    crossings: list[tuple[np.ndarray, np.ndarray]] = []
+
+    base_h = (t1 - t0) / initial_steps
+    h = np.full(P, base_h)
+    h_try = np.minimum(h, t1 - t)
+    max_jump = np.zeros(P)
+    running &= t < t1 - 1e-15
+    while running.any():
+        act = np.flatnonzero(running)
+        t_new = t[act] + h_try[act]
+        y_new = np.asarray(gamma(act, t_new), dtype=np.float64)
+        F, errors = _fibers_failing_alone(f, y_new)
+        if errors:
+            for i, exc in errors.items():
+                out[act[i]] = exc
+            ok = np.ones(len(act), dtype=bool)
+            ok[list(errors)] = False
+            running[act[~ok]] = False
+            act, t_new, y_new, F = act[ok], t_new[ok], y_new[ok], F[ok]
+        Xa = X[act]
+        perm = _match(Xa, F)
+        F = np.take_along_axis(F, perm[:, :, None], axis=1)
+        jumps = np.linalg.norm(Xa - F, axis=2).max(axis=1)
+        gap = _distinct_gaps(Xa, merge_tol)
+        accept = jumps <= jump_factor * gap
+        halve = ~accept & (h_try[act] > h_min)
+        h_try[act[halve]] *= 0.5
+        stuck = np.flatnonzero(~accept & ~halve)
+        if len(stuck):
+            # merged passage through a near-collision of lifts
+            gap_new = _distinct_gaps(F[stuck], merge_tol)
+            scale = np.maximum(np.linalg.norm(Xa[stuck], axis=2).max(axis=1), 1.0)
+            g = gap[stuck]
+            cross = (np.minimum(g, gap_new) <= merge_tol * scale * 10) | (jumps[stuck] <= np.maximum(g, gap_new))
+            accept[stuck[cross]] = True
+            crossings.append((act[stuck[cross]], t_new[stuck[cross]]))
+            for i in stuck[~cross]:
+                out[act[i]] = LiftError(f"step underflow lifting through t={t_new[i]:.6g} (fiber collision)", float(t_new[i]))
+            running[act[stuck[~cross]]] = False
+        a = act[accept]
+        X[a] = F[accept]
+        max_jump[a] = np.maximum(max_jump[a], jumps[accept])
+        t[a] = t_new[accept]
+        chunks.append((a, t_new[accept], y_new[accept], F[accept]))
+        h[a] = np.where(h_try[a] == h[a], np.minimum(h[a] * 2.0, base_h), h_try[a])
+        h_try[a] = np.minimum(h[a], t1 - t[a])
+        running[a] = t[a] < t1 - 1e-15
+
+    # regroup the accepted points path by path; the stable sort keeps each path's steps in order
+    rows_all, ts, base, lifts = (np.concatenate(c) for c in zip(*chunks))
+    order = np.argsort(rows_all, kind="stable")
+    bounds = np.searchsorted(rows_all[order], np.arange(P + 1))
+    ts, base, lifts = ts[order], base[order], lifts[order]
+    crossed: dict[int, list[float]] = {}
+    for r, tc in crossings:
+        for p, tv in zip(r.tolist(), tc.tolist()):
+            crossed.setdefault(p, []).append(tv)
+    for p in range(P):
+        if out[p] is None:
+            lo, hi = bounds[p], bounds[p + 1]
+            out[p] = LiftedPath(
+                ts=ts[lo:hi],
+                base=base[lo:hi],
+                lifts=lifts[lo:hi],
+                max_jump=float(max_jump[p]),
+                branch_crossings=crossed.get(p, []),
+            )
+    return out
 
 
 def lift_path(
@@ -691,84 +851,60 @@ def lift_path(
     h_min: float = 1e-8,
     merge_tol: float = 1e-6,
 ) -> LiftedPath:
-    """Track the d total lifts of a path by predictor-corrector continuation.
-
-    At each step the fiber of the new base point is matched to the current
-    lift positions by optimal assignment; the step is halved when the
-    matched jump exceeds ``jump_factor`` times the smallest distinct fiber
-    gap.  When the fiber collapses below ``merge_tol`` the matching is done
-    on merged clusters and the passage is recorded as a branch crossing.
-    """
-    base_h = (t1 - t0) / initial_steps
-    t = t0
-    y = np.asarray(gamma(t0), dtype=np.float64)
-    X = minv(f, y).expand()
-    ts = [t0]
-    base_pts = [y]
-    traj = [X]
-    max_jump = 0.0
-    crossings: list[float] = []
-
-    h = base_h
-    while t < t1 - 1e-15:
-        h_try = min(h, t1 - t)
-        while True:
-            t_new = t + h_try
-            y_new = np.asarray(gamma(t_new), dtype=np.float64)
-            F = minv(f, y_new).expand()
-            diff = X[:, None, :] - F[None, :, :]
-            cost = np.einsum("ijk,ijk->ij", diff, diff)
-            _, perm = kernels.solve_assignment(cost)
-            jumps = np.linalg.norm(X - F[perm], axis=1)
-            gap = _distinct_gap(X, merge_tol)
-            if np.max(jumps) <= jump_factor * gap:
-                break
-            if h_try > h_min:
-                h_try *= 0.5
-                continue
-            # merged passage through a near-collision of lifts
-            gap_new = _distinct_gap(F, merge_tol)
-            scale = max(np.max(np.linalg.norm(X, axis=1)), 1.0)
-            if min(gap, gap_new) <= merge_tol * scale * 10 or np.max(jumps) <= max(gap, gap_new):
-                crossings.append(t_new)
-                break
-            raise LiftError(
-                f"step underflow lifting through t={t_new:.6g} (fiber collision)", t_new
-            )
-        X = F[perm]
-        max_jump = max(max_jump, float(np.max(jumps)))
-        t = t_new
-        ts.append(t)
-        base_pts.append(y_new)
-        traj.append(X)
-        h = min(h * 2.0, base_h) if h_try == h else h_try
-
-    return LiftedPath(
-        ts=np.array(ts),
-        base=np.array(base_pts),
-        lifts=np.array(traj),
-        max_jump=max_jump,
-        branch_crossings=crossings,
+    """``lift_paths`` for the one path ``gamma(t)``; raises the error that stops it."""
+    (lp,) = lift_paths(
+        f,
+        lambda rows, t: np.asarray(gamma(t[0]), dtype=np.float64).reshape(1, f.n),
+        1,
+        t0=t0,
+        t1=t1,
+        initial_steps=initial_steps,
+        jump_factor=jump_factor,
+        h_min=h_min,
+        merge_tol=merge_tol,
     )
+    if isinstance(lp, Exception):
+        raise lp
+    return lp
+
+
+def polyline_paths(polylines) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Arclength-ish parametrizations of polylines on [0, 1], vectorized over curves.
+
+    ``gamma(rows, t)`` evaluates polyline ``rows[i]`` at ``t[i]`` for every i
+    and returns (len(rows), n); a polyline of zero length stays at its first
+    vertex.
+    """
+    curves = [np.asarray(p, dtype=np.float64) for p in polylines]
+    P, m = len(curves), max(len(p) for p in curves)
+    pts = np.zeros((P, m + 1, curves[0].shape[1]))
+    cum = np.full((P, m), np.inf)  # padding past the last vertex is never <= s
+    seg = np.zeros((P, m))
+    last = np.empty(P, dtype=np.int64)  # index of the last segment
+    for c, p in enumerate(curves):
+        s = np.linalg.norm(np.diff(p, axis=0), axis=1)
+        pts[c, : len(p)] = p
+        cum[c, : len(p)] = np.concatenate([[0.0], np.cumsum(s)])
+        seg[c, : len(s)] = s
+        last[c] = len(s) - 1
+    total = cum[np.arange(P), last + 1]
+
+    def gamma(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        s = np.clip(t, 0.0, 1.0) * total[rows]
+        i = np.minimum(np.maximum((cum[rows] <= s[:, None]).sum(axis=1) - 1, 0), last[rows])
+        seg_i = seg[rows, i]
+        u = np.where(seg_i > 0, (s - cum[rows, i]) / np.where(seg_i > 0, seg_i, 1.0), 0.0)[:, None]
+        y = pts[rows, i] * (1 - u) + pts[rows, i + 1] * u
+        return np.where((total[rows] == 0)[:, None], pts[rows, 0], y)
+
+    return gamma
 
 
 def polyline(points: np.ndarray) -> Callable[[float], np.ndarray]:
     """Arclength-ish parametrization of a polyline as a callable on [0, 1]."""
-    pts = np.asarray(points, dtype=np.float64)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if total == 0:
-        return lambda t: pts[0]
-
-    def gamma(t: float) -> np.ndarray:
-        s = np.clip(t, 0.0, 1.0) * total
-        i = int(np.searchsorted(cum, s, side="right")) - 1
-        i = min(max(i, 0), len(seg) - 1)
-        u = (s - cum[i]) / seg[i] if seg[i] > 0 else 0.0
-        return pts[i] * (1 - u) + pts[i + 1] * u
-
-    return gamma
+    gamma = polyline_paths([points])
+    row = np.zeros(1, dtype=np.int64)
+    return lambda t: gamma(row, np.array([t], dtype=np.float64))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +938,8 @@ def preimage_measure_check(
     xs = domain_region.sample(rng, n_samples)
     fibers = minv_batch(f, np.array([f.evaluate(x) for x in xs]))
     ind = kernels.dist_sq_one_to_many(zC, fibers) < radius**2
+    if not ind.any():
+        raise NumericalError(f"no domain sample of {n_samples} falls in the ball of radius {radius}")
     vol = domain_region.volume()
     p_hat = ind.mean()
     lhs = vol * p_hat
@@ -810,6 +948,8 @@ def preimage_measure_check(
     # RHS: integral of the indicator times the metric Jacobian over the image
     ys = image_region.sample(rng, n_samples)
     inside = kernels.dist_sq_one_to_many(zC, minv_batch(f, ys)) < radius**2
+    if not inside.any():
+        raise NumericalError(f"no image sample of {n_samples} falls in the ball of radius {radius}")
     vals = np.zeros(n_samples)
     vals[inside] = metric_jacobian_values(f, ys[inside])
     rhs = image_region.volume() * float(vals.mean())

@@ -23,13 +23,16 @@ from .almgren import AlmgrenPoint
 from .covers import (
     BranchedCoverSpec,
     CoverError,
+    LiftedPath,
     NumericalError,
     branch_differentials_batch,
     det,
     h_function,
-    lift_path,
+    lift_paths,
     minv,
     minv_batch,
+    polyline,
+    polyline_paths,
 )
 from .regions import Annulus, Box, annulus_quadrature, box_quadrature
 
@@ -135,16 +138,15 @@ def _rasterize(
         seg = np.diff(pts, axis=0)
         seg_len = np.linalg.norm(seg, axis=1)
         mass = seg_len if seg_values is None else np.asarray(seg_values[ci], dtype=np.float64)
-        for k in range(len(seg)):
-            if seg_len[k] == 0:
-                continue
-            nsub = max(1, int(np.ceil(seg_len[k] / (hmin / 3.0))))
-            t = (np.arange(nsub) + 0.5) / nsub
-            mids = pts[k] + t[:, None] * seg[k]
-            cells = grid.cell_of(mids)
-            rows.append(np.full(nsub, ci, dtype=np.int64))
-            cols.append(cells)
-            vals.append(np.full(nsub, mass[k] / nsub))
+        # all sub-samples of the curve at once, in per-segment order, so the merged sums keep their bytes
+        k = np.flatnonzero(seg_len != 0)
+        nsub = np.maximum(1, np.ceil(seg_len[k] / (hmin / 3.0)).astype(np.int64))
+        first = np.cumsum(nsub) - nsub
+        k_of = np.repeat(k, nsub)
+        t = (np.arange(nsub.sum()) - np.repeat(first, nsub) + 0.5) / np.repeat(nsub, nsub)
+        cols.append(grid.cell_of(pts[k_of] + t[:, None] * seg[k_of]))
+        rows.append(np.full(len(t), ci, dtype=np.int64))
+        vals.append(np.repeat(mass[k] / nsub, nsub))
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
@@ -367,23 +369,16 @@ def pushforward_modulus_check(
     """
     base = discrete_modulus(family, region, grid=grid)
 
-    seg_values = []
-    polylines = []
-    failures = 0
-    for pts in family.polylines:
-        try:
-            from .covers import polyline
-
-            gamma = polyline(pts)
-            lp = lift_path(f, gamma, initial_steps=lift_steps)
-            d_lift = np.diff(lp.lifts, axis=0)  # (steps, d, n)
-            frame_len = np.sqrt(np.einsum("sjk,sjk->s", d_lift, d_lift))
-            polylines.append(lp.base)
-            seg_values.append(frame_len)
-        except (NumericalError, CoverError):
-            failures += 1
-    if not polylines:
+    lifts = lift_paths(f, polyline_paths(family.polylines), len(family), initial_steps=lift_steps)
+    lifted = [lp for lp in lifts if isinstance(lp, LiftedPath)]
+    failures = len(lifts) - len(lifted)
+    if not lifted:
         raise NumericalError("all lifts failed")
+    polylines = [lp.base for lp in lifted]
+    seg_values = []
+    for lp in lifted:
+        d_lift = np.diff(lp.lifts, axis=0)  # (steps, d, n)
+        seg_values.append(np.sqrt(np.einsum("sjk,sjk->s", d_lift, d_lift)))
     lifted_family = CurveFamily(polylines, name=f"{family.name}-lifted")
     image = discrete_modulus(
         lifted_family,
@@ -430,8 +425,6 @@ def upper_gradient_check(
     Speeds are central differences of assignment-matched fibers at parameter
     offsets +-fd_step; samples too close to the branch values are excluded.
     """
-    from .covers import polyline
-
     n = f.n
     Kfac = (f.K_I * f.K_O) ** (1.0 / n)
     used = 0

@@ -91,6 +91,13 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_preimage_measure_empty_ball_exit_code(capsys):
+    # no sample falls in a ball this small: a numerical failure (exit 3), not a traceback
+    code = run_cli("verify", "preimage-measure", "--config", json.dumps({"radius": 1e-6, "samples": 2000}))
+    assert code == 3
+    assert "falls in the ball" in capsys.readouterr().err
+
+
 def test_suite_empty_manifest(tmp_path, capsys):
     mf = tmp_path / "m.json"
     mf.write_text(json.dumps({"runs": []}))

@@ -10,6 +10,8 @@ from almqr import modulus, runner
 from almqr.covers import NumericalError, identity_map, planar_power, precomposed, preimage_measure_check, minv
 from almqr.modulus import (
     CurveFamily,
+    Grid2D,
+    _rasterize,
     ahlfors_sampler,
     area_formula_check,
     build_family,
@@ -103,6 +105,44 @@ def test_pushforward_modulus_affine_band():
     assert rep["pass"]
 
 
+def _rasterize_reference(polylines, grid, seg_values=None):
+    """The per-segment loop: one cell_of call per segment."""
+    hmin = float(grid.h.min())
+    rows, cols, vals = [], [], []
+    for ci, pts in enumerate(polylines):
+        seg = np.diff(pts, axis=0)
+        seg_len = np.linalg.norm(seg, axis=1)
+        mass = seg_len if seg_values is None else seg_values[ci]
+        for k in range(len(seg)):
+            if seg_len[k] == 0:
+                continue
+            nsub = max(1, int(np.ceil(seg_len[k] / (hmin / 3.0))))
+            t = (np.arange(nsub) + 0.5) / nsub
+            rows.append(np.full(nsub, ci, dtype=np.int64))
+            cols.append(grid.cell_of(pts[k] + t[:, None] * seg[k]))
+            vals.append(np.full(nsub, mass[k] / nsub))
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    key = rows * (grid.ncells**2) + cols
+    order = np.argsort(key, kind="stable")
+    key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
+    boundary = np.concatenate([[True], key[1:] != key[:-1]])
+    first = np.flatnonzero(boundary)
+    return rows[first], cols[first], np.bincount(np.cumsum(boundary) - 1, weights=vals)
+
+
+def test_rasterize_matches_per_segment_loop():
+    rng = np.random.default_rng(5)
+    grid = Grid2D(ANN.bbox(), 64)
+    curves = radial_family(ANN, 16).polylines + circle_family(ANN, 3, vertices=90).polylines
+    curves.append(np.array([[1.0, 0.0], [1.5, 0.5], [1.5, 0.5], [2.0, -1.0], [2.0, -1.0001]]))  # a zero-length segment
+    values = [rng.uniform(0.5, 2.0, len(p) - 1) for p in curves]
+    for seg_values in (None, values):
+        got = _rasterize(curves, grid, seg_values=seg_values)
+        ref = _rasterize_reference(curves, grid, seg_values=seg_values)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_pushforward_modulus_fails_closed_on_lift_failures():
     f = planar_power(2)
 
@@ -111,7 +151,10 @@ def test_pushforward_modulus_fails_closed_on_lift_failures():
             raise NumericalError("stub fiber undefined here")
         return f.fiber(y)
 
-    stub = dataclasses.replace(f, fiber=fiber)
+    def fiber_batch(ys):  # lifting inverts through the batch oracle: NaN fibers in the band
+        return np.where((ys[:, 1] > 1.5)[:, None, None], np.nan, f.fiber_batch(ys))
+
+    stub = dataclasses.replace(f, fiber=fiber, fiber_batch=fiber_batch)
     rep = pushforward_modulus_check(stub, radial_family(ANN, 64), ANN, grid=64, slack=10.0, lift_steps=32)
     assert 0 < rep["lift_failures"] < 64
     assert rep["bound_lo"] <= rep["ratio"] <= rep["bound_hi"]  # the ratio alone would pass
