@@ -109,6 +109,26 @@ def dist_sq(P: np.ndarray, Q: np.ndarray) -> float:
     return assignment_value(_sq_cost(P, Q))
 
 
+def _dist_sq_d2(P, Q) -> np.ndarray:
+    """Squared assignment distances of d=2 tuples given as coordinate planes.
+
+    ``P[j][c]`` and ``Q[j][c]`` hold coordinate c of point j, as (m,) arrays
+    or scalars.  Every per-coordinate difference is an (m,) array, and the
+    squares are summed coordinate by coordinate: at n <= 2 that is the order
+    of ``einsum("ij,ij->i")``, so the values equal the row-wise form bit for
+    bit without its inner loop over a length-n axis.
+    """
+
+    def sq(p, q):
+        diffs = [pc - qc for pc, qc in zip(p, q)]
+        out = diffs[0] * diffs[0]
+        for dc in diffs[1:]:
+            out = out + dc * dc
+        return out
+
+    return np.minimum(sq(P[0], Q[0]) + sq(P[1], Q[1]), sq(P[0], Q[1]) + sq(P[1], Q[0]))
+
+
 def dist_sq_one_to_many(P: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     """Squared assignment distances from one tuple (d, n) to a batch (m, d, n)."""
     P = np.asarray(P, dtype=np.float64)
@@ -118,11 +138,7 @@ def dist_sq_one_to_many(P: np.ndarray, Qs: np.ndarray) -> np.ndarray:
         diff = Qs[:, 0, :] - P[0]
         return np.einsum("ij,ij->i", diff, diff)
     if d == 2:
-        d00 = np.einsum("ij,ij->i", Qs[:, 0, :] - P[0], Qs[:, 0, :] - P[0])
-        d11 = np.einsum("ij,ij->i", Qs[:, 1, :] - P[1], Qs[:, 1, :] - P[1])
-        d01 = np.einsum("ij,ij->i", Qs[:, 1, :] - P[0], Qs[:, 1, :] - P[0])
-        d10 = np.einsum("ij,ij->i", Qs[:, 0, :] - P[1], Qs[:, 0, :] - P[1])
-        return np.minimum(d00 + d11, d01 + d10)
+        return _dist_sq_d2(P, Qs.transpose(1, 2, 0))
     return np.array([assignment_value(_sq_cost(P, Q)) for Q in Qs])
 
 
@@ -135,9 +151,5 @@ def dist_sq_pairs(Ps: np.ndarray, Qs: np.ndarray) -> np.ndarray:
         diff = Ps[:, 0, :] - Qs[:, 0, :]
         return np.einsum("ij,ij->i", diff, diff)
     if d == 2:
-        d00 = np.einsum("ij,ij->i", Ps[:, 0, :] - Qs[:, 0, :], Ps[:, 0, :] - Qs[:, 0, :])
-        d11 = np.einsum("ij,ij->i", Ps[:, 1, :] - Qs[:, 1, :], Ps[:, 1, :] - Qs[:, 1, :])
-        d01 = np.einsum("ij,ij->i", Ps[:, 0, :] - Qs[:, 1, :], Ps[:, 0, :] - Qs[:, 1, :])
-        d10 = np.einsum("ij,ij->i", Ps[:, 1, :] - Qs[:, 0, :], Ps[:, 1, :] - Qs[:, 0, :])
-        return np.minimum(d00 + d11, d01 + d10)
+        return _dist_sq_d2(Ps.transpose(1, 2, 0), Qs.transpose(1, 2, 0))
     return np.array([assignment_value(_sq_cost(P, Q)) for P, Q in zip(Ps, Qs)])

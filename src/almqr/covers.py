@@ -17,9 +17,13 @@ of one.  Both oracles fail closed alike: CoverError outside the image,
 NumericalError for a non-finite or miscounted fiber.
 
 The branch differentials Df^{-1} at the fiber points have one batch route,
-``branch_differentials_batch(f, Y)``: the cover's ``branch_diff_batch`` on
-the fibers of ``minv_batch``, failing closed on non-finite or singular
-rows.  The scalar ``branch_differentials`` is the independent reference.
+``fiber_branch_differentials(f, X)``: the cover's ``branch_diff_batch`` on
+held fibers X of ``minv_batch``, failing closed on misshapen, non-finite or
+singular rows.  ``branch_differentials_batch(f, Y)`` is ``minv_batch`` plus
+that step.  A Monte Carlo check evaluates each sample's fiber once: the
+ball test and the metric Jacobian (``modulus.metric_jacobian_values``) read
+the same fibers, and the branch-differential checks run on them.  The
+scalar ``branch_differentials`` is the independent reference.
 """
 
 from __future__ import annotations
@@ -244,28 +248,39 @@ def branch_differentials(f: BranchedCoverSpec, y) -> tuple[np.ndarray, np.ndarra
     return X, idx, L
 
 
-def branch_differentials_batch(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Branch values X (P, d, n) and branch differentials L (P, d, n, n) at points Y (P, n).
+def fiber_branch_differentials(f: BranchedCoverSpec, X: np.ndarray) -> np.ndarray:
+    """Branch differentials L (P, d, n, n) at held fibers X (P, d, n) of ``minv_batch``.
 
-    X comes from ``minv_batch`` and L = ``f.branch_diff_batch(X)``, so
-    L[p, j] = Df(X[p, j])^{-1} row by row.  Fails closed like ``minv_batch``
-    (CoverError outside the image), and with NumericalError where a branch
-    differential is non-finite, misshapen or |det Df| <= SINGULAR_DET.
+    L = ``f.branch_diff_batch(X)``, so L[p, j] = Df(X[p, j])^{-1} row by
+    row.  Fails closed with NumericalError where a branch differential is
+    non-finite, misshapen or |det Df| <= SINGULAR_DET.  Callers that already
+    hold the fibers of their samples pass them here, so each fiber is
+    evaluated once.
     """
-    Y = np.asarray(Y, dtype=np.float64).reshape(-1, f.n)
-    X = minv_batch(f, Y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         L = f.branch_diff_batch(X)
     if L.shape != X.shape + (f.n,):
         raise NumericalError(f"branch differentials of {f.name} have shape {L.shape}, expected {X.shape + (f.n,)}")
     if not np.isfinite(L).all():
         bad = np.argmin(np.isfinite(L).all(axis=(1, 2, 3)))
-        raise NumericalError(f"non-finite branch differential of {f.name} over {Y[bad].tolist()}")
+        raise NumericalError(f"non-finite branch differential of {f.name} at fiber {X[bad].tolist()}")
     # L = Df^-1, so |det Df| <= SINGULAR_DET reads |det L| >= 1 / SINGULAR_DET
     dets = np.abs(det(L))  # (P, d)
     if dets.size and dets.max() >= 1.0 / SINGULAR_DET:
-        raise NumericalError(f"branch differential of {f.name} singular over {Y[np.argmax(dets) // f.degree].tolist()}")
-    return X, L
+        raise NumericalError(f"branch differential of {f.name} singular at fiber {X[np.argmax(dets) // f.degree].tolist()}")
+    return L
+
+
+def branch_differentials_batch(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Branch values X (P, d, n) and branch differentials L (P, d, n, n) at points Y (P, n).
+
+    X = ``minv_batch(f, Y)`` and L = ``fiber_branch_differentials(f, X)``:
+    the fibers are evaluated once, and the shape, finiteness and
+    SINGULAR_DET checks run on them.  Fails closed like ``minv_batch``
+    (CoverError outside the image) and like ``fiber_branch_differentials``.
+    """
+    X = minv_batch(f, Y)
+    return X, fiber_branch_differentials(f, X)
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +457,17 @@ def planar_power(k: int) -> BranchedCoverSpec:
         return locs, np.ones(k, dtype=np.int64)
 
     def fiber_batch(ys):
-        """Vectorized fibers for points avoiding the branch value 0: (m, k, 2)."""
+        """Vectorized fibers for points avoiding the branch value 0: (m, k, 2),
+        filled branch by branch from contiguous (m,) angles."""
         w = ys[:, 0] + 1j * ys[:, 1]
         r = np.abs(w) ** (1.0 / k)
         t0 = np.angle(w) / k
-        ang = t0[:, None] + 2 * np.pi * np.arange(k)[None, :] / k
-        return np.stack([r[:, None] * np.cos(ang), r[:, None] * np.sin(ang)], axis=2)
+        X = np.empty((len(ys), k, 2))
+        for j in range(k):
+            ang = t0 + 2 * np.pi * j / k
+            X[:, j, 0] = r * np.cos(ang)
+            X[:, j, 1] = r * np.sin(ang)
+        return X
 
     def branch_diff_batch(X):
         return _conformal_matrix(1.0 / (k * (X[..., 0] + 1j * X[..., 1]) ** (k - 1)))
@@ -947,11 +967,12 @@ def preimage_measure_check(
 
     # RHS: integral of the indicator times the metric Jacobian over the image
     ys = image_region.sample(rng, n_samples)
-    inside = kernels.dist_sq_one_to_many(zC, minv_batch(f, ys)) < radius**2
+    fibers = minv_batch(f, ys)
+    inside = kernels.dist_sq_one_to_many(zC, fibers) < radius**2
     if not inside.any():
         raise NumericalError(f"no image sample of {n_samples} falls in the ball of radius {radius}")
     vals = np.zeros(n_samples)
-    vals[inside] = metric_jacobian_values(f, ys[inside])
+    vals[inside] = metric_jacobian_values(f, fibers[inside])
     rhs = image_region.volume() * float(vals.mean())
     rhs_sd = image_region.volume() * float(vals.std(ddof=1) / np.sqrt(n_samples))
 

@@ -9,7 +9,7 @@ from .mv import BumpTestForm
 
 
 class SpecError(ValueError):
-    """Malformed form/test-form description."""
+    """Malformed form, test-form or check-config description."""
 
 
 def _poly_from_dict(n: int, terms: dict) -> MultiPoly:

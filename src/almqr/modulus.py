@@ -25,8 +25,8 @@ from .covers import (
     CoverError,
     LiftedPath,
     NumericalError,
-    branch_differentials_batch,
     det,
+    fiber_branch_differentials,
     h_function,
     lift_paths,
     minv,
@@ -333,13 +333,16 @@ def ring_modulus_exact(r_in: float, r_out: float) -> float:
 # push-forward modulus (geometric quasiconformality)
 
 
-def metric_jacobian_values(f: BranchedCoverSpec, ys: np.ndarray) -> np.ndarray:
-    """Metric Jacobian of the multi-valued inverse at points ys (m, n).
+def metric_jacobian_values(f: BranchedCoverSpec, X: np.ndarray) -> np.ndarray:
+    """Metric Jacobian of the multi-valued inverse over m points, from their
+    fibers X (m, d, n) as ``minv_batch`` returns them.
 
     sqrt of the Gram determinant of the stacked branch differentials,
-    sqrt(det(sum_j L_j^T L_j)); for conformal branches this is H(y)^2.
+    sqrt(det(sum_j L_j^T L_j)); for conformal branches this is H(y)^2.  The
+    caller passes the fibers it already holds, and the branch-differential
+    checks of ``fiber_branch_differentials`` run on them.
     """
-    _, L = branch_differentials_batch(f, ys)
+    L = fiber_branch_differentials(f, X)
     # G entry by entry (rows k, then branches j): a quarter of the time of one (j, k, i, l) product
     G = np.empty((len(L), f.n, f.n))
     for i, l in zip(*np.triu_indices(f.n)):
@@ -384,7 +387,7 @@ def pushforward_modulus_check(
         lifted_family,
         region,
         grid=grid,
-        cell_weight=lambda ys: metric_jacobian_values(f, ys),
+        cell_weight=lambda ys: metric_jacobian_values(f, minv_batch(f, ys)),
         seg_values=seg_values,
     )
 
@@ -590,11 +593,15 @@ def ahlfors_sampler(
     The sampling box around each center is grown until the ball indicator
     stops touching its outer shell; a ball that still touches it after the
     last growth raises NumericalError, since a truncated ball underestimates
-    the measure that the upper bound is checked against.
+    the measure that the upper bound is checked against.  Each sample's
+    fiber is evaluated once, in one ``minv_batch`` call per box draw: the
+    ball test and the metric Jacobian both read it, and the
+    branch-differential checks run on the held fibers of the samples inside
+    the ball.  A cover that is not planar raises CoverError.
     """
     n = f.n
     if n != 2:
-        raise NotImplementedError("sampler implemented for planar covers")
+        raise CoverError(f"the Ahlfors sampler needs a planar cover; {f.name} has n = {n}")
     const = UNIT_BALL_VOLUME[n] * f.degree ** (n / 2.0) * f.K_I * f.K_O
     out: list[OmegaFSample] = []
     for ic, y0 in enumerate(centers):
@@ -608,13 +615,10 @@ def ahlfors_sampler(
             for _ in range(4):
                 lo, hi = y0 - R, y0 + R
                 ys = rng.uniform(lo, hi, size=(n_samples, 2))
-                # bound to a name, the fibers stay alive into the next draw; as a
-                # temporary, malloc hands each (n_samples, d, 2) array back to the
-                # OS and faults it in again (4.4k -> 282k page faults, +15% time,
-                # on the builtin ahlfors-z2 entry)
+                # the metric Jacobian below reads the fibers of the last draw
                 fibers = minv_batch(f, ys)
                 inside = kernels.dist_sq_one_to_many(zC, fibers) < r * r
-                shell = np.max(np.abs(ys - y0), axis=1) > 0.85 * R
+                shell = np.maximum(np.abs(ys[:, 0] - y0[0]), np.abs(ys[:, 1] - y0[1])) > 0.85 * R
                 boundary_fraction = float((inside & shell).sum() / max(inside.sum(), 1))
                 if boundary_fraction == 0.0:
                     break
@@ -626,7 +630,7 @@ def ahlfors_sampler(
             vol_box = float(np.prod(hi - lo))
             vals = np.zeros(n_samples)
             if inside.any():
-                vals[inside] = metric_jacobian_values(f, ys[inside])
+                vals[inside] = metric_jacobian_values(f, fibers[inside])
             est = vol_box * float(vals.mean())
             sd = vol_box * float(vals.std(ddof=1) / np.sqrt(n_samples))
             denom = const * r**n

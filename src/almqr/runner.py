@@ -19,7 +19,7 @@ from .almgren import (
     distance_value,
 )
 from .covers import build_map, lift_path, minv, planar_power, preimage_measure_check
-from .dsl import build_form, build_testform
+from .dsl import SpecError, build_form, build_testform
 from .forms import (
     ComassSettings,
     GroupAction,
@@ -478,10 +478,16 @@ def _check_geom_qc(config, seed):
 def _check_ahlfors(config, seed):
     f = _map_from_config(config)
     N = int(config.get("samples", 100_000))
+    n_centers = len(config["center_points"]) if "center_points" in config else int(config.get("centers", 10))
+    n_radii = len(config["radii_list"]) if "radii_list" in config else int(config.get("radii", 10))
+    # an empty sweep has no worst ball, and a confidence interval needs two samples
+    if n_centers < 1 or n_radii < 1 or N < 2:
+        raise SpecError(
+            f"ahlfors needs at least one center, one radius and two samples; got {n_centers}, {n_radii}, {N}"
+        )
     if "center_points" in config:
         centers = [np.asarray(c, dtype=float) for c in config["center_points"]]
     else:
-        n_centers = int(config.get("centers", 10))
         rng = seeded_rng(seed, 10)
         angles = 2 * np.pi * rng.uniform(size=n_centers)
         mags = rng.uniform(0.6, 1.4, size=n_centers)
@@ -489,7 +495,7 @@ def _check_ahlfors(config, seed):
     if "radii_list" in config:
         radii = [float(r) for r in config["radii_list"]]
     else:
-        radii = np.linspace(0.02, 0.2, int(config.get("radii", 10)))
+        radii = np.linspace(0.02, 0.2, n_radii)
     samples = ahlfors_sampler(f, centers, radii, n_samples=N, seed=seed)
     worst = max(s.ratio for s in samples)
     margin = max(s.ratio - (1.0 + s.ratio_ci) for s in samples)

@@ -98,6 +98,17 @@ def test_preimage_measure_empty_ball_exit_code(capsys):
     assert "falls in the ball" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "config",
+    [{"centers": 0}, {"radii": 0}, {"map": {"map": "wind3", "k": 2}}, {"samples": 0}, {"samples": 1}],
+    ids=["no-centers", "no-radii", "wind3", "no-samples", "one-sample"],
+)
+def test_ahlfors_bad_config_exit_code(config, capsys):
+    # a config the sampler cannot run is a usage error (exit 2), not a FAIL verdict (exit 1)
+    assert run_cli("verify", "ahlfors", "--config", json.dumps(config)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
 def test_suite_empty_manifest(tmp_path, capsys):
     mf = tmp_path / "m.json"
     mf.write_text(json.dumps({"runs": []}))

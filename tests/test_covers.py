@@ -110,7 +110,7 @@ def test_metric_jacobian_conformal_equals_H_squared():
     f = planar_power(3)
     ys = np.random.default_rng(2).normal(size=(30, 2))
     ys = ys[np.hypot(ys[:, 0], ys[:, 1]) >= 0.1]
-    J = metric_jacobian_values(f, ys)
+    J = metric_jacobian_values(f, minv_batch(f, ys))
     assert J == pytest.approx([h_function(f, y) ** 2 for y in ys], rel=1e-10)
 
 
@@ -126,8 +126,45 @@ def test_metric_jacobian_values_matches_scalar_gram(f):
     for y in ys:
         _, _, L = branch_differentials(f, y)
         ref.append(np.sqrt(np.linalg.det(np.einsum("jki,jkl->il", L, L))))
-    assert metric_jacobian_values(f, ys) == pytest.approx(ref, rel=1e-12)
+    assert metric_jacobian_values(f, minv_batch(f, ys)) == pytest.approx(ref, rel=1e-12)
 
+
+
+HELD_FIBER_MAPS = {
+    "power2": planar_power(2),
+    "power3": planar_power(3),
+    "poly": complex_polynomial([0.0, -3.0, 0.0, 1.0]),  # z^3 - 3z
+    "precompose-power": precomposed(np.array([[1.4, 0.3], [-0.1, 0.8]]), planar_power(2), [0.2, -0.1]),
+}
+
+
+@pytest.mark.parametrize("kind", list(HELD_FIBER_MAPS))
+def test_metric_jacobian_from_held_fibers_is_bitwise_fresh(kind):
+    # the Monte Carlo checks pass the rows of fibers they already hold; the
+    # Jacobian must equal the one from a second minv_batch on those points
+    f = HELD_FIBER_MAPS[kind]
+    ys = np.random.default_rng(8).uniform(-1.5, 1.5, size=(3000, 2))
+    X = minv_batch(f, ys)
+    mask = kernels.dist_sq_one_to_many(minv(f, [0.7, 0.4]).expand(), X) < 0.8**2
+    assert 0 < mask.sum() < len(ys)
+    assert np.array_equal(metric_jacobian_values(f, X[mask]), metric_jacobian_values(f, minv_batch(f, ys[mask])))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_power_fiber_batch_equals_broadcast_formula(k):
+    # the broadcast-and-stack form that the branch-by-branch fill replaced
+    def reference(ys):
+        w = ys[:, 0] + 1j * ys[:, 1]
+        r = np.abs(w) ** (1.0 / k)
+        t0 = np.angle(w) / k
+        ang = t0[:, None] + 2 * np.pi * np.arange(k)[None, :] / k
+        return np.stack([r[:, None] * np.cos(ang), r[:, None] * np.sin(ang)], axis=2)
+
+    rng = np.random.default_rng(9)
+    for m in (0, 1, 7, 1001):
+        for scale in (1e-8, 1.0, 1e6):
+            ys = rng.normal(size=(m, 2)) * scale
+            assert np.array_equal(planar_power(k).fiber_batch(ys), reference(ys))
 
 def test_catalog_distortion_invariants():
     rng = np.random.default_rng(3)
@@ -288,7 +325,7 @@ def test_branch_diff_batch_fails_closed(block):
     with pytest.raises(NumericalError):
         qr_curve_check(bad, Annulus(np.zeros(2), 0.3, 1.5), n_samples=200, seed=0)
     with pytest.raises(NumericalError):
-        metric_jacobian_values(bad, np.random.default_rng(0).uniform(0.3, 1.0, size=(20, 2)))
+        metric_jacobian_values(bad, minv_batch(bad, np.random.default_rng(0).uniform(0.3, 1.0, size=(20, 2))))
 
 
 def test_jacobian_positive_off_branch_set():

@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 
 from almqr import modulus, runner
-from almqr.covers import NumericalError, identity_map, planar_power, precomposed, preimage_measure_check, minv
+from almqr import kernels
+from almqr.covers import (
+    NumericalError,
+    h_function,
+    identity_map,
+    minv,
+    minv_batch,
+    planar_power,
+    precomposed,
+    preimage_measure_check,
+)
 from almqr.modulus import (
     CurveFamily,
     Grid2D,
@@ -220,6 +230,20 @@ def test_ahlfors_identity_and_square():
         assert s.ratio <= 1.0 + s.ratio_ci
         assert s.boundary_fraction == 0.0
 
+
+
+def test_ahlfors_density_reads_the_fibers_of_its_own_samples():
+    # one ball recomputed from the sampler's own draws with the closed-form
+    # density of z^2, H(y)^2 = 1 / (2|y|): a Jacobian taken from other rows moves it
+    f, y0, r, N = planar_power(2), np.array([1.0, 0.0]), 0.05, 20000
+    (s,) = ahlfors_sampler(f, [y0], [r], n_samples=N, seed=1)
+    rng = np.random.default_rng(np.random.SeedSequence([1, 11, 0, 0]))
+    R = 2.0 * r / h_function(f, y0)
+    ys = rng.uniform(y0 - R, y0 + R, size=(N, 2))
+    inside = kernels.dist_sq_one_to_many(minv(f, y0).expand(), minv_batch(f, ys)) < r * r
+    assert not (inside & (np.abs(ys - y0).max(axis=1) > 0.85 * R)).any()  # the first box was kept
+    density = np.where(inside, 0.5 / np.hypot(ys[:, 0], ys[:, 1]), 0.0)
+    assert s.measure == pytest.approx((2 * R) ** 2 * density.mean(), rel=1e-12)
 
 def test_ahlfors_rejects_truncated_balls():
     # a box a hundredth of the ball's size still cuts it after every growth
