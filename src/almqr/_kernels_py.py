@@ -1,16 +1,23 @@
 """Pure-Python (numpy) implementations of the hot assignment kernels.
 
 These are the fallback for :mod:`almqr._fast`.  Both backends expose the
-same four functions and must agree to rounding error; the test suite checks
-them against each other and against exhaustive permutation enumeration.
+same solver and distance functions; the tests check each against exhaustive
+permutation enumeration (``tests/test_kernels.py`` would also compare the
+two backends, but skips while the compiled one is not built).
 
 The assignment solver is the O(d^3) shortest-augmenting-path method with
-row/column potentials (the classical dense Jonker-Volgenant scheme).  Sizes
-here are tiny -- d is a covering degree, almost always <= 10 -- so clarity
-beats micro-optimisation in this backend.
+row/column potentials (the classical dense Jonker-Volgenant scheme), run on
+Python floats: d is a covering degree, almost always <= 10, and at that size
+numpy scalar indexing costs more than the arithmetic.  Batches of small
+tuples (3 <= d <= 6) are priced by :func:`enumerate_min`, which takes all d!
+matchings of every row at once.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import math
 
 import numpy as np
 
@@ -34,25 +41,28 @@ def solve_assignment(cost: np.ndarray) -> tuple[float, np.ndarray]:
 
     # Shortest augmenting path with potentials; 1-based with column 0 as
     # the virtual root, following the standard formulation.
-    inf = np.inf
-    u = np.zeros(d + 1)
-    v = np.zeros(d + 1)
-    p = np.zeros(d + 1, dtype=np.int64)  # p[j] = row matched to column j
-    way = np.zeros(d + 1, dtype=np.int64)
+    c = cost.tolist()
+    inf = math.inf
+    u = [0.0] * (d + 1)
+    v = [0.0] * (d + 1)
+    p = [0] * (d + 1)  # p[j] = row matched to column j
+    way = [0] * (d + 1)
     for i in range(1, d + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(d + 1, inf)
-        used = np.zeros(d + 1, dtype=bool)
+        minv = [inf] * (d + 1)
+        used = [False] * (d + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
+            row = c[i0 - 1]
+            u0 = u[i0]
             delta = inf
             j1 = -1
             for j in range(1, d + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - u0 - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -87,9 +97,55 @@ def assignment_value(cost: np.ndarray) -> float:
     return solve_assignment(cost)[0]
 
 
-def _sq_cost(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    diff = P[:, None, :] - Q[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+# entries of the (rows, d!) totals array priced at once by enumerate_min
+ENUMERATION_CHUNK = 1 << 13
+
+
+@functools.lru_cache(maxsize=None)
+def _permutations(d: int) -> np.ndarray:
+    """All d! permutations of range(d), (d!, d), in lexicographic order (read-only, shared)."""
+    perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64).reshape(math.factorial(d), d)
+    perms.setflags(write=False)
+    return perms
+
+
+def enumerate_min(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost permutation of each matrix of ``cost`` (m, d, d), by pricing all d! of them.
+
+    Returns ``(value, perm)``: ``perm[a]`` (m, d) is the first minimum in
+    lexicographic order and ``value[a] = sum_i cost[a, i, perm[a, i]]``,
+    added from row 0 down.  Totals are accumulated one row of the cost
+    matrices at a time, so memory stays at (rows, d!) per chunk of
+    ``ENUMERATION_CHUNK`` entries.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    m, d = cost.shape[0], cost.shape[1]
+    if cost.shape != (m, d, d):
+        raise ValueError("cost must have shape (m, d, d)")
+    perms = _permutations(d)
+    value = np.zeros(m)
+    arg = np.zeros(m, dtype=np.int64)
+    if d == 0:
+        return value, perms[arg]
+    step = max(1, ENUMERATION_CHUNK // len(perms))
+    for s in range(0, m, step):
+        c = cost[s : s + step]
+        totals = c[:, 0, perms[:, 0]]
+        for i in range(1, d):
+            totals += c[:, i, perms[:, i]]
+        best = np.argmin(totals, axis=1)
+        arg[s : s + step] = best
+        value[s : s + step] = totals[np.arange(len(c)), best]
+    return value, perms[arg]
+
+
+def sq_costs(Ps: np.ndarray, Qs: np.ndarray) -> np.ndarray:
+    """Cost matrices (m, d, d) of paired tuples (m, d, n): ``cost[a, i, j] = |Ps[a, i] - Qs[a, j]|^2``.
+
+    Either side may be (1, d, n) and is then shared by every pair.
+    """
+    diff = Ps[:, :, None, :] - Qs[:, None, :, :]
+    return np.einsum("aijk,aijk->aij", diff, diff)
 
 
 def dist_sq(P: np.ndarray, Q: np.ndarray) -> float:
@@ -106,7 +162,7 @@ def dist_sq(P: np.ndarray, Q: np.ndarray) -> float:
         c = P[0] - Q[1]
         e = P[1] - Q[0]
         return float(min(a @ a + b @ b, c @ c + e @ e))
-    return assignment_value(_sq_cost(P, Q))
+    return assignment_value(sq_costs(P[None], Q[None])[0])
 
 
 def _dist_sq_d2(P, Q) -> np.ndarray:
@@ -139,7 +195,10 @@ def dist_sq_one_to_many(P: np.ndarray, Qs: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", diff, diff)
     if d == 2:
         return _dist_sq_d2(P, Qs.transpose(1, 2, 0))
-    return np.array([assignment_value(_sq_cost(P, Q)) for Q in Qs])
+    cost = sq_costs(P[None], Qs)
+    if d <= 6:
+        return enumerate_min(cost)[0]
+    return np.array([assignment_value(c) for c in cost])
 
 
 def dist_sq_pairs(Ps: np.ndarray, Qs: np.ndarray) -> np.ndarray:
@@ -152,4 +211,7 @@ def dist_sq_pairs(Ps: np.ndarray, Qs: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", diff, diff)
     if d == 2:
         return _dist_sq_d2(Ps.transpose(1, 2, 0), Qs.transpose(1, 2, 0))
-    return np.array([assignment_value(_sq_cost(P, Q)) for P, Q in zip(Ps, Qs)])
+    cost = sq_costs(Ps, Qs)
+    if d <= 6:
+        return enumerate_min(cost)[0]
+    return np.array([assignment_value(c) for c in cost])

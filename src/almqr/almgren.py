@@ -148,6 +148,32 @@ class AlmgrenPoint:
         return cls.from_points(pts, ws)
 
 
+def sorted_tuples(X) -> np.ndarray:
+    """Batch form of ``AlmgrenPoint.from_points(x).expand()`` for tuples X (m, d, n).
+
+    Each tuple's rows in lexicographic order, with -0.0 entries made 0.0.
+    """
+    X = np.asarray(X, dtype=np.float64) + 0.0
+    order = np.lexsort([X[:, :, k] for k in reversed(range(X.shape[2]))], axis=-1)
+    return np.take_along_axis(X, order[:, :, None], axis=1)
+
+
+def points_of(X) -> list[AlmgrenPoint]:
+    """``[AlmgrenPoint.from_points(x) for x in X]`` for tuples X (m, d, n), without the per-point work."""
+    X = sorted_tuples(X)
+    if not np.all(np.isfinite(X)):
+        raise TupleSpaceError("location has non-finite entries")
+    m, d, n = X.shape
+    # sorted rows put exact duplicates next to each other: a location starts
+    # wherever a row differs from the one before it
+    first = np.ones((m, d), dtype=bool)
+    first[:, 1:] = np.any(X[:, 1:] != X[:, :-1], axis=2)
+    locations = X[first]
+    weights = np.diff(np.append(np.flatnonzero(first), m * d))
+    ends = np.cumsum(first.sum(axis=1)).tolist()
+    return [AlmgrenPoint(locations[a:b], weights[a:b]) for a, b in zip([0] + ends, ends)]
+
+
 @dataclass(frozen=True)
 class DistanceResult:
     """Assignment distance value plus a minimizing pairing of the expanded tuples."""
@@ -163,27 +189,35 @@ def _check_compatible(p: AlmgrenPoint, q: AlmgrenPoint):
         raise TupleSpaceError(f"total weights differ: {p.d} vs {q.d}")
 
 
-def _canonical_pair(p: AlmgrenPoint, q: AlmgrenPoint) -> tuple[AlmgrenPoint, AlmgrenPoint]:
-    """Deterministic argument order so values are bitwise symmetric."""
-    kp = (p.locations.tobytes(), p.weights.tobytes())
-    kq = (q.locations.tobytes(), q.weights.tobytes())
-    return (p, q) if kp <= kq else (q, p)
-
-
 def distance_value(p: AlmgrenPoint, q: AlmgrenPoint) -> float:
     """Assignment distance, value only (the hot path).
 
-    Computed on a canonical orientation of the pair, so the result is
-    bitwise symmetric in the arguments.
+    Computed on a canonical orientation of the pair (the expanded tuple
+    whose bytes compare smaller goes first), so the result is bitwise
+    symmetric in the arguments.
     """
     _check_compatible(p, q)
-    a, b = _canonical_pair(p, q)
-    return float(np.sqrt(kernels.dist_sq(a.expand(), b.expand())))
+    P, Q = p.expand(), q.expand()
+    if Q.tobytes() < P.tobytes():
+        P, Q = Q, P
+    return float(np.sqrt(kernels.dist_sq(P, Q)))
 
 
-def _sq_cost(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    diff = P[:, None, :] - Q[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def distance_values(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Assignment distances of paired tuples P, Q (m, d, n) in ``sorted_tuples`` form.
+
+    Each pair is priced in the orientation ``distance_value`` gives it, so
+    the values are bitwise symmetric in P and Q.
+    """
+    P = np.ascontiguousarray(P, dtype=np.float64)
+    Q = np.ascontiguousarray(Q, dtype=np.float64)
+    m, d, n = P.shape
+    a = P.reshape(m, d * n).view(np.uint8)
+    b = Q.reshape(m, d * n).view(np.uint8)
+    first = np.argmax(a != b, axis=1)  # first differing byte (0 where none differs)
+    rows = np.arange(m)
+    swap = (b[rows, first] < a[rows, first])[:, None, None]
+    return np.sqrt(kernels.dist_sq_pairs(np.where(swap, Q, P), np.where(swap, P, Q)))
 
 
 def _matched_value(P: np.ndarray, Q: np.ndarray, matching) -> float:
@@ -204,17 +238,13 @@ def _lex_refine(cost: np.ndarray, best: float) -> tuple[int, ...]:
     """
     d = cost.shape[0]
     tol = 1e-12 * (1.0 + abs(best))
-    rows = list(range(d))
     cols = list(range(d))
     fixed_cost = 0.0
     out = [0] * d
-    for i in rows:
+    for i in range(d):
         for c in sorted(cols):
-            rest_rows = [r for r in rows if r > i]
-            rest_cols = [x for x in cols if x != c]
-            if rest_rows:
-                sub = cost[np.ix_(rest_rows, rest_cols)]
-                completion = kernels.assignment_value(sub)
+            if i + 1 < d:
+                completion = kernels.assignment_value(cost[i + 1 :, [x for x in cols if x != c]])
             else:
                 completion = 0.0
             if fixed_cost + cost[i, c] + completion <= best + tol:
@@ -236,38 +266,35 @@ def distance(p: AlmgrenPoint, q: AlmgrenPoint) -> DistanceResult:
     """
     _check_compatible(p, q)
     P, Q = p.expand(), q.expand()
-    cost = _sq_cost(P, Q)
+    cost = kernels.sq_costs(P[None], Q[None])[0]
     best, _ = kernels.solve_assignment(cost)
     matching = _lex_refine(cost, best)
     return DistanceResult(value=_matched_value(P, Q, matching), matching=matching)
 
 
-def _enumerate_min(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    d = cost.shape[0]
-    best = np.inf
-    best_perm: tuple[int, ...] = tuple(range(d))
-    rows = np.arange(d)
-    for perm in itertools.permutations(range(d)):
-        total = cost[rows, perm].sum()
-        if total < best:
-            best = total
-            best_perm = perm
-    return float(best), best_perm
+def bruteforce_matchings(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Enumeration oracle on paired expanded tuples P, Q (m, d, n), d <= 8.
+
+    Returns ``(value, matching)``: ``matching[a]`` (m, d) is the first
+    minimum-cost permutation in lexicographic order, found by pricing all d!
+    of them, and ``value[a]`` its distance by the exactly rounded summation
+    of :func:`distance`.  Independent of the assignment solver.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
+    d = P.shape[1]
+    if d > MAX_BRUTEFORCE_D:
+        raise TupleSpaceError(f"brute force limited to d <= {MAX_BRUTEFORCE_D}, got {d}")
+    _, perms = kernels.enumerate_min(kernels.sq_costs(P, Q))
+    values = np.array([_matched_value(p, q, perm) for p, q, perm in zip(P, Q, perms)], dtype=np.float64)
+    return values, perms
 
 
 def distance_bruteforce(p: AlmgrenPoint, q: AlmgrenPoint) -> DistanceResult:
-    """Exact minimum by permutation enumeration (test oracle, d <= 8).
-
-    Independent of the assignment solver; the value finalization is the
-    same exactly rounded summation as in :func:`distance`.
-    """
+    """Exact minimum by permutation enumeration (test oracle, d <= 8): :func:`bruteforce_matchings` of one pair."""
     _check_compatible(p, q)
-    d = p.d
-    if d > MAX_BRUTEFORCE_D:
-        raise TupleSpaceError(f"brute force limited to d <= {MAX_BRUTEFORCE_D}, got {d}")
-    P, Q = p.expand(), q.expand()
-    _, perm = _enumerate_min(_sq_cost(P, Q))
-    return DistanceResult(value=_matched_value(P, Q, perm), matching=perm)
+    values, perms = bruteforce_matchings(p.expand()[None], q.expand()[None])
+    return DistanceResult(value=float(values[0]), matching=tuple(perms[0].tolist()))
 
 
 def barycenter(p: AlmgrenPoint) -> np.ndarray:

@@ -28,15 +28,13 @@ scalar ``branch_differentials`` is the independent reference.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import kernels
-from .almgren import AlmgrenPoint
+from .almgren import AlmgrenPoint, sorted_tuples
 
 
 class CoverError(ValueError):
@@ -693,12 +691,6 @@ class LiftedPath:
         return perm
 
 
-def _lex_sorted(X: np.ndarray) -> np.ndarray:
-    """Each fiber of X (P, d, n) in lexicographic order, the row order of ``minv(f, y).expand()``."""
-    order = np.lexsort([X[:, :, k] for k in reversed(range(X.shape[2]))], axis=-1)
-    return np.take_along_axis(X, order[:, :, None], axis=1)
-
-
 def _fibers_failing_alone(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, dict]:
     """``minv_batch`` over Y (A, n), except that a row it rejects fails alone.
 
@@ -719,27 +711,18 @@ def _fibers_failing_alone(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarr
     return F, errors
 
 
-@functools.lru_cache(maxsize=None)
-def _permutations(d: int) -> np.ndarray:
-    """All d! permutations of range(d), (d!, d), in lexicographic order (read-only, shared)."""
-    perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64).reshape(-1, d)
-    perms.setflags(write=False)
-    return perms
-
-
 def _match(X: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Optimal assignment perm (A, d) of the fibers F (A, d, n) to the lifts X, F[a, perm[a]] ~ X[a].
 
-    For d <= 6 every permutation is priced at once and the first minimum in
-    lexicographic order wins; above that each row goes to ``kernels.solve_assignment``.
+    For d <= 6 every permutation is priced at once (``kernels.enumerate_min``)
+    and the first minimum in lexicographic order wins; above that each row
+    goes to ``kernels.solve_assignment``.
     """
     cost = ((X[:, :, None, :] - F[:, None, :, :]) ** 2).sum(axis=3)
     d = X.shape[1]
     if d > 6:
         return np.array([kernels.solve_assignment(c)[1] for c in cost], dtype=np.int64).reshape(-1, d)
-    perms = _permutations(d)
-    totals = cost[:, np.arange(d), perms].sum(axis=2)  # (A, d!)
-    return perms[np.argmin(totals, axis=1)]
+    return kernels.enumerate_min(cost)[1]
 
 
 def _distinct_gaps(X: np.ndarray, merge_tol: float) -> np.ndarray:
@@ -785,7 +768,7 @@ def lift_paths(
     t = np.full(P, float(t0))
     y_start = np.asarray(gamma(rows, t), dtype=np.float64)
     X, errors = _fibers_failing_alone(f, y_start)
-    X = _lex_sorted(X)
+    X = sorted_tuples(X)
     running = np.ones(P, dtype=bool)
     for i, exc in errors.items():
         out[i] = exc

@@ -1,7 +1,8 @@
 """Backend selector for the assignment kernels.
 
 Prefers the compiled extension (:mod:`almqr._fast`); falls back to the
-numpy implementation if the extension was not built.
+numpy implementation if the extension was not built.  The batched
+enumeration kernel and the cost matrices are numpy in either case.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ assignment_value = _impl.assignment_value
 dist_sq = _impl.dist_sq
 dist_sq_one_to_many = _impl.dist_sq_one_to_many
 dist_sq_pairs = _impl.dist_sq_pairs
+
+enumerate_min = _kernels_py.enumerate_min
+sq_costs = _kernels_py.sq_costs
 
 
 def available_backends():

@@ -1,7 +1,8 @@
 """Report records: schema-versioned, reproducible JSON artifacts.
 
 A record is byte-identical across runs with the same (config, seed) except
-for the volatile ``timing`` object, which holds the timestamp and runtime.
+for the volatile ``timing`` object, which holds the timestamp, the runtime
+and the environment (kernel backend, numpy version).
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from . import __version__
+import numpy as np
+
+from . import __version__, kernels
 from .util import canonical_json, digest
 
 SCHEMA_VERSION = 1
@@ -69,7 +72,11 @@ def timed(fn, *args, **kwargs):
     """Run fn, returning (result, timing dict)."""
     t0 = time.time()
     out = fn(*args, **kwargs)
-    return out, {"runtime_s": time.time() - t0, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+    return out, {
+        "runtime_s": time.time() - t0,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "env": {"backend": kernels.BACKEND, "numpy": np.__version__},
+    }
 
 
 def stable_body(report_text: str) -> str:

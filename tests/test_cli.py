@@ -3,9 +3,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from almqr import runner
+from almqr import kernels, runner
 from almqr.cli import load_manifest, main
 from almqr.reports import stable_body
 from almqr.runner import CHECKS, run_check
@@ -77,6 +78,14 @@ def test_report_determinism(tmp_path, capsys):
     assert run_cli(*args, "--out", str(r2)) == 0
     capsys.readouterr()
     assert stable_body(r1.read_text()) == stable_body(r2.read_text())
+
+
+def test_report_timing_carries_env_outside_the_stable_body():
+    record = run_check("metric-axioms", {"samples": 20}, 3)
+    assert record.timing["env"] == {"backend": kernels.BACKEND, "numpy": np.__version__}
+    before = dataclasses.replace(record, timing={k: record.timing[k] for k in ("runtime_s", "timestamp")})
+    assert stable_body(record.dumps()) == stable_body(before.dumps())
+    assert '"env"' not in stable_body(record.dumps())
 
 
 def test_verify_failure_exit_code(tmp_path, capsys):

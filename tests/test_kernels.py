@@ -125,3 +125,124 @@ def test_d2_batch_kernels_ties_and_scales(name, impl, scale):
 def test_selected_backend_exposed():
     assert kernels.BACKEND in {"python", "compiled"}
     assert "python" in kernels.available_backends()
+
+
+def _tie_costs(rng, d, n):
+    """Cost matrices (m, d, d) with exact ties: P against itself reordered, a
+    doubled point, the midpoint of two points twice, and plain random pairs."""
+    P = rng.normal(size=(d, n))
+    Qs = [P[rng.permutation(d)] for _ in range(4)]
+    for _ in range(4):
+        Q = rng.normal(size=(d, n))
+        Q[-1] = Q[0]
+        Qs.append(Q)
+    if d >= 2:
+        mid = 0.5 * (P[0] + P[1])
+        Qs.append(np.concatenate([[mid, mid], P[2:]]))
+    Qs += list(rng.normal(size=(8, d, n)))
+    Qs = np.array(Qs)
+    Ps = np.repeat(P[None], len(Qs), axis=0)
+    Ps[:3, -1] = Ps[:3, 0]  # doubled points on both sides
+    return _kernels_py.sq_costs(Ps, Qs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_enumerate_min_matches_brute_min_cost(d):
+    rng = np.random.default_rng(10 + d)
+    for n in (1, 2, 3):
+        cost = _tie_costs(rng, d, n)
+        value, perm = kernels.enumerate_min(cost)
+        assert value.shape == (len(cost),) and perm.shape == (len(cost), d)
+        for c, v, p in zip(cost, value, perm):
+            ref, ref_perm = brute_min_cost(c)
+            assert v == ref  # bit for bit, the same left-to-right sum
+            assert tuple(p.tolist()) == ref_perm  # the first minimum in lexicographic order
+
+
+def test_enumerate_min_empty_and_chunked(monkeypatch):
+    for d in (0, 1, 3):
+        value, perm = kernels.enumerate_min(np.zeros((0, d, d)))
+        assert value.shape == (0,) and perm.shape == (0, d)
+    rng = np.random.default_rng(11)
+    cost = rng.normal(size=(300, 6, 6)) ** 2  # several chunks at d = 6
+    cost[::7] = cost[::7, :, ::-1]
+    whole = kernels.enumerate_min(cost)
+    assert len(cost) * 720 > _kernels_py.ENUMERATION_CHUNK
+    monkeypatch.setattr(_kernels_py, "ENUMERATION_CHUNK", 1)  # one row per chunk
+    for a, b in zip(whole, kernels.enumerate_min(cost)):
+        assert a.tobytes() == b.tobytes()
+    for c, v, p in zip(cost[:40], *whole):
+        ref, ref_perm = brute_min_cost(c)
+        assert v == ref and tuple(p.tolist()) == ref_perm
+
+
+def _solve_assignment_numpy_scalars(cost):
+    """The solver as it ran on numpy scalar indexing: the bit-for-bit reference."""
+    cost = np.ascontiguousarray(cost, dtype=np.float64)
+    d = cost.shape[0]
+    if d == 0:
+        return 0.0, np.empty(0, dtype=np.int64)
+    if d == 1:
+        return float(cost[0, 0]), np.zeros(1, dtype=np.int64)
+    inf = np.inf
+    u = np.zeros(d + 1)
+    v = np.zeros(d + 1)
+    p = np.zeros(d + 1, dtype=np.int64)
+    way = np.zeros(d + 1, dtype=np.int64)
+    for i in range(1, d + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(d + 1, inf)
+        used = np.zeros(d + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = inf
+            j1 = -1
+            for j in range(1, d + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(d + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while True:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+            if j0 == 0:
+                break
+    col_of_row = np.empty(d, dtype=np.int64)
+    for j in range(1, d + 1):
+        col_of_row[p[j] - 1] = j - 1
+    return float(cost[np.arange(d), col_of_row].sum()), col_of_row
+
+
+def test_solver_on_python_floats_equals_numpy_scalar_solver():
+    rng = np.random.default_rng(12)
+    for d in range(2, 10):
+        for trial in range(60):
+            n = int(rng.integers(1, 4))
+            P = rng.normal(size=(d, n)) * 10.0 ** rng.integers(-6, 7)
+            Q = rng.normal(size=(d, n)) * 10.0 ** rng.integers(-6, 7)
+            if trial % 3 == 0:
+                Q[-1] = Q[0]  # tied matchings
+            if trial % 5 == 0:
+                Q = P[rng.permutation(d)]
+            cost = _kernels_py.sq_costs(P[None], Q[None])[0]
+            for c in (cost, rng.normal(size=(d, d))):  # also negative entries
+                value, perm = _kernels_py.solve_assignment(c)
+                ref, ref_perm = _solve_assignment_numpy_scalars(c)
+                assert value == ref and perm.dtype == ref_perm.dtype and np.array_equal(perm, ref_perm)
