@@ -97,7 +97,9 @@ def _cmd_inverse(args) -> int:
 def _cmd_form_comass(args) -> int:
     form = build_form(_load_json_arg(args.form))
     x = np.asarray(_load_json_arg(args.point), dtype=float)
-    res = comass(form, x, ComassSettings(seed=args.seed, n_starts=args.starts))
+    if args.starts < 1:
+        raise SpecError(f"--starts must be at least 1, got {args.starts}")
+    res = comass(form, x, ComassSettings(n_starts=args.starts))
     out = {
         "value": res.value,
         "converged": res.converged,
@@ -227,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc = fsub.add_parser("comass", help="comass of a form at a point")
     pc.add_argument("--form", required=True)
     pc.add_argument("--point", required=True)
-    pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--starts", type=int, default=64)
     pc.set_defaults(fn=_cmd_form_comass)
 

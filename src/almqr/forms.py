@@ -167,16 +167,23 @@ class KCovector:
         return out
 
     def __call__(self, vectors: np.ndarray) -> float:
-        """Evaluate on k row vectors, shape (k, N)."""
+        """Evaluate on k row vectors, shape (k, N): the batch of one."""
         V = np.asarray(vectors, dtype=np.float64)
         if V.shape != (self.degree, self.dim):
             raise ValueError(f"expected {self.degree} vectors of length {self.dim}")
+        return float(self.evaluate(V[None])[0])
+
+    def evaluate(self, frames: np.ndarray) -> np.ndarray:
+        """Evaluate on a stack of frames (S, k, N): one value per frame, (S,)."""
+        V = np.asarray(frames, dtype=np.float64)
+        if V.ndim != 3 or V.shape[1:] != (self.degree, self.dim):
+            raise ValueError(f"expected frames of shape (S, {self.degree}, {self.dim}), got {V.shape}")
         if self.degree == 0:
-            return float(self.coeffs.get((), 0.0))
-        total = 0.0
+            return np.full(len(V), float(self.coeffs.get((), 0.0)))
+        total = np.zeros(len(V))
         for I, c in self.coeffs.items():
-            M = V[:, I]
-            total += c * float(np.linalg.det(M)) if self.degree > 1 else c * float(M[0, 0])
+            M = V[:, :, I]
+            total += c * (np.linalg.det(M) if self.degree > 1 else M[:, 0, 0])
         return total
 
     def add(self, other: "KCovector", scale: float = 1.0) -> "KCovector":
@@ -217,6 +224,12 @@ class KCovector:
 
     def l2(self) -> float:
         return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
+
+
+def cov_max_dev(a: KCovector, b: KCovector) -> float:
+    """The largest coefficient gap between two covectors (0 when both vanish)."""
+    keys = set(a.coeffs) | set(b.coeffs)
+    return max((abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) for k in keys), default=0.0)
 
 
 def volume_covector(n: int) -> KCovector:
@@ -554,7 +567,6 @@ class ComassSettings:
     n_starts: int = 64
     max_iters: int = 10_000
     tol: float = 1e-9
-    seed: int = 0
 
 
 @dataclass
@@ -594,23 +606,33 @@ def _halton_gaussian(index: int, dim: int) -> np.ndarray:
     return out[:dim]
 
 
-def _grad_row(cov: KCovector, V: np.ndarray, a: int) -> np.ndarray:
-    """Gradient of cov(V) with respect to row a (cofactor expansion)."""
-    k, N = V.shape
-    g = np.zeros(N)
-    rows = [r for r in range(k) if r != a]
+@functools.lru_cache(maxsize=None)
+def _halton_frames(k: int, N: int, count: int) -> np.ndarray:
+    """The first ``count`` quasi-random starts (count, k, N): Halton-Gaussian frames with unit rows."""
+    frames = np.empty((count, k, N))
+    for idx in range(count):
+        V = _halton_gaussian(idx * k * N + 7, k * N).reshape(k, N)
+        norms = np.linalg.norm(V, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        frames[idx] = V / norms
+    return _frozen(frames)
+
+
+def _row_gradients(cov: KCovector, V: np.ndarray, a: int) -> np.ndarray:
+    """Gradients (S, N) of cov over frames V (S, k, N) with respect to row a (cofactor expansion).
+
+    For each (I, c) in dict order, column b of I gains c (-1)^(a+b) times the
+    minor of V[:, :, I] without row a and column b; k >= 2.
+    """
+    S, k, N = V.shape
+    rest = V[:, [r for r in range(k) if r != a]]  # (S, k-1, N)
+    cols = [[x for x in range(k) if x != b] for b in range(k)]  # row b: the columns other than b
+    signs = (-1.0) ** (a + np.arange(k))
+    g = np.zeros((S, N))
     for I, c in cov.coeffs.items():
-        M = V[:, I]
-        if k == 1:
-            for b, i in enumerate(I):
-                g[i] += c
-            continue
-        sub = M[rows, :]
-        for b, i in enumerate(I):
-            cols = [x for x in range(k) if x != b]
-            minor = sub[:, cols]
-            det = float(np.linalg.det(minor)) if k > 2 else float(minor[0, 0])
-            g[i] += c * ((-1) ** (a + b)) * det
+        minors = rest[:, :, I][:, :, cols].transpose(0, 2, 1, 3)  # (S, k, k-1, k-1), one per column b
+        det = np.linalg.det(minors) if k > 2 else minors[:, :, 0, 0]
+        g[:, I] += (c * signs) * det
     return g
 
 
@@ -622,9 +644,13 @@ def comass(form: KForm, x: np.ndarray, settings: ComassSettings | None = None) -
     gradient, which solves the restricted (linear) problem exactly, so the
     objective never decreases.  Starts include the elementary frames of the
     covector's support (exact for single elementary covector forms) plus
-    quasi-random frames.
+    quasi-random frames.  All starts climb in lockstep as one (S, k, N)
+    stack; a start stops at its first sweep that gains at most ``tol``, and
+    the first start of the largest value wins.
     """
     settings = settings or ComassSettings()
+    if settings.n_starts < 1:
+        raise ValueError(f"comass needs at least one start, got n_starts={settings.n_starts}")
     cov = form.at(x)
     k, N = cov.degree, cov.dim
     if k == 0:
@@ -637,50 +663,41 @@ def comass(form: KForm, x: np.ndarray, settings: ComassSettings | None = None) -
         frame = (g / norm)[None, :] if norm > 0 else np.zeros((1, N))
         return ComassResult(norm, frame, True, 1, 1)
 
-    starts: list[np.ndarray] = []
+    elementary = []
     by_mag = sorted(cov.coeffs.items(), key=lambda kv: -abs(kv[1]))
     for I, c in by_mag[: max(4, settings.n_starts // 4)]:
         V = np.zeros((k, N))
-        for b, i in enumerate(I):
-            V[b, i] = 1.0
+        V[np.arange(k), I] = 1.0
         if c < 0:
             V[0] *= -1.0
-        starts.append(V)
-    idx = 0
-    while len(starts) < settings.n_starts:
-        V = _halton_gaussian(idx * k * N + 7, k * N).reshape(k, N).copy()
-        norms = np.linalg.norm(V, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        starts.append(V / norms)
-        idx += 1
+        elementary.append(V)
+    count = max(0, settings.n_starts - len(elementary))
+    V = np.concatenate([np.reshape(elementary, (-1, k, N)), _halton_frames(k, N, count)])
 
-    best_val = -np.inf
-    best_frame = starts[0]
-    best_conv = False
-    best_sweeps = 0
-    for V0 in starts:
-        V = V0.copy()
-        val = cov(V)
-        converged = False
-        sweeps = 0
-        for sweep in range(settings.max_iters):
-            sweeps = sweep + 1
-            improved = val
-            for a in range(k):
-                g = _grad_row(cov, V, a)
-                norm = float(np.linalg.norm(g))
+    S = len(V)
+    val = cov.evaluate(V)
+    converged = np.zeros(S, dtype=bool)
+    sweeps = np.zeros(S, dtype=np.int64)
+    running = np.arange(S)
+    for sweep in range(settings.max_iters):
+        if len(running) == 0:
+            break
+        sweeps[running] = sweep + 1
+        W = V[running]
+        for a in range(k):
+            g = _row_gradients(cov, W, a)
+            for j, row in enumerate(g):
+                norm = float(np.linalg.norm(row))  # the 1-D path, row by row: an axis norm rounds differently
                 if norm > 0:
-                    V[a] = g / norm
-            val = cov(V)
-            if val - improved <= settings.tol:
-                converged = True
-                break
-        if val > best_val:
-            best_val = val
-            best_frame = V
-            best_conv = converged
-            best_sweeps = sweeps
-    return ComassResult(float(best_val), best_frame, best_conv, len(starts), best_sweeps)
+                    W[j, a] = row / norm
+        new = cov.evaluate(W)
+        done = new - val[running] <= settings.tol
+        V[running] = W
+        val[running] = new
+        converged[running[done]] = True
+        running = running[~done]
+    best = int(np.argmax(val))
+    return ComassResult(float(val[best]), V[best], bool(converged[best]), S, int(sweeps[best]))
 
 
 # ---------------------------------------------------------------------------

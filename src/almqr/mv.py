@@ -26,7 +26,7 @@ from .covers import (
     op_norm,
     op_norm_sq,
 )
-from .forms import KCovector, KForm, exterior_derivative, pullback_coeffs
+from .forms import KCovector, KForm, cov_max_dev, exterior_derivative, pullback_coeffs
 
 
 class PullbackError(ValueError):
@@ -257,11 +257,6 @@ def _pullback_at(omega: KForm, values: np.ndarray, L: np.ndarray) -> KCovector:
     return omega.at(flat).pullback_linear(T)
 
 
-def _cov_max_dev(a: KCovector, b: KCovector) -> float:
-    keys = set(a.coeffs) | set(b.coeffs)
-    return max((abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) for k in keys), default=0.0)
-
-
 def pullback(
     F: MultiValuedMap,
     omega: KForm,
@@ -293,7 +288,7 @@ def pullback(
         for _ in range(verify_relabelings):
             perm = rng.permutation(F.d)
             cov2 = _pullback_at(omega, diff.values[perm], diff.L[perm])
-            dev = max(dev, _cov_max_dev(cov, cov2))
+            dev = max(dev, cov_max_dev(cov, cov2))
         if dev > 1e-10 * (1.0 + max(abs(c) for c in cov.coeffs.values()) if cov.coeffs else 1.0):
             raise NumericalError(f"pullback not labeling-invariant (deviation {dev:.3e})")
     return PullbackSample(x=x, covector=cov, relabeling_deviation=dev)
@@ -366,7 +361,7 @@ class MultiValuedPair:
                 p1 = d0 + rng.permutation(d1)
                 perm = np.concatenate([p0, p1])
                 cov2 = _pullback_at(omega, values[perm], L[perm])
-                dev = max(dev, _cov_max_dev(cov, cov2))
+                dev = max(dev, cov_max_dev(cov, cov2))
         return PullbackSample(x=x, covector=cov, relabeling_deviation=dev)
 
 

@@ -39,6 +39,26 @@ def test_form_comass_command(capsys):
     assert out["value"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_form_comass_rejects_empty_start_set(capsys):
+    vanishing = (
+        '{"kind":"sum","terms":[{"kind":"elementary","n":2,"d":2,"indices":[0,1],"c":1.0},'
+        '{"kind":"elementary","n":2,"d":2,"indices":[0,1],"c":-1.0}]}'
+    )
+    assert run_cli("form", "comass", "--form", vanishing, "--point", "[0,0,0,0]", "--starts", "0") == 2
+    assert "--starts" in capsys.readouterr().err
+
+
+def test_unconverged_comass_check_is_numerical_failure(monkeypatch, capsys):
+    real = runner.comass
+
+    def stopped(form, x, settings=None):
+        return dataclasses.replace(real(form, x, settings), converged=False)
+
+    monkeypatch.setattr(runner, "comass", stopped)
+    assert run_cli("verify", "comass", "--config", '{"ns":[2],"ds":[2],"points":1}') == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
 def test_verify_writes_report_and_csv(tmp_path, capsys):
     report = tmp_path / "r.json"
     csvf = tmp_path / "r.csv"

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from almqr import forms
+from almqr.dsl import build_form
 from almqr.forms import (
     ComassSettings,
     GroupAction,
@@ -10,6 +12,7 @@ from almqr.forms import (
     KForm,
     MultiPoly,
     comass,
+    cov_max_dev,
     exterior_derivative,
     natural_volume_form,
     polynomial_one_form,
@@ -19,11 +22,6 @@ from almqr.forms import (
     volume_covector,
     wedge,
 )
-
-
-def cov_gap(a, b):
-    keys = set(a.coeffs) | set(b.coeffs)
-    return max((abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) for k in keys), default=0.0)
 
 
 def rand_covector(rng, dim, k, terms=4):
@@ -67,7 +65,7 @@ def test_wedge_associative_numerically():
         c = rand_covector(rng, 6, 2)
         lhs = a.wedge(b).wedge(c)
         rhs = a.wedge(b.wedge(c))
-        assert cov_gap(lhs, rhs) < 1e-12
+        assert cov_max_dev(lhs, rhs) < 1e-12
 
 
 def test_wedge_degree_overflow():
@@ -100,7 +98,7 @@ def test_trace_d1_is_identity():
     alpha = polynomial_one_form(2, [MultiPoly(2, {(0, 1): 2.0}), MultiPoly(2, {(1, 0): -1.0})])
     tr = trace_form(alpha, 1)
     x = np.array([0.3, 0.7])
-    assert cov_gap(tr.at(x), alpha.at(x)) == 0.0
+    assert cov_max_dev(tr.at(x), alpha.at(x)) == 0.0
 
 
 def test_trace_on_single_block_vectors():
@@ -119,7 +117,7 @@ def test_projection_fixes_invariant_form():
     G = GroupAction.full(2, 2)
     om = natural_volume_form(2, 2)
     P = symmetrize(om, G)
-    assert cov_gap(P.at(np.array([1.0, 2.0, 3.0, 4.0])), om.at(np.zeros(4))) < 1e-12
+    assert cov_max_dev(P.at(np.array([1.0, 2.0, 3.0, 4.0])), om.at(np.zeros(4))) < 1e-12
 
 
 def test_projection_idempotent_and_linear():
@@ -134,11 +132,11 @@ def test_projection_idempotent_and_linear():
     P1 = symmetrize(w1, G)
     PP1 = symmetrize(P1, G)
     x = rng.normal(size=4)
-    assert cov_gap(P1.at(x), PP1.at(x)) < 1e-14
+    assert cov_max_dev(P1.at(x), PP1.at(x)) < 1e-14
     a, b = 1.7, -0.3
     lhs = symmetrize(w1.scaled(a).add(w2, b), G)
     rhs = symmetrize(w1, G).scaled(a).add(symmetrize(w2, G), b)
-    assert cov_gap(lhs.at(x), rhs.at(x)) < 1e-14
+    assert cov_max_dev(lhs.at(x), rhs.at(x)) < 1e-14
 
 
 def test_projection_invariance_sampled():
@@ -175,7 +173,7 @@ def test_split_projection_of_tensor_product():
     lhs = symmetrize(tensor_product(w0, w1), GroupAction.split(n, d0, d1))
     rhs = tensor_product(symmetrize(w0, GroupAction.full(n, d0)), symmetrize(w1, GroupAction.full(n, d1)))
     x = rng.normal(size=n * (d0 + d1))
-    assert cov_gap(lhs.at(x), rhs.at(x)) < 1e-12
+    assert cov_max_dev(lhs.at(x), rhs.at(x)) < 1e-12
 
 
 def test_tensor_product_degree_and_zero():
@@ -235,6 +233,155 @@ def test_comass_is_upper_bound_on_frames():
         assert om(x, V) <= val + 1e-9
 
 
+# The per-start ascent that the batched comass replaced, kept as a reference:
+# one frame at a time, one determinant per minor.
+
+
+def _ref_eval(cov, V):
+    total = 0.0
+    for I, c in cov.coeffs.items():
+        total += c * float(np.linalg.det(V[:, I]))
+    return total
+
+
+def _ref_grad_row(cov, V, a):
+    k, N = V.shape
+    g = np.zeros(N)
+    rows = [r for r in range(k) if r != a]
+    for I, c in cov.coeffs.items():
+        sub = V[:, I][rows, :]
+        for b, i in enumerate(I):
+            minor = sub[:, [x for x in range(k) if x != b]]
+            det = float(np.linalg.det(minor)) if k > 2 else float(minor[0, 0])
+            g[i] += c * ((-1) ** (a + b)) * det
+    return g
+
+
+def _ref_comass(form, x, settings):
+    cov = form.at(x)
+    k, N = cov.degree, cov.dim
+    starts = []
+    by_mag = sorted(cov.coeffs.items(), key=lambda kv: -abs(kv[1]))
+    for I, c in by_mag[: max(4, settings.n_starts // 4)]:
+        V = np.zeros((k, N))
+        for b, i in enumerate(I):
+            V[b, i] = 1.0
+        if c < 0:
+            V[0] *= -1.0
+        starts.append(V)
+    idx = 0
+    while len(starts) < settings.n_starts:
+        V = forms._halton_gaussian(idx * k * N + 7, k * N).reshape(k, N).copy()
+        norms = np.linalg.norm(V, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        starts.append(V / norms)
+        idx += 1
+    best = (-np.inf, starts[0], False, 0)
+    for V0 in starts:
+        val, V, converged, sweeps = _ref_ascend(cov, V0, settings)
+        if val > best[0]:
+            best = (val, V, converged, sweeps)
+    return best[0], best[1], best[2], len(starts), best[3]
+
+
+def _ref_ascend(cov, V0, settings):
+    V = V0.copy()
+    val = _ref_eval(cov, V)
+    converged, sweeps = False, 0
+    for sweep in range(settings.max_iters):
+        sweeps = sweep + 1
+        improved = val
+        for a in range(len(V)):
+            g = _ref_grad_row(cov, V, a)
+            norm = float(np.linalg.norm(g))
+            if norm > 0:
+                V[a] = g / norm
+        val = _ref_eval(cov, V)
+        if val - improved <= settings.tol:
+            converged = True
+            break
+    return val, V, converged, sweeps
+
+
+def _assert_matches_reference(form, x, settings):
+    res = comass(form, x, settings)
+    val, frame, converged, n_starts, sweeps = _ref_comass(form, x, settings)
+    assert res.value == val
+    assert res.frame.tobytes() == frame.tobytes()
+    assert (res.converged, res.n_starts, res.sweeps) == (converged, n_starts, sweeps)
+    return res
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_comass_matches_per_start_reference(n, d):
+    rng = np.random.default_rng(100 + 10 * n + d)
+    om = natural_volume_form(n, d)
+    for _ in range(2):
+        res = _assert_matches_reference(om, rng.normal(size=n * d), ComassSettings())
+        assert res.converged and res.n_starts == 64
+
+
+# dx01 = -2, dx13 = 0.7, dx23 = 1
+MIXED_FORM = build_form(
+    {
+        "kind": "sum",
+        "terms": [
+            {"kind": "elementary", "n": 2, "d": 2, "indices": [0, 1], "c": -3.0},
+            {"kind": "elementary", "n": 2, "d": 2, "indices": [1, 3], "c": 0.7},
+            {"kind": "trace_vol", "n": 2, "d": 2},
+        ],
+    }
+)
+
+
+def test_comass_reference_negative_leading_coefficient():
+    # the largest coefficient is negative: its elementary start has row 0 flipped
+    x = np.random.default_rng(11).normal(size=4)
+    assert max(MIXED_FORM.at(x).coeffs.values(), key=abs) == -2.0
+    for n_starts in (64, 9, 1):
+        res = _assert_matches_reference(MIXED_FORM, x, ComassSettings(n_starts=n_starts))
+        assert res.converged
+
+
+def test_comass_reference_zero_gradient_rows():
+    # a form that vanishes at the point: every gradient row is zero, no row moves
+    spec = {
+        "kind": "sum",
+        "terms": [
+            {"kind": "elementary", "n": 2, "d": 2, "indices": [0, 1], "c": 1.0},
+            {"kind": "elementary", "n": 2, "d": 2, "indices": [0, 1], "c": -1.0},
+        ],
+    }
+    res = _assert_matches_reference(build_form(spec), np.zeros(4), ComassSettings(n_starts=8))
+    assert res.value == 0.0 and res.converged and res.sweeps == 1
+
+
+def test_comass_reference_partly_unconverged():
+    # one sweep: the elementary starts of the volume form finish, the others stop unconverged
+    rng = np.random.default_rng(12)
+    om = natural_volume_form(3, 2)
+    x = rng.normal(size=6)
+    settings = ComassSettings(max_iters=1)
+    cov = om.at(x)
+    elementary = np.zeros((3, 6))
+    elementary[[0, 1, 2], [0, 1, 2]] = 1.0
+    halton = forms._halton_frames(3, 6, 1)[0]
+    assert _ref_ascend(cov, elementary, settings)[2]
+    assert not _ref_ascend(cov, halton, settings)[2]
+    res = _assert_matches_reference(om, x, settings)
+    assert res.sweeps == 1
+    _assert_matches_reference(om, x, ComassSettings(n_starts=5, max_iters=3, tol=0.0))
+    # the best start is still climbing when the sweeps run out
+    for max_iters in (1, 2, 3):
+        res = _assert_matches_reference(MIXED_FORM, x[:4], ComassSettings(max_iters=max_iters))
+        assert not res.converged and res.sweeps == max_iters
+
+
+def test_comass_rejects_empty_start_set():
+    with pytest.raises(ValueError):
+        comass(natural_volume_form(2, 2), np.zeros(4), ComassSettings(n_starts=0))
+
+
 # -- exterior derivative ---------------------------------------------------------
 
 
@@ -279,7 +426,7 @@ def test_d_commutes_with_projection():
     Pd = symmetrize(exterior_derivative(w, fd_step=1e-4), G)
     for _ in range(5):
         x = rng.normal(size=4)
-        assert cov_gap(dP.at(x), Pd.at(x)) < 1e-6
+        assert cov_max_dev(dP.at(x), Pd.at(x)) < 1e-6
 
 
 def test_trace_form_invariance_sampled():
