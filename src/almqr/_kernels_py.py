@@ -1,16 +1,15 @@
-"""Pure-Python (numpy) implementations of the hot assignment kernels.
+"""The assignment kernels, in numpy (re-exported by :mod:`almqr.kernels`).
 
-These are the fallback for :mod:`almqr._fast`.  Both backends expose the
-same solver and distance functions; the tests check each against exhaustive
-permutation enumeration (``tests/test_kernels.py`` would also compare the
-two backends, but skips while the compiled one is not built).
+The tests check the solver and the distance kernels against exhaustive
+permutation enumeration (``tests/test_kernels.py``).
 
 The assignment solver is the O(d^3) shortest-augmenting-path method with
 row/column potentials (the classical dense Jonker-Volgenant scheme), run on
 Python floats: d is a covering degree, almost always <= 10, and at that size
 numpy scalar indexing costs more than the arithmetic.  Batches of small
 tuples (3 <= d <= 6) are priced by :func:`enumerate_min`, which takes all d!
-matchings of every row at once.
+matchings of every row at once.  A single pair is priced as a batch of one,
+so scalar and batch distances round alike.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import itertools
 import math
 
 import numpy as np
-
-BACKEND = "python"
 
 
 def solve_assignment(cost: np.ndarray) -> tuple[float, np.ndarray]:
@@ -149,20 +146,8 @@ def sq_costs(Ps: np.ndarray, Qs: np.ndarray) -> np.ndarray:
 
 
 def dist_sq(P: np.ndarray, Q: np.ndarray) -> float:
-    """Squared assignment distance between two expanded tuples of shape (d, n)."""
-    P = np.asarray(P, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
-    d = P.shape[0]
-    if d == 1:
-        diff = P[0] - Q[0]
-        return float(diff @ diff)
-    if d == 2:
-        a = P[0] - Q[0]
-        b = P[1] - Q[1]
-        c = P[0] - Q[1]
-        e = P[1] - Q[0]
-        return float(min(a @ a + b @ b, c @ c + e @ e))
-    return assignment_value(sq_costs(P[None], Q[None])[0])
+    """Squared assignment distance between two expanded tuples of shape (d, n): ``dist_sq_pairs`` of one pair."""
+    return float(dist_sq_pairs(np.asarray(P)[None], np.asarray(Q)[None])[0])
 
 
 def _dist_sq_d2(P, Q) -> np.ndarray:

@@ -646,13 +646,17 @@ def comass(form: KForm, x: np.ndarray, settings: ComassSettings | None = None) -
     covector's support (exact for single elementary covector forms) plus
     quasi-random frames.  All starts climb in lockstep as one (S, k, N)
     stack; a start stops at its first sweep that gains at most ``tol``, and
-    the first start of the largest value wins.
+    the first start of the largest value wins.  A covector with a non-finite
+    coefficient gives an unconverged NaN result without any sweep.
     """
     settings = settings or ComassSettings()
     if settings.n_starts < 1:
         raise ValueError(f"comass needs at least one start, got n_starts={settings.n_starts}")
     cov = form.at(x)
     k, N = cov.degree, cov.dim
+    if not np.all(np.isfinite(list(cov.coeffs.values()))):
+        # no ascent can converge on a non-finite objective: fail closed before climbing
+        return ComassResult(float("nan"), np.full((k, N), np.nan), False, 0, 0)
     if k == 0:
         return ComassResult(abs(cov((np.zeros((0, N))))), np.zeros((0, N)), True, 0, 0)
     if k == 1:

@@ -675,20 +675,19 @@ def metric_qc_check(
         for j in range(i + 1, len(fiber)):
             gap = min(gap, float(np.linalg.norm(fiber[i] - fiber[j])))
 
+    def dist_to_z0(Y):
+        """Distances from the fibers over the points Y (m, n) to z0, priced in one batch."""
+        X = np.array([minv(f, y).expand() for y in Y])
+        return np.sqrt(kernels.dist_sq_pairs(X, np.broadcast_to(z0e, X.shape)))
+
     rows = []
     for r in radii:
         phis = 2 * np.pi * (np.arange(n_boundary) + 0.5) / n_boundary
         ring = y0 + r * np.stack([np.cos(phis), np.sin(phis)], axis=1)
-        dists = []
-        for y in ring:
-            dists.append(np.sqrt(kernels.dist_sq(minv(f, y).expand(), z0e)))
-        dists = np.array(dists)
+        dists = dist_to_z0(ring)
         # interior sampling for the sup
-        sup_int = 0.0
-        for u in (0.25, 0.5, 0.75):
-            ring_u = y0 + u * r * np.stack([np.cos(phis[::8]), np.sin(phis[::8])], axis=1)
-            for y in ring_u:
-                sup_int = max(sup_int, float(np.sqrt(kernels.dist_sq(minv(f, y).expand(), z0e))))
+        unit = np.stack([np.cos(phis[::8]), np.sin(phis[::8])], axis=1)
+        sup_int = float(np.max(dist_to_z0(np.concatenate([y0 + u * r * unit for u in (0.25, 0.5, 0.75)]))))
         L_minv = max(float(dists.max()), sup_int)
         l_minv = float(dists.min())
         lhs = (L_minv / l_minv) ** 2

@@ -141,6 +141,11 @@ def _check_metric_axioms(config, seed):
     return passed, metrics, {"triangle_tol": tol}, 0
 
 
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of V (k, n)."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
 def _lipschitz_ratios(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, int]:
     """sqrt(d) |b(p) - b(q)| / dist(p, q) for paired tuples (k, d, n) in ``sorted_tuples`` form.
 
@@ -150,8 +155,7 @@ def _lipschitz_ratios(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, int]:
     d = P.shape[1]
     dv = distance_values(P, Q)
     keep = dv != 0.0
-    diff = P[keep].sum(axis=1) / d - Q[keep].sum(axis=1) / d
-    norm = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])  # np.linalg.norm of each row
+    norm = _row_norms(P[keep].sum(axis=1) / d - Q[keep].sum(axis=1) / d)
     return np.sqrt(d) * norm / dv[keep], int(np.count_nonzero(~keep))
 
 
@@ -541,6 +545,11 @@ def _synthetic_map(d: int, rho: float = 0.5) -> MultiValuedMap:
     return MultiValuedMap(domain=box, m=2, n=2, d=d, evaluate=ev)
 
 
+def _expanded(points) -> np.ndarray:
+    """The expanded tuples (m, d, n) of tuple points, stacked for ``distance_values``."""
+    return np.array([p.expand() for p in points])
+
+
 def _check_interp(config, seed):
     ds = config.get("ds", [2, 3])
     eps = float(config.get("eps", 0.1))
@@ -553,24 +562,21 @@ def _check_interp(config, seed):
         F = _synthetic_map(int(d))
         X = F.domain.sample(rng, n_pairs)
         Y = F.domain.sample(rng, n_pairs)
-        lips = [
-            distance_value(F(a), F(b)) / np.linalg.norm(a - b)
-            for a, b in zip(X, Y)
-            if np.linalg.norm(a - b) > 1e-12
-        ]
-        L = float(max(lips)) * 1.05
+        norm = _row_norms(X - Y)
+        apart = norm > 1e-12
+        FX = [F(x) for x in X]
+        FXe, FYe = _expanded(FX), _expanded(F(y) for y in Y)
+        # np.max keeps a NaN, so a NaN distance fails the check
+        L = float(np.max(distance_values(FXe, FYe)[apart] / norm[apart])) * 1.05
         F.lipschitz_bound = L
         G, info = interpolate_feps(F, eps, cloud_size=int(config.get("cloud", 10_000)), seed=seed)
-        lip_eps = max(
-            distance_value(G(a), G(b)) / np.linalg.norm(a - b)
-            for a, b in zip(X, Y)
-            if np.linalg.norm(a - b) > 1e-12
-        )
-        dev = max(distance_value(G(x), F(x)) for x in X)
+        GXe, GYe = _expanded(G(x) for x in X), _expanded(G(y) for y in Y)
+        lip_eps = np.max(distance_values(GXe, GYe)[apart] / norm[apart])
+        dev = np.max(distance_values(GXe, FXe))
         ok_lip = lip_eps <= (3 + 2 * d) * L * (1 + tol)
         ok_dev = dev <= 2 * L * eps * (1 + tol)
         # on the coincidence set the interpolated map is purely diagonal
-        members = [x for x in X[:2000] if distance_to_diagonal(F(x)) < eps]
+        members = [x for x, p in zip(X[:2000], FX) if distance_to_diagonal(p) < eps]
         ok_diag = all(len(G(x).weights) == 1 for x in members[:200])
         rows.append(
             {

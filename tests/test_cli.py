@@ -48,6 +48,13 @@ def test_form_comass_rejects_empty_start_set(capsys):
     assert "--starts" in capsys.readouterr().err
 
 
+def test_form_comass_non_finite_coefficient_fails_at_once(capsys):
+    nan_form = '{"kind":"elementary","n":2,"d":2,"indices":[0,1],"c":NaN}'
+    assert run_cli("form", "comass", "--form", nan_form, "--point", "[0,0,0,0]", "--starts", "8") == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["converged"] is False and out["sweeps"] == 0 and np.isnan(out["value"])
+
+
 def test_unconverged_comass_check_is_numerical_failure(monkeypatch, capsys):
     real = runner.comass
 

@@ -2,7 +2,8 @@
 
 ``metric-oracle``, ``metric-axioms`` and ``barycenter-lipschitz`` draw all
 their samples, sort each tuple's rows, group the samples by (d, n) and price
-each group at once.  The per-sample loops below are the references: one
+each group at once; ``interp`` prices each of its per-pair loops in one
+batch.  The per-sample loops below are the references: one
 ``AlmgrenPoint`` per tuple, one distance per pair, the enumeration oracle one
 permutation at a time.
 """
@@ -24,6 +25,7 @@ from almqr.almgren import (
     points_of,
     sorted_tuples,
 )
+from almqr.mv import interpolate_feps
 from almqr.util import seeded_rng
 
 
@@ -235,3 +237,29 @@ def test_tuple_checks_fail_closed_on_nan_distances(monkeypatch):
     assert not runner.run_check("barycenter-lipschitz", {"samples": 4}, 0).passed
     monkeypatch.setattr(runner, "_draw_groups", lambda rng, n_samples, tuples: [(np.arange(4), [P, P + 1.0, P + 2.0])])
     assert not runner.run_check("metric-axioms", {"samples": 4}, 0).passed
+
+
+def _interp_reference(config, seed):
+    """(L, lip_feps, sup_dev) of each degree, one ``distance_value`` per pair."""
+    rng = seeded_rng(seed, 11)
+    rows = []
+    for d in config["ds"]:
+        F = runner._synthetic_map(d)
+        X = F.domain.sample(rng, config["pairs"])
+        Y = F.domain.sample(rng, config["pairs"])
+        apart = [(a, b) for a, b in zip(X, Y) if np.linalg.norm(a - b) > 1e-12]
+        L = float(max(distance_value(F(a), F(b)) / np.linalg.norm(a - b) for a, b in apart)) * 1.05
+        F.lipschitz_bound = L
+        G, _ = interpolate_feps(F, config["eps"], cloud_size=config["cloud"], seed=seed)
+        lip_eps = max(distance_value(G(a), G(b)) / np.linalg.norm(a - b) for a, b in apart)
+        dev = max(distance_value(G(x), F(x)) for x in X)
+        rows.append((L, float(lip_eps), float(dev)))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 7919])
+def test_interp_equals_per_pair_loops(seed):
+    config = {"ds": [2, 3], "eps": 0.1, "pairs": 300, "cloud": 500}
+    record = runner.run_check("interp", config, seed)
+    rows = [(r["L"], r["lip_feps"], r["sup_dev"]) for r in record.metrics["rows"]]
+    assert repr(rows) == repr(_interp_reference(config, seed))
