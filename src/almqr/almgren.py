@@ -108,8 +108,8 @@ class AlmgrenPoint:
         return np.repeat(self.locations, self.weights, axis=0)
 
     def barycenter(self) -> np.ndarray:
-        """Weighted mean of the locations."""
-        return (self.weights[:, None] * self.locations).sum(axis=0) / self.d
+        """Weighted mean of the locations: :func:`barycenters` of one tuple."""
+        return barycenters(self.expand()[None])[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlmgrenPoint):
@@ -158,20 +158,44 @@ def sorted_tuples(X) -> np.ndarray:
     return np.take_along_axis(X, order[:, :, None], axis=1)
 
 
+def _run_weights(X: np.ndarray) -> np.ndarray:
+    """Multiplicities (m, d) of tuples X (m, d, n) in ``sorted_tuples`` form, 0 at repeated rows."""
+    m, d, _ = X.shape
+    # sorted rows put exact duplicates next to each other: a location starts
+    # wherever a row differs from the one before it
+    first = np.ones((m, d), dtype=bool)
+    first[:, 1:] = np.any(X[:, 1:] != X[:, :-1], axis=2)
+    starts = np.flatnonzero(first)
+    W = np.zeros(m * d, dtype=np.int64)
+    W[starts] = np.diff(np.append(starts, m * d))
+    return W.reshape(m, d)
+
+
 def points_of(X) -> list[AlmgrenPoint]:
     """``[AlmgrenPoint.from_points(x) for x in X]`` for tuples X (m, d, n), without the per-point work."""
     X = sorted_tuples(X)
     if not np.all(np.isfinite(X)):
         raise TupleSpaceError("location has non-finite entries")
-    m, d, n = X.shape
-    # sorted rows put exact duplicates next to each other: a location starts
-    # wherever a row differs from the one before it
-    first = np.ones((m, d), dtype=bool)
-    first[:, 1:] = np.any(X[:, 1:] != X[:, :-1], axis=2)
-    locations = X[first]
-    weights = np.diff(np.append(np.flatnonzero(first), m * d))
+    W = _run_weights(X)
+    first = W > 0
+    locations, weights = X[first], W[first]
     ends = np.cumsum(first.sum(axis=1)).tolist()
     return [AlmgrenPoint(locations[a:b], weights[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+def barycenters(X: np.ndarray) -> np.ndarray:
+    """Barycenters (m, n) of tuples X (m, d, n) in ``sorted_tuples`` form; a location of weight w counts as w times it."""
+    return (_run_weights(X)[:, :, None] * X).sum(axis=1) / X.shape[1]
+
+
+def distances_to_diagonal(X: np.ndarray) -> np.ndarray:
+    """Distances (m,) of tuples X (m, d, n) in ``sorted_tuples`` form to their diagonal points d*[[b]].
+
+    All columns of the cost matrix coincide, so there is no matching
+    freedom: the value is sqrt(sum_j |x_j - b|^2).
+    """
+    diff = X - barycenters(X)[:, None, :]
+    return np.sqrt(np.einsum("pij,pij->p", diff, diff))
 
 
 @dataclass(frozen=True)
@@ -302,14 +326,8 @@ def barycenter(p: AlmgrenPoint) -> np.ndarray:
 
 
 def distance_to_diagonal(p: AlmgrenPoint) -> float:
-    """Distance to the diagonal point d*[[b(p)]].
-
-    All columns of the cost matrix coincide, so no matching freedom:
-    the value is sqrt(sum_j |x_j - b(p)|^2).
-    """
-    b = p.barycenter()
-    diff = p.expand() - b
-    return float(np.sqrt(np.einsum("ij,ij->", diff, diff)))
+    """Distance to the diagonal point d*[[b(p)]]: :func:`distances_to_diagonal` of one tuple."""
+    return float(distances_to_diagonal(p.expand()[None])[0])
 
 
 def singular_stratum(p: AlmgrenPoint, tol: float = 0.0) -> int:

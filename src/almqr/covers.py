@@ -2,19 +2,21 @@
 
 The catalog: complex polynomials (roots via companion-matrix eigenvalues),
 planar power maps z -> z^k, the 3D winding map (r, theta, z) -> (r, k theta, z),
-and affine precompositions of these.  Every catalog map carries evaluation,
-differential, Jacobian, fiber (with local indices) and exact distortion
-constants, which is what the verifiers consume.
+and affine precompositions of these.  Every catalog map carries batch
+evaluation and Jacobian, a scalar differential, batch fibers (local indices
+as repetitions) and exact distortion constants, which is what the verifiers
+consume.
 
-Fibers come in two shapes.  ``minv(f, y)`` is the scalar oracle: one point,
-one merged AlmgrenPoint.  ``minv_batch(f, Y)`` evaluates the multivalued
-inverse over a whole point set (P, n) in one call of the cover's
+The fiber oracle is batch-first.  ``minv_batch(f, Y)`` evaluates the
+multi-valued inverse over points Y (P, n) in one call of the cover's
 ``fiber_batch`` and returns expanded, index-weighted fibers (P, d, n) in no
-promised row order; quadrature and Monte Carlo checks go through it, and so
-does path lifting: ``lift_paths`` steps every curve of a family in lockstep,
-one ``minv_batch`` call per attempted step, and ``lift_path`` is its batch
-of one.  Both oracles fail closed alike: CoverError outside the image,
-NumericalError for a non-finite or miscounted fiber.
+promised row order (``almgren.sorted_tuples`` orders them, ``points_of``
+merges them); ``minv(f, y)`` is its batch of one, as an AlmgrenPoint.  Path
+lifting goes through it too: ``lift_paths`` steps every curve of a family
+in lockstep, one ``minv_batch`` call per attempted step, and ``lift_path``
+is its batch of one.  The oracle fails closed: CoverError for points of
+the wrong dimension or outside the image, NumericalError for a non-finite
+or miscounted fiber.
 
 The branch differentials Df^{-1} at the fiber points have one batch route,
 ``fiber_branch_differentials(f, X)``: the cover's ``branch_diff_batch`` on
@@ -22,8 +24,9 @@ held fibers X of ``minv_batch``, failing closed on misshapen, non-finite or
 singular rows.  ``branch_differentials_batch(f, Y)`` is ``minv_batch`` plus
 that step.  A Monte Carlo check evaluates each sample's fiber once: the
 ball test and the metric Jacobian (``modulus.metric_jacobian_values``) read
-the same fibers, and the branch-differential checks run on them.  The
-scalar ``branch_differentials`` is the independent reference.
+the same fibers, and the branch-differential checks run on them, as does
+the batch ``h_function``.  The scalar ``branch_differentials``, built on
+the cover's scalar ``differential``, is the independent reference.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .almgren import AlmgrenPoint, sorted_tuples
+from .almgren import AlmgrenPoint, points_of, sorted_tuples
 
 
 class CoverError(ValueError):
@@ -97,6 +100,11 @@ def det(M: np.ndarray) -> np.ndarray:
     return np.linalg.det(M)
 
 
+def _complex(X: np.ndarray) -> np.ndarray:
+    """The first two coordinates of points X (..., n) as complex numbers (...)."""
+    return X[..., 0] + 1j * X[..., 1]
+
+
 def _conformal_matrix(w) -> np.ndarray:
     """The real 2x2 matrices (..., 2, 2) of multiplication by each entry of w (...)."""
     w = np.asarray(w)
@@ -116,13 +124,15 @@ def _axis_distance(k: int) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass
 class BranchedCoverSpec:
-    """A proper branched cover f with point oracles.
+    """A proper branched cover f with batch oracles.
 
-    ``fiber(y)`` returns (locations (m, n), weights (m,)) with local indices
-    as weights; ``fiber_batch(Y)`` maps points (P, n) to expanded fibers
-    (P, d, n), each row an unordered tuple with every location repeated by
-    its local index; ``branch_diff_batch(X)`` maps such fibers (P, d, n) to
-    the branch differentials (P, d, n, n), Df(X[p, j])^{-1} row by row;
+    ``evaluate(X)`` maps points (P, n) to their images (P, n) and
+    ``jacobian(X)`` to the Jacobian determinants (P,); ``differential(x)``,
+    Df (n, n) at one point (n,), is the scalar reference that
+    ``branch_diff_batch`` is tested against.  ``fiber_batch(Y)`` maps points (P, n) to expanded fibers (P, d, n), each
+    row an unordered tuple with every location repeated by its local index;
+    ``branch_diff_batch(X)`` maps such fibers (P, d, n) to the branch
+    differentials (P, d, n, n), Df(X[p, j])^{-1} row by row;
     ``contains_image(Y)`` maps points (P, n) to a (P,) boolean mask and
     ``branch_value_distance(Y)`` to the (P,) distances to the branch values.
     Properness and the stated degree are guaranteed by construction of the
@@ -134,8 +144,7 @@ class BranchedCoverSpec:
     degree: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     differential: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], float]
-    fiber: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    jacobian: Callable[[np.ndarray], np.ndarray]
     fiber_batch: Callable[[np.ndarray], np.ndarray]
     branch_diff_batch: Callable[[np.ndarray], np.ndarray]
     K_I: float
@@ -151,28 +160,27 @@ class BranchedCoverSpec:
 
 
 def minv(f: BranchedCoverSpec, y) -> AlmgrenPoint:
-    """The fiber over y counted with local indices, as an unordered tuple."""
-    y = np.asarray(y, dtype=np.float64).reshape(f.n)
-    if not f.contains_image(y[None])[0]:
-        raise CoverError(f"{y.tolist()} is outside the image of {f.name}")
-    locs, ws = f.fiber(y)
-    p = AlmgrenPoint.from_points(locs, ws)
-    if p.d != f.degree:
-        raise NumericalError(
-            f"fiber weights sum to {p.d}, expected degree {f.degree} (root clustering failed)"
-        )
-    return p
+    """The fiber over one point y (n,) counted with local indices, as an
+    unordered tuple: ``minv_batch`` of one, merged by ``points_of``."""
+    return points_of(minv_batch(f, np.asarray(y, dtype=np.float64).reshape(1, -1)))[0]
+
+
+def _check_points(f: BranchedCoverSpec, Y: np.ndarray) -> np.ndarray:
+    """Y as points (P, n) of f's space; CoverError if their dimension is not f.n."""
+    if Y.ndim == 0 or Y.shape[-1] != f.n:
+        raise CoverError(f"points of shape {Y.shape} do not lie in R^{f.n}, where {f.name} lives")
+    return Y.reshape(-1, f.n)
 
 
 def minv_batch(f: BranchedCoverSpec, Y) -> np.ndarray:
     """Expanded fibers (P, d, n) of the multi-valued inverse over points Y (P, n).
 
-    Row i holds the points of ``minv(f, Y[i])``, each repeated by its local
-    index as ``expand()`` does, in no promised order.  Fails closed like
-    ``minv``: CoverError if a point is outside the image, NumericalError if a
-    point or its fiber is non-finite or a fiber does not have d points.
+    Row i holds the fiber over Y[i], each point repeated by its local index
+    as ``expand()`` does, in no promised order.  Fails closed: CoverError if
+    the points are not in R^n or one is outside the image, NumericalError if
+    a point or its fiber is non-finite or a fiber does not have d points.
     """
-    Y = np.asarray(Y, dtype=np.float64).reshape(-1, f.n)
+    Y = _check_points(f, np.asarray(Y, dtype=np.float64))
     # whole-array tests first: the row-wise ones cost ten times as much
     if not np.isfinite(Y).all():
         raise NumericalError(f"non-finite point {Y[np.argmin(np.isfinite(Y).all(axis=1))].tolist()}")
@@ -189,34 +197,6 @@ def minv_batch(f: BranchedCoverSpec, Y) -> np.ndarray:
         bad = np.argmin(np.isfinite(X).all(axis=(1, 2)))
         raise NumericalError(f"non-finite fiber of {f.name} over {Y[bad].tolist()}")
     return X
-
-
-def local_index(f: BranchedCoverSpec, x) -> int:
-    """Multiplicity with which f covers near x (1 off the branch set)."""
-    x = np.asarray(x, dtype=np.float64).reshape(f.n)
-    y = f.evaluate(x)
-    locs, ws = f.fiber(y)
-    diff = locs - x
-    i = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
-    return int(ws[i])
-
-
-def push_forward(f: BranchedCoverSpec, g: Callable[[np.ndarray], float], y) -> float:
-    """Index-weighted sum of g over the fiber."""
-    p = minv(f, y)
-    return float(sum(int(w) * g(loc) for loc, w in zip(p.locations, p.weights)))
-
-
-def h_function(f: BranchedCoverSpec, y) -> float:
-    """sqrt of the index-weighted sum of ||Df||^-2 over the fiber."""
-    p = minv(f, y)
-    total = 0.0
-    for loc, w in zip(p.locations, p.weights):
-        s = op_norm(f.differential(loc))
-        if s <= 1e-13:
-            raise NumericalError(f"fiber of {f.name} at {np.asarray(y).tolist()} meets a critical point")
-        total += int(w) / (s * s)
-    return float(np.sqrt(total))
 
 
 def branch_differentials(f: BranchedCoverSpec, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,6 +247,20 @@ def fiber_branch_differentials(f: BranchedCoverSpec, X: np.ndarray) -> np.ndarra
     if dets.size and dets.max() >= 1.0 / SINGULAR_DET:
         raise NumericalError(f"branch differential of {f.name} singular at fiber {X[np.argmax(dets) // f.degree].tolist()}")
     return L
+
+
+def h_function(f: BranchedCoverSpec, Y):
+    """sqrt of the index-weighted sum of ||Df||^-2 over the fiber: points (P, n) give (P,), one point (n,) a float.
+
+    ||Df(x)||^-1 is the smallest singular value of the branch differential
+    Df(x)^-1, so one ``minv_batch`` and one ``fiber_branch_differentials``
+    call serve all points; a fiber that meets a critical point fails closed
+    there with NumericalError.
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    L = fiber_branch_differentials(f, minv_batch(f, Y))
+    H = np.sqrt((min_singular(L) ** 2).sum(axis=1))
+    return float(H[0]) if Y.ndim == 1 else H
 
 
 def branch_differentials_batch(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,18 +353,16 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
         crit = np.array([], dtype=np.complex128)
     crit_values = np.array([_poly_eval(c, z) for z in crit]) if len(crit) else crit
 
-    def evaluate(x):
-        z = complex(x[0], x[1])
-        w = _poly_eval(c, z)
-        return np.array([w.real, w.imag])
+    def evaluate(X):
+        w = _poly_eval(c, _complex(X))
+        return np.stack([w.real, w.imag], axis=-1)
 
     def differential(x):
         z = complex(x[0], x[1])
         return _conformal_matrix(_poly_eval(dc, z))
 
-    def jacobian(x):
-        z = complex(x[0], x[1])
-        return abs(_poly_eval(dc, z)) ** 2
+    def jacobian(X):
+        return np.abs(_poly_eval(dc, _complex(X))) ** 2
 
     def fiber_batch(ys):
         """Roots of p - w for every row: stacked companion matrices (m, deg, deg)."""
@@ -396,12 +388,8 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
             roots[i] = np.repeat(centers, sizes)
         return np.stack([roots.real, roots.imag], axis=2)
 
-    def fiber(y):
-        roots = fiber_batch(np.asarray(y, dtype=np.float64).reshape(1, 2))[0]
-        return np.unique(roots, axis=0, return_counts=True)
-
     def branch_diff_batch(X):
-        return _conformal_matrix(1.0 / _poly_eval(dc, X[..., 0] + 1j * X[..., 1]))
+        return _conformal_matrix(1.0 / _poly_eval(dc, _complex(X)))
 
     def branch_dist(ys):
         if len(crit_values) == 0:
@@ -416,7 +404,6 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
         evaluate=evaluate,
         differential=differential,
         jacobian=jacobian,
-        fiber=fiber,
         fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
         K_I=1.0,
@@ -432,27 +419,16 @@ def planar_power(k: int) -> BranchedCoverSpec:
     if k < 1:
         raise CoverError("power must be >= 1")
 
-    def evaluate(x):
-        z = complex(x[0], x[1]) ** k
-        return np.array([z.real, z.imag])
+    def evaluate(X):
+        w = _complex(X) ** k
+        return np.stack([w.real, w.imag], axis=-1)
 
     def differential(x):
         z = complex(x[0], x[1])
         return _conformal_matrix(k * z ** (k - 1))
 
-    def jacobian(x):
-        z = complex(x[0], x[1])
-        return (k * abs(z) ** (k - 1)) ** 2
-
-    def fiber(y):
-        w = complex(y[0], y[1])
-        if w == 0:
-            return np.zeros((1, 2)), np.array([k], dtype=np.int64)
-        r = abs(w) ** (1.0 / k)
-        t0 = np.angle(w) / k
-        ang = t0 + 2 * np.pi * np.arange(k) / k
-        locs = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
-        return locs, np.ones(k, dtype=np.int64)
+    def jacobian(X):
+        return (k * np.hypot(X[..., 0], X[..., 1]) ** (k - 1)) ** 2
 
     def fiber_batch(ys):
         """Vectorized fibers for points avoiding the branch value 0: (m, k, 2),
@@ -468,7 +444,7 @@ def planar_power(k: int) -> BranchedCoverSpec:
         return X
 
     def branch_diff_batch(X):
-        return _conformal_matrix(1.0 / (k * (X[..., 0] + 1j * X[..., 1]) ** (k - 1)))
+        return _conformal_matrix(1.0 / (k * _complex(X) ** (k - 1)))
 
     def nn_boundary(x, r, samples=256):
         """Boundary polyline of the normal neighborhood U(x, r), r < |x|^k."""
@@ -493,7 +469,6 @@ def planar_power(k: int) -> BranchedCoverSpec:
         evaluate=evaluate,
         differential=differential,
         jacobian=jacobian,
-        fiber=fiber,
         fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
         K_I=1.0,
@@ -510,13 +485,12 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
     if k < 1:
         raise CoverError("winding number must be >= 1")
 
-    def evaluate(x):
-        w = complex(x[0], x[1])
-        r = abs(w)
-        if r == 0:
-            return np.array([0.0, 0.0, x[2]])
-        out = w**k / r ** (k - 1)
-        return np.array([out.real, out.imag, x[2]])
+    def evaluate(X):
+        w = _complex(X)
+        r = np.abs(w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(r > 0, w**k / r ** (k - 1), 0.0)  # the axis maps to itself
+        return np.stack([out.real, out.imag, X[..., 2]], axis=-1)
 
     def differential(x):
         w = complex(x[0], x[1])
@@ -533,17 +507,8 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
         out[:2, :2] = M
         return out
 
-    def jacobian(x):
-        return float(k)
-
-    def fiber(y):
-        w = complex(y[0], y[1])
-        if w == 0:
-            return np.array([[0.0, 0.0, y[2]]]), np.array([k], dtype=np.int64)
-        r = abs(w)
-        ang = np.angle(w) / k + 2 * np.pi * np.arange(k) / k
-        locs = np.stack([r * np.cos(ang), r * np.sin(ang), np.full(k, y[2])], axis=1)
-        return locs, np.ones(k, dtype=np.int64)
+    def jacobian(X):
+        return np.full(X.shape[:-1], float(k))
 
     def fiber_batch(ys):
         r = np.hypot(ys[:, 0], ys[:, 1])[:, None]
@@ -553,7 +518,7 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
     def branch_diff_batch(X):
         """Df^-1 = R_theta diag(1, 1/k) R_{-k theta} on the first two coordinates,
         with e^{i theta} = z / |z|; NaN on the branch axis, where Df is undefined."""
-        u = (X[..., 0] + 1j * X[..., 1]) / np.hypot(X[..., 0], X[..., 1])
+        u = _complex(X) / np.hypot(X[..., 0], X[..., 1])
         out = np.zeros(X.shape + (3,))
         out[..., :2, :2] = _conformal_matrix(u) @ np.diag([1.0, 1.0 / k]) @ _conformal_matrix(u.conj() ** k)
         out[..., 2, 2] = 1.0
@@ -569,7 +534,6 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
         evaluate=evaluate,
         differential=differential,
         jacobian=jacobian,
-        fiber=fiber,
         fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
         K_I=float(k),
@@ -597,19 +561,20 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
     Ainv = np.linalg.inv(A)
     sv = np.linalg.svd(A, compute_uv=False)
     lam = float(sv[0] / sv[-1])
+    det_A = float(np.linalg.det(A))
 
-    def evaluate(x):
-        return base.evaluate(A @ np.asarray(x, dtype=np.float64) + b)
+    def affine(X):
+        # stacked matrix-vector products: row p is A @ X[p] + b bit for bit, whatever the batch
+        return (A @ X[..., None])[..., 0] + b
+
+    def evaluate(X):
+        return base.evaluate(affine(X))
 
     def differential(x):
         return base.differential(A @ np.asarray(x, dtype=np.float64) + b) @ A
 
-    def jacobian(x):
-        return float(base.jacobian(A @ np.asarray(x, dtype=np.float64) + b) * np.linalg.det(A))
-
-    def fiber(y):
-        locs, ws = base.fiber(y)
-        return (locs - b) @ Ainv.T, ws
+    def jacobian(X):
+        return base.jacobian(affine(X)) * det_A
 
     def fiber_batch(ys):
         return (base.fiber_batch(ys) - b) @ Ainv.T
@@ -625,7 +590,6 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
         evaluate=evaluate,
         differential=differential,
         jacobian=jacobian,
-        fiber=fiber,
         fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
         K_I=base.K_I * lam,
@@ -711,7 +675,7 @@ def _fibers_failing_alone(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarr
     return F, errors
 
 
-def _match(X: np.ndarray, F: np.ndarray) -> np.ndarray:
+def match_fibers(X: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Optimal assignment perm (A, d) of the fibers F (A, d, n) to the lifts X, F[a, perm[a]] ~ X[a].
 
     For d <= 6 every permutation is priced at once (``kernels.enumerate_min``)
@@ -794,7 +758,7 @@ def lift_paths(
             running[act[~ok]] = False
             act, t_new, y_new, F = act[ok], t_new[ok], y_new[ok], F[ok]
         Xa = X[act]
-        perm = _match(Xa, F)
+        perm = match_fibers(Xa, F)
         F = np.take_along_axis(F, perm[:, :, None], axis=1)
         jumps = np.linalg.norm(Xa - F, axis=2).max(axis=1)
         gap = _distinct_gaps(Xa, merge_tol)
@@ -903,13 +867,6 @@ def polyline_paths(polylines) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     return gamma
 
 
-def polyline(points: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Arclength-ish parametrization of a polyline as a callable on [0, 1]."""
-    gamma = polyline_paths([points])
-    row = np.zeros(1, dtype=np.int64)
-    return lambda t: gamma(row, np.array([t], dtype=np.float64))[0]
-
-
 # ---------------------------------------------------------------------------
 # preimage measure comparison
 
@@ -938,8 +895,8 @@ def preimage_measure_check(
     zC = center.expand()
 
     # LHS: Lebesgue measure of {x in domain : d_A(minv(f(x)), z) < r}
-    xs = domain_region.sample(rng, n_samples)
-    fibers = minv_batch(f, np.array([f.evaluate(x) for x in xs]))
+    xs = _check_points(f, domain_region.sample(rng, n_samples))
+    fibers = minv_batch(f, f.evaluate(xs))
     ind = kernels.dist_sq_one_to_many(zC, fibers) < radius**2
     if not ind.any():
         raise NumericalError(f"no domain sample of {n_samples} falls in the ball of radius {radius}")

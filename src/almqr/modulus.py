@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .almgren import AlmgrenPoint
+from .almgren import sorted_tuples
 from .covers import (
     BranchedCoverSpec,
     CoverError,
@@ -29,12 +29,13 @@ from .covers import (
     fiber_branch_differentials,
     h_function,
     lift_paths,
+    match_fibers,
     minv,
     minv_batch,
-    polyline,
     polyline_paths,
 )
 from .regions import Annulus, Box, annulus_quadrature, box_quadrature
+from .util import row_norms
 
 
 # ---------------------------------------------------------------------------
@@ -426,62 +427,48 @@ def upper_gradient_check(
     against H * base speed (lower) and (K_I K_O)^{1/n} H * base speed (upper).
 
     Speeds are central differences of assignment-matched fibers at parameter
-    offsets +-fd_step; samples too close to the branch values are excluded.
+    offsets +-fd_step; samples too close to the branch values, or where the
+    base curve does not move, are excluded.  All curves are sampled at once:
+    the fibers over the samples and over their two offsets take one
+    ``minv_batch`` call each.  A sweep with no sample left raises
+    NumericalError, since it has checked nothing.
     """
     n = f.n
     Kfac = (f.K_I * f.K_O) ** (1.0 / n)
-    used = 0
-    excluded = 0
-    viol_low = 0
-    viol_high = 0
-    worst_low = 0.0
-    worst_high = 0.0
-    ts = (np.arange(samples_per_curve) + 0.5) / samples_per_curve
-    for pts in family.polylines:
-        gamma = polyline(pts)
-        ys = np.array([gamma(t) for t in ts])
-        for t, y, near in zip(ts, ys, f.branch_value_distance(ys) < margin):
-            if near:
-                excluded += 1
-                continue
-            yp, ym = gamma(t + fd_step), gamma(t - fd_step)
-            base_speed = float(np.linalg.norm(yp - ym) / (2 * fd_step))
-            if base_speed == 0.0:
-                excluded += 1
-                continue
-            X = minv(f, y).expand()
-            Fp = minv(f, yp).expand()
-            Fm = minv(f, ym).expand()
-            dp = X[:, None, :] - Fp[None, :, :]
-            cp = np.einsum("ijk,ijk->ij", dp, dp)
-            _, pp = kernels.solve_assignment(cp)
-            dm = X[:, None, :] - Fm[None, :, :]
-            cm = np.einsum("ijk,ijk->ij", dm, dm)
-            _, pm = kernels.solve_assignment(cm)
-            vel = (Fp[pp] - Fm[pm]) / (2 * fd_step)
-            frame_speed = float(np.sqrt(np.einsum("jk,jk->", vel, vel)))
-            H = h_function(f, y)
-            lower = H * base_speed
-            upper = Kfac * H * base_speed
-            used += 1
-            if frame_speed < lower * (1 - tol):
-                viol_low += 1
-                worst_low = max(worst_low, (lower - frame_speed) / lower)
-            if frame_speed > upper * (1 + tol):
-                viol_high += 1
-                worst_high = max(worst_high, (frame_speed - upper) / upper)
-    total = max(used, 1)
+    gamma = polyline_paths(family.polylines)
+    rows = np.repeat(np.arange(len(family)), samples_per_curve)
+    ts = np.tile((np.arange(samples_per_curve) + 0.5) / samples_per_curve, len(family))
+    ys, yp, ym = gamma(rows, ts), gamma(rows, ts + fd_step), gamma(rows, ts - fd_step)
+    base_speed = row_norms(yp - ym) / (2 * fd_step)
+    keep = ~(f.branch_value_distance(ys) < margin) & (base_speed != 0.0)
+    used = int(keep.sum())
+    excluded = len(ys) - used
+    if used == 0:
+        raise NumericalError(f"upper-gradient check used no sample: all {excluded} were excluded")
+    ys, yp, ym, base_speed = ys[keep], yp[keep], ym[keep], base_speed[keep]
+    X = sorted_tuples(minv_batch(f, ys))
+    Fp, Fm = minv_batch(f, yp), minv_batch(f, ym)
+    Fp = np.take_along_axis(Fp, match_fibers(X, Fp)[:, :, None], axis=1)
+    Fm = np.take_along_axis(Fm, match_fibers(X, Fm)[:, :, None], axis=1)
+    vel = (Fp - Fm) / (2 * fd_step)
+    frame_speed = np.sqrt(np.einsum("pjk,pjk->p", vel, vel))
+    H = h_function(f, ys)
+    lower = H * base_speed
+    upper = Kfac * H * base_speed
+    low = frame_speed < lower * (1 - tol)
+    high = frame_speed > upper * (1 + tol)
+    violations = int(low.sum() + high.sum())
     return {
         "check": "upper-gradient",
         "map": f.name,
         "n_samples": used,
         "excluded": excluded,
-        "violation_fraction": (viol_low + viol_high) / total,
-        "worst_low_gap": worst_low,
-        "worst_high_gap": worst_high,
+        "violation_fraction": violations / used,
+        "worst_low_gap": float(np.max((lower[low] - frame_speed[low]) / lower[low], initial=0.0)),
+        "worst_high_gap": float(np.max((frame_speed[high] - upper[high]) / upper[high], initial=0.0)),
         "K_factor": Kfac,
         "tol": tol,
-        "pass": bool(viol_low + viol_high == 0),
+        "pass": violations == 0,
     }
 
 
@@ -515,7 +502,7 @@ def area_formula_check(
         fibers = minv_batch(f, pts)  # (M, d, n), index-weighted by repetition
         lhs = float(w @ g(fibers.reshape(-1, f.n)).reshape(len(pts), f.degree).sum(axis=1))
         pts2, w2 = quad(preimage_region, order)
-        rhs = float(w2 @ (g(pts2) * np.array([f.jacobian(x) for x in pts2])))
+        rhs = float(w2 @ (g(pts2) * f.jacobian(pts2)))
         disc = abs(lhs - rhs)
         scale = max(abs(lhs), abs(rhs), 1e-300)
         levels.append({"order": order, "lhs": lhs, "rhs": rhs, "rel_discrepancy": disc / scale})
@@ -531,13 +518,16 @@ def area_formula_check(
 def energy_bound_check(
     f: BranchedCoverSpec, image_region, preimage_region, order: int = 64
 ) -> dict:
-    """int_E H^n dy <= d^{n/2-1} K_I K_O |f^{-1} E| with the slack reported."""
+    """int_E H^n dy <= d^{n/2-1} K_I K_O |f^{-1} E| with the slack reported.
+
+    H takes one batch ``h_function`` call over all quadrature nodes.
+    """
     n = f.n
     if isinstance(image_region, Annulus):
         pts, w = annulus_quadrature(image_region, order, 2 * order)
     else:
         pts, w = box_quadrature(image_region, order)
-    lhs = float(sum(wy * h_function(f, y) ** n for y, wy in zip(pts, w)))
+    lhs = float(w @ h_function(f, pts) ** n)
     rhs = f.degree ** (n / 2.0 - 1.0) * f.K_I * f.K_O * preimage_region.volume()
     return {
         "check": "inverse-energy-bound",
@@ -670,14 +660,12 @@ def metric_qc_check(
     z0 = minv(f, y0)
     z0e = z0.expand()
     fiber = z0.locations
-    gap = np.inf
-    for i in range(len(fiber)):
-        for j in range(i + 1, len(fiber)):
-            gap = min(gap, float(np.linalg.norm(fiber[i] - fiber[j])))
+    i, j = np.triu_indices(len(fiber), 1)
+    gap = float(np.min(np.linalg.norm(fiber[i] - fiber[j], axis=1), initial=np.inf))
 
     def dist_to_z0(Y):
-        """Distances from the fibers over the points Y (m, n) to z0, priced in one batch."""
-        X = np.array([minv(f, y).expand() for y in Y])
+        """Distances from the fibers over the points Y (m, n) to z0, from one ``minv_batch`` call."""
+        X = sorted_tuples(minv_batch(f, Y))
         return np.sqrt(kernels.dist_sq_pairs(X, np.broadcast_to(z0e, X.shape)))
 
     rows = []

@@ -1,9 +1,12 @@
 """Calculus of multi-valued maps into the unordered-tuple space.
 
-Differentials are per-branch linear maps obtained either exactly (inverse
-function theorem for inverses of covers, stored matrices for synthetic
-affine maps) or by matching-based central differences.  The frame norm
-|Df|^2 = sum_j ||L_j||^2 is the quantity used throughout the verifiers.
+A multi-valued map answers in batches: points (P, m) go to tuples
+(P, d, n) in ``almgren.sorted_tuples`` form, and ``F(x)`` is the batch of
+one as an AlmgrenPoint.  Differentials are per-branch linear maps obtained
+either exactly (inverse function theorem for inverses of covers, stored
+matrices for synthetic affine maps) or by matching-based central
+differences.  The frame norm |Df|^2 = sum_j ||L_j||^2 is the quantity used
+throughout the verifiers.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .almgren import AlmgrenPoint, distance_to_diagonal, distance_value
+from .almgren import AlmgrenPoint, barycenters, distances_to_diagonal, points_of, sorted_tuples
 from .covers import (
     BranchedCoverSpec,
     NumericalError,
     branch_differentials_batch,
     det,
-    minv,
     minv_batch,
     op_norm,
     op_norm_sq,
@@ -41,7 +43,10 @@ class PullbackError(ValueError):
 class MultiValuedMap:
     """A map from an open region of R^m into the space of unordered d-tuples.
 
-    ``exact_branches``, when known, is batch-first: points (P, m) go to
+    ``evaluate`` is batch-first: points (P, m) go to tuples (P, d, n) in
+    ``sorted_tuples`` form, row p equal to ``F(X[p]).expand()`` bit for bit;
+    ``F(x)``, for one point (m,), is its batch of one as an AlmgrenPoint.
+    ``exact_branches``, when known, is batch-first too: points (P, m) go to
     branch values (P, d, n) and branch differentials (P, d, n, m).
     """
 
@@ -49,7 +54,7 @@ class MultiValuedMap:
     m: int
     n: int
     d: int
-    evaluate: Callable[[np.ndarray], AlmgrenPoint]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     provenance: str = "synthetic-lipschitz"
     exact_branches: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     lipschitz_bound: Optional[float] = None
@@ -57,7 +62,7 @@ class MultiValuedMap:
     info: dict = field(default_factory=dict)
 
     def __call__(self, x) -> AlmgrenPoint:
-        return self.evaluate(np.asarray(x, dtype=np.float64).reshape(self.m))
+        return points_of(self.evaluate(np.asarray(x, dtype=np.float64).reshape(1, self.m)))[0]
 
 
 def from_cover(f: BranchedCoverSpec, domain) -> MultiValuedMap:
@@ -71,7 +76,7 @@ def from_cover(f: BranchedCoverSpec, domain) -> MultiValuedMap:
         m=f.n,
         n=f.n,
         d=f.degree,
-        evaluate=lambda y: minv(f, y),
+        evaluate=lambda Y: sorted_tuples(minv_batch(f, Y)),
         provenance="inverse-of-cover",
         exact_branches=lambda Y: branch_differentials_batch(f, Y),
         cover=f,
@@ -88,20 +93,21 @@ def from_affine_branches(branches: list[tuple[np.ndarray, np.ndarray]], domain, 
     L = np.stack(As)
     lip = float(np.sqrt(sum(op_norm(A) ** 2 for A in As)))
 
-    def ev(x: np.ndarray) -> AlmgrenPoint:
-        return AlmgrenPoint.from_points([A @ x + b for A, b in zip(As, bs)])
+    def values(X: np.ndarray) -> np.ndarray:
+        # a stack of matrix-vector products: row p is A @ X[p] + b bit for bit, whatever the batch
+        X = np.asarray(X, dtype=np.float64).reshape(-1, m, 1)
+        return np.stack([(A @ X)[:, :, 0] + b for A, b in zip(As, bs)], axis=1)
 
     def branches_fn(X: np.ndarray):
-        X = np.asarray(X, dtype=np.float64).reshape(-1, m)
-        vals = np.stack([X @ A.T + b for A, b in zip(As, bs)], axis=1)
-        return vals, np.broadcast_to(L, (len(X),) + L.shape).copy()
+        vals = values(X)
+        return vals, np.broadcast_to(L, (len(vals),) + L.shape).copy()
 
     return MultiValuedMap(
         domain=domain,
         m=m,
         n=n,
         d=len(As),
-        evaluate=ev,
+        evaluate=lambda X: sorted_tuples(values(X)),
         provenance="synthetic-lipschitz",
         exact_branches=branches_fn,
         lipschitz_bound=lip,
@@ -214,20 +220,19 @@ def _match(base: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, float]:
 def differential(F: MultiValuedMap, x, h: float = 1e-5) -> MVDifferential:
     """Branch differentials at x: exact when available, else matched central FD."""
     x = np.asarray(x, dtype=np.float64).reshape(F.m)
-    scale = 1.0
     if F.exact_branches is not None:
         values, L, on_sing = _exact_branch_batch(F, x[None])
         return MVDifferential(x0=x, values=values[0], L=L[0], on_singular_set=bool(on_sing[0]))
 
-    X = F(x).expand()
+    # the 2m + 1 rows x, x + h e_i, x - h e_i in one evaluation
+    E = h * np.eye(F.m)
+    T = F.evaluate(np.concatenate([x[None], x + E, x - E]))
+    X = T[0]
     d, n = X.shape
     L = np.zeros((d, n, F.m))
     ambiguous = False
     for i in range(F.m):
-        e = np.zeros(F.m)
-        e[i] = h
-        Xp = F(x + e).expand()
-        Xm = F(x - e).expand()
+        Xp, Xm = T[1 + i], T[1 + F.m + i]
         pp, sp = _match(X, Xp)
         pm, sm = _match(X, Xm)
         if min(sp, sm) < 1e-12:
@@ -312,10 +317,8 @@ class MultiValuedPair:
     def combined(self) -> MultiValuedMap:
         f0, f1 = self.f0, self.f1
 
-        def ev(x: np.ndarray) -> AlmgrenPoint:
-            p0, p1 = f0(x), f1(x)
-            locs = np.concatenate([p0.expand(), p1.expand()])
-            return AlmgrenPoint.from_points(locs)
+        def ev(X: np.ndarray) -> np.ndarray:
+            return sorted_tuples(np.concatenate([f0.evaluate(X), f1.evaluate(X)], axis=1))
 
         branches = None
         if f0.exact_branches is not None and f1.exact_branches is not None:
@@ -572,6 +575,9 @@ def weak_stokes_check(
 # ---------------------------------------------------------------------------
 # interpolation toward the diagonal
 
+# (row, cloud point) pairs priced together by interpolate_feps; bounds their memory
+CLOUD_BLOCK = 1 << 18
+
 
 def interpolate_feps(
     F: MultiValuedMap,
@@ -596,7 +602,7 @@ def interpolate_feps(
         raise ValueError("need a Lipschitz bound for the interpolation radius bookkeeping")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 271]))
     pts = F.domain.sample(rng, cloud_size)
-    member = np.array([distance_to_diagonal(F(x)) < eps for x in pts])
+    member = distances_to_diagonal(F.evaluate(pts)) < eps
     cloud = pts[member]
     all_member = bool(member.all())
     info = {
@@ -607,22 +613,33 @@ def interpolate_feps(
         "lipschitz_bound": float(L),
     }
 
-    def eta(x: np.ndarray, p: AlmgrenPoint) -> float:
-        if distance_to_diagonal(p) < eps:
-            return 1.0
-        if len(cloud) == 0:
-            return 0.0
-        dmin = float(np.sqrt(np.min(np.einsum("ij,ij->i", cloud - x, cloud - x))))
-        return max(0.0, 1.0 - dmin / eps)
+    # the cloud sorted by its first coordinate: a block of rows only prices
+    # the cloud points within reach of it along that axis
+    cloud = cloud[np.argsort(cloud[:, 0], kind="stable")]
+    reach = 1.01 * eps  # a point within eps differs by less in each coordinate; 1% absorbs rounding
 
-    def ev(x: np.ndarray) -> AlmgrenPoint:
-        p = F(x)
-        e = eta(x, p)
-        if e == 0.0:
-            return p
-        b = p.barycenter()
-        locs = (1.0 - e) * p.locations + e * b
-        return AlmgrenPoint.from_points(locs, p.weights.tolist())
+    def nearest(X: np.ndarray) -> np.ndarray:
+        """Distance from each row of X (P, m) to the nearest cloud point where it is below eps; at least eps elsewhere."""
+        out = np.full(len(X), np.inf)
+        rows = np.argsort(X[:, 0], kind="stable")
+        step = max(1, CLOUD_BLOCK // len(cloud))
+        for a in range(0, len(X), step):
+            block = X[rows[a : a + step]]
+            lo, hi = np.searchsorted(cloud[:, 0], [block[0, 0] - reach, block[-1, 0] + reach])
+            if hi > lo:
+                diff = cloud[None, lo:hi, :] - block[:, None, :]
+                out[rows[a : a + step]] = np.sqrt(np.einsum("bcm,bcm->bc", diff, diff).min(axis=1))
+        return out
+
+    def ev(X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64).reshape(-1, F.m)
+        T = F.evaluate(X)
+        # the blending weight: 1 on the sublevel set, else decaying with the cloud distance
+        e = np.ones(len(X))
+        off = ~(distances_to_diagonal(T) < eps)
+        e[off] = np.maximum(0.0, 1.0 - nearest(X[off]) / eps) if len(cloud) else 0.0
+        e = e[:, None, None]
+        return sorted_tuples((1.0 - e) * T + e * barycenters(T)[:, None, :])
 
     G = MultiValuedMap(
         domain=F.domain,

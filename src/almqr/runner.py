@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .almgren import (
     AlmgrenPoint,
     barycenter,
     bruteforce_matchings,
     distance,
-    distance_to_diagonal,
     distance_value,
     distance_values,
+    distances_to_diagonal,
     points_of,
     sorted_tuples,
 )
@@ -60,7 +59,7 @@ from .mv import (
 )
 from .regions import Annulus, Box, parse_region
 from .reports import ReportRecord, timed
-from .util import seeded_rng
+from .util import row_dots, row_norms, seeded_rng
 
 
 # samples drawn and priced together by the tuple-space checks; a block's
@@ -141,11 +140,6 @@ def _check_metric_axioms(config, seed):
     return passed, metrics, {"triangle_tol": tol}, 0
 
 
-def _row_norms(V: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of V (k, n)."""
-    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
-
-
 def _lipschitz_ratios(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, int]:
     """sqrt(d) |b(p) - b(q)| / dist(p, q) for paired tuples (k, d, n) in ``sorted_tuples`` form.
 
@@ -155,7 +149,7 @@ def _lipschitz_ratios(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, int]:
     d = P.shape[1]
     dv = distance_values(P, Q)
     keep = dv != 0.0
-    norm = _row_norms(P[keep].sum(axis=1) / d - Q[keep].sum(axis=1) / d)
+    norm = row_norms(P[keep].sum(axis=1) / d - Q[keep].sum(axis=1) / d)
     return np.sqrt(d) * norm / dv[keep], int(np.count_nonzero(~keep))
 
 
@@ -405,6 +399,14 @@ def _check_stokes(config, seed):
     return passed, metrics, {"tol": tol}, 0
 
 
+def _positive(config, key: str, default: int) -> int:
+    """The integer config[key] (or the default); SpecError unless it is at least 1."""
+    value = int(config.get(key, default))
+    if value < 1:
+        raise SpecError(f"{key} must be at least 1, got {value}")
+    return value
+
+
 def _check_upper_gradient(config, seed):
     f = _map_from_config(config)
     region = _region_from_config(config, "annulus:0.5,1.5")
@@ -412,7 +414,7 @@ def _check_upper_gradient(config, seed):
     rep = upper_gradient_check(
         f,
         fam,
-        samples_per_curve=int(config.get("samples_per_curve", 64)),
+        samples_per_curve=_positive(config, "samples_per_curve", 64),
         tol=float(config.get("tol", 1e-6)),
     )
     metrics = {k: rep[k] for k in ("violation_fraction", "worst_low_gap", "worst_high_gap", "n_samples", "K_factor")}
@@ -430,10 +432,13 @@ def _check_area(config, seed):
         "sq_norm": lambda X: np.einsum("ij,ij->i", X, X),
         "inv_grad_sq": lambda X: 1.0 / np.maximum(np.hypot(X[:, 0], X[:, 1]) ** (2 * (d - 1)) * d * d, 1e-300),
     }
+    orders = tuple(int(o) for o in config.get("orders", (32, 64)))
+    if not orders or min(orders) < 1:
+        raise SpecError(f"area needs at least one quadrature order, each at least 1; got {list(orders)}")
     worst = 0.0
     rows = {}
     for name, g in gs.items():
-        rep = area_formula_check(f, g, E, pre, orders=tuple(config.get("orders", (32, 64))))
+        rep = area_formula_check(f, g, E, pre, orders=orders)
         rows[name] = rep["rel_discrepancy"]
         worst = max(worst, rep["rel_discrepancy"])
     passed = worst <= tol
@@ -445,7 +450,7 @@ def _check_energy(config, seed):
     d = f.degree
     E = Annulus(np.zeros(2), *config.get("image_annulus", (1.0, 4.0)))
     pre = Annulus(np.zeros(2), E.r_in ** (1.0 / d), E.r_out ** (1.0 / d))
-    rep = energy_bound_check(f, E, pre, order=int(config.get("order", 64)))
+    rep = energy_bound_check(f, E, pre, order=_positive(config, "order", 64))
     return rep["pass"], {"energy": rep["energy"], "bound": rep["bound"], "slack": rep["slack"]}, {
         "bound_slack": 1e-9
     }, 0
@@ -453,7 +458,7 @@ def _check_energy(config, seed):
 
 def _check_gen_inverse(config, seed):
     degrees = config.get("degrees", [2, 3, 4])
-    n_samples = int(config.get("samples", 10_000))
+    n_samples = _positive(config, "samples", 10_000)
     tol = float(config.get("tol", 1e-8))
     region = Annulus(np.zeros(2), 0.2, 2.0)
     worst = 0.0
@@ -531,29 +536,25 @@ def _check_ahlfors(config, seed):
 
 
 def _synthetic_map(d: int, rho: float = 0.5) -> MultiValuedMap:
+    """Points x (P, 2) to the d-tuples c + s u_j: c = (x_1, x_2 / 2), s = max(0, |x|^2 - rho^2), u_j unit directions."""
     box = Box([-1.0, -1.0], [1.0, 1.0])
     if d == 2:
-        dirs = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
+        dirs = np.array([[1.0, 0.0], [-1.0, 0.0]])
     else:
-        dirs = [np.array([np.cos(2 * np.pi * j / d), np.sin(2 * np.pi * j / d)]) for j in range(d)]
+        dirs = np.array([[np.cos(2 * np.pi * j / d), np.sin(2 * np.pi * j / d)] for j in range(d)])
 
-    def ev(x):
-        c = np.array([x[0], 0.5 * x[1]])
-        s = max(0.0, float(x @ x) - rho**2)
-        return AlmgrenPoint.from_points([c + s * u for u in dirs])
+    def ev(X):
+        c = np.stack([X[:, 0], 0.5 * X[:, 1]], axis=1)
+        s = np.maximum(0.0, row_dots(X) - rho**2)
+        return sorted_tuples(c[:, None, :] + s[:, None, None] * dirs)
 
     return MultiValuedMap(domain=box, m=2, n=2, d=d, evaluate=ev)
-
-
-def _expanded(points) -> np.ndarray:
-    """The expanded tuples (m, d, n) of tuple points, stacked for ``distance_values``."""
-    return np.array([p.expand() for p in points])
 
 
 def _check_interp(config, seed):
     ds = config.get("ds", [2, 3])
     eps = float(config.get("eps", 0.1))
-    n_pairs = int(config.get("pairs", 10_000))
+    n_pairs = _positive(config, "pairs", 10_000)
     tol = float(config.get("tol", 1e-6))
     rng = seeded_rng(seed, 11)
     rows = []
@@ -562,22 +563,22 @@ def _check_interp(config, seed):
         F = _synthetic_map(int(d))
         X = F.domain.sample(rng, n_pairs)
         Y = F.domain.sample(rng, n_pairs)
-        norm = _row_norms(X - Y)
+        norm = row_norms(X - Y)
         apart = norm > 1e-12
-        FX = [F(x) for x in X]
-        FXe, FYe = _expanded(FX), _expanded(F(y) for y in Y)
+        FX, FY = F.evaluate(X), F.evaluate(Y)
         # np.max keeps a NaN, so a NaN distance fails the check
-        L = float(np.max(distance_values(FXe, FYe)[apart] / norm[apart])) * 1.05
+        L = float(np.max(distance_values(FX, FY)[apart] / norm[apart])) * 1.05
         F.lipschitz_bound = L
         G, info = interpolate_feps(F, eps, cloud_size=int(config.get("cloud", 10_000)), seed=seed)
-        GXe, GYe = _expanded(G(x) for x in X), _expanded(G(y) for y in Y)
-        lip_eps = np.max(distance_values(GXe, GYe)[apart] / norm[apart])
-        dev = np.max(distance_values(GXe, FXe))
+        GX, GY = G.evaluate(X), G.evaluate(Y)
+        lip_eps = np.max(distance_values(GX, GY)[apart] / norm[apart])
+        dev = np.max(distance_values(GX, FX))
         ok_lip = lip_eps <= (3 + 2 * d) * L * (1 + tol)
         ok_dev = dev <= 2 * L * eps * (1 + tol)
-        # on the coincidence set the interpolated map is purely diagonal
-        members = [x for x, p in zip(X[:2000], FX) if distance_to_diagonal(p) < eps]
-        ok_diag = all(len(G(x).weights) == 1 for x in members[:200])
+        # on the coincidence set the interpolated map is purely diagonal: one location
+        members = X[:2000][distances_to_diagonal(FX[:2000]) < eps][:200]
+        GM = G.evaluate(members)
+        ok_diag = bool(np.all(GM == GM[:, :1]))
         rows.append(
             {
                 "d": d,
@@ -644,6 +645,8 @@ def _check_metric_qc(config, seed):
     f = _map_from_config(config)
     y0 = np.asarray(config.get("y", [1.0, 0.0]), dtype=float)
     radii = config.get("radii", [0.1, 0.05, 0.02])
+    if not radii:
+        raise SpecError("metric-qc needs at least one radius")
     rep = metric_qc_check(f, y0, radii)
     return rep["pass"], {"rows": rep["rows"]}, {"slack": 1e-9}, 0
 

@@ -1,4 +1,4 @@
-"""Shared small utilities: deterministic RNG streams and canonical JSON."""
+"""Shared small utilities: deterministic RNG streams, row norms and canonical JSON."""
 
 from __future__ import annotations
 
@@ -11,6 +11,16 @@ import numpy as np
 def seeded_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for a (seed, task-path) pair; streams are independent per path."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
+
+
+def row_dots(V: np.ndarray) -> np.ndarray:
+    """``v @ v`` of each row v of V (k, n), bit for bit."""
+    return (V[:, None, :] @ V[:, :, None])[:, 0, 0]
+
+
+def row_norms(V: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of V (k, n), bit for bit."""
+    return np.sqrt(row_dots(V))
 
 
 def canonical_json(obj) -> str:

@@ -145,6 +145,34 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
     assert run_cli("verify", "ahlfors", "--config", json.dumps(config)) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
+
+@pytest.mark.parametrize(
+    "check, config",
+    [
+        ("interp", {"pairs": 0}),
+        ("upper-gradient", {"samples_per_curve": 0}),
+        ("gen-inverse", {"samples": 0}),
+        ("energy", {"order": 0}),
+        ("area", {"orders": []}),
+        ("metric-qc", {"radii": []}),
+        ("qr-curve", {"map": {"map": "wind3", "k": 2}}),
+        ("preimage-measure", {"map": {"map": "wind3", "k": 2}}),
+    ],
+    ids=["interp-no-pairs", "upper-gradient-no-samples", "gen-inverse-no-samples", "energy-order-0", "area-no-orders",
+         "metric-qc-no-radii", "qr-curve-wind3-planar-region", "preimage-measure-wind3-planar-points"],
+)
+def test_bad_config_exit_code(check, config, capsys):
+    # no samples, no levels, or points of the wrong dimension: a usage error (exit 2), not a traceback
+    assert run_cli("verify", check, "--config", json.dumps(config)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_upper_gradient_with_every_sample_excluded_exit_code(capsys):
+    # every sample lies within the exclusion margin of the branch value: nothing was checked (exit 3)
+    config = {"map": {"map": "power", "k": 2}, "region": "annulus:0.0001,0.0005", "samples_per_curve": 8}
+    assert run_cli("verify", "upper-gradient", "--config", json.dumps(config)) == 3
+    assert "used no sample" in capsys.readouterr().err
+
 def test_suite_empty_manifest(tmp_path, capsys):
     mf = tmp_path / "m.json"
     mf.write_text(json.dumps({"runs": []}))

@@ -1,4 +1,4 @@
-"""Catalog branched covers: fibers, indices, push-forward, distortion."""
+"""Catalog branched covers: batch oracles, fibers, indices, distortion."""
 
 import dataclasses
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from almqr import kernels
-from almqr.almgren import AlmgrenPoint, distance_value, distance_values
+from almqr.almgren import distance_value, distance_values, points_of, sorted_tuples
 from almqr.covers import (
     CoverError,
     NumericalError,
@@ -15,14 +15,12 @@ from almqr.covers import (
     complex_polynomial,
     h_function,
     identity_map,
-    local_index,
     min_singular,
     minv,
     minv_batch,
     op_norm,
     planar_power,
     precomposed,
-    push_forward,
     winding_map_3d,
 )
 from almqr.modulus import metric_jacobian_values
@@ -65,28 +63,7 @@ def test_degree_sum_invariant_random():
             p = minv(f, y)
             assert p.d == f.degree
             # fiber points map back to y
-            for loc in p.locations:
-                assert np.linalg.norm(f.evaluate(loc) - y) < 1e-9 * (1 + np.linalg.norm(y))
-
-
-def test_local_index_examples():
-    f = planar_power(3)
-    assert local_index(f, [0.0, 0.0]) == 3
-    assert local_index(f, [0.5, 0.2]) == 1
-    w = winding_map_3d(4)
-    assert local_index(w, [0.0, 0.0, 0.3]) == 4
-    assert local_index(w, [0.5, 0.0, 0.3]) == 1
-
-
-def test_push_forward():
-    f = planar_power(2)
-    y = np.array([0.5, 0.2])
-    assert push_forward(f, lambda x: 1.0, y) == pytest.approx(2.0)
-    assert push_forward(f, lambda x: float(x @ x), y) == pytest.approx(2 * np.hypot(*y))
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        yy = rng.normal(size=2)
-        assert push_forward(f, lambda x: abs(x[0]) + 1e-3, yy) > 0
+            assert np.linalg.norm(f.evaluate(p.locations) - y, axis=1).max() < 1e-9 * (1 + np.linalg.norm(y))
 
 
 def test_h_function_values():
@@ -104,6 +81,23 @@ def test_h_function_singular_fiber():
     f = planar_power(2)
     with pytest.raises(NumericalError):
         h_function(f, [0.0, 0.0])
+    with pytest.raises(NumericalError):
+        h_function(f, [[1.0, 0.0], [0.0, 0.0]])  # one critical fiber fails the batch
+
+
+@pytest.mark.parametrize("kind", ["power3", "poly", "precompose-power", "wind3"])
+def test_h_function_batch_matches_scalar_differentials(kind):
+    # reference: the index-weighted sum of ||Df||^-2 from the scalar differential at the merged fiber points
+    f = {**HELD_FIBER_MAPS, "wind3": winding_map_3d(3)}[kind]
+    ys = np.random.default_rng(14).uniform(0.2, 0.9, size=(60, f.n))
+    H = h_function(f, ys)
+    assert H.shape == (60,)
+    ref = []
+    for y in ys:
+        p = minv(f, y)
+        ref.append(np.sqrt(sum(w / op_norm(f.differential(x)) ** 2 for x, w in zip(p.locations, p.weights))))
+    assert H == pytest.approx(ref, rel=1e-12)
+    assert [h_function(f, y) for y in ys[:5]] == H[:5].tolist()  # one point is the batch of one
 
 
 def test_metric_jacobian_conformal_equals_H_squared():
@@ -173,7 +167,7 @@ def test_catalog_distortion_invariants():
     for _ in range(100):
         x = rng.normal(size=2)
         D = f.differential(x)
-        J = f.jacobian(x)
+        J = f.jacobian(x[None])[0]
         if J < 1e-12:
             continue
         assert op_norm(D) ** 2 <= f.K_O * J * (1 + 1e-9)
@@ -188,7 +182,7 @@ def test_catalog_distortion_invariants():
     for _ in range(100):
         x = rng.normal(size=2)
         D = g.differential(x)
-        J = g.jacobian(x)
+        J = g.jacobian(x[None])[0]
         if J < 1e-12:
             continue
         assert op_norm(D) ** 2 <= g.K_O * J * (1 + 1e-9)
@@ -202,8 +196,9 @@ def test_catalog_distortion_invariants():
         D = w.differential(x)
         assert op_norm(D) == pytest.approx(3.0, rel=1e-10)
         assert min_singular(D) == pytest.approx(1.0, rel=1e-10)
-        assert op_norm(D) ** 3 <= w.K_O * w.jacobian(x) * (1 + 1e-12)
-        assert w.jacobian(x) <= w.K_I * min_singular(D) ** 3 * (1 + 1e-12)
+        J = w.jacobian(x[None])[0]
+        assert op_norm(D) ** 3 <= w.K_O * J * (1 + 1e-12)
+        assert J <= w.K_I * min_singular(D) ** 3 * (1 + 1e-12)
 
 
 def test_minv_sampled_continuity():
@@ -346,8 +341,9 @@ def test_jacobian_positive_off_branch_set():
             else:
                 x = rng.normal(size=2)
             # x is off the branch set iff its fiber point has index 1
-            if local_index(f, x) == 1:
-                assert f.jacobian(x) > 0.0
+            p = minv(f, f.evaluate(x[None])[0])
+            if p.weights[np.argmin(np.linalg.norm(p.locations - x, axis=1))] == 1:
+                assert f.jacobian(x[None])[0] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +382,7 @@ def test_minv_batch_poly_matches_np_roots(coeffs):
         r = np.roots(p)
         r = r - np.polyval(p, r) / np.polyval(np.polyder(p), r)  # one Newton step on the reference
         assert _match_ulps(row, _as_points(r)) <= 4
-        assert np.allclose([f.evaluate(x) for x in row], y, atol=1e-12)
+        assert np.allclose(f.evaluate(row), y, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -396,7 +392,7 @@ def test_minv_batch_power_matches_complex_roots(k):
     ref = _as_points(_kth_roots(ys[:, 0] + 1j * ys[:, 1], k))
     for y, row, r in zip(ys, minv_batch(f, ys), ref):
         assert _match_ulps(row, r) <= 4
-        assert np.allclose([f.evaluate(x) for x in row], y, atol=1e-12)
+        assert np.allclose(f.evaluate(row), y, atol=1e-12)
 
 
 def test_minv_batch_wind3_matches_complex_roots():
@@ -410,7 +406,7 @@ def test_minv_batch_wind3_matches_complex_roots():
     ref = np.concatenate([_as_points(z), np.repeat(ys[:, None, 2:], k, axis=1)], axis=2)
     for y, row, r in zip(ys, minv_batch(f, ys), ref):
         assert _match_ulps(row, r) <= 4
-        assert np.allclose([f.evaluate(x) for x in row], y, atol=1e-12)
+        assert np.allclose(f.evaluate(row), y, atol=1e-12)
     with pytest.raises(CoverError):
         minv_batch(f, np.vstack([ys[:5], [[5.0, 0.0, 0.0]]]))
     with pytest.raises(CoverError):
@@ -426,7 +422,7 @@ def test_minv_batch_precompose_matches_affine_preimage():
     for y, row, r in zip(ys, minv_batch(f, ys), roots):
         ref = np.linalg.solve(A, (r - b).T).T  # x with A x + b = root
         assert _match_ulps(row, ref) <= 8
-        assert np.allclose([f.evaluate(x) for x in row], y, atol=1e-12)
+        assert np.allclose(f.evaluate(row), y, atol=1e-12)
 
 
 def test_minv_batch_agrees_with_minv_per_point():
@@ -475,3 +471,115 @@ def test_minv_batch_fails_closed():
     short = dataclasses.replace(f, fiber_batch=lambda ys: f.fiber_batch(ys)[:, :1])
     with pytest.raises(NumericalError):
         minv_batch(short, [[1.0, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# batch evaluate and Jacobian against scalar Python-complex references
+
+
+def _horner(coeffs, z):
+    out = 0j
+    for c in reversed(coeffs):
+        out = out * z + c
+    return out
+
+
+def _poly_reference(coeffs):
+    c = [complex(*v) if isinstance(v, list) else complex(v) for v in coeffs]
+    dc = [k * c[k] for k in range(1, len(c))]
+
+    def evaluate(x):
+        w = _horner(c, complex(x[0], x[1]))
+        return [w.real, w.imag]
+
+    return evaluate, lambda x: abs(_horner(dc, complex(x[0], x[1]))) ** 2
+
+
+def _power_reference(k):
+    def evaluate(x):
+        w = complex(x[0], x[1]) ** k
+        return [w.real, w.imag]
+
+    return evaluate, lambda x: (k * abs(complex(x[0], x[1])) ** (k - 1)) ** 2
+
+
+def _wind3_reference(k):
+    # (r, theta, z) -> (r, k theta, z), which has Jacobian k off the axis
+    def evaluate(x):
+        w = complex(x[0], x[1])
+        out = abs(w) * (w / abs(w)) ** k if w else 0j
+        return [out.real, out.imag, x[2]]
+
+    return evaluate, lambda x: float(k)
+
+
+def _precomposed_reference(A, b, base):
+    base_eval, base_jac = base
+    return (lambda x: base_eval(A @ x + b)), (lambda x: base_jac(A @ x + b) * np.linalg.det(A))
+
+
+A_AFF, B_AFF = np.array([[1.3, 0.2], [-0.1, 0.7]]), np.array([0.2, -0.3])
+CATALOG_REFERENCES = {
+    "poly": (complex_polynomial([[0.2, 0.1], -1.0, 0, 1.0]), _poly_reference([[0.2, 0.1], -1.0, 0, 1.0])),
+    "power1": (planar_power(1), _power_reference(1)),
+    "power2": (planar_power(2), _power_reference(2)),
+    "power5": (planar_power(5), _power_reference(5)),
+    "wind3": (winding_map_3d(3), _wind3_reference(3)),
+    "precompose-power": (
+        precomposed(A_AFF, planar_power(3), B_AFF),
+        _precomposed_reference(A_AFF, B_AFF, _power_reference(3)),
+    ),
+    "precompose-poly": (
+        precomposed(A_AFF, complex_polynomial([0.5, -1.0, 0.0, 1.0]), B_AFF),
+        _precomposed_reference(A_AFF, B_AFF, _poly_reference([0.5, -1.0, 0.0, 1.0])),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(CATALOG_REFERENCES))
+def test_batch_evaluate_and_jacobian_match_scalar_references(kind):
+    f, (evaluate, jacobian) = CATALOG_REFERENCES[kind]
+    X = np.random.default_rng(15).uniform(-1.2, 1.2, size=(200, f.n))
+    X[0, :2] = 0.0  # on the branch axis of the power and winding maps
+    Y, J = f.evaluate(X), f.jacobian(X)
+    assert Y.shape == X.shape and J.shape == (len(X),)
+    ref_Y = np.array([evaluate(x) for x in X])
+    ref_J = np.array([jacobian(x) for x in X])
+    np.testing.assert_allclose(Y, ref_Y, rtol=1e-13, atol=1e-14)
+    np.testing.assert_allclose(J, ref_J, rtol=1e-13, atol=1e-14)
+    # a row's value does not depend on the batch it is in
+    for x, y, j in zip(X, Y, J):
+        assert np.array_equal(f.evaluate(x[None])[0], y) and f.jacobian(x[None])[0] == j
+
+
+# ---------------------------------------------------------------------------
+# minv is the batch of one, merged exactly where local indices exceed 1
+
+
+MERGING_FIBERS = {
+    "power-origin": (planar_power(3), [0.0, 0.0], [3]),
+    "wind3-axis": (winding_map_3d(4), [0.0, 0.0, 0.3], [4]),
+    "poly-double-root": (complex_polynomial([0.0, -3.0, 0.0, 1.0]), [-2.0, 0.0], [1, 2]),  # z^3 - 3z at p(1) = -2
+    "precompose-branch-value": (precomposed(A_AFF, planar_power(2), B_AFF), [0.0, 0.0], [2]),
+}
+
+
+@pytest.mark.parametrize("kind", list(MERGING_FIBERS))
+def test_minv_is_merged_batch_of_one_at_branch_values(kind):
+    f, y, weights = MERGING_FIBERS[kind]
+    p = minv(f, y)
+    assert p == points_of(sorted_tuples(minv_batch(f, np.array([y]))))[0]
+    assert sorted(p.weights.tolist()) == weights
+    # the same point inside a larger batch, next to points off the branch values
+    Y = np.vstack([np.full(f.n, 0.3), y, np.full(f.n, -0.2)])
+    assert points_of(minv_batch(f, Y))[1] == p
+    assert np.array_equal(sorted_tuples(minv_batch(f, Y))[1], p.expand())
+
+
+def test_points_of_the_wrong_dimension_are_a_cover_error():
+    with pytest.raises(CoverError, match="R\\^3"):
+        minv_batch(winding_map_3d(2), np.zeros((4, 2)))
+    with pytest.raises(CoverError):
+        minv(planar_power(2), [1.0, 0.0, 0.0])
+    with pytest.raises(CoverError):
+        h_function(winding_map_3d(2), [0.5, 0.5])

@@ -13,7 +13,6 @@ from almqr.covers import (
     lift_paths,
     minv,
     planar_power,
-    polyline,
     polyline_paths,
     winding_map_3d,
 )
@@ -95,11 +94,10 @@ def test_lift_through_branch_point():
 
 def test_polyline_parametrization():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
-    gamma = polyline(pts)
-    assert np.allclose(gamma(0.0), [0, 0])
-    assert np.allclose(gamma(1.0), [1, 2])
+    gamma = polyline_paths([pts])
     # arclength: first segment is 1/3 of the total length 3
-    assert np.allclose(gamma(1.0 / 3.0), [1.0, 0.0], atol=1e-12)
+    ends = gamma(np.zeros(3, dtype=np.int64), np.array([0.0, 1.0, 1.0 / 3.0]))
+    assert np.allclose(ends, [[0, 0], [1, 2], [1.0, 0.0]], atol=1e-12)
 
 
 def _batch_gamma(paths):

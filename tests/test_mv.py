@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from almqr.almgren import AlmgrenPoint, distance_to_diagonal, distance_value
+from almqr.almgren import distance_to_diagonal, distance_values, sorted_tuples
 from almqr.covers import branch_differentials, identity_map, planar_power, precomposed, winding_map_3d
 from almqr.forms import GroupAction, KForm, MultiPoly, cov_max_dev, natural_volume_form, polynomial_one_form, symmetrize, tensor_product, trace_form
 from almqr.mv import (
@@ -44,7 +44,7 @@ def test_differential_diagonal_affine_map():
         m=2,
         n=2,
         d=3,
-        evaluate=lambda x: AlmgrenPoint.from_points([A @ x + b], [3]),
+        evaluate=lambda X: np.repeat((X @ A.T + b)[:, None, :], 3, axis=1),
     )
     D = differential(F, [0.1, 0.2], h=1e-6)
     assert D.on_singular_set
@@ -219,12 +219,12 @@ def test_qr_curve_identity():
 
 
 def _synthetic(d=2, rho=0.5):
-    dirs = [np.array([np.cos(2 * np.pi * j / d), np.sin(2 * np.pi * j / d)]) for j in range(d)]
+    dirs = np.array([[np.cos(2 * np.pi * j / d), np.sin(2 * np.pi * j / d)] for j in range(d)])
 
-    def ev(x):
-        c = np.array([x[0], 0.5 * x[1]])
-        s = max(0.0, float(x @ x) - rho * rho)
-        return AlmgrenPoint.from_points([c + s * u for u in dirs])
+    def ev(X):
+        c = np.stack([X[:, 0], 0.5 * X[:, 1]], axis=1)
+        s = np.maximum(0.0, (X * X).sum(axis=1) - rho * rho)
+        return sorted_tuples(c[:, None, :] + s[:, None, None] * dirs)
 
     return MultiValuedMap(domain=BOX, m=2, n=2, d=d, evaluate=ev)
 
@@ -234,20 +234,20 @@ def test_interpolation_properties():
     F = _synthetic(2)
     X = BOX.sample(rng, 1500)
     Y = BOX.sample(rng, 1500)
-    L = max(distance_value(F(a), F(b)) / np.linalg.norm(a - b) for a, b in zip(X, Y)) * 1.05
+    norm = np.linalg.norm(X - Y, axis=1)
+    L = np.max(distance_values(F.evaluate(X), F.evaluate(Y)) / norm) * 1.05
     F.lipschitz_bound = L
     eps = 0.1
     G, info = interpolate_feps(F, eps, cloud_size=3000, seed=0)
     assert G.provenance == "interpolated"
     assert 0 < info["member_fraction"] < 1
     # diagonal on the coincidence sublevel set
-    for x in X[:400]:
-        if distance_to_diagonal(F(x)) < eps:
-            assert len(G(x).weights) == 1
+    members = [x for x in X[:400] if distance_to_diagonal(F(x)) < eps]
+    assert members and all(len(G(x).weights) == 1 for x in members)
     # uniform closeness and Lipschitz inflation
-    dev = max(distance_value(G(x), F(x)) for x in X[:800])
+    dev = np.max(distance_values(G.evaluate(X[:800]), F.evaluate(X[:800])))
     assert dev <= 2 * L * eps * (1 + 1e-9)
-    lipG = max(distance_value(G(a), G(b)) / np.linalg.norm(a - b) for a, b in zip(X[:800], Y[:800]))
+    lipG = np.max(distance_values(G.evaluate(X[:800]), G.evaluate(Y[:800])) / norm[:800])
     assert lipG <= (3 + 2 * 2) * L * (1 + 1e-9)
 
 
@@ -266,3 +266,53 @@ def test_interpolation_requires_lipschitz_bound():
         interpolate_feps(F, 0.1)
     with pytest.raises(ValueError):
         interpolate_feps(F, -1.0, L=1.0)
+
+
+def _assert_rows_are_batches_of_one(F, X):
+    # evaluate (P, m) -> (P, d, n) in sorted_tuples form, and F(x) its batch of one, bit for bit
+    T = F.evaluate(X)
+    assert T.shape == (len(X), F.d, F.n)
+    assert np.array_equal(T, sorted_tuples(T))
+    for x, row in zip(X, T):
+        assert np.array_equal(F(x).expand(), row)
+        assert np.array_equal(F.evaluate(x[None])[0], row)
+
+
+def test_affine_branches_evaluate_in_batches():
+    rng = np.random.default_rng(3)
+    F = from_affine_branches([(rng.normal(size=(2, 2)), rng.normal(size=2)) for _ in range(3)], BOX, m=2)
+    X = BOX.sample(rng, 50)
+    _assert_rows_are_batches_of_one(F, X)
+    # the values are the exact branches, reordered
+    assert np.array_equal(F.evaluate(X), sorted_tuples(F.exact_branches(X)[0]))
+    # coincident branches merge into one location of weight 2
+    A, b = rng.normal(size=(2, 2)), rng.normal(size=2)
+    G = from_affine_branches([(A, b), (A, b), (-A, b)], BOX, m=2)
+    assert sorted(G(X[0]).weights.tolist()) == [1, 2]
+
+
+def test_combined_pair_evaluates_in_batches():
+    rng = np.random.default_rng(4)
+    f0 = from_affine_branches([(rng.normal(size=(2, 2)), rng.normal(size=2)) for _ in range(2)], BOX, m=2)
+    f1 = from_cover(planar_power(2), BOX)
+    F = MultiValuedPair(f0, f1).combined()
+    X = BOX.sample(rng, 40) + 1.5  # away from the branch value of the cover
+    _assert_rows_are_batches_of_one(F, X)
+    # the union of the two tuples
+    both = np.concatenate([f0(X[0]).expand(), f1(X[0]).expand()])
+    assert np.array_equal(F(X[0]).expand(), sorted_tuples(both[None])[0])
+
+
+def test_interpolated_map_evaluates_in_batches():
+    rng = np.random.default_rng(5)
+    F = _synthetic(3)
+    F.lipschitz_bound = 2.0
+    G, info = interpolate_feps(F, 0.1, cloud_size=800, seed=1)
+    assert 0 < info["member_fraction"] < 1
+    X = BOX.sample(rng, 300)
+    _assert_rows_are_batches_of_one(G, X[:60])
+    # rows blended toward the diagonal, rows left alone, and rows on the sublevel set
+    GX, FX = G.evaluate(X), F.evaluate(X)
+    same = np.all(GX == FX, axis=(1, 2))
+    diagonal = np.all(GX == GX[:, :1], axis=(1, 2))
+    assert same.any() and (~same & ~diagonal).any() and (diagonal & ~same).any()
