@@ -149,7 +149,10 @@ def _cmd_sample_ahlfors(args) -> int:
         centers = _load_json_arg(args.centers)
         config["center_points"] = centers
     if args.radii:
-        config["radii_list"] = [float(v) for v in args.radii.split(",")]
+        try:
+            config["radii_list"] = [float(v) for v in args.radii.split(",")]
+        except ValueError as exc:
+            raise SpecError(f"--radii must be comma-separated numbers, got {args.radii!r}") from exc
     record = run_check("ahlfors", config, seed=args.seed)
     return _emit(record, args)
 

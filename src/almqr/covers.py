@@ -27,6 +27,13 @@ ball test and the metric Jacobian (``modulus.metric_jacobian_values``) read
 the same fibers, and the branch-differential checks run on them, as does
 the batch ``h_function``.  The scalar ``branch_differentials``, built on
 the cover's scalar ``differential``, is the independent reference.
+
+Every catalog map also bounds its differential over balls:
+``df_bound(X, r)`` is an upper bound of sup ||Df|| over B(X[p], r).  By the
+mean-value inequality, ``ball_reach(f, Z, r)`` turns a metric ball of
+radius r around the fiber Z into a certified disc in the base: a point
+whose fiber lies in the ball is within the reach of f(Z).  The Ahlfors
+sampler lifts only the samples inside that disc.
 """
 
 from __future__ import annotations
@@ -133,6 +140,9 @@ class BranchedCoverSpec:
     row an unordered tuple with every location repeated by its local index;
     ``branch_diff_batch(X)`` maps such fibers (P, d, n) to the branch
     differentials (P, d, n, n), Df(X[p, j])^{-1} row by row;
+    ``df_bound(X, r)`` maps points (P, n) to upper bounds (P,) of the
+    operator norm sup ||Df|| over the closed balls B(X[p], r), which
+    ``ball_reach`` turns into a certified reach;
     ``contains_image(Y)`` maps points (P, n) to a (P,) boolean mask and
     ``branch_value_distance(Y)`` to the (P,) distances to the branch values.
     Properness and the stated degree are guaranteed by construction of the
@@ -147,6 +157,7 @@ class BranchedCoverSpec:
     jacobian: Callable[[np.ndarray], np.ndarray]
     fiber_batch: Callable[[np.ndarray], np.ndarray]
     branch_diff_batch: Callable[[np.ndarray], np.ndarray]
+    df_bound: Callable[[np.ndarray, float], np.ndarray]
     K_I: float
     K_O: float
     branch_value_distance: Callable[[np.ndarray], np.ndarray]
@@ -172,13 +183,11 @@ def _check_points(f: BranchedCoverSpec, Y: np.ndarray) -> np.ndarray:
     return Y.reshape(-1, f.n)
 
 
-def minv_batch(f: BranchedCoverSpec, Y) -> np.ndarray:
-    """Expanded fibers (P, d, n) of the multi-valued inverse over points Y (P, n).
+def check_image(f: BranchedCoverSpec, Y) -> np.ndarray:
+    """Y as points (P, n) of f's image.
 
-    Row i holds the fiber over Y[i], each point repeated by its local index
-    as ``expand()`` does, in no promised order.  Fails closed: CoverError if
-    the points are not in R^n or one is outside the image, NumericalError if
-    a point or its fiber is non-finite or a fiber does not have d points.
+    Fails closed: CoverError if the points are not in R^n or one is outside
+    the image, NumericalError if one is non-finite.
     """
     Y = _check_points(f, np.asarray(Y, dtype=np.float64))
     # whole-array tests first: the row-wise ones cost ten times as much
@@ -187,6 +196,18 @@ def minv_batch(f: BranchedCoverSpec, Y) -> np.ndarray:
     inside = f.contains_image(Y)
     if not inside.all():
         raise CoverError(f"{Y[np.argmin(inside)].tolist()} is outside the image of {f.name}")
+    return Y
+
+
+def minv_batch(f: BranchedCoverSpec, Y) -> np.ndarray:
+    """Expanded fibers (P, d, n) of the multi-valued inverse over points Y (P, n).
+
+    Row i holds the fiber over Y[i], each point repeated by its local index
+    as ``expand()`` does, in no promised order.  Fails closed: the checks of
+    ``check_image``, then NumericalError if a fiber is non-finite or does
+    not have d points.
+    """
+    Y = check_image(f, Y)
     with np.errstate(divide="ignore", invalid="ignore"):
         X = f.fiber_batch(Y)
     if X.shape != (len(Y), f.degree, f.n):
@@ -261,6 +282,21 @@ def h_function(f: BranchedCoverSpec, Y):
     L = fiber_branch_differentials(f, minv_batch(f, Y))
     H = np.sqrt((min_singular(L) ** 2).sum(axis=1))
     return float(H[0]) if Y.ndim == 1 else H
+
+
+def ball_reach(f: BranchedCoverSpec, Z: np.ndarray, r: float) -> float:
+    """Certified reach of the metric ball of radius r around the expanded fiber Z (d, n) of y0 = f(Z).
+
+    reach = r / sqrt(sum_j L_j^-2) with L_j = ``f.df_bound(Z[j], r)``, and
+    d_A(minv f(y), Z) < r implies |y - y0| < reach:
+    1. take the optimal matching sigma of the fiber x over y to Z, so each
+       |x_j - z_sigma(j)| < r and the segment between them lies in B(z_sigma(j), r);
+    2. by the mean-value inequality |y - y0| = |f(x_j) - f(z_sigma(j))|
+       <= L_sigma(j) |x_j - z_sigma(j)| for each j;
+    3. sum the squares: |y - y0|^2 sum_j L_j^-2 <= d_A(minv f(y), Z)^2 < r^2.
+    """
+    L = f.df_bound(np.asarray(Z, dtype=np.float64), r)
+    return float(r / np.sqrt((L**-2.0).sum()))
 
 
 def branch_differentials_batch(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,6 +427,10 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
     def branch_diff_batch(X):
         return _conformal_matrix(1.0 / _poly_eval(dc, _complex(X)))
 
+    def df_bound(X, r):
+        # |p'(z)| <= sum_{i >= 1} i |c_i| |z|^(i-1), and |z| <= |x| + r on B(x, r)
+        return np.polynomial.polynomial.polyval(np.hypot(X[:, 0], X[:, 1]) + r, np.abs(dc))
+
     def branch_dist(ys):
         if len(crit_values) == 0:
             return np.full(len(ys), np.inf)
@@ -406,6 +446,7 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
         jacobian=jacobian,
         fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
+        df_bound=df_bound,
         K_I=1.0,
         K_O=1.0,
         branch_value_distance=branch_dist,
@@ -446,6 +487,10 @@ def planar_power(k: int) -> BranchedCoverSpec:
     def branch_diff_batch(X):
         return _conformal_matrix(1.0 / (k * _complex(X) ** (k - 1)))
 
+    def df_bound(X, r):
+        # ||Df(z)|| = k |z|^(k-1), and |z| <= |x| + r on B(x, r)
+        return k * (np.hypot(X[:, 0], X[:, 1]) + r) ** (k - 1)
+
     def nn_boundary(x, r, samples=256):
         """Boundary polyline of the normal neighborhood U(x, r), r < |x|^k."""
         z = complex(x[0], x[1])
@@ -471,6 +516,7 @@ def planar_power(k: int) -> BranchedCoverSpec:
         jacobian=jacobian,
         fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
+        df_bound=df_bound,
         K_I=1.0,
         K_O=1.0,
         branch_value_distance=_axis_distance(k),
@@ -524,6 +570,10 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
         out[..., 2, 2] = 1.0
         return out
 
+    def df_bound(X, r):
+        # ||Df|| = k off the axis: the angular direction is stretched k times, the others kept
+        return np.full(len(X), float(k))
+
     def contains_image(ys):
         return (np.hypot(ys[:, 0], ys[:, 1]) <= r_max) & (np.abs(ys[:, 2]) <= z_half)
 
@@ -536,6 +586,7 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
         jacobian=jacobian,
         fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
+        df_bound=df_bound,
         K_I=float(k),
         K_O=float(k) ** 2,
         branch_value_distance=_axis_distance(k),
@@ -560,6 +611,7 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
     b = np.zeros(n) if shift is None else np.asarray(shift, dtype=np.float64)
     Ainv = np.linalg.inv(A)
     sv = np.linalg.svd(A, compute_uv=False)
+    norm_A = float(sv[0])
     lam = float(sv[0] / sv[-1])
     det_A = float(np.linalg.det(A))
 
@@ -583,6 +635,10 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
         # D(base o (A x + b)) = Dbase(A x + b) A, inverted
         return Ainv @ base.branch_diff_batch(X @ A.T + b)
 
+    def df_bound(X, r):
+        # ||Df(x)|| <= ||Dbase(A x + b)|| ||A||, and A B(x, r) + b lies in B(A x + b, ||A|| r)
+        return norm_A * base.df_bound(affine(X), norm_A * r)
+
     return BranchedCoverSpec(
         name=f"precomposed({base.name}, lambda={lam:.3g})",
         n=n,
@@ -592,6 +648,7 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
         jacobian=jacobian,
         fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
+        df_bound=df_bound,
         K_I=base.K_I * lam,
         K_O=base.K_O * lam,
         branch_value_distance=base.branch_value_distance,

@@ -25,6 +25,8 @@ from .covers import (
     CoverError,
     LiftedPath,
     NumericalError,
+    ball_reach,
+    check_image,
     det,
     fiber_branch_differentials,
     h_function,
@@ -583,11 +585,16 @@ def ahlfors_sampler(
     The sampling box around each center is grown until the ball indicator
     stops touching its outer shell; a ball that still touches it after the
     last growth raises NumericalError, since a truncated ball underestimates
-    the measure that the upper bound is checked against.  Each sample's
-    fiber is evaluated once, in one ``minv_batch`` call per box draw: the
-    ball test and the metric Jacobian both read it, and the
-    branch-differential checks run on the held fibers of the samples inside
-    the ball.  A cover that is not planar raises CoverError.
+    the measure that the upper bound is checked against.  Every box draw is
+    checked against f's image whole, but only the samples within the
+    certified reach of the center (``covers.ball_reach``) can lie in the
+    ball, so only they are lifted, in one ``minv_batch`` call per draw; the
+    others have density 0.  A relative slack of 1e-6 on the squared reach
+    absorbs rounding in the bounds and in fibers computed to within about
+    1e-7 r, so the lifted rows hold every row the ball test accepts.  The ball test, the shell test and the metric Jacobian read
+    the lifted fibers, and the branch-differential checks run on the held
+    fibers of the samples inside the ball.  A cover that is not planar
+    raises CoverError.
     """
     n = f.n
     if n != 2:
@@ -602,13 +609,16 @@ def ahlfors_sampler(
         for ir, r in enumerate(radii):
             rng = np.random.default_rng(np.random.SeedSequence([seed, 11, ic, ir]))
             R = box_safety * r / H0
+            reach_sq = ball_reach(f, zC, r) ** 2 * (1.0 + 1e-6)
             for _ in range(4):
                 lo, hi = y0 - R, y0 + R
-                ys = rng.uniform(lo, hi, size=(n_samples, 2))
+                ys = check_image(f, rng.uniform(lo, hi, size=(n_samples, 2)))
+                near = np.flatnonzero((ys[:, 0] - y0[0]) ** 2 + (ys[:, 1] - y0[1]) ** 2 < reach_sq)
+                yn = ys[near]
                 # the metric Jacobian below reads the fibers of the last draw
-                fibers = minv_batch(f, ys)
+                fibers = minv_batch(f, yn)
                 inside = kernels.dist_sq_one_to_many(zC, fibers) < r * r
-                shell = np.maximum(np.abs(ys[:, 0] - y0[0]), np.abs(ys[:, 1] - y0[1])) > 0.85 * R
+                shell = np.maximum(np.abs(yn[:, 0] - y0[0]), np.abs(yn[:, 1] - y0[1])) > 0.85 * R
                 boundary_fraction = float((inside & shell).sum() / max(inside.sum(), 1))
                 if boundary_fraction == 0.0:
                     break
@@ -620,7 +630,7 @@ def ahlfors_sampler(
             vol_box = float(np.prod(hi - lo))
             vals = np.zeros(n_samples)
             if inside.any():
-                vals[inside] = metric_jacobian_values(f, fibers[inside])
+                vals[near[inside]] = metric_jacobian_values(f, fibers[inside])
             est = vol_box * float(vals.mean())
             sd = vol_box * float(vals.std(ddof=1) / np.sqrt(n_samples))
             denom = const * r**n

@@ -2,7 +2,9 @@
 
 A record is byte-identical across runs with the same (config, seed) except
 for the volatile ``timing`` object, which holds the timestamp, the runtime
-and the environment (kernel backend, numpy version).
+and the environment (kernel backend, numpy version, and the SIMD extensions
+numpy was built for and found on this CPU, which pick the vectorized loops
+that round the last digits).
 """
 
 from __future__ import annotations
@@ -68,6 +70,12 @@ def write_report(record: ReportRecord, path: str) -> None:
         raise
 
 
+def _simd() -> dict:
+    """numpy's SIMD extensions: ``baseline`` (built for) and ``found`` (dispatched to on this CPU)."""
+    ext = np.show_config(mode="dicts")["SIMD Extensions"]
+    return {"baseline": list(ext.get("baseline", [])), "found": list(ext.get("found", []))}
+
+
 def timed(fn, *args, **kwargs):
     """Run fn, returning (result, timing dict)."""
     t0 = time.time()
@@ -75,7 +83,7 @@ def timed(fn, *args, **kwargs):
     return out, {
         "runtime_s": time.time() - t0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "env": {"backend": kernels.BACKEND, "numpy": np.__version__},
+        "env": {"backend": kernels.BACKEND, "numpy": np.__version__, "simd": _simd()},
     }
 
 

@@ -400,8 +400,14 @@ def _check_stokes(config, seed):
 
 
 def _positive(config, key: str, default: int) -> int:
-    """The integer config[key] (or the default); SpecError unless it is at least 1."""
-    value = int(config.get(key, default))
+    """The integer config[key] (or the default); SpecError unless it is an integer of at least 1."""
+    raw = config.get(key, default)
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or (value != raw and not isinstance(raw, str)):  # 2.5 is not a count
+        raise SpecError(f"{key} must be an integer, got {raw!r}")
     if value < 1:
         raise SpecError(f"{key} must be at least 1, got {value}")
     return value
@@ -503,25 +509,33 @@ def _check_geom_qc(config, seed):
 
 def _check_ahlfors(config, seed):
     f = _map_from_config(config)
-    N = int(config.get("samples", 100_000))
-    n_centers = len(config["center_points"]) if "center_points" in config else int(config.get("centers", 10))
-    n_radii = len(config["radii_list"]) if "radii_list" in config else int(config.get("radii", 10))
-    # an empty sweep has no worst ball, and a confidence interval needs two samples
-    if n_centers < 1 or n_radii < 1 or N < 2:
-        raise SpecError(
-            f"ahlfors needs at least one center, one radius and two samples; got {n_centers}, {n_radii}, {N}"
-        )
+    N = _positive(config, "samples", 100_000)
     if "center_points" in config:
-        centers = [np.asarray(c, dtype=float) for c in config["center_points"]]
+        try:
+            centers = [np.asarray(c, dtype=float) for c in config["center_points"]]
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"ahlfors center_points must be a list of points, got {config['center_points']!r}") from exc
     else:
+        n_centers = _positive(config, "centers", 10)
         rng = seeded_rng(seed, 10)
         angles = 2 * np.pi * rng.uniform(size=n_centers)
         mags = rng.uniform(0.6, 1.4, size=n_centers)
         centers = [np.array([m * np.cos(a), m * np.sin(a)]) for m, a in zip(mags, angles)]
     if "radii_list" in config:
-        radii = [float(r) for r in config["radii_list"]]
+        try:
+            radii = [float(r) for r in config["radii_list"]]
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"ahlfors radii_list must be a list of numbers, got {config['radii_list']!r}") from exc
+        # a ball of radius 0, below 0 or not a number has no measure to compare
+        if not all(np.isfinite(r) and r > 0 for r in radii):
+            raise SpecError(f"ahlfors radii must be finite and positive, got {radii}")
     else:
-        radii = np.linspace(0.02, 0.2, n_radii)
+        radii = np.linspace(0.02, 0.2, _positive(config, "radii", 10))
+    # an empty sweep has no worst ball, and a confidence interval needs two samples
+    if not centers or not len(radii) or N < 2:
+        raise SpecError(
+            f"ahlfors needs at least one center, one radius and two samples; got {len(centers)}, {len(radii)}, {N}"
+        )
     samples = ahlfors_sampler(f, centers, radii, n_samples=N, seed=seed)
     worst = max(s.ratio for s in samples)
     margin = max(s.ratio - (1.0 + s.ratio_ci) for s in samples)

@@ -109,10 +109,25 @@ def test_report_determinism(tmp_path, capsys):
 
 def test_report_timing_carries_env_outside_the_stable_body():
     record = run_check("metric-axioms", {"samples": 20}, 3)
-    assert record.timing["env"] == {"backend": kernels.BACKEND, "numpy": np.__version__}
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    assert record.timing["env"] == {
+        "backend": kernels.BACKEND,
+        "numpy": np.__version__,
+        "simd": {"baseline": simd["baseline"], "found": simd["found"]},
+    }
     before = dataclasses.replace(record, timing={k: record.timing[k] for k in ("runtime_s", "timestamp")})
     assert stable_body(record.dumps()) == stable_body(before.dumps())
     assert '"env"' not in stable_body(record.dumps())
+
+
+def test_stable_body_ignores_the_simd_level():
+    # the same (config, seed) on a CPU with other SIMD extensions keeps its stable body
+    record = run_check("metric-axioms", {"samples": 20}, 3)
+    env = {**record.timing["env"], "simd": {"baseline": [], "found": ["NO_SUCH_EXTENSION"]}}
+    other = dataclasses.replace(record, timing={**record.timing, "env": env})
+    assert other.dumps() != record.dumps()
+    assert stable_body(other.dumps()) == stable_body(record.dumps())
+    assert '"simd"' not in stable_body(record.dumps())
 
 
 def test_verify_failure_exit_code(tmp_path, capsys):
@@ -137,8 +152,21 @@ def test_preimage_measure_empty_ball_exit_code(capsys):
 
 @pytest.mark.parametrize(
     "config",
-    [{"centers": 0}, {"radii": 0}, {"map": {"map": "wind3", "k": 2}}, {"samples": 0}, {"samples": 1}],
-    ids=["no-centers", "no-radii", "wind3", "no-samples", "one-sample"],
+    [
+        {"centers": 0},
+        {"radii": 0},
+        {"map": {"map": "wind3", "k": 2}},
+        {"samples": 0},
+        {"samples": 1},
+        {"radii_list": [0.0]},
+        {"radii_list": [-0.1]},
+        {"radii_list": [float("nan")]},
+        {"samples": "abc"},
+        {"radii_list": 0.1},
+        {"center_points": 5},
+    ],
+    ids=["no-centers", "no-radii", "wind3", "no-samples", "one-sample", "zero-radius", "negative-radius",
+         "nan-radius", "samples-not-an-integer", "radii-not-a-list", "centers-not-a-list"],
 )
 def test_ahlfors_bad_config_exit_code(config, capsys):
     # a config the sampler cannot run is a usage error (exit 2), not a FAIL verdict (exit 1)
@@ -260,6 +288,12 @@ def test_sample_ahlfors_cli(tmp_path, capsys):
     assert code == 0
     assert out["metrics"]["n_balls"] == 2
     assert (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("radii", ["0.05,abc", "0.05,0", "-0.1"])
+def test_sample_ahlfors_bad_radii_exit_code(radii, capsys):
+    assert run_cli("sample", "ahlfors", "--radii", radii, "--N", "100") == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_modulus_cli(capsys):

@@ -10,6 +10,7 @@ from almqr.almgren import distance_value, distance_values, points_of, sorted_tup
 from almqr.covers import (
     CoverError,
     NumericalError,
+    ball_reach,
     branch_differentials,
     build_map,
     complex_polynomial,
@@ -261,7 +262,9 @@ def test_build_map_dsl_and_errors():
         build_map({"map": "precompose", "affine": [[1, 0], [0, -1]], "base": {"map": "power", "k": 2}})
 
 
-def test_fiber_batch_matches_scalar():
+def test_power_fiber_batch_rows_match_their_batches_of_one():
+    # minv is minv_batch of one, so this checks that a row does not depend on its batch;
+    # the independent references are the test_minv_batch_*_matches_* tests
     f = planar_power(3)
     rng = np.random.default_rng(5)
     ys = rng.normal(size=(50, 2))
@@ -307,6 +310,46 @@ def test_branch_diff_batch_matches_differential(kind):
     bvals = _branch_values(f.spec)
     expect = [np.abs(bvals - complex(y[0], y[1])).min(initial=np.inf) for y in ys]
     np.testing.assert_allclose(f.branch_value_distance(ys), expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(BRANCH_DIFF_MAPS))
+def test_df_bound_bounds_the_differential_over_the_ball(kind):
+    f = BRANCH_DIFF_MAPS[kind]
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        x = rng.uniform(-1.5, 1.5, size=f.n)
+        r = 10.0 ** rng.uniform(-6, 0.3)
+        bound = f.df_bound(x[None], r)[0]
+        u = rng.normal(size=(20, f.n))
+        u *= (r * rng.uniform(size=20) / np.linalg.norm(u, axis=1))[:, None]  # points of B(x, r)
+        for xp in x + u:
+            # wind3 attains its bound everywhere: allow the rounding of the computed norm
+            assert op_norm(f.differential(xp)) <= bound * (1 + 4 * np.finfo(float).eps)
+    # one bound per row of a batch
+    X = rng.uniform(-1.5, 1.5, size=(7, f.n))
+    np.testing.assert_array_equal(f.df_bound(X, 0.3), [f.df_bound(x[None], 0.3)[0] for x in X])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [planar_power(2), planar_power(3), complex_polynomial([0.0, -3.0, 0.0, 1.0])],
+    ids=["z2", "z3", "z3-3z"],
+)
+def test_ball_reach_bounds_the_base_distance_of_the_ball(f):
+    # d_A(minv f(y), Z) < r implies |y - y0| < reach, also around a branch value
+    rng = np.random.default_rng(22)
+    centers = [rng.uniform(-1.5, 1.5, size=2) for _ in range(4)] + [np.array([0.0, 0.0]), np.array([-2.0, 0.0])]
+    for y0 in centers:
+        Z = minv(f, y0).expand()
+        for r in (0.5, 0.1, 1e-3, 1e-6):
+            reach = ball_reach(f, Z, r)
+            # distances log-uniform up to twice the reach: the ball at a branch value is far smaller
+            rho = 2 * reach * 10.0 ** rng.uniform(-8, 0, size=4000)
+            phi = rng.uniform(0, 2 * np.pi, size=4000)
+            ys = y0 + rho[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+            inside = kernels.dist_sq_one_to_many(Z, minv_batch(f, ys)) < r * r
+            assert inside.any() and not inside.all()
+            assert np.linalg.norm(ys[inside] - y0, axis=1).max() < reach
 
 
 def _with_bad_row(f, block):
@@ -425,7 +468,8 @@ def test_minv_batch_precompose_matches_affine_preimage():
         assert np.allclose(f.evaluate(row), y, atol=1e-12)
 
 
-def test_minv_batch_agrees_with_minv_per_point():
+def test_minv_batch_rows_match_their_batches_of_one():
+    # minv is minv_batch of one, so this checks that a row does not depend on its batch
     rng = np.random.default_rng(13)
     maps = [
         planar_power(3),

@@ -9,7 +9,9 @@ import pytest
 from almqr import modulus, runner
 from almqr import kernels
 from almqr.covers import (
+    CoverError,
     NumericalError,
+    complex_polynomial,
     h_function,
     identity_map,
     minv,
@@ -28,6 +30,7 @@ from almqr.modulus import (
     circle_family,
     discrete_modulus,
     energy_bound_check,
+    metric_jacobian_values,
     metric_qc_check,
     pushforward_modulus_check,
     radial_family,
@@ -239,6 +242,69 @@ def test_ahlfors_density_reads_the_fibers_of_its_own_samples():
     assert not (inside & (np.abs(ys - y0).max(axis=1) > 0.85 * R)).any()  # the first box was kept
     density = np.where(inside, 0.5 / np.hypot(ys[:, 0], ys[:, 1]), 0.0)
     assert s.measure == pytest.approx((2 * R) ** 2 * density.mean(), rel=1e-12)
+
+
+def _ahlfors_lifting_every_row(f, centers, radii, N, seed):
+    """(measure, ratio, rows inside) of each ball, from the sampler's draws with every row lifted."""
+    const = modulus.UNIT_BALL_VOLUME[2] * f.degree ** 1.0 * f.K_I * f.K_O
+    out = []
+    for ic, y0 in enumerate(centers):
+        zC = minv(f, y0).expand()
+        H0 = h_function(f, y0)
+        for ir, r in enumerate(radii):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 11, ic, ir]))
+            R = 2.0 * r / H0
+            for _ in range(4):
+                lo, hi = y0 - R, y0 + R
+                ys = rng.uniform(lo, hi, size=(N, 2))
+                fibers = minv_batch(f, ys)
+                inside = kernels.dist_sq_one_to_many(zC, fibers) < r * r
+                if not (inside & (np.abs(ys - y0).max(axis=1) > 0.85 * R)).any():
+                    break
+                R *= 1.6
+            vals = np.zeros(N)
+            vals[inside] = metric_jacobian_values(f, fibers[inside])
+            est = float(np.prod(hi - lo)) * float(vals.mean())
+            out.append((est, est / (const * r**2), int(inside.sum())))
+    return out
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        identity_map(),
+        planar_power(2),
+        planar_power(3),
+        complex_polynomial([0.0, -3.0, 0.0, 1.0]),
+        precomposed(np.array([[1.4, 0.2], [0.0, 0.8]]), planar_power(2), [0.3, -0.1]),
+    ],
+    ids=["identity", "z2", "z3", "z3-3z", "precompose"],
+)
+def test_ahlfors_lifting_the_certified_reach_equals_lifting_every_row(f):
+    # the sampler lifts only the rows within ball_reach of the center; the
+    # reference lifts every row of the same draws, so the bytes must agree
+    centers = [np.array([0.6, 0.1]), np.array([-1.3, 0.9]), np.array([-1.9, 0.05])]
+    radii = [0.2, 0.05, 1e-3, 1e-6]
+    lifted = []
+
+    def fiber_batch(ys):
+        lifted.append(len(ys))
+        return f.fiber_batch(ys)
+
+    got = ahlfors_sampler(dataclasses.replace(f, fiber_batch=fiber_batch), centers, radii, n_samples=4000, seed=3)
+    ref = _ahlfors_lifting_every_row(f, centers, radii, 4000, 3)
+    for s, (measure, ratio, n_inside) in zip(got, ref, strict=True):
+        assert n_inside > 0
+        assert (s.measure, s.ratio) == (measure, ratio)
+    assert sum(lifted) < len(ref) * 4000  # some rows were never lifted
+
+
+def test_ahlfors_box_leaving_the_image_fails_closed():
+    # the box around (1, 0) reaches |y| = 1.15, outside this image, though the rows it lifts stay within 1.08
+    f = dataclasses.replace(planar_power(2), contains_image=lambda ys: np.hypot(ys[:, 0], ys[:, 1]) < 1.1)
+    with pytest.raises(CoverError, match="outside the image"):
+        ahlfors_sampler(f, [np.array([1.0, 0.0])], [0.05], n_samples=2000, seed=0)
+
 
 def test_ahlfors_rejects_truncated_balls():
     # a box a hundredth of the ball's size still cuts it after every growth
