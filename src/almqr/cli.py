@@ -96,7 +96,13 @@ def _cmd_inverse(args) -> int:
 
 def _cmd_form_comass(args) -> int:
     form = build_form(_load_json_arg(args.form))
-    x = np.asarray(_load_json_arg(args.point), dtype=float)
+    point = _load_json_arg(args.point)
+    try:
+        x = np.asarray(point, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"--point must be a vector of numbers: {exc}") from exc
+    if x.shape != (form.dim,):
+        raise SpecError(f"--point must be a vector of length {form.dim}, got shape {x.shape}")
     if args.starts < 1:
         raise SpecError(f"--starts must be at least 1, got {args.starts}")
     res = comass(form, x, ComassSettings(n_starts=args.starts))

@@ -36,11 +36,12 @@ def build_form(spec: dict) -> KForm:
             return trace_form(polynomial_one_form(n, comps), d)
         if kind == "elementary":
             n, d = int(spec["n"]), int(spec["d"])
-            idx = tuple(int(i) for i in spec["indices"])
-            cov = KCovector(n * d, len(idx), {idx: float(spec.get("c", 1.0))})
-            return KForm.constant(cov, n, d)
+            idx = [int(i) for i in spec["indices"]]
+            return KForm.constant(KCovector.elementary(n * d, idx, float(spec.get("c", 1.0))), n, d)
         if kind == "sum":
             terms = [build_form(t) for t in spec["terms"]]
+            if not terms:
+                raise SpecError(f"a sum needs at least one term: {spec!r}")
             out = terms[0]
             for t in terms[1:]:
                 out = out.add(t)

@@ -11,15 +11,15 @@ Forms are array-backed and batch-first: the coefficient function of a
 basis ``combinations(range(N), k)``, and so does its analytic derivative.
 Sums, wedges, traces, symmetrization, tensor products, the exterior
 derivative and pull-backs act on all P points at once through index tables
-that are built on first use.  ``KCovector``, sparse over the same index
-tuples, stays the pointwise type: ``KForm.at`` returns one.
+that are built on first use.  ``KCovector``, one coefficient row over the
+same basis, is the pointwise type: ``KForm.at`` returns one.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Callable, Optional
 
@@ -138,33 +138,37 @@ def pullback_coeffs(A: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KCovector:
-    """A k-covector on R^N, sparse over increasing elementary index tuples."""
+    """A k-covector on R^N: its read-only coefficient row over ``basis(dim, degree)``."""
 
     dim: int
     degree: int
-    coeffs: dict[tuple[int, ...], float] = field(default_factory=dict)
+    row: np.ndarray
 
     def __post_init__(self):
-        for I in self.coeffs:
-            if len(I) != self.degree:
-                raise ValueError(f"index tuple {I} has wrong length for degree {self.degree}")
-            if any(not (0 <= i < self.dim) for i in I):
-                raise ValueError(f"index tuple {I} out of range for dim {self.dim}")
-            if any(a >= b for a, b in zip(I, I[1:])):
-                raise ValueError(f"index tuple {I} not strictly increasing")
+        # + 0.0 copies the row and makes every zero +0.0, whatever sign the coefficient
+        # function gave it: hodge_star_top and the k = 1 comass frame read zeros as they are
+        row = np.asarray(self.row, dtype=np.float64) + 0.0
+        size = comb(self.dim, self.degree)
+        if row.shape != (size,):
+            raise ValueError(f"a {self.degree}-covector on R^{self.dim} has {size} coefficients, got shape {row.shape}")
+        object.__setattr__(self, "row", _frozen(row))
 
     @classmethod
-    def from_array(cls, dim: int, degree: int, row: np.ndarray) -> "KCovector":
-        """The covector with coefficients ``row`` over ``basis(dim, degree)``, zeros left out."""
-        return cls(dim, degree, {I: float(c) for I, c in zip(basis(dim, degree), row) if c != 0.0})
+    def elementary(cls, dim: int, indices, c: float = 1.0) -> "KCovector":
+        """c dx_I for a strictly increasing index tuple I over range(dim)."""
+        I = tuple(indices)
+        pos = _position(dim, len(I)).get(I)
+        if pos is None:
+            raise ValueError(f"index tuple {I} is not strictly increasing in range({dim})")
+        row = np.zeros(comb(dim, len(I)))
+        row[pos] = c
+        return cls(dim, len(I), row)
 
-    def to_array(self) -> np.ndarray:
-        """Dense coefficients over ``basis(dim, degree)``."""
-        pos = _position(self.dim, self.degree)
-        out = np.zeros(len(pos))
-        for I, c in self.coeffs.items():
-            out[pos[I]] = c
-        return out
+    @functools.cached_property
+    def terms(self) -> list[tuple[tuple[int, ...], float]]:
+        """(I, c) over the nonzero coefficients, in basis order: the order every sum over terms adds in."""
+        B = basis(self.dim, self.degree)
+        return [(B[i], float(self.row[i])) for i in np.flatnonzero(self.row)]
 
     def __call__(self, vectors: np.ndarray) -> float:
         """Evaluate on k row vectors, shape (k, N): the batch of one."""
@@ -179,25 +183,20 @@ class KCovector:
         if V.ndim != 3 or V.shape[1:] != (self.degree, self.dim):
             raise ValueError(f"expected frames of shape (S, {self.degree}, {self.dim}), got {V.shape}")
         if self.degree == 0:
-            return np.full(len(V), float(self.coeffs.get((), 0.0)))
+            return np.full(len(V), self.row[0])
         total = np.zeros(len(V))
-        for I, c in self.coeffs.items():
+        for I, c in self.terms:
             M = V[:, :, I]
             total += c * (np.linalg.det(M) if self.degree > 1 else M[:, 0, 0])
         return total
 
     def add(self, other: "KCovector", scale: float = 1.0) -> "KCovector":
-        out = dict(self.coeffs)
-        for I, c in other.coeffs.items():
-            out[I] = out.get(I, 0.0) + scale * c
-            if out[I] == 0.0:
-                del out[I]
-        return KCovector(self.dim, self.degree, out)
+        if (self.dim, self.degree) != (other.dim, other.degree):
+            raise ValueError("incompatible covectors")
+        return KCovector(self.dim, self.degree, self.row + scale * other.row)
 
     def scaled(self, a: float) -> "KCovector":
-        if a == 0.0:
-            return KCovector(self.dim, self.degree, {})
-        return KCovector(self.dim, self.degree, {I: a * c for I, c in self.coeffs.items()})
+        return KCovector(self.dim, self.degree, a * self.row)
 
     def wedge(self, other: "KCovector") -> "KCovector":
         if self.dim != other.dim:
@@ -205,35 +204,25 @@ class KCovector:
         k = self.degree + other.degree
         if k > self.dim:
             raise ValueError("degree overflow")
-        out: dict[tuple[int, ...], float] = {}
-        for I, a in self.coeffs.items():
-            for J, b in other.coeffs.items():
-                K, sign = _sort_with_sign(I + J)
-                if sign == 0:
-                    continue
-                out[K] = out.get(K, 0.0) + sign * a * b
-                if out[K] == 0.0:
-                    del out[K]
-        return KCovector(self.dim, k, out)
+        row = _wedge_rows(self.row[None], other.row[None], self.dim, self.degree, other.degree)[0]
+        return KCovector(self.dim, k, row)
 
     def pullback_linear(self, T: np.ndarray) -> "KCovector":
         """Pull back along a linear map R^m -> R^N given as an (N, m) matrix."""
         T = np.asarray(T, dtype=np.float64)
-        row = pullback_coeffs(self.to_array()[None], T[None], self.degree)[0]
-        return KCovector.from_array(T.shape[1], self.degree, row)
+        return KCovector(T.shape[1], self.degree, pullback_coeffs(self.row[None], T[None], self.degree)[0])
 
     def l2(self) -> float:
-        return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
+        return float(np.sqrt(sum(c * c for _, c in self.terms)))
 
 
 def cov_max_dev(a: KCovector, b: KCovector) -> float:
     """The largest coefficient gap between two covectors (0 when both vanish)."""
-    keys = set(a.coeffs) | set(b.coeffs)
-    return max((abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) for k in keys), default=0.0)
+    return float(np.max(np.abs(a.row - b.row), initial=0.0))
 
 
 def volume_covector(n: int) -> KCovector:
-    return KCovector(n, n, {tuple(range(n)): 1.0})
+    return KCovector.elementary(n, range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +327,7 @@ class KForm:
     def at(self, x: np.ndarray) -> KCovector:
         """The covector at one point: the batch of one."""
         row = self.coeffs(np.asarray(x, dtype=np.float64).reshape(1, self.dim))[0]
-        return KCovector.from_array(self.dim, self.degree, row)
+        return KCovector(self.dim, self.degree, row)
 
     def __call__(self, x: np.ndarray, vectors: np.ndarray) -> float:
         return self.at(x)(vectors)
@@ -347,7 +336,7 @@ class KForm:
     def constant(cls, cov: KCovector, n: int, d: int, invariance="none") -> "KForm":
         if cov.dim != n * d:
             raise ValueError("covector dimension mismatch")
-        return _constant_form(cov.to_array(), cov.degree, n, d, invariance)
+        return _constant_form(cov.row, cov.degree, n, d, invariance)
 
     @classmethod
     def zero(cls, degree: int, n: int, d: int) -> "KForm":
@@ -621,7 +610,7 @@ def _halton_frames(k: int, N: int, count: int) -> np.ndarray:
 def _row_gradients(cov: KCovector, V: np.ndarray, a: int) -> np.ndarray:
     """Gradients (S, N) of cov over frames V (S, k, N) with respect to row a (cofactor expansion).
 
-    For each (I, c) in dict order, column b of I gains c (-1)^(a+b) times the
+    For each (I, c) of ``cov.terms``, column b of I gains c (-1)^(a+b) times the
     minor of V[:, :, I] without row a and column b; k >= 2.
     """
     S, k, N = V.shape
@@ -629,7 +618,7 @@ def _row_gradients(cov: KCovector, V: np.ndarray, a: int) -> np.ndarray:
     cols = [[x for x in range(k) if x != b] for b in range(k)]  # row b: the columns other than b
     signs = (-1.0) ** (a + np.arange(k))
     g = np.zeros((S, N))
-    for I, c in cov.coeffs.items():
+    for I, c in cov.terms:
         minors = rest[:, :, I][:, :, cols].transpose(0, 2, 1, 3)  # (S, k, k-1, k-1), one per column b
         det = np.linalg.det(minors) if k > 2 else minors[:, :, 0, 0]
         g[:, I] += (c * signs) * det
@@ -654,21 +643,19 @@ def comass(form: KForm, x: np.ndarray, settings: ComassSettings | None = None) -
         raise ValueError(f"comass needs at least one start, got n_starts={settings.n_starts}")
     cov = form.at(x)
     k, N = cov.degree, cov.dim
-    if not np.all(np.isfinite(list(cov.coeffs.values()))):
+    if not np.all(np.isfinite(cov.row)):
         # no ascent can converge on a non-finite objective: fail closed before climbing
         return ComassResult(float("nan"), np.full((k, N), np.nan), False, 0, 0)
     if k == 0:
         return ComassResult(abs(cov((np.zeros((0, N))))), np.zeros((0, N)), True, 0, 0)
     if k == 1:
-        g = np.zeros(N)
-        for I, c in cov.coeffs.items():
-            g[I[0]] += c
+        g = np.array(cov.row)
         norm = float(np.linalg.norm(g))
         frame = (g / norm)[None, :] if norm > 0 else np.zeros((1, N))
         return ComassResult(norm, frame, True, 1, 1)
 
     elementary = []
-    by_mag = sorted(cov.coeffs.items(), key=lambda kv: -abs(kv[1]))
+    by_mag = sorted(cov.terms, key=lambda t: -abs(t[1]))
     for I, c in by_mag[: max(4, settings.n_starts // 4)]:
         V = np.zeros((k, N))
         V[np.arange(k), I] = 1.0

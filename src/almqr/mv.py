@@ -294,7 +294,7 @@ def pullback(
             perm = rng.permutation(F.d)
             cov2 = _pullback_at(omega, diff.values[perm], diff.L[perm])
             dev = max(dev, cov_max_dev(cov, cov2))
-        if dev > 1e-10 * (1.0 + max(abs(c) for c in cov.coeffs.values()) if cov.coeffs else 1.0):
+        if dev > 1e-10 * (1.0 + np.max(np.abs(cov.row), initial=0.0)):
             raise NumericalError(f"pullback not labeling-invariant (deviation {dev:.3e})")
     return PullbackSample(x=x, covector=cov, relabeling_deviation=dev)
 
@@ -372,7 +372,7 @@ def hodge_star_top(alpha: KCovector) -> float:
     """Coefficient of a top-degree covector against the volume covector."""
     if alpha.degree != alpha.dim:
         raise ValueError(f"hodge star implemented for top degree only (k={alpha.degree}, m={alpha.dim})")
-    return float(alpha.coeffs.get(tuple(range(alpha.dim)), 0.0))
+    return float(alpha.row[0])
 
 
 def generalized_inverse(f: BranchedCoverSpec, Y) -> np.ndarray:

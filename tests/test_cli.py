@@ -55,6 +55,23 @@ def test_form_comass_non_finite_coefficient_fails_at_once(capsys):
     assert out["converged"] is False and out["sweeps"] == 0 and np.isnan(out["value"])
 
 
+def test_form_comass_empty_sum_exit_code(capsys):
+    assert run_cli("form", "comass", "--form", '{"kind":"sum","terms":[]}', "--point", "[0,0,0,0]") == 2
+    assert "at least one term" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["[0.1,0.2,0.3]", "[0.1,0.2,0.3,0.4,0.5]", "[[0.1,0.2],[0.3,0.4]]", "0.1", '["a",0,0,0]'])
+def test_form_comass_point_of_the_wrong_shape_exit_code(point, capsys):
+    assert run_cli("form", "comass", "--form", '{"kind":"trace_vol","n":2,"d":2}', "--point", point) == 2
+    assert "--point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("indices", [[1, 0], [0, 0], [0, 4], [-1, 0]])
+def test_form_comass_bad_elementary_indices_exit_code(indices, capsys):
+    form = json.dumps({"kind": "elementary", "n": 2, "d": 2, "indices": indices})
+    assert run_cli("form", "comass", "--form", form, "--point", "[0,0,0,0]") == 2
+
+
 def test_unconverged_comass_check_is_numerical_failure(monkeypatch, capsys):
     real = runner.comass
 

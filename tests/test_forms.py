@@ -25,21 +25,18 @@ from almqr.forms import (
 
 
 def rand_covector(rng, dim, k, terms=4):
-    import itertools
-
-    pool = list(itertools.combinations(range(dim), k))
-    coeffs = {}
-    for idx in rng.choice(len(pool), size=min(terms, len(pool)), replace=False):
-        coeffs[pool[idx]] = float(rng.normal())
-    return KCovector(dim, k, coeffs)
+    row = np.zeros(len(forms.basis(dim, k)))
+    for idx in rng.choice(len(row), size=min(terms, len(row)), replace=False):
+        row[idx] = float(rng.normal())
+    return KCovector(dim, k, row)
 
 
 # -- covectors and wedge -------------------------------------------------------
 
 
 def test_elementary_wedge_unit():
-    c1 = KCovector(4, 1, {(0,): 1.0})
-    c2 = KCovector(4, 1, {(1,): 1.0})
+    c1 = KCovector.elementary(4, (0,))
+    c2 = KCovector.elementary(4, (1,))
     V = np.zeros((2, 4))
     V[0, 0] = 1.0
     V[1, 1] = 1.0
@@ -69,9 +66,59 @@ def test_wedge_associative_numerically():
 
 
 def test_wedge_degree_overflow():
-    a = KCovector(2, 2, {(0, 1): 1.0})
+    a = KCovector.elementary(2, (0, 1))
     with pytest.raises(ValueError):
-        a.wedge(KCovector(2, 1, {(0,): 1.0}))
+        a.wedge(KCovector.elementary(2, (0,)))
+
+
+def _shuffle_wedge_value(a, b, V):
+    """(a ^ b)(v_1..v_{p+q}) = sum over (p,q)-shuffles s of sgn(s) a(v_s(1..p)) b(v_s(p+1..p+q)).
+
+    Each factor is evaluated as a sum of determinants over its coefficient row,
+    so no index table of ``forms`` is involved.
+    """
+    import itertools
+
+    def value(cov, W):
+        if cov.degree == 0:
+            return float(cov.row[0])
+        return sum(float(c) * float(np.linalg.det(W[:, I])) for I, c in zip(forms.basis(cov.dim, cov.degree), cov.row))
+
+    p, q = a.degree, b.degree
+    total = 0.0
+    for first in itertools.combinations(range(p + q), p):
+        rest = [i for i in range(p + q) if i not in first]
+        inversions = sum(1 for i in first for j in rest if j < i)
+        total += (-1) ** inversions * value(a, V[list(first)]) * value(b, V[rest])
+    return total
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_wedge_matches_the_shuffle_formula(N):
+    rng = np.random.default_rng(30 + N)
+    for k1 in range(5):
+        for k2 in range(5 - k1):
+            for terms in (2, 10):
+                a, b = rand_covector(rng, N, k1, terms), rand_covector(rng, N, k2, terms)
+                ab = a.wedge(b)
+                assert (ab.dim, ab.degree) == (N, k1 + k2)
+                for V in rng.normal(size=(3, k1 + k2, N)):
+                    expect = _shuffle_wedge_value(a, b, V)
+                    assert ab(V) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def test_covector_row_is_checked_and_read_only():
+    with pytest.raises(ValueError):
+        KCovector(4, 2, np.zeros(5))
+    for bad in [(1, 0), (0, 0), (0, 4), (-1, 0)]:
+        with pytest.raises(ValueError):
+            KCovector.elementary(4, bad)
+    cov = KCovector.elementary(4, (1, 3), -2.0)
+    assert cov.terms == [((1, 3), -2.0)]
+    with pytest.raises(ValueError):
+        cov.add(KCovector.elementary(4, (0,)))  # both rows have 4 coefficients, the degrees differ
+    with pytest.raises(ValueError):
+        cov.row[0] = 1.0
 
 
 def test_alternating_multilinear_eval():
@@ -91,7 +138,7 @@ def test_alternating_multilinear_eval():
 def test_trace_of_volume_is_blockwise():
     om = natural_volume_form(2, 3)
     cov = om.at(np.zeros(6))
-    assert cov.coeffs == {(0, 1): 1.0, (2, 3): 1.0, (4, 5): 1.0}
+    assert cov.terms == [((0, 1), 1.0), ((2, 3), 1.0), ((4, 5), 1.0)]
 
 
 def test_trace_d1_is_identity():
@@ -181,7 +228,7 @@ def test_tensor_product_degree_and_zero():
     z = KForm.zero(2, 2, 1)
     tp = tensor_product(w0, z)
     assert tp.degree == 4
-    assert tp.at(np.zeros(4)).coeffs == {}
+    assert tp.at(np.zeros(4)).terms == []
 
 
 # -- comass ---------------------------------------------------------------------
@@ -237,9 +284,14 @@ def test_comass_is_upper_bound_on_frames():
 # one frame at a time, one determinant per minor.
 
 
+def _ref_terms(cov):
+    """(I, c) over the nonzero coefficients, in basis order."""
+    return [(I, float(c)) for I, c in zip(forms.basis(cov.dim, cov.degree), cov.row) if c != 0.0]
+
+
 def _ref_eval(cov, V):
     total = 0.0
-    for I, c in cov.coeffs.items():
+    for I, c in _ref_terms(cov):
         total += c * float(np.linalg.det(V[:, I]))
     return total
 
@@ -248,7 +300,7 @@ def _ref_grad_row(cov, V, a):
     k, N = V.shape
     g = np.zeros(N)
     rows = [r for r in range(k) if r != a]
-    for I, c in cov.coeffs.items():
+    for I, c in _ref_terms(cov):
         sub = V[:, I][rows, :]
         for b, i in enumerate(I):
             minor = sub[:, [x for x in range(k) if x != b]]
@@ -261,7 +313,7 @@ def _ref_comass(form, x, settings):
     cov = form.at(x)
     k, N = cov.degree, cov.dim
     starts = []
-    by_mag = sorted(cov.coeffs.items(), key=lambda kv: -abs(kv[1]))
+    by_mag = sorted(_ref_terms(cov), key=lambda kv: -abs(kv[1]))
     for I, c in by_mag[: max(4, settings.n_starts // 4)]:
         V = np.zeros((k, N))
         for b, i in enumerate(I):
@@ -337,7 +389,7 @@ MIXED_FORM = build_form(
 def test_comass_reference_negative_leading_coefficient():
     # the largest coefficient is negative: its elementary start has row 0 flipped
     x = np.random.default_rng(11).normal(size=4)
-    assert max(MIXED_FORM.at(x).coeffs.values(), key=abs) == -2.0
+    assert max(MIXED_FORM.at(x).row.tolist(), key=abs) == -2.0
     for n_starts in (64, 9, 1):
         res = _assert_matches_reference(MIXED_FORM, x, ComassSettings(n_starts=n_starts))
         assert res.converged
@@ -388,7 +440,7 @@ def test_comass_rejects_empty_start_set():
 def test_d_of_constant_form_is_zero():
     om = natural_volume_form(2, 2)
     dom = exterior_derivative(om)
-    assert dom.at(np.array([1.0, 2.0, 3.0, 4.0])).coeffs == {}
+    assert dom.at(np.array([1.0, 2.0, 3.0, 4.0])).terms == []
 
 
 def test_d_of_linear_trace_form():
@@ -397,10 +449,10 @@ def test_d_of_linear_trace_form():
     tr = trace_form(alpha, 2)
     x = np.array([0.1, -0.2, 0.5, 0.7])
     for form in (tr, KForm(degree=1, n=2, d=2, coeff_fn=tr.coeff_fn)):  # analytic and FD routes
-        dcov = exterior_derivative(form, fd_step=1e-5).at(x)
-        assert dcov.coeffs.get((0, 1), 0.0) == pytest.approx(1.0, abs=1e-8)
-        assert dcov.coeffs.get((2, 3), 0.0) == pytest.approx(1.0, abs=1e-8)
-        others = {k: v for k, v in dcov.coeffs.items() if k not in {(0, 1), (2, 3)}}
+        coeff = dict(zip(forms.basis(4, 2), exterior_derivative(form, fd_step=1e-5).at(x).row))
+        assert coeff[(0, 1)] == pytest.approx(1.0, abs=1e-8)
+        assert coeff[(2, 3)] == pytest.approx(1.0, abs=1e-8)
+        others = {k: v for k, v in coeff.items() if k not in {(0, 1), (2, 3)}}
         assert all(abs(v) < 1e-8 for v in others.values())
 
 
@@ -413,7 +465,7 @@ def test_dd_zero_on_polynomial_form():
     df = exterior_derivative(f, fd_step=1e-4)
     ddf = exterior_derivative(df, fd_step=1e-3)
     x = rng.normal(size=3)
-    assert all(abs(v) < 1e-6 for v in ddf.at(x).coeffs.values())
+    assert all(abs(v) < 1e-6 for v in ddf.at(x).row)
 
 
 def test_d_commutes_with_projection():
