@@ -45,6 +45,7 @@ import numpy as np
 
 from . import kernels
 from .almgren import AlmgrenPoint, points_of, sorted_tuples
+from .util import components
 
 
 class CoverError(ValueError):
@@ -346,29 +347,6 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(C)
 
 
-def _cluster_roots(roots: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Union-find clustering of near-coincident roots; returns (centers, sizes)."""
-    m = len(roots)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(roots[i] - roots[j]) <= radius:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    centers = np.array([roots[idx].mean() for idx in groups.values()])
-    sizes = np.array([len(idx) for idx in groups.values()], dtype=np.int64)
-    return centers, sizes
-
-
 def complex_polynomial(coeffs) -> BranchedCoverSpec:
     """z -> sum coeffs[k] z^k as a proper cover of the plane, degree = deg."""
     c = np.array(
@@ -420,8 +398,9 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
         gaps = np.abs(roots[:, :, None] - roots[:, None, :])
         gaps[:, np.arange(deg), np.arange(deg)] = np.inf
         for i in np.flatnonzero(gaps.min(axis=(1, 2)) <= radius):
-            centers, sizes = _cluster_roots(roots[i], radius[i])
-            roots[i] = np.repeat(centers, sizes)
+            labels = components(gaps[i] <= radius[i])
+            heads, sizes = np.unique(labels, return_counts=True)
+            roots[i] = np.repeat([roots[i][labels == g].mean() for g in heads], sizes)
         return np.stack([roots.real, roots.imag], axis=2)
 
     def branch_diff_batch(X):
@@ -705,11 +684,7 @@ class LiftedPath:
         """Permutation matching final lift labels to initial ones for closed loops."""
         if np.linalg.norm(self.base[-1] - self.base[0]) > tol:
             return None
-        start, end = self.lifts[0], self.lifts[-1]
-        diff = end[:, None, :] - start[None, :, :]
-        cost = np.einsum("ijk,ijk->ij", diff, diff)
-        _, perm = kernels.solve_assignment(cost)
-        return perm
+        return match_fibers(self.lifts[-1:], self.lifts[:1])[0]
 
 
 def _fibers_failing_alone(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, dict]:

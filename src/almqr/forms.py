@@ -233,13 +233,15 @@ class GroupAction:
     """A finite group of block permutations of (R^n)^d acting on flat coordinates.
 
     Each element is stored as a gather array g with (gamma v)[i] = v[g[i]].
+    ``invariance`` is the tag ``symmetrize`` gives the forms it projects:
+    "full" for the symmetric group, ("split", d0, d1) for the split one.
     """
 
-    def __init__(self, n: int, d: int, gathers: list[np.ndarray], name: str):
+    def __init__(self, n: int, d: int, gathers: list[np.ndarray], invariance: object):
         self.n = n
         self.d = d
         self.gathers = [np.asarray(g, dtype=np.int64) for g in gathers]
-        self.name = name
+        self.invariance = invariance
 
     def __len__(self) -> int:
         return len(self.gathers)
@@ -264,7 +266,7 @@ class GroupAction:
         gathers = [
             cls._gather_from_block_perm(sigma, n) for sigma in itertools.permutations(range(d))
         ]
-        return cls(n, d, gathers, f"S_{d}")
+        return cls(n, d, gathers, "full")
 
     @classmethod
     def split(cls, n: int, d0: int, d1: int) -> "GroupAction":
@@ -276,7 +278,7 @@ class GroupAction:
             for s1 in itertools.permutations(range(d1)):
                 sigma = tuple(s0) + tuple(d0 + j for j in s1)
                 gathers.append(cls._gather_from_block_perm(sigma, n))
-        return cls(n, d0 + d1, gathers, f"S_{d0}xS_{d1}")
+        return cls(n, d0 + d1, gathers, ("split", d0, d1))
 
     def apply_point(self, gather: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64)[gather]
@@ -399,9 +401,6 @@ def symmetrize(form: KForm, action: GroupAction) -> KForm:
     """Group-average projection onto invariant forms: average of the pullbacks."""
     if action.n != form.n or action.d != form.d:
         raise ValueError("action and form live on different spaces")
-    tag = "full" if action.name.startswith("S_") and "x" not in action.name else (
-        "split" if "x" in action.name else "none"
-    )
     N, k = form.dim, form.degree
     G = np.stack(action.gathers)
 
@@ -424,7 +423,7 @@ def symmetrize(form: KForm, action: GroupAction) -> KForm:
 
     if form.is_constant:
         row = average(form.coeff_fn, k)(np.zeros((1, N)))[0]
-        return _constant_form(row, k, form.n, form.d, invariance=tag)
+        return _constant_form(row, k, form.n, form.d, invariance=action.invariance)
     deriv = None
     if form.analytic_derivative is not None:
         deriv = average(form.analytic_derivative, k + 1)
@@ -434,7 +433,7 @@ def symmetrize(form: KForm, action: GroupAction) -> KForm:
         d=form.d,
         coeff_fn=average(form.coeff_fn, k),
         analytic_derivative=deriv,
-        invariance=tag,
+        invariance=action.invariance,
     )
 
 

@@ -2,11 +2,14 @@
 
 A multi-valued map answers in batches: points (P, m) go to tuples
 (P, d, n) in ``almgren.sorted_tuples`` form, and ``F(x)`` is the batch of
-one as an AlmgrenPoint.  Differentials are per-branch linear maps obtained
-either exactly (inverse function theorem for inverses of covers, stored
-matrices for synthetic affine maps) or by matching-based central
-differences.  The frame norm |Df|^2 = sum_j ||L_j||^2 is the quantity used
-throughout the verifiers.
+one as an AlmgrenPoint.  Differentials are per-branch linear maps with one
+batch-first route, ``branches(F, X)``: exact where the map knows them
+(inverse function theorem for inverses of covers, stored matrices for
+synthetic affine maps), else matched central differences, all (2m+1) P
+rows in one evaluation, matched to their centers by
+``covers.match_fibers``.  ``differential`` is its batch of one, and weak
+Stokes and both pull-backs go through it.  The frame norm
+|Df|^2 = sum_j ||L_j||^2 is the quantity used throughout the verifiers.
 """
 
 from __future__ import annotations
@@ -17,18 +20,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
 from .almgren import AlmgrenPoint, barycenters, distances_to_diagonal, points_of, sorted_tuples
 from .covers import (
     BranchedCoverSpec,
     NumericalError,
     branch_differentials_batch,
     det,
+    match_fibers,
     minv_batch,
     op_norm,
     op_norm_sq,
 )
 from .forms import KCovector, KForm, cov_max_dev, exterior_derivative, pullback_coeffs
+from .util import components
 
 
 class PullbackError(ValueError):
@@ -116,12 +120,10 @@ def from_affine_branches(branches: list[tuple[np.ndarray, np.ndarray]], domain, 
 
 @dataclass
 class MVDifferential:
-    """Branch values and branch linear maps at a base point."""
+    """Branch values and branch linear maps at one point."""
 
-    x0: np.ndarray
     values: np.ndarray  # (d, n)
     L: np.ndarray  # (d, n, m)
-    ambiguous_matching: bool = False
     on_singular_set: bool = False
 
     @property
@@ -129,120 +131,50 @@ class MVDifferential:
         """|Df| = sqrt(sum of squared branch operator norms)."""
         return float(np.sqrt(sum(op_norm(Lj) ** 2 for Lj in self.L)))
 
-    def stacked(self) -> np.ndarray:
-        """The (d*n, m) matrix sending v to the tuple of branch images."""
-        d, n, m = self.L.shape
-        return self.L.reshape(d * n, m)
 
-    def metric_jacobian(self) -> float:
-        """sqrt of the Gram determinant of the stacked frame (m = n case)."""
-        T = self.stacked()
-        G = T.T @ T
-        return float(np.sqrt(max(np.linalg.det(G), 0.0)))
+def branches(F: MultiValuedMap, X, h: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Branch values (P, d, n), differentials (P, d, n, m) and on-singular-set flags (P,) at the rows of X (P, m).
 
-
-def _group_coincident(values: np.ndarray, tol: float) -> list[list[int]]:
-    d = len(values)
-    parent = list(range(d))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            if np.linalg.norm(values[i] - values[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(d):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _enforce_shared_differentials(values: np.ndarray, L: np.ndarray, tol: float) -> bool:
-    """Average the L's over coincident branches (differentiability condition (ii))."""
-    touched = False
-    for grp in _group_coincident(values, tol):
-        if len(grp) > 1:
-            L[grp] = L[grp].mean(axis=0)
-            touched = True
-    return touched
-
-
-def _exact_branch_batch(F: MultiValuedMap, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Branch values (P, d, n), differentials (P, d, n, m) and on-singular-set flags (P,)
-    at the rows of X, with the differentials shared over coincident branches."""
-    values, L = F.exact_branches(X)
-    values = np.asarray(values, dtype=np.float64)
-    L = np.array(L, dtype=np.float64)
-    tol = 1e-8 * (1.0 + np.max(np.abs(values), axis=(1, 2)))
-    gaps = np.linalg.norm(values[:, :, None, :] - values[:, None, :, :], axis=-1)
-    # rows where some pair of distinct branches coincides (the diagonal always does)
-    rows = np.flatnonzero((gaps <= tol[:, None, None]).sum(axis=(1, 2)) > values.shape[1])
-    touched = np.zeros(len(values), dtype=bool)
-    for p in rows:
-        touched[p] = _enforce_shared_differentials(values[p], L[p], tol[p])
-    return values, L, touched
-
-
-def _branch_batch(F: MultiValuedMap, X: np.ndarray, h: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
-    """Branch values (P, d, n) and differentials (P, d, n, m) at the rows of X (P, m).
-
-    Exact maps answer in one batch; the others take the matched central
-    differences of ``differential`` point by point.
+    Exact maps answer through ``F.exact_branches``.  The others take matched
+    central differences: the (2m+1) P rows x, x + h e_i, x - h e_i go to
+    ``F.evaluate`` in one call, and ``covers.match_fibers`` matches each
+    shifted fiber to its center.  Where branches coincide (within
+    1e-8 (1 + max|value|)), their differentials are averaged over the
+    coincident group (differentiability condition (ii)) and the row is flagged.
     """
     X = np.asarray(X, dtype=np.float64).reshape(-1, F.m)
     if F.exact_branches is not None:
-        values, L, _ = _exact_branch_batch(F, X)
-        return values, L
-    diffs = [differential(F, x, h=h) for x in X]
-    return np.stack([D.values for D in diffs]), np.stack([D.L for D in diffs])
-
-
-def _match(base: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, float]:
-    diff = base[:, None, :] - other[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
-    total, perm = kernels.solve_assignment(cost)
-    # two-swap slack as an optimality-ambiguity proxy
-    d = len(base)
-    slack = np.inf
-    for i in range(d):
-        for j in range(i + 1, d):
-            delta = (
-                cost[i, perm[j]] + cost[j, perm[i]] - cost[i, perm[i]] - cost[j, perm[j]]
-            )
-            slack = min(slack, delta)
-    return perm, float(slack)
+        values, L = F.exact_branches(X)
+        values = np.asarray(values, dtype=np.float64)
+        L = np.array(L, dtype=np.float64)
+    else:
+        P, m = X.shape
+        E = h * np.eye(m)
+        T = F.evaluate(np.concatenate([X, (X[:, None] + E).reshape(-1, m), (X[:, None] - E).reshape(-1, m)]))
+        values = T[:P]
+        centers = np.repeat(values, m, axis=0)
+        plus, minus = T[P : P * (m + 1)], T[P * (m + 1) :]
+        plus = np.take_along_axis(plus, match_fibers(centers, plus)[:, :, None], axis=1)
+        minus = np.take_along_axis(minus, match_fibers(centers, minus)[:, :, None], axis=1)
+        # row p * m + i holds the i-th partial derivatives of point p
+        L = np.moveaxis(((plus - minus) / (2.0 * h)).reshape(P, m, *values.shape[1:]), 1, 3)
+    tol = 1e-8 * (1.0 + np.max(np.abs(values), axis=(1, 2)))
+    gaps = np.linalg.norm(values[:, :, None, :] - values[:, None, :, :], axis=-1)
+    close = gaps <= tol[:, None, None]
+    # rows where two distinct branches coincide (every branch is close to itself)
+    on_sing = close.sum(axis=(1, 2)) > values.shape[1]
+    for p in np.flatnonzero(on_sing):
+        labels = components(close[p])
+        for g in np.unique(labels):
+            grp = labels == g
+            L[p, grp] = L[p, grp].mean(axis=0)
+    return values, L, on_sing
 
 
 def differential(F: MultiValuedMap, x, h: float = 1e-5) -> MVDifferential:
-    """Branch differentials at x: exact when available, else matched central FD."""
-    x = np.asarray(x, dtype=np.float64).reshape(F.m)
-    if F.exact_branches is not None:
-        values, L, on_sing = _exact_branch_batch(F, x[None])
-        return MVDifferential(x0=x, values=values[0], L=L[0], on_singular_set=bool(on_sing[0]))
-
-    # the 2m + 1 rows x, x + h e_i, x - h e_i in one evaluation
-    E = h * np.eye(F.m)
-    T = F.evaluate(np.concatenate([x[None], x + E, x - E]))
-    X = T[0]
-    d, n = X.shape
-    L = np.zeros((d, n, F.m))
-    ambiguous = False
-    for i in range(F.m):
-        Xp, Xm = T[1 + i], T[1 + F.m + i]
-        pp, sp = _match(X, Xp)
-        pm, sm = _match(X, Xm)
-        if min(sp, sm) < 1e-12:
-            ambiguous = True
-        L[:, :, i] = (Xp[pp] - Xm[pm]) / (2.0 * h)
-    tol = 1e-8 * (1.0 + float(np.max(np.abs(X))))
-    on_sing = _enforce_shared_differentials(X, L, tol)
-    return MVDifferential(
-        x0=x, values=X, L=L, ambiguous_matching=ambiguous, on_singular_set=on_sing
-    )
+    """Branch values and differentials at one point x (m,): the batch of one of ``branches``."""
+    values, L, on_sing = branches(F, np.asarray(x, dtype=np.float64).reshape(1, F.m), h=h)
+    return MVDifferential(values[0], L[0], bool(on_sing[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +194,38 @@ def _pullback_at(omega: KForm, values: np.ndarray, L: np.ndarray) -> KCovector:
     return omega.at(flat).pullback_linear(T)
 
 
+def _pullback(
+    omega: KForm,
+    maps: list[MultiValuedMap],
+    x,
+    h: float,
+    verify_relabelings: int,
+    rng: Optional[np.random.Generator],
+) -> PullbackSample:
+    """omega pulled back at x by the map whose branches are those of ``maps`` in turn.
+
+    The computation picks the branch labeling ``differential`` gives; with
+    ``verify_relabelings`` > 0 it recomputes under random relabelings, each
+    permuting the branches of every map among themselves, and raises
+    NumericalError when the covector moves by more than rounding.
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(maps[0].m)
+    diffs = [differential(f, x, h=h) for f in maps]
+    values = np.concatenate([D.values for D in diffs])
+    L = np.concatenate([D.L for D in diffs])
+    cov = _pullback_at(omega, values, L)
+    dev = 0.0
+    if verify_relabelings > 0:
+        rng = rng or np.random.default_rng(0)
+        starts = np.cumsum([0] + [f.d for f in maps[:-1]])
+        for _ in range(verify_relabelings):
+            perm = np.concatenate([s + rng.permutation(f.d) for s, f in zip(starts, maps)])
+            dev = max(dev, cov_max_dev(cov, _pullback_at(omega, values[perm], L[perm])))
+        if dev > 1e-10 * (1.0 + np.max(np.abs(cov.row), initial=0.0)):
+            raise NumericalError(f"pullback not labeling-invariant (deviation {dev:.3e})")
+    return PullbackSample(x=x, covector=cov, relabeling_deviation=dev)
+
+
 def pullback(
     F: MultiValuedMap,
     omega: KForm,
@@ -274,8 +238,8 @@ def pullback(
 
     The computation picks an arbitrary branch labeling; with
     ``verify_relabelings`` > 0 it recomputes under random relabelings and
-    records the maximum deviation (which must be at rounding level for
-    invariant forms).
+    records the maximum deviation, which must be at rounding level for
+    invariant forms (NumericalError otherwise).
     """
     if omega.invariance != "full":
         raise PullbackError(
@@ -284,19 +248,7 @@ def pullback(
         )
     if omega.n != F.n or omega.d != F.d:
         raise PullbackError("form and map have incompatible shapes")
-    x = np.asarray(x, dtype=np.float64).reshape(F.m)
-    diff = differential(F, x, h=h)
-    cov = _pullback_at(omega, diff.values, diff.L)
-    dev = 0.0
-    if verify_relabelings > 0:
-        rng = rng or np.random.default_rng(0)
-        for _ in range(verify_relabelings):
-            perm = rng.permutation(F.d)
-            cov2 = _pullback_at(omega, diff.values[perm], diff.L[perm])
-            dev = max(dev, cov_max_dev(cov, cov2))
-        if dev > 1e-10 * (1.0 + np.max(np.abs(cov.row), initial=0.0)):
-            raise NumericalError(f"pullback not labeling-invariant (deviation {dev:.3e})")
-    return PullbackSample(x=x, covector=cov, relabeling_deviation=dev)
+    return _pullback(omega, [F], x, h, verify_relabelings, rng)
 
 
 @dataclass
@@ -346,26 +298,11 @@ class MultiValuedPair:
         verify_relabelings: int = 2,
         rng: Optional[np.random.Generator] = None,
     ) -> PullbackSample:
-        """Pull back a split-invariant (or fully invariant) form by the pair."""
+        """Pull back a split-invariant (or fully invariant) form by the pair; relabelings stay within each component."""
         d0, d1 = self.f0.d, self.f1.d
         if omega.invariance not in ("full", ("split", d0, d1)):
             raise PullbackError(f"form invariance {omega.invariance!r} incompatible with pair ({d0},{d1})")
-        x = np.asarray(x, dtype=np.float64).reshape(self.f0.m)
-        D0 = differential(self.f0, x, h=h)
-        D1 = differential(self.f1, x, h=h)
-        values = np.concatenate([D0.values, D1.values])
-        L = np.concatenate([D0.L, D1.L])
-        cov = _pullback_at(omega, values, L)
-        dev = 0.0
-        if verify_relabelings > 0:
-            rng = rng or np.random.default_rng(0)
-            for _ in range(verify_relabelings):
-                p0 = rng.permutation(d0)
-                p1 = d0 + rng.permutation(d1)
-                perm = np.concatenate([p0, p1])
-                cov2 = _pullback_at(omega, values[perm], L[perm])
-                dev = max(dev, cov_max_dev(cov, cov2))
-        return PullbackSample(x=x, covector=cov, relabeling_deviation=dev)
+        return _pullback(omega, [self.f0, self.f1], x, h, verify_relabelings, rng)
 
 
 def hodge_star_top(alpha: KCovector) -> float:
@@ -518,7 +455,7 @@ def weak_stokes_check(
     levels = []
     for order in orders:
         pts, wts = box_quadrature(box, order)
-        values, L = _branch_batch(F, pts, h=fd_step)
+        values, L, _ = branches(F, pts, h=fd_step)
         if k == m:
             # both integrands vanish identically by degree
             I1 = I2 = S = 0.0

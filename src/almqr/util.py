@@ -23,6 +23,21 @@ def row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dots(V))
 
 
+def components(close: np.ndarray) -> np.ndarray:
+    """Connected components of the graphs with symmetric boolean adjacency ``close`` (..., d, d).
+
+    Returns labels (..., d): each vertex is labelled by the smallest vertex of
+    its component, so ascending labels list the components in order of their
+    first member.  The reachability matrix is squared until it stops growing.
+    """
+    R = close | np.eye(close.shape[-1], dtype=bool)
+    while True:
+        R2 = R @ R
+        if np.array_equal(R2, R):
+            return np.argmax(R, axis=-1)
+        R = R2
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

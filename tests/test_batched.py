@@ -30,16 +30,19 @@ from almqr.forms import (
     trace_form,
     wedge,
 )
+from almqr import kernels
 from almqr.mv import (
     BumpTestForm,
-    _branch_batch,
+    MultiValuedMap,
+    branches,
     differential,
     from_affine_branches,
     from_cover,
     weak_stokes_check,
 )
-from almqr.regions import Box, box_quadrature
+from almqr.regions import Annulus, Box, box_quadrature
 from almqr.runner import run_check
+from almqr.util import components
 
 SUPPORT = Box([0.4, 0.4], [1.8, 1.8])
 BUMP = BumpTestForm(lo=[0.55, 0.6], hi=[1.65, 1.5], q=3, amp=1.3)
@@ -178,18 +181,133 @@ def test_cover_branches_fail_closed_outside_the_image():
         from_cover(winding_map_3d(2), None).exact_branches(np.array([[0.5, 0.5, 0.0], [3.0, 0.0, 0.0]]))
 
 
-def test_branch_batch_shares_differentials_at_coincident_branches():
+def test_branches_share_differentials_at_coincident_branches():
     A1 = np.array([[1.0, 2.0], [0.0, -1.0]])
     A2 = np.array([[0.5, 0.0], [1.0, 1.0]])
     b = np.array([0.3, 0.4])
     F = from_affine_branches([(A1, b), (A2, b)], Box([-1, -1], [1, 1]), m=2)
     X = np.array([[0.0, 0.0], [0.5, -0.2]])  # the branches meet at the origin only
-    values, L = _branch_batch(F, X)
+    values, L, on_sing = branches(F, X)
     assert np.array_equal(L[0, 0], L[0, 1]) and np.allclose(L[0, 0], (A1 + A2) / 2)
     assert np.array_equal(L[1, 0], A1) and np.array_equal(L[1, 1], A2)
+    assert on_sing.tolist() == [True, False]
     D = differential(F, X[0])
     assert D.on_singular_set and np.array_equal(D.L, L[0])
     assert not differential(F, X[1]).on_singular_set
+
+
+def test_components_label_each_vertex_by_its_components_first_member():
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        d = int(rng.integers(1, 8))
+        close = rng.random((d, d)) < 0.25
+        close = close | close.T
+        # reference: grow each component from its smallest unlabelled vertex
+        ref = -np.ones(d, dtype=int)
+        for start in range(d):
+            if ref[start] < 0:
+                stack = [start]
+                while stack:
+                    i = stack.pop()
+                    if ref[i] < 0:
+                        ref[i] = start
+                        stack.extend(np.flatnonzero(close[i]))
+        assert components(close).tolist() == ref.tolist()
+    # a chain links its ends although they are not close themselves
+    chain = np.eye(4, k=1, dtype=bool) | np.eye(4, k=-1, dtype=bool)
+    assert components(chain).tolist() == [0, 0, 0, 0]
+
+
+# -- finite-difference branches against the former per-point loop ---------------
+
+
+def fd_reference(F, x, h=1e-5):
+    """Matched central differences at one point, as computed one point at a time before the batch path.
+
+    Each shifted fiber is matched to the center by ``kernels.solve_assignment``
+    on an einsum cost, and coincident branches are grouped by a union-find over
+    1-D norms: both independent of ``covers.match_fibers`` and ``util.components``.
+    """
+    E = h * np.eye(F.m)
+    T = F.evaluate(np.concatenate([x[None], x + E, x - E]))
+    X = T[0]
+    L = np.zeros(X.shape + (F.m,))
+
+    def match(other):
+        diff = X[:, None, :] - other[None, :, :]
+        return kernels.solve_assignment(np.einsum("ijk,ijk->ij", diff, diff))[1]
+
+    for i in range(F.m):
+        Xp, Xm = T[1 + i], T[1 + F.m + i]
+        L[:, :, i] = (Xp[match(Xp)] - Xm[match(Xm)]) / (2.0 * h)
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(X))))
+    parent = list(range(len(X)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(X)):
+        for j in range(i + 1, len(X)):
+            if np.linalg.norm(X[i] - X[j]) <= tol:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(X)):
+        groups.setdefault(find(i), []).append(i)
+    for grp in groups.values():
+        L[grp] = L[grp].mean(axis=0)
+    return X, L, any(len(grp) > 1 for grp in groups.values())
+
+
+def fd_copy(F):
+    """F without its exact branches: differentials by central differences only."""
+    return MultiValuedMap(domain=F.domain, m=F.m, n=F.n, d=F.d, evaluate=F.evaluate)
+
+
+def fd_cases():
+    rng = np.random.default_rng(26)
+    ring = Annulus(np.zeros(2), 0.3, 1.5)
+    cases = {f"z{k}": (from_cover(planar_power(k), ring), ring.sample(rng, 1024)) for k in (2, 3, 4)}
+    A1, A2, A3 = rng.normal(size=(3, 2, 2))
+    b = rng.normal(size=2)
+    meeting = from_affine_branches([(A1, b), (A2, b), (A3, b + 1.0)], Box([-1, -1], [1, 1]), m=2)
+    # A1 and A2 agree at the origin only: the branches meet there
+    cases["affine-meeting"] = (meeting, np.concatenate([np.zeros((1, 2)), rng.uniform(-1, 1, size=(255, 2))]))
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(fd_cases()))
+def test_fd_branches_match_the_per_point_reference_bit_for_bit(case):
+    F, X = fd_cases()[case]
+    values, L, on_sing = branches(fd_copy(F), X)
+    for p, x in enumerate(X):
+        ref_values, ref_L, ref_sing = fd_reference(F, x)
+        assert np.array_equal(values[p], ref_values) and on_sing[p] == ref_sing
+        if ref_sing:
+            # coincident centers tie in the matching, and the two matchers may pair the
+            # +h and -h rows of the group differently: the group mean moves by rounding
+            assert np.abs(L[p] - ref_L).max() <= 4 * np.finfo(float).eps * np.abs(ref_L).max()
+        else:
+            assert np.array_equal(L[p], ref_L)
+    if case == "affine-meeting":
+        assert on_sing.tolist() == [True] + [False] * (len(X) - 1)
+        A = F.exact_branches(X[:1])[1][0]
+        assert np.allclose(L[0, 0], (A[0] + A[1]) / 2) and np.allclose(L[0, 2], A[2])
+
+
+def test_weak_stokes_on_fd_branches_matches_the_exact_map():
+    F = from_cover(planar_power(3), SUPPORT)
+    omega = symmetrize(on_tuples(rand_one_form(np.random.default_rng(27), 6), 2, 3), GroupAction.full(2, 3))
+    orders = (16, 32, 64)
+    exact = weak_stokes_check(F, omega, BUMP, orders=orders)
+    fd = weak_stokes_check(fd_copy(F), omega, BUMP, orders=orders)
+    for a, b in zip(exact["levels"], fd["levels"]):
+        assert not a["degenerate"] and not b["degenerate"]
+        # central differences at h = 1e-5: error about h^2 plus rounding eps / h, relative
+        for side in ("lhs", "rhs"):
+            assert b[side] == pytest.approx(a[side], rel=1e-8)
+        assert b["rel_discrepancy"] == pytest.approx(a["rel_discrepancy"], abs=1e-8)
 
 
 # -- weak Stokes: the batched levels against a per-node reference -----------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from almqr.almgren import distance_to_diagonal, distance_values, sorted_tuples
-from almqr.covers import branch_differentials, identity_map, planar_power, precomposed, winding_map_3d
-from almqr.forms import GroupAction, KForm, MultiPoly, cov_max_dev, natural_volume_form, polynomial_one_form, symmetrize, tensor_product, trace_form
+from almqr.covers import NumericalError, branch_differentials, identity_map, planar_power, precomposed, winding_map_3d
+from almqr.forms import GroupAction, KCovector, KForm, MultiPoly, cov_max_dev, natural_volume_form, polynomial_one_form, symmetrize, tensor_product, trace_form
 from almqr.mv import (
     MultiValuedMap,
     MultiValuedPair,
@@ -19,6 +19,7 @@ from almqr.mv import (
     pullback,
     qr_curve_check,
 )
+from almqr.modulus import metric_jacobian_values
 from almqr.regions import Annulus, Box, Cylinder
 
 
@@ -32,7 +33,7 @@ def test_differential_of_inverse_square():
         s = 0.5 if v[0] > 0 else -0.5
         assert np.allclose(L, [[s, 0.0], [0.0, s]], atol=1e-12)
     assert D.frame_norm == pytest.approx(np.sqrt(0.5))
-    assert D.metric_jacobian() == pytest.approx(0.5)
+    assert metric_jacobian_values(F.cover, D.values[None])[0] == pytest.approx(0.5)
 
 
 def test_differential_diagonal_affine_map():
@@ -128,6 +129,33 @@ def test_split_pullback_identity_random():
             lhs = pair.pullback(tp, x).covector
             rhs = pullback(f0, w0, x).covector.wedge(pullback(f1, w1, x).covector)
             assert cov_max_dev(lhs, rhs) < 1e-9
+
+
+def split_pair(rng, d0, d1):
+    return MultiValuedPair(*(from_affine_branches([(rng.normal(size=(2, 2)), rng.normal(size=2)) for _ in range(dj)], BOX, m=2) for dj in (d0, d1)))
+
+
+def test_pair_pulls_back_a_split_symmetrized_form():
+    rng = np.random.default_rng(2)
+    pair = split_pair(rng, 2, 1)
+    w0 = trace_form(polynomial_one_form(2, [MultiPoly(2, {(1, 0): 1.0}), MultiPoly(2, {(0, 1): -0.5})]), 2)
+    w1 = trace_form(polynomial_one_form(2, [MultiPoly(2, {(0, 0): 1.0}), MultiPoly(2, {(1, 1): 2.0})]), 1)
+    tp = tensor_product(w0, w1)
+    projected = symmetrize(tp, GroupAction.split(2, 2, 1))
+    assert projected.invariance == ("split", 2, 1)
+    for x in BOX.sample(rng, 5):
+        # tp is split-invariant already, so the projection fixes it
+        assert cov_max_dev(pair.pullback(projected, x).covector, pair.pullback(tp, x).covector) < 1e-12
+
+
+def test_pair_pullback_of_a_non_invariant_form_fails_closed():
+    rng = np.random.default_rng(3)
+    pair = split_pair(rng, 2, 1)
+    form = KForm.constant(KCovector(6, 2, rng.normal(size=15)), 2, 3, invariance=("split", 2, 1))
+    x = np.array([0.2, -0.4])
+    assert pair.pullback(form, x, verify_relabelings=0).relabeling_deviation == 0.0
+    with pytest.raises(NumericalError, match="labeling-invariant"):
+        pair.pullback(form, x, verify_relabelings=8)
 
 
 def test_hodge_star_top():
