@@ -104,7 +104,7 @@ def _shift_columns(n_src: int, k: int, N: int, shift: int) -> np.ndarray:
     return _frozen(np.array([pos[tuple(i + shift for i in I)] for I in basis(n_src, k)], dtype=np.int64))
 
 
-def _wedge_rows(A: np.ndarray, B: np.ndarray, N: int, k1: int, k2: int) -> np.ndarray:
+def wedge_rows(A: np.ndarray, B: np.ndarray, N: int, k1: int, k2: int) -> np.ndarray:
     """Pointwise wedge of coefficient rows (P, C(N,k1)) and (P, C(N,k2))."""
     a, b, c, sign = _wedge_table(N, k1, k2)
     out = np.zeros((len(A), comb(N, k1 + k2)))
@@ -116,7 +116,8 @@ def pullback_coeffs(A: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
     """Pull coefficient rows A (P, C(N,k)) back along linear maps T (P, N, m): (P, C(m,k)).
 
     k = 1 is a batched matrix product; for k >= 2 each coefficient is a sum
-    of k x k minors of T over the basis columns where A is not zero.
+    of k x k minors of T over the basis columns where A is not zero, added
+    column by column in basis order, so a row is its batch of one bit for bit.
     """
     P, N, m = T.shape
     if k == 0:
@@ -129,7 +130,13 @@ def pullback_coeffs(A: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
         return np.zeros((P, len(cols)))
     rows = _basis_array(N, k)[used]
     M = T[:, rows[:, None, :, None], cols[None, :, None, :]]  # (P, used, C(m,k), k, k)
-    return np.einsum("pi,pij->pj", A[:, used], np.linalg.det(M))
+    minors = np.linalg.det(M)
+    # not an einsum: with one output column, a one-row einsum takes a dot
+    # product that rounds differently from the many-row reduction
+    out = np.zeros((P, len(cols)))
+    for u, col in enumerate(used):
+        out += A[:, col, None] * minors[:, u]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +211,7 @@ class KCovector:
         k = self.degree + other.degree
         if k > self.dim:
             raise ValueError("degree overflow")
-        row = _wedge_rows(self.row[None], other.row[None], self.dim, self.degree, other.degree)[0]
+        row = wedge_rows(self.row[None], other.row[None], self.dim, self.degree, other.degree)[0]
         return KCovector(self.dim, k, row)
 
     def pullback_linear(self, T: np.ndarray) -> "KCovector":
@@ -477,7 +484,7 @@ def natural_volume_form(n: int, d: int) -> KForm:
 def _leibniz(a: Coeffs, da: Coeffs, b: Coeffs, db: Coeffs, N: int, ka: int, kb: int) -> Coeffs:
     """d(a ^ b) = da ^ b + (-1)^ka a ^ db, on coefficient functions."""
     sign = -1.0 if ka % 2 else 1.0
-    return lambda X: _wedge_rows(da(X), b(X), N, ka + 1, kb) + sign * _wedge_rows(a(X), db(X), N, ka, kb + 1)
+    return lambda X: wedge_rows(da(X), b(X), N, ka + 1, kb) + sign * wedge_rows(a(X), db(X), N, ka, kb + 1)
 
 
 def wedge(f1: KForm, f2: KForm) -> KForm:
@@ -488,7 +495,7 @@ def wedge(f1: KForm, f2: KForm) -> KForm:
         raise ValueError("degree overflow")
     N, k1, k2 = f1.dim, f1.degree, f2.degree
     if f1.is_constant and f2.is_constant:
-        row = _wedge_rows(f1.constant_row[None], f2.constant_row[None], N, k1, k2)[0]
+        row = wedge_rows(f1.constant_row[None], f2.constant_row[None], N, k1, k2)[0]
         return _constant_form(row, k1 + k2, f1.n, f1.d)
     a, b = f1.coeff_fn, f2.coeff_fn
     deriv = None
@@ -498,7 +505,7 @@ def wedge(f1: KForm, f2: KForm) -> KForm:
         degree=k1 + k2,
         n=f1.n,
         d=f1.d,
-        coeff_fn=lambda X: _wedge_rows(a(X), b(X), N, k1, k2),
+        coeff_fn=lambda X: wedge_rows(a(X), b(X), N, k1, k2),
         analytic_derivative=deriv,
         invariance="none",
     )
@@ -530,7 +537,7 @@ def tensor_product(f0: KForm, f1: KForm) -> KForm:
     at1 = lift(f1.coeff_fn, k1, d0, d1)
     if f0.is_constant and f1.is_constant:
         x0 = np.zeros((1, N))
-        return _constant_form(_wedge_rows(at0(x0), at1(x0), N, k0, k1)[0], k0 + k1, n, d, invariance=tag)
+        return _constant_form(wedge_rows(at0(x0), at1(x0), N, k0, k1)[0], k0 + k1, n, d, invariance=tag)
     deriv = None
     if f0.analytic_derivative and f1.analytic_derivative:
         d_at0 = lift(f0.analytic_derivative, k0 + 1, 0, d0)
@@ -540,7 +547,7 @@ def tensor_product(f0: KForm, f1: KForm) -> KForm:
         degree=k0 + k1,
         n=n,
         d=d,
-        coeff_fn=lambda X: _wedge_rows(at0(X), at1(X), N, k0, k1),
+        coeff_fn=lambda X: wedge_rows(at0(X), at1(X), N, k0, k1),
         analytic_derivative=deriv,
         invariance=tag,
     )

@@ -7,9 +7,12 @@ batch-first route, ``branches(F, X)``: exact where the map knows them
 (inverse function theorem for inverses of covers, stored matrices for
 synthetic affine maps), else matched central differences, all (2m+1) P
 rows in one evaluation, matched to their centers by
-``covers.match_fibers``.  ``differential`` is its batch of one, and weak
-Stokes and both pull-backs go through it.  The frame norm
-|Df|^2 = sum_j ||L_j||^2 is the quantity used throughout the verifiers.
+``covers.match_fibers``.  ``differential`` is its batch of one.
+Pull-backs of forms are batch-first too: ``pullback`` and
+``MultiValuedPair.pullback`` price all P points at once through
+``forms.pullback_coeffs``, and a pulled-back row equals its batch of one
+bit for bit.  The frame norm |Df|^2 = sum_j ||L_j||^2 is the quantity used
+throughout the verifiers.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .covers import (
     op_norm,
     op_norm_sq,
 )
-from .forms import KCovector, KForm, cov_max_dev, exterior_derivative, pullback_coeffs
+from .forms import KCovector, KForm, exterior_derivative, pullback_coeffs
 from .util import components
 
 
@@ -183,63 +186,74 @@ def differential(F: MultiValuedMap, x, h: float = 1e-5) -> MVDifferential:
 
 @dataclass
 class PullbackSample:
-    x: np.ndarray
-    covector: KCovector
+    """Pulled-back rows (P, C(m, k)) over ``forms.basis(m, k)``, one per point, and the largest relabeling gap."""
+
+    rows: np.ndarray
     relabeling_deviation: float = 0.0
-
-
-def _pullback_at(omega: KForm, values: np.ndarray, L: np.ndarray) -> KCovector:
-    flat = values.reshape(-1)
-    T = L.reshape(len(values) * values.shape[1], L.shape[2])
-    return omega.at(flat).pullback_linear(T)
 
 
 def _pullback(
     omega: KForm,
     maps: list[MultiValuedMap],
-    x,
+    X,
     h: float,
     verify_relabelings: int,
     rng: Optional[np.random.Generator],
 ) -> PullbackSample:
-    """omega pulled back at x by the map whose branches are those of ``maps`` in turn.
+    """omega pulled back at the rows of X (P, m) by the map whose branches are those of ``maps`` in turn.
 
-    The computation picks the branch labeling ``differential`` gives; with
-    ``verify_relabelings`` > 0 it recomputes under random relabelings, each
-    permuting the branches of every map among themselves, and raises
-    NumericalError when the covector moves by more than rounding.
+    A point (m,) is the batch of one, and every row equals its batch of one
+    bit for bit.  The computation picks the branch labeling ``branches``
+    gives; with ``verify_relabelings`` > 0 it recomputes under random
+    relabelings, each row permuting the branches of every map among
+    themselves by a permutation of its own, and raises NumericalError when a
+    row moves by more than rounding.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(maps[0].m)
-    diffs = [differential(f, x, h=h) for f in maps]
-    values = np.concatenate([D.values for D in diffs])
-    L = np.concatenate([D.L for D in diffs])
-    cov = _pullback_at(omega, values, L)
+    m = maps[0].m
+    X = np.asarray(X, dtype=np.float64).reshape(-1, m)
+    parts = [branches(f, X, h=h) for f in maps]
+    values = np.concatenate([v for v, _, _ in parts], axis=1)
+    L = np.concatenate([Lf for _, Lf, _ in parts], axis=1)
+    P, d, n = values.shape
+
+    def price(values: np.ndarray, L: np.ndarray) -> np.ndarray:
+        return pullback_coeffs(omega.coeffs(values.reshape(P, d * n)), L.reshape(P, d * n, m), omega.degree)
+
+    rows = price(values, L)
     dev = 0.0
     if verify_relabelings > 0:
         rng = rng or np.random.default_rng(0)
         starts = np.cumsum([0] + [f.d for f in maps[:-1]])
+        tol = 1e-10 * (1.0 + np.max(np.abs(rows), axis=1, initial=0.0))
         for _ in range(verify_relabelings):
-            perm = np.concatenate([s + rng.permutation(f.d) for s, f in zip(starts, maps)])
-            dev = max(dev, cov_max_dev(cov, _pullback_at(omega, values[perm], L[perm])))
-        if dev > 1e-10 * (1.0 + np.max(np.abs(cov.row), initial=0.0)):
-            raise NumericalError(f"pullback not labeling-invariant (deviation {dev:.3e})")
-    return PullbackSample(x=x, covector=cov, relabeling_deviation=dev)
+            perm = np.concatenate(
+                [s + rng.permuted(np.tile(np.arange(f.d), (P, 1)), axis=1) for s, f in zip(starts, maps)], axis=1
+            )
+            moved = price(
+                np.take_along_axis(values, perm[:, :, None], axis=1),
+                np.take_along_axis(L, perm[:, :, None, None], axis=1),
+            )
+            gap = np.max(np.abs(moved - rows), axis=1, initial=0.0)
+            dev = max(dev, float(np.max(gap, initial=0.0)))
+            if np.any(gap > tol):
+                raise NumericalError(f"pullback not labeling-invariant (deviation {dev:.3e})")
+    return PullbackSample(rows=rows, relabeling_deviation=dev)
 
 
 def pullback(
     F: MultiValuedMap,
     omega: KForm,
-    x,
+    X,
     h: float = 1e-5,
     verify_relabelings: int = 2,
     rng: Optional[np.random.Generator] = None,
 ) -> PullbackSample:
-    """(F*omega)_x = omega_{F(x)} o D_x F, well-defined by invariance.
+    """(F*omega)_x = omega_{F(x)} o D_x F at the rows x of X (P, m), well-defined by invariance.
 
-    The computation picks an arbitrary branch labeling; with
-    ``verify_relabelings`` > 0 it recomputes under random relabelings and
-    records the maximum deviation, which must be at rounding level for
-    invariant forms (NumericalError otherwise).
+    A point (m,) is the batch of one.  The computation picks an arbitrary
+    branch labeling; with ``verify_relabelings`` > 0 it recomputes under
+    random relabelings and records the maximum deviation, which must be at
+    rounding level for invariant forms (NumericalError otherwise).
     """
     if omega.invariance != "full":
         raise PullbackError(
@@ -248,7 +262,7 @@ def pullback(
         )
     if omega.n != F.n or omega.d != F.d:
         raise PullbackError("form and map have incompatible shapes")
-    return _pullback(omega, [F], x, h, verify_relabelings, rng)
+    return _pullback(omega, [F], X, h, verify_relabelings, rng)
 
 
 @dataclass
@@ -266,43 +280,19 @@ class MultiValuedPair:
     def d(self) -> int:
         return self.f0.d + self.f1.d
 
-    def combined(self) -> MultiValuedMap:
-        f0, f1 = self.f0, self.f1
-
-        def ev(X: np.ndarray) -> np.ndarray:
-            return sorted_tuples(np.concatenate([f0.evaluate(X), f1.evaluate(X)], axis=1))
-
-        branches = None
-        if f0.exact_branches is not None and f1.exact_branches is not None:
-
-            def branches(X: np.ndarray):
-                v0, L0 = f0.exact_branches(X)
-                v1, L1 = f1.exact_branches(X)
-                return np.concatenate([v0, v1], axis=1), np.concatenate([L0, L1], axis=1)
-
-        return MultiValuedMap(
-            domain=f0.domain,
-            m=f0.m,
-            n=f0.n,
-            d=self.d,
-            evaluate=ev,
-            provenance="synthetic-lipschitz",
-            exact_branches=branches,
-        )
-
     def pullback(
         self,
         omega: KForm,
-        x,
+        X,
         h: float = 1e-5,
         verify_relabelings: int = 2,
         rng: Optional[np.random.Generator] = None,
     ) -> PullbackSample:
-        """Pull back a split-invariant (or fully invariant) form by the pair; relabelings stay within each component."""
+        """Pull back a split-invariant (or fully invariant) form by the pair at the rows of X; relabelings stay within each component."""
         d0, d1 = self.f0.d, self.f1.d
         if omega.invariance not in ("full", ("split", d0, d1)):
             raise PullbackError(f"form invariance {omega.invariance!r} incompatible with pair ({d0},{d1})")
-        return _pullback(omega, [self.f0, self.f1], x, h, verify_relabelings, rng)
+        return _pullback(omega, [self.f0, self.f1], X, h, verify_relabelings, rng)
 
 
 def hodge_star_top(alpha: KCovector) -> float:

@@ -32,7 +32,9 @@ from .forms import (
     natural_volume_form,
     polynomial_one_form,
     symmetrize,
+    tensor_product,
     trace_form,
+    wedge_rows,
 )
 from .modulus import (
     ahlfors_sampler,
@@ -185,25 +187,35 @@ def _check_barycenter_lipschitz(config, seed):
 
 def _check_comass(config, seed):
     tol = float(config.get("tol", 1e-6))
-    ns = config.get("ns", [2, 3])
-    ds = config.get("ds", [2, 3])
-    n_points = int(config.get("points", 10))
+    n_points = _positive(config, "points", 10)
     expected = float(config.get("expected", 1.0))
+    if "form" in config:
+        # one pass at the form's own dimension
+        form = build_form(config["form"])
+        for key, own in (("ns", form.n), ("ds", form.d)):
+            if config.get(key, [own]) != [own]:
+                raise SpecError(f"{key} must be [{own}] (or left out) alongside a form, got {config[key]!r}")
+        passes = [(form.n, form.d, form)]
+    else:
+        ns = config.get("ns", [2, 3])
+        ds = config.get("ds", [2, 3])
+        for key, sizes in (("ns", ns), ("ds", ds)):
+            if not isinstance(sizes, (list, tuple)) or not sizes or not all(type(v) is int and v >= 1 for v in sizes):
+                raise SpecError(f"{key} must be a non-empty list of positive integers, got {sizes!r}")
+        passes = [(n, d, natural_volume_form(n, d)) for n in ns for d in ds]
     rng = seeded_rng(seed, 4)
     worst = 0.0
     values = []
-    for n in ns:
-        for d in ds:
-            form = build_form(config["form"]) if "form" in config else natural_volume_form(n, d)
-            for _ in range(n_points):
-                x = rng.normal(size=n * d)
-                res = comass(form, x)
-                if not res.converged:
-                    raise NumericalError(
-                        f"comass ascent did not converge in {res.sweeps} sweeps at n={n}, d={d}, x={x.tolist()}"
-                    )
-                values.append(res.value)
-                worst = max(worst, abs(res.value - expected))
+    for n, d, form in passes:
+        for _ in range(n_points):
+            x = rng.normal(size=n * d)
+            res = comass(form, x)
+            if not res.converged:
+                raise NumericalError(
+                    f"comass ascent did not converge in {res.sweeps} sweeps at n={n}, d={d}, x={x.tolist()}"
+                )
+            values.append(res.value)
+            worst = max(worst, abs(res.value - expected))
     passed = worst <= tol
     metrics = {"max_abs_error": worst, "min_value": min(values), "max_value": max(values)}
     return passed, metrics, {"expected": expected, "tol": tol}, 0
@@ -291,13 +303,22 @@ def _check_invariant_projection(config, seed):
 
 
 def _check_split_pullback(config, seed):
-    n_points = int(config.get("points", 1000))
+    n_points = _positive(config, "points", 1000)
     tol = float(config.get("tol", 1e-9))
+    shapes = config.get("shapes", [[1, 1], [2, 1], [2, 2]])
+    if not isinstance(shapes, (list, tuple)) or not shapes:
+        raise SpecError(f"shapes must be a non-empty list of [d0, d1] pairs, got {shapes!r}")
+    for shape in shapes:
+        # GroupAction.full enumerates the symmetric group of each factor up to d = 7
+        is_pair = isinstance(shape, (list, tuple)) and len(shape) == 2
+        if not (is_pair and all(type(d) is int and 1 <= d <= 7 for d in shape)):
+            raise SpecError(f"each shape must be a pair [d0, d1] of integers from 1 to 7, got {shape!r}")
+    if n_points < len(shapes):
+        raise SpecError(f"points must be at least the number of shapes ({len(shapes)}), got {n_points}")
     rng = seeded_rng(seed, 6)
     box = Box([-1.5, -1.5], [1.5, 1.5])
     worst = 0.0
-    shapes = config.get("shapes", [[1, 1], [2, 1], [2, 2]])
-    per = max(1, n_points // len(shapes))
+    per = n_points // len(shapes)
     for d0, d1 in shapes:
         f0 = from_affine_branches(
             [(rng.normal(size=(2, 2)), rng.normal(size=2)) for _ in range(d0)], box, m=2
@@ -313,16 +334,16 @@ def _check_split_pullback(config, seed):
             trace_form(polynomial_one_form(2, [_rand_poly(rng, 2, 1), _rand_poly(rng, 2, 1)]), d1),
             GroupAction.full(2, d1),
         )
-        from .forms import tensor_product
-
-        tp = tensor_product(w0, w1)
-        pair = MultiValuedPair(f0, f1)
-        for x in box.sample(seeded_rng(seed, 6, d0, d1), per):
-            lhs = pair.pullback(tp, x, verify_relabelings=0).covector
-            rhs = pullback(f0, w0, x, verify_relabelings=0).covector.wedge(
-                pullback(f1, w1, x, verify_relabelings=0).covector
-            )
-            worst = max(worst, cov_max_dev(lhs, rhs))
+        X = box.sample(seeded_rng(seed, 6, d0, d1), per)
+        lhs = MultiValuedPair(f0, f1).pullback(tensor_product(w0, w1), X, verify_relabelings=0).rows
+        rhs = wedge_rows(
+            pullback(f0, w0, X, verify_relabelings=0).rows,
+            pullback(f1, w1, X, verify_relabelings=0).rows,
+            2,
+            w0.degree,
+            w1.degree,
+        )
+        worst = max(worst, float(np.max(np.abs(lhs - rhs), initial=0.0)))
     passed = worst <= tol
     return passed, {"n_points": n_points, "max_deviation": worst}, {"tol": tol}, 0
 

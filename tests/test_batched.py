@@ -138,10 +138,14 @@ def test_operations_match_pointwise_covector_algebra():
         assert symmetrize(w, G).at(x)(V) == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_pullback_coeffs_evaluates_on_pushed_vectors(k):
-    rng = np.random.default_rng(23 + k)
-    N, m, P = 5, 3, 4
+@pytest.mark.parametrize(
+    "N, m, k",
+    [(5, 3, 0), (5, 3, 1), (5, 3, 2), (5, 3, 3), (4, 2, 2), (8, 2, 2), (6, 3, 3)],
+    ids=["0", "1", "2", "3", "top-N4-m2", "top-N8-m2", "top-N6-m3"],
+)
+def test_pullback_coeffs_evaluates_on_pushed_vectors(N, m, k):
+    rng = np.random.default_rng((23 + k, N, m))
+    P = 16
     A = rng.normal(size=(P, len(basis(N, k))))
     A[:, ::2] = 0.0  # columns that vanish everywhere are skipped
     T = rng.normal(size=(P, N, m))
@@ -149,7 +153,8 @@ def test_pullback_coeffs_evaluates_on_pushed_vectors(k):
     for p in range(P):
         cov = KCovector(N, k, A[p])
         back = KCovector(m, k, pulled[p])
-        assert np.abs(back.row - cov.pullback_linear(T[p]).row).max() <= 1e-12
+        # a row is its batch of one, bit for bit, top degree included
+        assert np.array_equal(back.row, cov.pullback_linear(T[p]).row)
         V = rng.normal(size=(k, m))
         assert back(V) == pytest.approx(cov(V @ T[p].T), rel=1e-12, abs=1e-12)
 

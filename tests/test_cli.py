@@ -212,6 +212,59 @@ def test_bad_config_exit_code(check, config, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"points": 0},
+        {"points": -5},
+        {"points": 2.5},
+        {"points": 2},
+        {"shapes": []},
+        {"shapes": [[0, 1]]},
+        {"shapes": [[2]]},
+        {"shapes": [[8, 1]]},
+        {"shapes": [[1.5, 1]]},
+        {"shapes": "2,1"},
+    ],
+    ids=["no-points", "negative-points", "points-not-an-integer", "fewer-points-than-shapes", "no-shapes",
+         "zero-degree", "one-degree", "degree-above-7", "degree-not-an-integer", "shapes-not-a-list"],
+)
+def test_split_pullback_bad_config_exit_code(config, capsys):
+    # a config that checks nothing, or shapes it cannot build, is a usage error (exit 2), not a PASS or a traceback
+    assert run_cli("verify", "split-pullback", "--config", json.dumps(config)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"points": 0},
+        {"points": 1.5},
+        {"ns": []},
+        {"ds": []},
+        {"ns": [0]},
+        {"form": {"kind": "trace_vol", "n": 2, "d": 2}, "ns": [3]},
+        {"form": {"kind": "trace_vol", "n": 2, "d": 2}, "ds": [2, 3]},
+    ],
+    ids=["no-points", "points-not-an-integer", "no-ns", "no-ds", "zero-n", "form-with-other-ns", "form-with-other-ds"],
+)
+def test_comass_bad_config_exit_code(config, capsys):
+    assert run_cli("verify", "comass", "--config", json.dumps(config)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_comass_check_of_a_form_runs_at_its_own_dimension(capsys):
+    # the points are drawn in R^{n d} of the form, whatever the default ns and ds
+    code = run_cli("verify", "comass", "--form", '{"kind":"trace_vol","n":2,"d":2}', "--config", '{"points":3}')
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["pass"] and out["metrics"]["max_abs_error"] <= 1e-6
+    same = {"points": 3, "ns": [2], "ds": [2]}
+    assert run_check("comass", {**same, "form": {"kind": "trace_vol", "n": 2, "d": 2}}, 1).metrics == (
+        run_check("comass", same, 1).metrics
+    )
+
+
 def test_upper_gradient_with_every_sample_excluded_exit_code(capsys):
     # every sample lies within the exclusion margin of the branch value: nothing was checked (exit 3)
     config = {"map": {"map": "power", "k": 2}, "region": "annulus:0.0001,0.0005", "samples_per_curve": 8}

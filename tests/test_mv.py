@@ -1,11 +1,14 @@
 """Multi-valued calculus: differentials, pull-backs, interpolation, ratios."""
 
+from functools import partial
+from math import comb
+
 import numpy as np
 import pytest
 
 from almqr.almgren import distance_to_diagonal, distance_values, sorted_tuples
 from almqr.covers import NumericalError, branch_differentials, identity_map, planar_power, precomposed, winding_map_3d
-from almqr.forms import GroupAction, KCovector, KForm, MultiPoly, cov_max_dev, natural_volume_form, polynomial_one_form, symmetrize, tensor_product, trace_form
+from almqr.forms import GroupAction, KCovector, KForm, MultiPoly, natural_volume_form, polynomial_one_form, symmetrize, tensor_product, trace_form, wedge_rows
 from almqr.mv import (
     MultiValuedMap,
     MultiValuedPair,
@@ -71,6 +74,7 @@ def test_pullback_relabeling_invariant_and_rejections():
     F = from_cover(planar_power(2), Annulus(np.zeros(2), 0.5, 2.0))
     om = natural_volume_form(2, 2)
     s = pullback(F, om, [1.0, 0.0], verify_relabelings=5)
+    assert s.rows.shape == (1, 1)  # a point is the batch of one
     assert s.relabeling_deviation < 1e-12
     noninv = KForm.constant(om.at(np.zeros(4)), 2, 2, invariance="none")
     with pytest.raises(PullbackError):
@@ -82,57 +86,85 @@ def test_pullback_relabeling_invariant_and_rejections():
 
 def test_pullback_of_inverse_power_star():
     # star of the pulled-back volume trace = sum of branch Jacobians
+    ys = np.array([[1.0, 0.3], [-0.6, 0.9], [0.2, -1.4]])
     for d in (2, 3):
         F = from_cover(planar_power(d), Annulus(np.zeros(2), 0.5, 2.0))
-        om = natural_volume_form(2, d)
-        y = np.array([1.0, 0.3])
-        s = pullback(F, om, y)
-        r = np.hypot(*y)
+        s = pullback(F, natural_volume_form(2, d), ys)
+        r = np.hypot(ys[:, 0], ys[:, 1])
         expect = r ** (-2 * (d - 1) / d) / d  # sum |g_j'|^2
-        assert hodge_star_top(s.covector) == pytest.approx(expect, rel=1e-10)
+        assert s.rows.shape == (3, 1)
+        assert s.rows[:, 0] == pytest.approx(expect, rel=1e-10)
 
 
 def test_pullback_single_valued_classical():
     F = from_cover(identity_map(), BOX)
     alpha = polynomial_one_form(2, [MultiPoly(2, {(0, 1): 1.0}), MultiPoly(2, {})])  # y dx
     om = trace_form(alpha, 1)
-    x = np.array([0.3, 0.7])
-    s = pullback(F, om, x)
-    assert s.covector.row[0] == pytest.approx(0.7) and s.covector.row[1] == 0.0
+    X = np.array([[0.3, 0.7], [-0.2, 0.1]])
+    rows = pullback(F, om, X).rows
+    assert rows[:, 0] == pytest.approx(X[:, 1]) and np.all(rows[:, 1] == 0.0)
 
 
 def test_pullback_comass_bound():
     rng = np.random.default_rng(0)
     F = from_cover(planar_power(2), Annulus(np.zeros(2), 0.5, 2.0))
     om = natural_volume_form(2, 2)  # comass 1
-    for _ in range(50):
-        r = rng.uniform(0.6, 1.8)
-        t = rng.uniform(0, 2 * np.pi)
-        y = np.array([r * np.cos(t), r * np.sin(t)])
-        D = differential(F, y)
-        s = pullback(F, om, y, verify_relabelings=0)
-        lhs = abs(hodge_star_top(s.covector))  # comass of a 2-covector on R^2
-        assert lhs <= D.frame_norm ** 2 * 1.0 + 1e-9
+    r = rng.uniform(0.6, 1.8, size=50)
+    t = rng.uniform(0, 2 * np.pi, size=50)
+    ys = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+    lhs = np.abs(pullback(F, om, ys, verify_relabelings=0).rows[:, 0])  # comass of a 2-covector on R^2
+    frame_norms = np.array([differential(F, y).frame_norm for y in ys])
+    assert np.all(lhs <= frame_norms**2 * 1.0 + 1e-9)
+
+
+def _one_form(d, c0, c1):
+    return symmetrize(trace_form(polynomial_one_form(2, [MultiPoly(2, c0), MultiPoly(2, c1)]), d), GroupAction.full(2, d))
 
 
 def test_split_pullback_identity_random():
     rng = np.random.default_rng(1)
-    for d0, d1 in [(1, 1), (2, 1)]:
-        f0 = from_affine_branches([(rng.normal(size=(2, 2)), rng.normal(size=2)) for _ in range(d0)], BOX, m=2)
-        f1 = from_affine_branches([(rng.normal(size=(2, 2)), rng.normal(size=2)) for _ in range(d1)], BOX, m=2)
-        w0 = symmetrize(trace_form(polynomial_one_form(2, [MultiPoly(2, {(1, 0): 1.0}), MultiPoly(2, {(0, 1): -0.5})]), d0), GroupAction.full(2, d0))
-        w1 = symmetrize(trace_form(polynomial_one_form(2, [MultiPoly(2, {(0, 0): 1.0}), MultiPoly(2, {(1, 1): 2.0})]), d1), GroupAction.full(2, d1))
-        tp = tensor_product(w0, w1)
-        pair = MultiValuedPair(f0, f1)
-        for _ in range(25):
-            x = BOX.sample(rng, 1)[0]
-            lhs = pair.pullback(tp, x).covector
-            rhs = pullback(f0, w0, x).covector.wedge(pullback(f1, w1, x).covector)
-            assert cov_max_dev(lhs, rhs) < 1e-9
+    for d0, d1 in [(1, 1), (2, 1), (2, 2)]:
+        pair = split_pair(rng, d0, d1)
+        w0 = _one_form(d0, {(1, 0): 1.0}, {(0, 1): -0.5})
+        w1 = _one_form(d1, {(0, 0): 1.0}, {(1, 1): 2.0})
+        X = BOX.sample(rng, 25)
+        lhs = pair.pullback(tensor_product(w0, w1), X).rows
+        rhs = wedge_rows(pullback(pair.f0, w0, X).rows, pullback(pair.f1, w1, X).rows, 2, 1, 1)
+        assert np.abs(lhs - rhs).max() < 1e-9
 
 
 def split_pair(rng, d0, d1):
     return MultiValuedPair(*(from_affine_branches([(rng.normal(size=(2, 2)), rng.normal(size=2)) for _ in range(dj)], BOX, m=2) for dj in (d0, d1)))
+
+
+def _assert_pullback_rows_are_batches_of_one(pull, omega, X):
+    # every pulled-back row equals the pull-back of its point alone, bit for bit
+    rows = pull(omega, X, verify_relabelings=0).rows
+    assert rows.shape == (len(X), comb(X.shape[1], omega.degree))
+    for x, row in zip(X, rows):
+        assert np.array_equal(pull(omega, x, verify_relabelings=0).rows, row[None])
+    return rows
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "finite-differences"])
+def test_pullback_rows_are_batches_of_one(exact):
+    F = from_cover(planar_power(3), Annulus(np.zeros(2), 0.5, 2.0))
+    if not exact:
+        F = MultiValuedMap(domain=F.domain, m=2, n=2, d=3, evaluate=F.evaluate)
+    X = BOX.sample(np.random.default_rng(6), 40) + [1.2, 0.0]  # off the branch value
+    for omega in (natural_volume_form(2, 3), _one_form(3, {(1, 0): 1.0, (0, 2): 0.3}, {(1, 1): -0.7})):
+        rows = _assert_pullback_rows_are_batches_of_one(partial(pullback, F), omega, X)
+        # and the per-point route: the covector at the branch values pulled back along the stacked differentials
+        for x, row in zip(X[:5], rows):
+            D = differential(F, x)
+            assert np.array_equal(omega.at(D.values.reshape(-1)).pullback_linear(D.L.reshape(-1, 2)).row, row)
+
+
+def test_pair_pullback_rows_are_batches_of_one():
+    rng = np.random.default_rng(7)
+    pair = split_pair(rng, 2, 2)
+    tp = tensor_product(_one_form(2, {(1, 0): 1.0}, {(0, 1): -0.5}), _one_form(2, {(0, 0): 1.0}, {(1, 1): 2.0}))
+    _assert_pullback_rows_are_batches_of_one(pair.pullback, tp, BOX.sample(rng, 30))
 
 
 def test_pair_pulls_back_a_split_symmetrized_form():
@@ -143,19 +175,24 @@ def test_pair_pulls_back_a_split_symmetrized_form():
     tp = tensor_product(w0, w1)
     projected = symmetrize(tp, GroupAction.split(2, 2, 1))
     assert projected.invariance == ("split", 2, 1)
-    for x in BOX.sample(rng, 5):
-        # tp is split-invariant already, so the projection fixes it
-        assert cov_max_dev(pair.pullback(projected, x).covector, pair.pullback(tp, x).covector) < 1e-12
+    X = BOX.sample(rng, 5)
+    # tp is split-invariant already, so the projection fixes it
+    assert np.abs(pair.pullback(projected, X).rows - pair.pullback(tp, X).rows).max() < 1e-12
 
 
 def test_pair_pullback_of_a_non_invariant_form_fails_closed():
     rng = np.random.default_rng(3)
     pair = split_pair(rng, 2, 1)
     form = KForm.constant(KCovector(6, 2, rng.normal(size=15)), 2, 3, invariance=("split", 2, 1))
-    x = np.array([0.2, -0.4])
-    assert pair.pullback(form, x, verify_relabelings=0).relabeling_deviation == 0.0
+    X = BOX.sample(rng, 40)
+    assert pair.pullback(form, X, verify_relabelings=0).relabeling_deviation == 0.0
     with pytest.raises(NumericalError, match="labeling-invariant"):
-        pair.pullback(form, x, verify_relabelings=8)
+        pair.pullback(form, X, verify_relabelings=8)
+    # each row draws its own relabeling: one round shared by all 40 rows would be
+    # the identity, and pass, half the time
+    for seed in range(20):
+        with pytest.raises(NumericalError, match="labeling-invariant"):
+            pair.pullback(form, X, verify_relabelings=1, rng=np.random.default_rng(seed))
 
 
 def test_hodge_star_top():
@@ -317,18 +354,6 @@ def test_affine_branches_evaluate_in_batches():
     A, b = rng.normal(size=(2, 2)), rng.normal(size=2)
     G = from_affine_branches([(A, b), (A, b), (-A, b)], BOX, m=2)
     assert sorted(G(X[0]).weights.tolist()) == [1, 2]
-
-
-def test_combined_pair_evaluates_in_batches():
-    rng = np.random.default_rng(4)
-    f0 = from_affine_branches([(rng.normal(size=(2, 2)), rng.normal(size=2)) for _ in range(2)], BOX, m=2)
-    f1 = from_cover(planar_power(2), BOX)
-    F = MultiValuedPair(f0, f1).combined()
-    X = BOX.sample(rng, 40) + 1.5  # away from the branch value of the cover
-    _assert_rows_are_batches_of_one(F, X)
-    # the union of the two tuples
-    both = np.concatenate([f0(X[0]).expand(), f1(X[0]).expand()])
-    assert np.array_equal(F(X[0]).expand(), sorted_tuples(both[None])[0])
 
 
 def test_interpolated_map_evaluates_in_batches():
