@@ -3,13 +3,17 @@
 The tests check the solver and the distance kernels against exhaustive
 permutation enumeration (``tests/test_kernels.py``).
 
-The assignment solver is the O(d^3) shortest-augmenting-path method with
-row/column potentials (the classical dense Jonker-Volgenant scheme), run on
-Python floats: d is a covering degree, almost always <= 10, and at that size
-numpy scalar indexing costs more than the arithmetic.  Batches of small
-tuples (3 <= d <= 6) are priced by :func:`enumerate_min`, which takes all d!
-matchings of every row at once.  A single pair is priced as a batch of one,
-so scalar and batch distances round alike.
+There is one assignment solver, :func:`solve_assignments`: the O(d^3)
+shortest-augmenting-path method with row/column potentials (the classical
+dense Jonker-Volgenant scheme), run in lockstep on a stack of cost matrices.
+Its float operations are those of the one-matrix method, so each matrix of a
+stack gets the value and matching it gets alone; :func:`solve_assignment` is
+its batch of one.  A batch of one pays numpy's per-call cost at every step,
+so callers gather their matrices into one stack.  Batches of small tuples
+(3 <= d <= 6) are priced by :func:`enumerate_min`, which takes all d!
+matchings of every row at once; larger d goes to the solver, one stack per
+batch.  A single pair is priced as a batch of one, so scalar and batch
+distances round alike.
 """
 
 from __future__ import annotations
@@ -21,72 +25,97 @@ import math
 import numpy as np
 
 
+def solve_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost perfect matchings of a stack of dense square cost matrices (m, d, d).
+
+    Returns ``(value, col_of_row)``: ``col_of_row[a, i]`` (m, d) is the
+    column assigned to row ``i`` of matrix ``a`` and
+    ``value[a] = cost[a, arange(d), col_of_row[a]].sum()``.
+
+    The O(d^3) shortest-augmenting-path method with row and column
+    potentials (R. Jonker and A. Volgenant, Computing 38, 1987; R. Burkard,
+    M. Dell'Amico and S. Martello, Assignment Problems, SIAM 2009), run on
+    all matrices in lockstep: the potentials, ``p``, ``way``, ``minv`` and
+    ``used`` are (m, d + 1) arrays, 1-based with column 0 as the virtual
+    root.  Every float operation is the one the one-matrix method does, and
+    the column scan takes the first minimum (``argmin``), as its strict
+    ``<`` scan does, so each matrix's value and matching do not depend on
+    the rest of the stack.  The method needs finite reduced costs to end:
+    a stack with a NaN or infinite entry raises ``ValueError`` naming its
+    matrices, and so do costs so large that the potentials overflow.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 3 or cost.shape[1] != cost.shape[2]:
+        raise ValueError(f"cost must have shape (m, d, d), got {cost.shape}")
+    m, d = cost.shape[0], cost.shape[1]
+    bad = np.flatnonzero(~np.isfinite(cost).all(axis=(1, 2)))
+    if len(bad):
+        raise ValueError(f"cost matrices {bad.tolist()} have non-finite entries")
+    if d <= 1:
+        return cost[:, 0, 0].copy() if d else np.zeros(m), np.zeros((m, d), dtype=np.int64)
+
+    rows = np.arange(m)
+    C = np.zeros((m, d + 1, d + 1))  # 1-based rows and columns; row and column 0 unused
+    C[:, 1:, 1:] = cost
+    u = np.zeros((m, d + 1))
+    v = np.zeros((m, d + 1))
+    p = np.zeros((m, d + 1), dtype=np.int64)  # p[a, j] = row matched to column j
+    way = np.zeros((m, d + 1), dtype=np.int64)
+    for i in range(1, d + 1):
+        p[:, 0] = i
+        j0 = np.zeros(m, dtype=np.int64)
+        minv = np.full((m, d + 1), np.inf)
+        used = np.zeros((m, d + 1), dtype=bool)  # columns in the tree; a finished matrix's marks are unread
+        in_tree = np.zeros((m, d + 1), dtype=bool)  # rows in the tree: p[used]
+        active = np.ones(m, dtype=bool)  # matrices still growing their tree
+        while True:
+            used[rows, j0] = True
+            i0 = p[rows, j0]
+            in_tree[rows, i0] = True
+            cur = C[rows, i0] - u[rows, i0][:, None] - v
+            live = active[:, None]
+            free = ~used & live
+            better = free & (cur < minv)
+            np.copyto(minv, cur, where=better)
+            np.copyto(way, j0[:, None], where=better)
+            scan = np.where(used, np.inf, minv)
+            j1 = np.argmin(scan, axis=1)  # the first minimum, as the strict-< scan finds it
+            delta = scan[rows, j1]
+            if not np.all(np.isfinite(delta[active])):
+                raise ValueError("reduced costs overflowed: cost entries too large for the potentials")
+            np.add(u, delta[:, None], out=u, where=in_tree & live)
+            np.subtract(v, delta[:, None], out=v, where=used & live)
+            np.subtract(minv, delta[:, None], out=minv, where=free)
+            j0 = np.where(active, j1, j0)
+            active &= p[rows, j0] != 0
+            if not active.any():
+                break
+        # augment along way[] back to the root, every matrix at once
+        going = np.ones(m, dtype=bool)
+        while going.any():
+            a = rows[going]
+            j1 = way[a, j0[a]]
+            p[a, j0[a]] = p[a, j1]
+            j0[a] = j1
+            going = j0 != 0
+
+    col_of_row = np.empty((m, d), dtype=np.int64)
+    np.put_along_axis(col_of_row, p[:, 1:] - 1, np.arange(d)[None], axis=1)
+    value = np.take_along_axis(cost, col_of_row[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+    return value, col_of_row
+
+
 def solve_assignment(cost: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimum-cost perfect matching on a dense square cost matrix.
+    """Minimum-cost perfect matching on one dense square cost matrix: :func:`solve_assignments` of a batch of one.
 
     Returns ``(value, col_of_row)`` where ``col_of_row[i]`` is the column
     assigned to row ``i`` and ``value = sum(cost[i, col_of_row[i]])``.
     """
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    d = cost.shape[0]
-    if cost.shape != (d, d):
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValueError("cost matrix must be square")
-    if d == 0:
-        return 0.0, np.empty(0, dtype=np.int64)
-    if d == 1:
-        return float(cost[0, 0]), np.zeros(1, dtype=np.int64)
-
-    # Shortest augmenting path with potentials; 1-based with column 0 as
-    # the virtual root, following the standard formulation.
-    c = cost.tolist()
-    inf = math.inf
-    u = [0.0] * (d + 1)
-    v = [0.0] * (d + 1)
-    p = [0] * (d + 1)  # p[j] = row matched to column j
-    way = [0] * (d + 1)
-    for i in range(1, d + 1):
-        p[0] = i
-        j0 = 0
-        minv = [inf] * (d + 1)
-        used = [False] * (d + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            row = c[i0 - 1]
-            u0 = u[i0]
-            delta = inf
-            j1 = -1
-            for j in range(1, d + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u0 - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(d + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while True:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-            if j0 == 0:
-                break
-
-    col_of_row = np.empty(d, dtype=np.int64)
-    for j in range(1, d + 1):
-        col_of_row[p[j] - 1] = j - 1
-    value = float(cost[np.arange(d), col_of_row].sum())
-    return value, col_of_row
+    value, col_of_row = solve_assignments(cost[None])
+    return float(value[0]), col_of_row[0]
 
 
 def assignment_value(cost: np.ndarray) -> float:
@@ -183,7 +212,7 @@ def dist_sq_one_to_many(P: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     cost = sq_costs(P[None], Qs)
     if d <= 6:
         return enumerate_min(cost)[0]
-    return np.array([assignment_value(c) for c in cost])
+    return solve_assignments(cost)[0]
 
 
 def dist_sq_pairs(Ps: np.ndarray, Qs: np.ndarray) -> np.ndarray:
@@ -199,4 +228,4 @@ def dist_sq_pairs(Ps: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     cost = sq_costs(Ps, Qs)
     if d <= 6:
         return enumerate_min(cost)[0]
-    return np.array([assignment_value(c) for c in cost])
+    return solve_assignments(cost)[0]

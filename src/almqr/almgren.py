@@ -8,6 +8,7 @@ computed by optimal assignment on the d x d matrix of squared distances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -245,54 +246,89 @@ def distance_values(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def _matched_value(P: np.ndarray, Q: np.ndarray, matching) -> float:
-    """Exactly rounded value of a matching (order-independent, hence symmetric)."""
-    import math
+    """Exactly rounded value of a matching (order-independent, hence symmetric).
 
+    The coordinates go to Python floats first: the same IEEE operations as on
+    numpy scalars, without their per-element cost.
+    """
+    P, Q = np.asarray(P).tolist(), np.asarray(Q).tolist()
     pair_sq = [
         math.fsum((a - b) * (a - b) for a, b in zip(P[i], Q[j])) for i, j in enumerate(matching)
     ]
     return float(np.sqrt(max(math.fsum(pair_sq), 0.0)))
 
 
-def _lex_refine(cost: np.ndarray, best: float) -> tuple[int, ...]:
-    """Lexicographically smallest permutation among optimal assignments.
+def _lex_refine(cost: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest permutation (m, d) among the optimal assignments of each cost matrix (m, d, d).
 
     Fixes rows in order, taking the smallest column index whose forced
-    completion still attains the optimum (within a tiny relative band).
+    completion still attains the optimum ``best`` (within a tiny relative
+    band).  For each (row, candidate) one batched completion solve prices
+    every matrix whose row is still pending.
     """
-    d = cost.shape[0]
-    tol = 1e-12 * (1.0 + abs(best))
-    cols = list(range(d))
-    fixed_cost = 0.0
-    out = [0] * d
+    m, d = cost.shape[0], cost.shape[1]
+    tol = 1e-12 * (1.0 + np.abs(best))
+    rows = np.arange(m)
+    free = np.tile(np.arange(d), (m, 1))  # each matrix's unfixed columns, ascending
+    fixed_cost = np.zeros(m)
+    out = np.zeros((m, d), dtype=np.int64)
     for i in range(d):
-        for c in sorted(cols):
+        pending = np.ones(m, dtype=bool)
+        taken = np.zeros(m, dtype=np.int64)  # the position in ``free`` of the column fixed at row i
+        for k in range(d - i):
+            a = np.flatnonzero(pending)
+            if not len(a):
+                break
+            c = free[a, k]
             if i + 1 < d:
-                completion = kernels.assignment_value(cost[i + 1 :, [x for x in cols if x != c]])
+                rest = np.delete(free[a], k, axis=1)
+                sub = np.take_along_axis(cost[a, i + 1 :], rest[:, None, :], axis=2)
+                completion = kernels.solve_assignments(sub)[0]
             else:
                 completion = 0.0
-            if fixed_cost + cost[i, c] + completion <= best + tol:
-                out[i] = c
-                fixed_cost += cost[i, c]
-                cols.remove(c)
-                break
-        else:
+            fits = a[fixed_cost[a] + cost[a, i, c] + completion <= best[a] + tol[a]]
+            taken[fits] = k
+            pending[fits] = False
+        if pending.any():
             raise RuntimeError("lexicographic refinement failed to complete")
-    return tuple(out)
+        out[:, i] = free[rows, taken]
+        fixed_cost += cost[rows, i, out[:, i]]
+        free = free[np.arange(d - i) != taken[:, None]].reshape(m, d - i - 1)
+    return out
+
+
+def lex_matchings(cost: np.ndarray) -> np.ndarray:
+    """The lexicographically first optimal matching (m, d) of each cost matrix (m, d, d).
+
+    One ``kernels.solve_assignments`` call and one :func:`_lex_refine` over
+    the whole stack; a matrix gets the matching it gets alone.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    return _lex_refine(cost, kernels.solve_assignments(cost)[0])
+
+
+def lex_distances(pairs) -> np.ndarray:
+    """:func:`distance` values of the pairs [(P, Q)] of one degree d: expanded tuples (k, d, n), n free per batch.
+
+    The cost matrices do not depend on n, so one :func:`lex_matchings`
+    call prices them all, and each value is finalized as in :func:`distance`.
+    """
+    matchings = lex_matchings(np.concatenate([kernels.sq_costs(P, Q) for P, Q in pairs]))
+    PQ = [pq for P, Q in pairs for pq in zip(P, Q)]
+    return np.array([_matched_value(p, q, perm) for (p, q), perm in zip(PQ, matchings)], dtype=np.float64)
 
 
 def distance(p: AlmgrenPoint, q: AlmgrenPoint) -> DistanceResult:
     """Assignment distance with the lexicographically smallest optimal matching.
 
-    The value is finalized with exactly rounded summation over the matched
-    pairs, so it is symmetric in the arguments and agrees bit for bit with
-    the enumeration oracle whenever both find the same matching.
+    The matching is :func:`lex_matchings` of a batch of one.  The value is
+    finalized with exactly rounded summation over the matched pairs, so it
+    is symmetric in the arguments and agrees bit for bit with the
+    enumeration oracle whenever both find the same matching.
     """
     _check_compatible(p, q)
     P, Q = p.expand(), q.expand()
-    cost = kernels.sq_costs(P[None], Q[None])[0]
-    best, _ = kernels.solve_assignment(cost)
-    matching = _lex_refine(cost, best)
+    matching = tuple(lex_matchings(kernels.sq_costs(P[None], Q[None]))[0].tolist())
     return DistanceResult(value=_matched_value(P, Q, matching), matching=matching)
 
 
@@ -323,11 +359,6 @@ def distance_bruteforce(p: AlmgrenPoint, q: AlmgrenPoint) -> DistanceResult:
 
 def barycenter(p: AlmgrenPoint) -> np.ndarray:
     return p.barycenter()
-
-
-def distance_to_diagonal(p: AlmgrenPoint) -> float:
-    """Distance to the diagonal point d*[[b(p)]]: :func:`distances_to_diagonal` of one tuple."""
-    return float(distances_to_diagonal(p.expand()[None])[0])
 
 
 def singular_stratum(p: AlmgrenPoint, tol: float = 0.0) -> int:

@@ -711,13 +711,12 @@ def match_fibers(X: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Optimal assignment perm (A, d) of the fibers F (A, d, n) to the lifts X, F[a, perm[a]] ~ X[a].
 
     For d <= 6 every permutation is priced at once (``kernels.enumerate_min``)
-    and the first minimum in lexicographic order wins; above that each row
-    goes to ``kernels.solve_assignment``.
+    and the first minimum in lexicographic order wins; above that all rows
+    go to one ``kernels.solve_assignments`` call.
     """
     cost = ((X[:, :, None, :] - F[:, None, :, :]) ** 2).sum(axis=3)
-    d = X.shape[1]
-    if d > 6:
-        return np.array([kernels.solve_assignment(c)[1] for c in cost], dtype=np.int64).reshape(-1, d)
+    if X.shape[1] > 6:
+        return kernels.solve_assignments(cost)[1]
     return kernels.enumerate_min(cost)[1]
 
 

@@ -13,6 +13,7 @@ from ._kernels_py import (
     dist_sq_pairs,
     enumerate_min,
     solve_assignment,
+    solve_assignments,
     sq_costs,
 )
 
@@ -26,5 +27,6 @@ __all__ = [
     "dist_sq_pairs",
     "enumerate_min",
     "solve_assignment",
+    "solve_assignments",
     "sq_costs",
 ]

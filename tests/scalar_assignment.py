@@ -1,0 +1,129 @@
+"""Scalar references for the batched assignment solver, shared by the tests.
+
+``solve_assignment`` is the shortest-augmenting-path method on Python floats,
+one cost matrix at a time: ``kernels.solve_assignments`` must match it bit
+for bit, row by row.  At covering degrees (d <= 10) it is an order of
+magnitude faster per matrix than a batch of one, so per-pair test loops use
+it, with ``lex_refine`` and ``distance`` built on it one pair at a time as
+``almgren._lex_refine`` and ``almgren.distance`` are built on the batched
+solver.
+"""
+
+import math
+
+import numpy as np
+
+from almqr import kernels
+from almqr.almgren import DistanceResult, _check_compatible, _matched_value
+
+
+def solve_assignment(cost: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimum-cost perfect matching on a dense square cost matrix.
+
+    Returns ``(value, col_of_row)`` where ``col_of_row[i]`` is the column
+    assigned to row ``i`` and ``value = sum(cost[i, col_of_row[i]])``.
+    """
+    cost = np.ascontiguousarray(cost, dtype=np.float64)
+    d = cost.shape[0]
+    if cost.shape != (d, d):
+        raise ValueError("cost matrix must be square")
+    if d == 0:
+        return 0.0, np.empty(0, dtype=np.int64)
+    if d == 1:
+        return float(cost[0, 0]), np.zeros(1, dtype=np.int64)
+
+    # Shortest augmenting path with potentials; 1-based with column 0 as
+    # the virtual root, following the standard formulation.
+    c = cost.tolist()
+    inf = math.inf
+    u = [0.0] * (d + 1)
+    v = [0.0] * (d + 1)
+    p = [0] * (d + 1)  # p[j] = row matched to column j
+    way = [0] * (d + 1)
+    for i in range(1, d + 1):
+        p[0] = i
+        j0 = 0
+        minv = [inf] * (d + 1)
+        used = [False] * (d + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            row = c[i0 - 1]
+            u0 = u[i0]
+            delta = inf
+            j1 = -1
+            for j in range(1, d + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u0 - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(d + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while True:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+            if j0 == 0:
+                break
+
+    col_of_row = np.empty(d, dtype=np.int64)
+    for j in range(1, d + 1):
+        col_of_row[p[j] - 1] = j - 1
+    value = float(cost[np.arange(d), col_of_row].sum())
+    return value, col_of_row
+
+
+def assignment_value(cost: np.ndarray) -> float:
+    """Minimum assignment cost without extracting the matching."""
+    return solve_assignment(cost)[0]
+
+
+
+
+def lex_refine(cost: np.ndarray, best: float) -> tuple[int, ...]:
+    """Lexicographically smallest permutation among optimal assignments.
+
+    Fixes rows in order, taking the smallest column index whose forced
+    completion still attains the optimum (within a tiny relative band).
+    """
+    d = cost.shape[0]
+    tol = 1e-12 * (1.0 + abs(best))
+    cols = list(range(d))
+    fixed_cost = 0.0
+    out = [0] * d
+    for i in range(d):
+        for c in sorted(cols):
+            if i + 1 < d:
+                completion = solve_assignment(cost[i + 1 :, [x for x in cols if x != c]])[0]
+            else:
+                completion = 0.0
+            if fixed_cost + cost[i, c] + completion <= best + tol:
+                out[i] = c
+                fixed_cost += cost[i, c]
+                cols.remove(c)
+                break
+        else:
+            raise RuntimeError("lexicographic refinement failed to complete")
+    return tuple(out)
+
+
+def distance(p, q) -> DistanceResult:
+    """``almgren.distance`` one pair at a time: scalar solve, scalar refinement, exact sum."""
+    _check_compatible(p, q)
+    P, Q = p.expand(), q.expand()
+    cost = kernels.sq_costs(P[None], Q[None])[0]
+    best, _ = solve_assignment(cost)
+    matching = lex_refine(cost, best)
+    return DistanceResult(value=_matched_value(P, Q, matching), matching=matching)

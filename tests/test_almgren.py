@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_assignment import distance as scalar_distance
 
 from almqr.almgren import (
     AlmgrenPoint,
@@ -11,8 +12,8 @@ from almqr.almgren import (
     barycenter,
     distance,
     distance_bruteforce,
-    distance_to_diagonal,
     distance_value,
+    distances_to_diagonal,
     singular_stratum,
 )
 
@@ -81,7 +82,7 @@ def test_distance_matches_bruteforce_random():
         n = int(rng.integers(1, 5))
         p = AlmgrenPoint.from_points(rng.normal(size=(d, n)))
         q = AlmgrenPoint.from_points(rng.normal(size=(d, n)))
-        a = distance(p, q)
+        a = scalar_distance(p, q)  # almgren.distance, one scalar solve at a time
         b = distance_bruteforce(p, q)
         assert a.value == pytest.approx(b.value, abs=0.0)
         assert a.matching == b.matching
@@ -154,7 +155,7 @@ def test_permutation_invariance_property(p):
 def test_barycenter_diagonal_distance_identity(p):
     b = barycenter(p)
     direct = np.sqrt(((p.expand() - b) ** 2).sum())
-    assert distance_to_diagonal(p) == pytest.approx(direct, abs=1e-12)
+    assert distances_to_diagonal(p.expand()[None])[0] == pytest.approx(direct, abs=1e-12)
     full = distance_value(p, AlmgrenPoint.diagonal(b, p.d))
     assert full == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
@@ -179,7 +180,7 @@ def test_diagonal_is_closest_diagonal_point():
     rng = np.random.default_rng(13)
     for _ in range(50):
         p = AlmgrenPoint.from_points(rng.normal(size=(4, 2)))
-        base = distance_to_diagonal(p)
+        base = distances_to_diagonal(p.expand()[None])[0]
         for _ in range(100):
             c = rng.normal(size=2)
             assert base <= distance_value(p, AlmgrenPoint.diagonal(c, 4)) + 1e-12

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scalar_assignment import solve_assignment as scalar_solve
 
 from almqr.covers import (
     CoverError,
@@ -30,7 +31,6 @@ from almqr.forms import (
     trace_form,
     wedge,
 )
-from almqr import kernels
 from almqr.mv import (
     BumpTestForm,
     MultiValuedMap,
@@ -229,7 +229,7 @@ def test_components_label_each_vertex_by_its_components_first_member():
 def fd_reference(F, x, h=1e-5):
     """Matched central differences at one point, as computed one point at a time before the batch path.
 
-    Each shifted fiber is matched to the center by ``kernels.solve_assignment``
+    Each shifted fiber is matched to the center by the scalar assignment solver
     on an einsum cost, and coincident branches are grouped by a union-find over
     1-D norms: both independent of ``covers.match_fibers`` and ``util.components``.
     """
@@ -240,7 +240,7 @@ def fd_reference(F, x, h=1e-5):
 
     def match(other):
         diff = X[:, None, :] - other[None, :, :]
-        return kernels.solve_assignment(np.einsum("ijk,ijk->ij", diff, diff))[1]
+        return scalar_solve(np.einsum("ijk,ijk->ij", diff, diff))[1]
 
     for i in range(F.m):
         Xp, Xm = T[1 + i], T[1 + F.m + i]

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scalar_assignment import solve_assignment as scalar_solve
 
 from almqr import kernels
 from almqr.almgren import distance_value, distance_values, points_of, sorted_tuples
@@ -399,7 +400,7 @@ def _match_ulps(row, ref):
     """Largest coordinate gap between two expanded fibers (d, n) after the
     optimal matching, in units of eps * max(1, |ref|)."""
     cost = ((row[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-    _, perm = kernels.solve_assignment(cost)
+    _, perm = scalar_solve(cost)
     return float(np.abs(row - ref[perm]).max() / (EPS * max(1.0, np.abs(ref).max())))
 
 

@@ -4,9 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scalar_assignment import solve_assignment as scalar_solve
 
 from almqr import _kernels_py, almgren, kernels
 from almqr.almgren import AlmgrenPoint
+from almqr.covers import match_fibers
 
 
 def brute_min_cost(cost):
@@ -22,15 +24,22 @@ def brute_min_cost(cost):
 
 
 def test_solver_matches_enumeration():
+    # 300 random trials, solved in one stack per degree against the exhaustive
+    # enumeration (itself checked against brute_min_cost below)
     rng = np.random.default_rng(0)
-    for trial in range(300):
+    by_d = {}
+    for _ in range(300):
         d = int(rng.integers(1, 8))
-        cost = rng.normal(size=(d, d)) ** 2
-        value, perm = kernels.solve_assignment(cost)
-        ref, _ = brute_min_cost(cost)
-        assert value == pytest.approx(ref, abs=1e-12)
-        assert sorted(perm.tolist()) == list(range(d))
-        assert cost[np.arange(d), perm].sum() == pytest.approx(value, abs=1e-12)
+        by_d.setdefault(d, []).append(rng.normal(size=(d, d)) ** 2)
+    assert sum(map(len, by_d.values())) == 300
+    for d, costs in by_d.items():
+        cost = np.array(costs)
+        value, perm = kernels.solve_assignments(cost)
+        ref, _ = kernels.enumerate_min(cost)
+        for c, v, p, r in zip(cost, value, perm, ref):
+            assert v == pytest.approx(r, abs=1e-12)
+            assert sorted(p.tolist()) == list(range(d))
+            assert c[np.arange(d), p].sum() == pytest.approx(v, abs=1e-12)
 
 
 def test_dist_sq_consistent_with_solver():
@@ -45,9 +54,10 @@ def test_dist_sq_consistent_with_solver():
         assert kernels.dist_sq(P, Q) == pytest.approx(kernels.assignment_value(cost), abs=1e-12)
 
 
-def _full_cost_value(P, Q):
-    diff = P[:, None, :] - Q[None, :, :]
-    return kernels.assignment_value(np.einsum("ijk,ijk->ij", diff, diff))
+def _full_cost_values(Ps, Qs):
+    """The solver's values on the full cost matrices of the pairs (Ps, Qs) (m, d, n), in one stack."""
+    diff = Ps[:, :, None, :] - Qs[:, None, :, :]
+    return kernels.solve_assignments(np.einsum("aijk,aijk->aij", diff, diff))[0]
 
 
 def test_batch_paths_match_scalar():
@@ -59,13 +69,13 @@ def test_batch_paths_match_scalar():
             batch = kernels.dist_sq_one_to_many(P, Qs)
             ref = np.array([kernels.dist_sq(P, Q) for Q in Qs])
             np.testing.assert_allclose(batch, ref, rtol=0, atol=1e-12)
-            full = np.array([_full_cost_value(P, Q) for Q in Qs])
+            full = _full_cost_values(np.broadcast_to(P, Qs.shape), Qs)
             np.testing.assert_allclose(batch, full, rtol=0, atol=1e-12)
             Ps = rng.normal(size=(40, d, n))
             pairs = kernels.dist_sq_pairs(Ps, Qs)
             ref2 = np.array([kernels.dist_sq(p, q) for p, q in zip(Ps, Qs)])
             np.testing.assert_allclose(pairs, ref2, rtol=0, atol=1e-12)
-            full2 = np.array([_full_cost_value(p, q) for p, q in zip(Ps, Qs)])
+            full2 = _full_cost_values(Ps, Qs)
             np.testing.assert_allclose(pairs, full2, rtol=0, atol=1e-12)
 
 
@@ -86,8 +96,8 @@ def test_d2_batch_kernels_ties_and_scales(scale):
         Ps[40:50, 1] = Ps[40:50, 0]
         one = kernels.dist_sq_one_to_many(P, Qs)
         pairs = kernels.dist_sq_pairs(Ps, Qs)
-        full = np.array([_full_cost_value(P, Q) for Q in Qs])
-        full2 = np.array([_full_cost_value(p, q) for p, q in zip(Ps, Qs)])
+        full = _full_cost_values(np.broadcast_to(P, Qs.shape), Qs)
+        full2 = _full_cost_values(Ps, Qs)
         np.testing.assert_allclose(one, full, rtol=8 * eps, atol=0)
         np.testing.assert_allclose(pairs, full2, rtol=8 * eps, atol=0)
         assert np.all(one[:10] == 0.0) and np.all(pairs[:10] == 0.0)
@@ -107,15 +117,21 @@ def _pairs_with_ties(rng, d, n):
     return pairs + [(P, P.copy()), (P, P[rng.permutation(d)]), (P, doubled), (doubled, P)]
 
 
-@pytest.mark.parametrize("d", range(1, 9))  # d > 6 prices each pair with the solver
+@pytest.mark.parametrize("d", range(1, 9))  # d > 6 prices the pairs with the solver
 def test_scalar_distance_is_a_batch_of_one(d):
+    # each scalar value equals its row of a batch of all the pairs, which is
+    # the batch of one of that row
     rng = np.random.default_rng(20 + d)
     for n in (1, 2, 3, 4):
-        for P, Q in _pairs_with_ties(rng, d, n):
-            assert kernels.dist_sq(P, Q) == kernels.dist_sq_pairs(P[None], Q[None])[0]
-            p, q = AlmgrenPoint.from_points(P), AlmgrenPoint.from_points(Q)
-            batch = almgren.distance_values(p.expand()[None], q.expand()[None])[0]
-            assert almgren.distance_value(p, q) == batch
+        pairs = _pairs_with_ties(rng, d, n)
+        batch = kernels.dist_sq_pairs(np.array([P for P, _ in pairs]), np.array([Q for _, Q in pairs]))
+        points = [(AlmgrenPoint.from_points(P), AlmgrenPoint.from_points(Q)) for P, Q in pairs]
+        values = almgren.distance_values(
+            np.array([p.expand() for p, _ in points]), np.array([q.expand() for _, q in points])
+        )
+        for (P, Q), (p, q), b, v in zip(pairs, points, batch, values):
+            assert kernels.dist_sq(P, Q) == b
+            assert almgren.distance_value(p, q) == v
 
 
 def _tie_costs(rng, d, n):
@@ -222,6 +238,7 @@ def _solve_assignment_numpy_scalars(cost):
 
 
 def test_solver_on_python_floats_equals_numpy_scalar_solver():
+    # the Python-float solver is the tests' fast per-matrix reference
     rng = np.random.default_rng(12)
     for d in range(2, 10):
         for trial in range(60):
@@ -234,6 +251,123 @@ def test_solver_on_python_floats_equals_numpy_scalar_solver():
                 Q = P[rng.permutation(d)]
             cost = _kernels_py.sq_costs(P[None], Q[None])[0]
             for c in (cost, rng.normal(size=(d, d))):  # also negative entries
-                value, perm = _kernels_py.solve_assignment(c)
+                value, perm = scalar_solve(c)
                 ref, ref_perm = _solve_assignment_numpy_scalars(c)
                 assert value == ref and perm.dtype == ref_perm.dtype and np.array_equal(perm, ref_perm)
+
+
+def _solver_stack(rng, d):
+    """Cost matrices (m, d, d) for the solver: squared distances of tuples at
+    scales 10^-6 to 10^6 (with a doubled point, or against a permutation of
+    themselves: tied matchings), Gaussian entries (negative ones too), small
+    integers (many tied optima), and each of those again with its rows and
+    columns permuted, elsewhere in the stack."""
+    costs = []
+    for trial in range(8):
+        n = int(rng.integers(1, 4))
+        P = rng.normal(size=(d, n)) * 10.0 ** rng.integers(-6, 7)
+        Q = rng.normal(size=(d, n)) * 10.0 ** rng.integers(-6, 7)
+        if trial % 2 == 0:
+            Q[-1] = Q[0]
+        if trial % 4 == 1:
+            Q = P[rng.permutation(d)]
+        costs.append(_kernels_py.sq_costs(P[None], Q[None])[0])
+        costs.append(rng.normal(size=(d, d)) * 10.0 ** rng.integers(-6, 7))
+        costs.append(rng.integers(-2, 3, size=(d, d)).astype(np.float64))
+    costs += [c[rng.permutation(d)][:, rng.permutation(d)] for c in costs[::2]]
+    return np.array(costs)[rng.permutation(len(costs))]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_batched_solver_equals_scalar_solver_bit_for_bit(d):
+    cost = _solver_stack(np.random.default_rng(30 + d), d)
+    value, perm = kernels.solve_assignments(cost)
+    assert value.shape == (len(cost),) and perm.shape == (len(cost), d) and perm.dtype == np.int64
+    for c, v, p in zip(cost, value, perm):
+        ref, ref_perm = _solve_assignment_numpy_scalars(c)
+        assert v.tobytes() == np.float64(ref).tobytes()  # signed zeros included
+        assert np.array_equal(p, ref_perm)
+        one, one_perm = kernels.solve_assignment(c)  # each row is its batch of one
+        assert np.float64(one).tobytes() == v.tobytes() and np.array_equal(one_perm, p)
+
+
+def test_solver_on_empty_and_tiny_stacks():
+    for d in (0, 1, 3, 8):
+        value, perm = kernels.solve_assignments(np.zeros((0, d, d)))
+        assert value.shape == (0,) and perm.shape == (0, d)
+    value, perm = kernels.solve_assignments(np.array([[[-0.0]], [[2.5]]]))
+    assert value.tobytes() == np.array([-0.0, 2.5]).tobytes() and perm.tolist() == [[0], [0]]
+    assert kernels.solve_assignment(np.zeros((0, 0)))[0] == 0.0
+    with pytest.raises(ValueError):
+        kernels.solve_assignments(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError):
+        kernels.solve_assignment(np.zeros((3, 4)))
+
+
+def test_solver_fails_closed_on_non_finite_costs():
+    # each of these ran forever: a row of NaN or inf costs leaves the
+    # augmenting-path scan without a column to take
+    with pytest.raises(ValueError, match=r"cost matrices \[0\] have non-finite entries"):
+        kernels.solve_assignment(np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        kernels.dist_sq_pairs(np.full((1, 7, 2), np.nan), np.zeros((1, 7, 2)))
+    cost = np.random.default_rng(13).normal(size=(6, 4, 4))
+    cost[1, 2] = np.inf
+    cost[4, 0, 3] = -np.inf
+    with pytest.raises(ValueError, match=r"\[1, 4\]"):
+        kernels.solve_assignments(cost)
+    # two valid, finite d = 7 tuples whose squared distances overflow to inf
+    rng = np.random.default_rng(14)
+    p = AlmgrenPoint.from_points(rng.normal(size=(7, 2)) * 1e200)
+    q = AlmgrenPoint.from_points(rng.normal(size=(7, 2)) * 1e200)
+    assert np.all(np.isfinite(p.expand())) and np.all(np.isfinite(q.expand()))
+    with pytest.raises(ValueError, match="non-finite"):
+        almgren.distance_value(p, q)
+    # finite costs near the float limit: where the potentials overflow the
+    # solve raises too, and either way it ends
+    big, mid = 1.7e308, 1e308
+    overflowing = np.array(
+        [[big, -mid, big, mid], [big, -big, mid, big], [-big, -mid, mid, -big], [0.0, mid, mid, big]]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="overflowed"):
+            kernels.solve_assignment(overflowing)
+        for c in np.random.default_rng(15).choice([-big, -mid, 0.0, mid, big], size=(60, 5, 5)):
+            try:
+                kernels.solve_assignment(c)
+            except ValueError as exc:
+                assert "overflowed" in str(exc)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_lex_matchings_are_the_first_optimal_matching(d):
+    # integer points on a small grid: many tied optimal matchings, priced exactly
+    rng = np.random.default_rng(40 + d)
+    P = rng.integers(-2, 3, size=(60, d, 2)).astype(np.float64)
+    Q = rng.integers(-2, 3, size=(60, d, 2)).astype(np.float64)
+    Q[::4] = P[::4][:, rng.permutation(d)]
+    Q[1::4, -1] = Q[1::4, 0]
+    Q[2::4] = Q[2::4, :1]  # one point d times: every matching ties
+    values, perms = almgren.bruteforce_matchings(P, Q)
+    assert np.array_equal(almgren.lex_matchings(kernels.sq_costs(P, Q)), perms)
+    assert almgren.lex_distances([(P[:25], Q[:25]), (P[25:], Q[25:])]).tobytes() == values.tobytes()
+    for a in range(0, 60, 15):  # the scalar distance is a batch of one
+        p, q = AlmgrenPoint.from_points(P[a]), AlmgrenPoint.from_points(Q[a])
+        ref = almgren.distance_bruteforce(p, q)
+        assert almgren.distance(p, q) == ref
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_solver_routes_equal_per_row_solves(d):
+    rng = np.random.default_rng(50 + d)
+    P = rng.normal(size=(d, 2))
+    Ps = rng.normal(size=(30, d, 2))
+    Qs = rng.normal(size=(30, d, 2))
+    Qs[::5] = Ps[::5][:, rng.permutation(d)]  # distance 0, tied matchings
+    Qs[1::5, -1] = Qs[1::5, 0]
+    pairs = [scalar_solve(c)[0] for c in kernels.sq_costs(Ps, Qs)]
+    assert kernels.dist_sq_pairs(Ps, Qs).tobytes() == np.array(pairs).tobytes()
+    one = [scalar_solve(c)[0] for c in kernels.sq_costs(P[None], Qs)]
+    assert kernels.dist_sq_one_to_many(P, Qs).tobytes() == np.array(one).tobytes()
+    perms = [scalar_solve(((x[:, None, :] - f[None, :, :]) ** 2).sum(axis=2))[1] for x, f in zip(Ps, Qs)]
+    assert np.array_equal(match_fibers(Ps, Qs), np.array(perms))

@@ -2,9 +2,11 @@
 
 ``metric-oracle``, ``metric-axioms`` and ``barycenter-lipschitz`` draw all
 their samples, sort each tuple's rows, group the samples by (d, n) and price
-each group at once; ``interp`` prices each of its per-pair loops in one
+each group at once (the solver route of ``metric-oracle`` takes all samples
+of one degree at once); ``interp`` prices each of its per-pair loops in one
 batch.  The per-sample loops below are the references: one
-``AlmgrenPoint`` per tuple, one distance per pair, the enumeration oracle one
+``AlmgrenPoint`` per tuple, one distance per pair (``metric-oracle``'s by the
+scalar solver of ``scalar_assignment``), the enumeration oracle one
 permutation at a time.
 """
 
@@ -13,15 +15,16 @@ import itertools
 
 import numpy as np
 import pytest
+from scalar_assignment import distance as scalar_distance
 
 from almqr import kernels, runner
 from almqr.almgren import (
     AlmgrenPoint,
     _matched_value,
     barycenter,
-    distance,
     distance_value,
     distance_values,
+    lex_distances,
     points_of,
     sorted_tuples,
 )
@@ -53,7 +56,7 @@ def _bruteforce_reference(p, q):
     return _matched_value(P, Q, best_perm)
 
 
-def _metric_oracle_reference(n_samples, seed, distance=distance):
+def _metric_oracle_reference(n_samples, seed, distance=scalar_distance):
     rng = seeded_rng(seed, 1)
     worst = 0.0
     for _ in range(n_samples):
@@ -138,12 +141,20 @@ def test_batched_check_equals_scalar_loop(check, seed, monkeypatch):
     assert record.passed and record.excluded == 0
 
 
-def test_metric_oracle_reports_the_first_gap_in_sample_order(monkeypatch):
-    def skewed(p, q):  # a solver route off by a gap that names the sample's d
-        res = distance(p, q)
-        return dataclasses.replace(res, value=res.value + (1e-9 * p.d if p.d >= 4 else 0.0))
+def _skew(d):
+    """A gap that names the sample's d."""
+    return 1e-9 * d if d >= 4 else 0.0
 
-    monkeypatch.setattr(runner, "distance", skewed)
+
+def test_metric_oracle_reports_the_first_gap_in_sample_order(monkeypatch):
+    def skewed(p, q):  # the scalar reference, off by the gap
+        res = scalar_distance(p, q)
+        return dataclasses.replace(res, value=res.value + _skew(p.d))
+
+    def skewed_route(pairs):  # the batched solver route of one degree, off by the same gap
+        return lex_distances(pairs) + _skew(pairs[0][0].shape[1])
+
+    monkeypatch.setattr(runner, "lex_distances", skewed_route)
     monkeypatch.setattr(runner, "SAMPLE_BLOCK", 64)
     for seed in (0, 1):
         record = runner.run_check("metric-oracle", {"samples": 300}, seed)
