@@ -25,6 +25,13 @@ import math
 import numpy as np
 
 
+def _check_finite(cost: np.ndarray) -> None:
+    """ValueError naming the matrices of a stack (m, d, d) with a NaN or infinite entry."""
+    bad = np.flatnonzero(~np.isfinite(cost).all(axis=(1, 2)))
+    if len(bad):
+        raise ValueError(f"cost matrices {bad.tolist()} have non-finite entries")
+
+
 def solve_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-cost perfect matchings of a stack of dense square cost matrices (m, d, d).
 
@@ -48,9 +55,7 @@ def solve_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if cost.ndim != 3 or cost.shape[1] != cost.shape[2]:
         raise ValueError(f"cost must have shape (m, d, d), got {cost.shape}")
     m, d = cost.shape[0], cost.shape[1]
-    bad = np.flatnonzero(~np.isfinite(cost).all(axis=(1, 2)))
-    if len(bad):
-        raise ValueError(f"cost matrices {bad.tolist()} have non-finite entries")
+    _check_finite(cost)
     if d <= 1:
         return cost[:, 0, 0].copy() if d else np.zeros(m), np.zeros((m, d), dtype=np.int64)
 
@@ -142,12 +147,15 @@ def enumerate_min(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lexicographic order and ``value[a] = sum_i cost[a, i, perm[a, i]]``,
     added from row 0 down.  Totals are accumulated one row of the cost
     matrices at a time, so memory stays at (rows, d!) per chunk of
-    ``ENUMERATION_CHUNK`` entries.
+    ``ENUMERATION_CHUNK`` entries.  A NaN or infinite total has no
+    minimum to take, so a stack with a non-finite entry raises
+    ``ValueError`` naming its matrices, as :func:`solve_assignments` does.
     """
     cost = np.asarray(cost, dtype=np.float64)
     m, d = cost.shape[0], cost.shape[1]
     if cost.shape != (m, d, d):
         raise ValueError("cost must have shape (m, d, d)")
+    _check_finite(cost)
     perms = _permutations(d)
     value = np.zeros(m)
     arg = np.zeros(m, dtype=np.int64)

@@ -164,7 +164,6 @@ class BranchedCoverSpec:
     branch_value_distance: Callable[[np.ndarray], np.ndarray]
     contains_image: Callable[[np.ndarray], np.ndarray]
     spec: dict = field(default_factory=dict)
-    normal_neighborhood_boundary: Optional[Callable] = None
 
     def __post_init__(self):
         if self.degree < 1:
@@ -435,7 +434,7 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
 
 
 def planar_power(k: int) -> BranchedCoverSpec:
-    """z -> z^k with explicit k-th-root fibers and normal neighborhoods."""
+    """z -> z^k with explicit k-th-root fibers."""
     if k < 1:
         raise CoverError("power must be >= 1")
 
@@ -470,22 +469,6 @@ def planar_power(k: int) -> BranchedCoverSpec:
         # ||Df(z)|| = k |z|^(k-1), and |z| <= |x| + r on B(x, r)
         return k * (np.hypot(X[:, 0], X[:, 1]) + r) ** (k - 1)
 
-    def nn_boundary(x, r, samples=256):
-        """Boundary polyline of the normal neighborhood U(x, r), r < |x|^k."""
-        z = complex(x[0], x[1])
-        y0 = z**k
-        if abs(y0) <= r:
-            raise CoverError("normal neighborhood requires r < |f(x)|")
-        phi = np.linspace(0, 2 * np.pi, samples, endpoint=False)
-        ys = y0 + r * np.exp(1j * phi)
-        # continuous branch of the k-th root through z
-        w = np.abs(ys) ** (1.0 / k) * np.exp(1j * np.angle(ys) / k)
-        rot = np.exp(2j * np.pi * np.arange(k) / k)
-        cand = w[:, None] * rot[None, :]
-        pick = np.argmin(np.abs(cand - z), axis=1)
-        sel = cand[np.arange(samples), pick]
-        return np.stack([sel.real, sel.imag], axis=1)
-
     return BranchedCoverSpec(
         name=f"power(k={k})",
         n=2,
@@ -501,7 +484,6 @@ def planar_power(k: int) -> BranchedCoverSpec:
         branch_value_distance=_axis_distance(k),
         contains_image=_whole_plane,
         spec={"map": "power", "k": k},
-        normal_neighborhood_boundary=nn_boundary,
     )
 
 
@@ -634,10 +616,6 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
         contains_image=base.contains_image,
         spec={"map": "precompose", "affine": A.tolist(), "shift": b.tolist(), "base": base.spec},
     )
-
-
-def identity_map() -> BranchedCoverSpec:
-    return planar_power(1)
 
 
 def build_map(spec: dict) -> BranchedCoverSpec:

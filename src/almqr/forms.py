@@ -287,9 +287,6 @@ class GroupAction:
                 gathers.append(cls._gather_from_block_perm(sigma, n))
         return cls(n, d0 + d1, gathers, ("split", d0, d1))
 
-    def apply_point(self, gather: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64)[gather]
-
 
 # ---------------------------------------------------------------------------
 # forms
@@ -303,8 +300,7 @@ class KForm:
 
     ``coeff_fn`` maps points (P, N) to coefficients (P, C(N, k)) over
     ``basis(N, k)``; ``analytic_derivative``, when known, maps them to the
-    coefficients (P, C(N, k+1)) of d(form).  ``constant_row`` is the
-    coefficient row of a constant form.  ``invariance`` is a bookkeeping
+    coefficients (P, C(N, k+1)) of d(form).  ``invariance`` is a bookkeeping
     tag ("full", ("split", d0, d1) or "none"); it is set by the
     constructors that guarantee it and checked by sampling in the test
     suite, not enforced pointwise.
@@ -316,15 +312,10 @@ class KForm:
     coeff_fn: Coeffs
     analytic_derivative: Optional[Coeffs] = None
     invariance: object = "none"
-    constant_row: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
         return self.n * self.d
-
-    @property
-    def is_constant(self) -> bool:
-        return self.constant_row is not None
 
     def coeffs(self, X: np.ndarray) -> np.ndarray:
         """Coefficients at the rows of X (P, N): an array (P, C(N, k))."""
@@ -343,20 +334,27 @@ class KForm:
 
     @classmethod
     def constant(cls, cov: KCovector, n: int, d: int, invariance="none") -> "KForm":
+        """The form with coefficient row ``cov.row`` at every point; its derivative is zero."""
         if cov.dim != n * d:
             raise ValueError("covector dimension mismatch")
-        return _constant_form(cov.row, cov.degree, n, d, invariance)
+        row, C_next = cov.row, comb(n * d, cov.degree + 1)
+        return cls(
+            degree=cov.degree,
+            n=n,
+            d=d,
+            coeff_fn=lambda X: np.tile(row, (len(X), 1)),
+            analytic_derivative=lambda X: np.zeros((len(X), C_next)),
+            invariance=invariance,
+        )
 
     @classmethod
     def zero(cls, degree: int, n: int, d: int) -> "KForm":
-        return _constant_form(np.zeros(comb(n * d, degree)), degree, n, d, invariance="full")
+        return cls.constant(KCovector(n * d, degree, np.zeros(comb(n * d, degree))), n, d, invariance="full")
 
     def add(self, other: "KForm", scale: float = 1.0) -> "KForm":
         if (self.degree, self.n, self.d) != (other.degree, other.n, other.d):
             raise ValueError("incompatible forms")
         inv = self.invariance if self.invariance == other.invariance else "none"
-        if self.is_constant and other.is_constant:
-            return _constant_form(self.constant_row + scale * other.constant_row, self.degree, self.n, self.d, inv)
         a, b = self.coeff_fn, other.coeff_fn
         deriv = None
         if self.analytic_derivative and other.analytic_derivative:
@@ -372,8 +370,6 @@ class KForm:
         )
 
     def scaled(self, a: float) -> "KForm":
-        if self.is_constant:
-            return _constant_form(a * self.constant_row, self.degree, self.n, self.d, self.invariance)
         base = self.coeff_fn
         deriv = None
         if self.analytic_derivative:
@@ -387,21 +383,6 @@ class KForm:
             analytic_derivative=deriv,
             invariance=self.invariance,
         )
-
-
-def _constant_form(row: np.ndarray, degree: int, n: int, d: int, invariance="none") -> KForm:
-    """The constant form with coefficient row ``row`` over ``basis(n*d, degree)``."""
-    row = np.asarray(row, dtype=np.float64)
-    C_next = comb(n * d, degree + 1)
-    return KForm(
-        degree=degree,
-        n=n,
-        d=d,
-        coeff_fn=lambda X: np.tile(row, (len(X), 1)),
-        analytic_derivative=lambda X: np.zeros((len(X), C_next)),
-        invariance=invariance,
-        constant_row=row,
-    )
 
 
 def symmetrize(form: KForm, action: GroupAction) -> KForm:
@@ -428,9 +409,6 @@ def symmetrize(form: KForm, action: GroupAction) -> KForm:
 
         return avg
 
-    if form.is_constant:
-        row = average(form.coeff_fn, k)(np.zeros((1, N)))[0]
-        return _constant_form(row, k, form.n, form.d, invariance=action.invariance)
     deriv = None
     if form.analytic_derivative is not None:
         deriv = average(form.analytic_derivative, k + 1)
@@ -464,9 +442,6 @@ def trace_form(alpha: KForm, d: int) -> KForm:
 
         return coeff
 
-    if alpha.is_constant:
-        row = blocks(alpha.coeff_fn, k)(np.zeros((1, N)))[0]
-        return _constant_form(row, k, n, d, invariance="full")
     deriv = None
     if alpha.analytic_derivative is not None:
         deriv = blocks(alpha.analytic_derivative, k + 1)
@@ -494,9 +469,6 @@ def wedge(f1: KForm, f2: KForm) -> KForm:
     if f1.degree + f2.degree > f1.dim:
         raise ValueError("degree overflow")
     N, k1, k2 = f1.dim, f1.degree, f2.degree
-    if f1.is_constant and f2.is_constant:
-        row = wedge_rows(f1.constant_row[None], f2.constant_row[None], N, k1, k2)[0]
-        return _constant_form(row, k1 + k2, f1.n, f1.d)
     a, b = f1.coeff_fn, f2.coeff_fn
     deriv = None
     if f1.analytic_derivative and f2.analytic_derivative:
@@ -535,9 +507,6 @@ def tensor_product(f0: KForm, f1: KForm) -> KForm:
 
     at0 = lift(f0.coeff_fn, k0, 0, d0)
     at1 = lift(f1.coeff_fn, k1, d0, d1)
-    if f0.is_constant and f1.is_constant:
-        x0 = np.zeros((1, N))
-        return _constant_form(wedge_rows(at0(x0), at1(x0), N, k0, k1)[0], k0 + k1, n, d, invariance=tag)
     deriv = None
     if f0.analytic_derivative and f1.analytic_derivative:
         d_at0 = lift(f0.analytic_derivative, k0 + 1, 0, d0)

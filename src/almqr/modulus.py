@@ -659,13 +659,20 @@ def metric_qc_check(
     n_boundary: int = 512,
 ) -> dict:
     """Compare the finite-radius distortion of the multi-valued inverse with
-    the fiberwise distortion of the normal neighborhoods.
+    the fiberwise distortion of the normal neighborhoods U(x, r).
 
-    Needs the normal-neighborhood oracle (planar powers); radii must keep
-    the fiber neighborhoods disjoint.
+    The circle of radius r around y0 is sampled at ``n_boundary`` half-step
+    angles and lifted in one ``minv_batch`` call, and both sides read those
+    fibers.  Their distances to minv(y0) bound the distortion of minv f.
+    Each of their points belongs to the nearest location x of minv(y0), so
+    the points of x trace the boundary of U(x, r), and the largest and
+    smallest of their distances to x are L*(x) and l*(x).  Fails closed with
+    CoverError for a cover that is not planar, for a circle sample that does
+    not give some x exactly its local index of points, and for a radius with
+    2 L* above the gap between fiber locations: the neighborhoods may merge.
     """
-    if f.normal_neighborhood_boundary is None:
-        raise CoverError("metric-qc check needs the normal-neighborhood oracle")
+    if f.n != 2:
+        raise CoverError(f"the metric-qc check needs a planar cover; {f.name} has n = {f.n}")
     y0 = np.asarray(y0, dtype=np.float64)
     z0 = minv(f, y0)
     z0e = z0.expand()
@@ -673,39 +680,39 @@ def metric_qc_check(
     i, j = np.triu_indices(len(fiber), 1)
     gap = float(np.min(np.linalg.norm(fiber[i] - fiber[j], axis=1), initial=np.inf))
 
-    def dist_to_z0(Y):
-        """Distances from the fibers over the points Y (m, n) to z0, from one ``minv_batch`` call."""
-        X = sorted_tuples(minv_batch(f, Y))
+    def dist_to_z0(X):
+        """Distances from the fibers X (m, d, n) to z0."""
+        X = sorted_tuples(X)
         return np.sqrt(kernels.dist_sq_pairs(X, np.broadcast_to(z0e, X.shape)))
 
     rows = []
     for r in radii:
         phis = 2 * np.pi * (np.arange(n_boundary) + 0.5) / n_boundary
         ring = y0 + r * np.stack([np.cos(phis), np.sin(phis)], axis=1)
-        dists = dist_to_z0(ring)
+        held = minv_batch(f, ring)
+        dists = dist_to_z0(held)
         # interior sampling for the sup
         unit = np.stack([np.cos(phis[::8]), np.sin(phis[::8])], axis=1)
-        sup_int = float(np.max(dist_to_z0(np.concatenate([y0 + u * r * unit for u in (0.25, 0.5, 0.75)]))))
+        interior = np.concatenate([y0 + u * r * unit for u in (0.25, 0.5, 0.75)])
+        sup_int = float(np.max(dist_to_z0(minv_batch(f, interior))))
         L_minv = max(float(dists.max()), sup_int)
         l_minv = float(dists.min())
         lhs = (L_minv / l_minv) ** 2
 
+        radial = np.linalg.norm(held[:, :, None, :] - fiber, axis=-1)  # (m, d, locations)
+        owner = np.argmin(radial, axis=2)
+        counts = (owner[:, :, None] == np.arange(len(fiber))).sum(axis=1)
+        if np.any(counts != z0.weights):
+            raise CoverError(f"radius {r} too large: a circle point has the wrong number of preimages near a fiber point")
+        own = radial.min(axis=2)
         rhs = 0.0
-        ok = True
-        for x in fiber:
-            try:
-                bdry = f.normal_neighborhood_boundary(x, r, samples=n_boundary)
-            except CoverError:
-                ok = False
-                break
-            radial = np.linalg.norm(bdry - x, axis=1)
-            Lstar = float(radial.max())
-            lstar = float(radial.min())
-            if 2 * Lstar > gap and np.isfinite(gap):
+        for x in range(len(fiber)):
+            mine = own[owner == x]
+            Lstar = float(mine.max())
+            lstar = float(mine.min())
+            if 2 * Lstar > gap:
                 raise CoverError(f"radius {r} too large: fiber neighborhoods may merge")
             rhs += (Lstar / lstar) ** 2
-        if not ok:
-            raise CoverError(f"radius {r} too large for the normal-neighborhood oracle")
         rows.append(
             {
                 "radius": float(r),

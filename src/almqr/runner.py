@@ -260,6 +260,7 @@ def _check_invariant_projection(config, seed):
     base0 = _poly_kform(rng, n, d)
     base1 = _poly_kform(rng, n, d)
     P0 = symmetrize(base0, G)
+    P1 = symmetrize(base1, G)
     PP0 = symmetrize(P0, G)
     a, b = 0.7, -1.3
     lin_lhs = symmetrize(base0.add(base1, b).scaled(a), G)
@@ -267,9 +268,7 @@ def _check_invariant_projection(config, seed):
     idem = max(cov_max_dev(P0.at(x), PP0.at(x)) for x in xs)
     lin = 0.0
     for x in xs:
-        lhs = lin_lhs.at(x)
-        rhs = symmetrize(base0, G).at(x).add(symmetrize(base1, G).at(x), b).scaled(a)
-        lin = max(lin, cov_max_dev(lhs, rhs))
+        lin = max(lin, cov_max_dev(lin_lhs.at(x), P0.at(x).add(P1.at(x), b).scaled(a)))
 
     # sup-norm non-expansion via the exact closed-form comass of 1-forms
     nonexp = 0.0
@@ -684,8 +683,12 @@ def _check_metric_qc(config, seed):
     f = _map_from_config(config)
     y0 = np.asarray(config.get("y", [1.0, 0.0]), dtype=float)
     radii = config.get("radii", [0.1, 0.05, 0.02])
-    if not radii:
-        raise SpecError("metric-qc needs at least one radius")
+    try:
+        valid = len(radii) > 0 and all(np.isfinite(r) and r > 0 for r in radii)
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise SpecError(f"metric-qc needs a list of radii, each finite and positive; got {radii!r}")
     rep = metric_qc_check(f, y0, radii)
     return rep["pass"], {"rows": rep["rows"]}, {"slack": 1e-9}, 0
 

@@ -11,7 +11,6 @@ from almqr.covers import (
     NumericalError,
     branch_differentials,
     complex_polynomial,
-    identity_map,
     planar_power,
     precomposed,
     winding_map_3d,
@@ -354,7 +353,7 @@ def stokes_cases():
     return {
         "z2-symmetrized-trace": (sq, symmetrize(trace_form(rand_one_form(rng, 2), 2), G)),
         "z2-symmetrized-non-trace": (sq, symmetrize(on_tuples(rand_one_form(rng, 4), 2, 2), G)),
-        "identity": (from_cover(identity_map(), SUPPORT), trace_form(rand_one_form(rng, 2), 1)),
+        "identity": (from_cover(planar_power(1), SUPPORT), trace_form(rand_one_form(rng, 2), 1)),
         "z2-top-degree": (sq, natural_volume_form(2, 2)),
     }
 

@@ -200,11 +200,14 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
         ("energy", {"order": 0}),
         ("area", {"orders": []}),
         ("metric-qc", {"radii": []}),
+        ("metric-qc", {"radii": [0.1, 0.0]}),
+        ("metric-qc", {"map": {"map": "wind3", "k": 2}, "y": [1.0, 0.0, 0.0]}),
         ("qr-curve", {"map": {"map": "wind3", "k": 2}}),
         ("preimage-measure", {"map": {"map": "wind3", "k": 2}}),
     ],
     ids=["interp-no-pairs", "upper-gradient-no-samples", "gen-inverse-no-samples", "energy-order-0", "area-no-orders",
-         "metric-qc-no-radii", "qr-curve-wind3-planar-region", "preimage-measure-wind3-planar-points"],
+         "metric-qc-no-radii", "metric-qc-zero-radius", "metric-qc-wind3", "qr-curve-wind3-planar-region",
+         "preimage-measure-wind3-planar-points"],
 )
 def test_bad_config_exit_code(check, config, capsys):
     # no samples, no levels, or points of the wrong dimension: a usage error (exit 2), not a traceback

@@ -16,7 +16,6 @@ from almqr.covers import (
     build_map,
     complex_polynomial,
     h_function,
-    identity_map,
     min_singular,
     minv,
     minv_batch,
@@ -76,7 +75,7 @@ def test_h_function_values():
         r = 1.37
         expect = np.sqrt(r ** (-2 * (d - 1) / d) / d)
         assert h_function(g, [r, 0.0]) == pytest.approx(expect, rel=1e-12)
-    assert h_function(identity_map(), [0.3, -0.4]) == pytest.approx(1.0)
+    assert h_function(planar_power(1), [0.3, -0.4]) == pytest.approx(1.0)
 
 
 def test_h_function_singular_fiber():
@@ -279,7 +278,7 @@ def test_power_fiber_batch_rows_match_their_batches_of_one():
 BRANCH_DIFF_MAPS = {
     "poly": complex_polynomial([0.3, -1.0, 0.5, 1.0]),
     "power": planar_power(3),
-    "identity": identity_map(),
+    "identity": planar_power(1),
     "wind3": winding_map_3d(3),
     "precompose-power": precomposed(np.array([[1.4, 0.2], [0.0, 0.8]]), planar_power(2), [0.3, -0.1]),
     "precompose-poly": precomposed(np.array([[1.2, -0.3], [0.1, 0.9]]), complex_polynomial([0.5, -1.0, 0.0, 1.0])),

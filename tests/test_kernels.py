@@ -311,11 +311,18 @@ def test_solver_fails_closed_on_non_finite_costs():
         kernels.solve_assignment(np.full((3, 3), np.nan))
     with pytest.raises(ValueError, match="non-finite"):
         kernels.dist_sq_pairs(np.full((1, 7, 2), np.nan), np.zeros((1, 7, 2)))
+    # the enumeration route (3 <= d <= 6) has no minimum of NaN totals to take
+    with pytest.raises(ValueError, match=r"cost matrices \[0\] have non-finite entries"):
+        kernels.dist_sq_pairs(np.full((1, 6, 2), np.nan), np.zeros((1, 6, 2)))
+    with pytest.raises(ValueError, match=r"cost matrices \[0\] have non-finite entries"):
+        match_fibers(np.zeros((1, 4, 2)), np.full((1, 4, 2), np.nan))
     cost = np.random.default_rng(13).normal(size=(6, 4, 4))
     cost[1, 2] = np.inf
     cost[4, 0, 3] = -np.inf
     with pytest.raises(ValueError, match=r"\[1, 4\]"):
         kernels.solve_assignments(cost)
+    with pytest.raises(ValueError, match=r"\[1, 4\]"):
+        kernels.enumerate_min(cost)
     # two valid, finite d = 7 tuples whose squared distances overflow to inf
     rng = np.random.default_rng(14)
     p = AlmgrenPoint.from_points(rng.normal(size=(7, 2)) * 1e200)

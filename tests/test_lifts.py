@@ -8,7 +8,6 @@ from almqr.covers import (
     CoverError,
     LiftedPath,
     NumericalError,
-    identity_map,
     lift_path,
     lift_paths,
     minv,
@@ -46,7 +45,7 @@ def test_monodromy_of_cube():
 
 
 def test_identity_lift_is_path_itself():
-    f = identity_map()
+    f = planar_power(1)
     gamma = lambda t: np.array([t, t * t])
     lp = lift_path(f, gamma)
     assert np.allclose(lp.lifts[:, 0, :], lp.base, atol=1e-12)

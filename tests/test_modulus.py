@@ -13,7 +13,6 @@ from almqr.covers import (
     NumericalError,
     complex_polynomial,
     h_function,
-    identity_map,
     minv,
     minv_batch,
     planar_power,
@@ -102,7 +101,7 @@ def test_family_dsl():
 
 
 def test_pushforward_modulus_identity_and_square():
-    rep = pushforward_modulus_check(identity_map(), radial_family(ANN, 256), ANN, grid=96, lift_steps=64)
+    rep = pushforward_modulus_check(planar_power(1), radial_family(ANN, 256), ANN, grid=96, lift_steps=64)
     assert abs(rep["ratio"] - 1.0) < 0.05
     rep2 = pushforward_modulus_check(planar_power(2), radial_family(ANN, 256), ANN, grid=96, lift_steps=64)
     assert rep2["pass"]
@@ -188,7 +187,7 @@ def test_modulus_verdicts_fail_closed_on_non_convergence(monkeypatch):
 
 def test_upper_gradient_conformal_and_distorted():
     fam = radial_family(Annulus(np.zeros(2), 0.5, 1.5), 8)
-    for f in (identity_map(), planar_power(2), planar_power(3)):
+    for f in (planar_power(1), planar_power(2), planar_power(3)):
         rep = upper_gradient_check(f, fam, samples_per_curve=32)
         assert rep["pass"]
         assert rep["violation_fraction"] == 0.0
@@ -214,12 +213,12 @@ def test_area_formula_and_energy():
 
 def test_area_formula_identity_exact():
     E = Annulus(np.zeros(2), 0.5, 1.5)
-    rep = area_formula_check(identity_map(), lambda X: X[:, 0] ** 2 + 1.0, E, E, orders=(8, 16))
+    rep = area_formula_check(planar_power(1), lambda X: X[:, 0] ** 2 + 1.0, E, E, orders=(8, 16))
     assert rep["rel_discrepancy"] < 1e-12
 
 
 def test_ahlfors_identity_and_square():
-    outs = ahlfors_sampler(identity_map(), [np.array([0.6, 0.1])], [0.05, 0.1], n_samples=20000, seed=0)
+    outs = ahlfors_sampler(planar_power(1), [np.array([0.6, 0.1])], [0.05, 0.1], n_samples=20000, seed=0)
     for s in outs:
         # d = 1: the measure is exactly pi r^2, the ratio exactly 1 in expectation
         assert s.ratio == pytest.approx(1.0, abs=4 * s.ratio_ci / 3 + 1e-3)
@@ -272,7 +271,7 @@ def _ahlfors_lifting_every_row(f, centers, radii, N, seed):
 @pytest.mark.parametrize(
     "f",
     [
-        identity_map(),
+        planar_power(1),
         planar_power(2),
         planar_power(3),
         complex_polynomial([0.0, -3.0, 0.0, 1.0]),
@@ -312,26 +311,55 @@ def test_ahlfors_rejects_truncated_balls():
         ahlfors_sampler(planar_power(2), [np.array([1.0, 0.0])], [0.05], n_samples=2000, seed=0, box_safety=0.01)
 
 
-def test_metric_qc_rows():
-    rep = metric_qc_check(planar_power(2), np.array([1.0, 0.0]), [0.1, 0.05, 0.02])
+AFFINE = np.array([[1.5, 0.2], [0.0, 0.8]])
+
+
+@pytest.mark.parametrize(
+    "f, h_limit",
+    [
+        (planar_power(2), 1.0),
+        (complex_polynomial([0, -3, 0, 1]), 1.0),
+        # a conformal base: the squared distortion of the affine part
+        (precomposed(AFFINE, planar_power(2)), np.linalg.cond(AFFINE) ** 2),
+    ],
+    ids=["z2", "z3-3z", "affine"],
+)
+def test_metric_qc_rows(f, h_limit):
+    rep = metric_qc_check(f, np.array([1.0, 0.0]), [0.1, 0.05, 0.02])
     assert rep["pass"]
     hs = [row["H_minv_sq"] for row in rep["rows"]]
-    # conformal branches: distortion tends to 1 as r shrinks
+    # the branches are locally linear: the distortion tends to that of Df^-1 as r shrinks
     assert hs[-1] < hs[0]
-    assert hs[-1] == pytest.approx(1.0, abs=0.05)
+    assert hs[-1] == pytest.approx(h_limit, rel=0.05)
+    # one term per distinct fiber point, none below 1
+    assert all(row["sum_H_star_sq"] >= len(minv(f, [1.0, 0.0]).locations) for row in rep["rows"])
+
+
+def test_metric_qc_identity():
     rid = metric_qc_check(planar_power(1), np.array([0.3, 0.2]), [0.1])
     assert rid["rows"][0]["H_minv_sq"] == pytest.approx(1.0, abs=1e-6)
+    assert rid["rows"][0]["sum_H_star_sq"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_metric_qc_at_a_branch_value():
+    # one fiber point of local index 2: each circle point lifts to two points near it
+    rep = metric_qc_check(planar_power(2), np.array([0.0, 0.0]), [0.1])
+    assert rep["pass"]
+    assert rep["rows"][0]["sum_H_star_sq"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_metric_qc_radius_guard():
-    from almqr.covers import CoverError
-
-    with pytest.raises(CoverError):
+    # the circle around 0.1 reaches past the branch value 0: the two neighborhoods merge
+    with pytest.raises(CoverError, match="may merge"):
         metric_qc_check(planar_power(2), np.array([0.1, 0.0]), [0.5])
+    # the circle around 1.9 encloses the critical value 2 of z^3 - 3z, so near
+    # the two close roots it lifts to one curve through both
+    with pytest.raises(CoverError, match="wrong number of preimages"):
+        metric_qc_check(complex_polynomial([0, -3, 0, 1]), np.array([1.9, 0.0]), [0.2])
 
 
 def test_preimage_measure_identity_and_square():
-    f1 = identity_map()
+    f1 = planar_power(1)
     z = minv(f1, np.array([0.5, 0.0]))
     rep = preimage_measure_check(
         f1, z, 0.3, Box([-1.5, -1.5], [1.5, 1.5]), Box([-1.5, -1.5], [1.5, 1.5]), n_samples=20000, seed=0
@@ -348,7 +376,7 @@ def test_preimage_measure_identity_and_square():
 
 
 def test_preimage_measure_small_budget_flagged():
-    f1 = identity_map()
+    f1 = planar_power(1)
     z = minv(f1, np.array([0.5, 0.0]))
     rep = preimage_measure_check(f1, z, 0.3, Box([-1, -1], [1, 1]), Box([-1, -1], [1, 1]), n_samples=10)
     assert not rep["ok"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from almqr.almgren import distance_values, distances_to_diagonal, sorted_tuples
-from almqr.covers import NumericalError, branch_differentials, identity_map, planar_power, precomposed, winding_map_3d
+from almqr.covers import NumericalError, branch_differentials, planar_power, precomposed, winding_map_3d
 from almqr.forms import GroupAction, KCovector, KForm, MultiPoly, natural_volume_form, polynomial_one_form, symmetrize, tensor_product, trace_form, wedge_rows
 from almqr.mv import (
     MultiValuedMap,
@@ -97,7 +97,7 @@ def test_pullback_of_inverse_power_star():
 
 
 def test_pullback_single_valued_classical():
-    F = from_cover(identity_map(), BOX)
+    F = from_cover(planar_power(1), BOX)
     alpha = polynomial_one_form(2, [MultiPoly(2, {(0, 1): 1.0}), MultiPoly(2, {})])  # y dx
     om = trace_form(alpha, 1)
     X = np.array([[0.3, 0.7], [-0.2, 0.1]])
@@ -217,7 +217,7 @@ def test_generalized_inverse():
         from almqr.covers import minv
 
         assert np.allclose(generalized_inverse(f, y), f.degree * minv(f, y).barycenter(), atol=1e-12)
-    assert np.allclose(generalized_inverse(identity_map(), [0.3, 0.4]), [0.3, 0.4])
+    assert np.allclose(generalized_inverse(planar_power(1), [0.3, 0.4]), [0.3, 0.4])
 
 
 def test_gen_inverse_fd_gradient_stable():
@@ -279,7 +279,7 @@ def test_qr_curve_batch_matches_per_point(f, region):
 
 
 def test_qr_curve_identity():
-    rep = qr_curve_check(identity_map(), Annulus(np.zeros(2), 0.3, 1.5), n_samples=200, seed=2)
+    rep = qr_curve_check(planar_power(1), Annulus(np.zeros(2), 0.3, 1.5), n_samples=200, seed=2)
     assert rep["max_ratio"] == pytest.approx(1.0, abs=1e-12)
 
 

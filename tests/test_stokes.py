@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from almqr.covers import identity_map, planar_power
+from almqr.covers import planar_power
 from almqr.forms import GroupAction, KForm, MultiPoly, natural_volume_form, polynomial_one_form, symmetrize, trace_form
 from almqr.mv import BumpTestForm, from_cover, weak_stokes_check
 from almqr.regions import Box
@@ -26,7 +26,7 @@ def test_closed_top_degree_form_vanishes():
 
 
 def test_classical_single_valued_oracle():
-    F = from_cover(identity_map(), SUPPORT)
+    F = from_cover(planar_power(1), SUPPORT)
     om = invariant_one_form(1)
     rep = weak_stokes_check(F, om, BUMP, orders=(4, 8, 16))
     discs = [l["abs_discrepancy"] for l in rep["levels"]]
