@@ -13,7 +13,9 @@ so callers gather their matrices into one stack.  Batches of small tuples
 (3 <= d <= 6) are priced by :func:`enumerate_min`, which takes all d!
 matchings of every row at once; larger d goes to the solver, one stack per
 batch.  A single pair is priced as a batch of one, so scalar and batch
-distances round alike.
+distances round alike.  Every route fails closed: a NaN or infinite input,
+or squares that overflow, raise ``ValueError`` (the closed forms of d <= 2
+check their (m,) result, the others their cost matrices).
 """
 
 from __future__ import annotations
@@ -187,6 +189,15 @@ def dist_sq(P: np.ndarray, Q: np.ndarray) -> float:
     return float(dist_sq_pairs(np.asarray(P)[None], np.asarray(Q)[None])[0])
 
 
+def _checked(dist: np.ndarray) -> np.ndarray:
+    """The closed-form distances (m,) of d <= 2; ValueError naming the pairs whose
+    value is NaN or infinite (non-finite input, or squares that overflow), as the
+    cost matrices of larger d fail."""
+    if not np.isfinite(dist).all():
+        raise ValueError(f"pairs {np.flatnonzero(~np.isfinite(dist)).tolist()} have non-finite distances")
+    return dist
+
+
 def _dist_sq_d2(P, Q) -> np.ndarray:
     """Squared assignment distances of d=2 tuples given as coordinate planes.
 
@@ -214,9 +225,9 @@ def dist_sq_one_to_many(P: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     d = P.shape[0]
     if d == 1:
         diff = Qs[:, 0, :] - P[0]
-        return np.einsum("ij,ij->i", diff, diff)
+        return _checked(np.einsum("ij,ij->i", diff, diff))
     if d == 2:
-        return _dist_sq_d2(P, Qs.transpose(1, 2, 0))
+        return _checked(_dist_sq_d2(P, Qs.transpose(1, 2, 0)))
     cost = sq_costs(P[None], Qs)
     if d <= 6:
         return enumerate_min(cost)[0]
@@ -230,9 +241,9 @@ def dist_sq_pairs(Ps: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     d = Ps.shape[1]
     if d == 1:
         diff = Ps[:, 0, :] - Qs[:, 0, :]
-        return np.einsum("ij,ij->i", diff, diff)
+        return _checked(np.einsum("ij,ij->i", diff, diff))
     if d == 2:
-        return _dist_sq_d2(Ps.transpose(1, 2, 0), Qs.transpose(1, 2, 0))
+        return _checked(_dist_sq_d2(Ps.transpose(1, 2, 0), Qs.transpose(1, 2, 0)))
     cost = sq_costs(Ps, Qs)
     if d <= 6:
         return enumerate_min(cost)[0]

@@ -108,15 +108,37 @@ def det(M: np.ndarray) -> np.ndarray:
     return np.linalg.det(M)
 
 
+def branch_sums(A: np.ndarray) -> np.ndarray:
+    """Sums over the branch axis of A (P, d), as numpy sums contiguous rows, whatever A's memory layout.
+
+    numpy adds fewer than 8 terms in order and more pairwise, but only
+    along a contiguous row: on planes laid out (d, P), which the power
+    maps' fibers give, ``sum(axis=1)`` adds in order at every d.
+    """
+    return np.ascontiguousarray(A).sum(axis=1)
+
+
 def _complex(X: np.ndarray) -> np.ndarray:
     """The first two coordinates of points X (..., n) as complex numbers (...)."""
     return X[..., 0] + 1j * X[..., 1]
 
 
 def _conformal_matrix(w) -> np.ndarray:
-    """The real 2x2 matrices (..., 2, 2) of multiplication by each entry of w (...)."""
+    """The real 2x2 matrices (..., 2, 2) of multiplication by each entry of w (...).
+
+    The entries M[..., a, b] are filled as planes of one (2, 2, ...) buffer
+    laid out as w is (C or Fortran order), so each plane is contiguous when
+    w is; the shape is promised, the memory layout is not.
+    """
     w = np.asarray(w)
-    return np.stack([w.real, -w.imag, w.imag, w.real], axis=-1).reshape(w.shape + (2, 2))
+    if w.flags.f_contiguous and not w.flags.c_contiguous:
+        M = np.empty((2, 2) + w.shape[::-1]).transpose(0, 1, *range(w.ndim + 1, 1, -1))
+    else:
+        M = np.empty((2, 2) + w.shape)
+    M[0, 0] = M[1, 1] = w.real
+    M[0, 1] = -w.imag
+    M[1, 0] = w.imag
+    return np.moveaxis(M, (0, 1), (-2, -1))
 
 
 def _axis_distance(k: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -137,10 +159,13 @@ class BranchedCoverSpec:
     ``evaluate(X)`` maps points (P, n) to their images (P, n) and
     ``jacobian(X)`` to the Jacobian determinants (P,); ``differential(x)``,
     Df (n, n) at one point (n,), is the scalar reference that
-    ``branch_diff_batch`` is tested against.  ``fiber_batch(Y)`` maps points (P, n) to expanded fibers (P, d, n), each
-    row an unordered tuple with every location repeated by its local index;
+    ``branch_diff_batch`` is tested against.  ``fiber_batch(Y)`` maps
+    points (P, n) to expanded fibers (P, d, n), each row an unordered tuple
+    with every location repeated by its local index;
     ``branch_diff_batch(X)`` maps such fibers (P, d, n) to the branch
-    differentials (P, d, n, n), Df(X[p, j])^{-1} row by row;
+    differentials (P, d, n, n), Df(X[p, j])^{-1} row by row.  Both promise
+    shapes, not memory layouts: a batch oracle may return a transposed view
+    of a plane-major buffer, whose (P,) planes are contiguous;
     ``df_bound(X, r)`` maps points (P, n) to upper bounds (P,) of the
     operator norm sup ||Df|| over the closed balls B(X[p], r), which
     ``ball_reach`` turns into a certified reach;
@@ -203,7 +228,9 @@ def minv_batch(f: BranchedCoverSpec, Y) -> np.ndarray:
     """Expanded fibers (P, d, n) of the multi-valued inverse over points Y (P, n).
 
     Row i holds the fiber over Y[i], each point repeated by its local index
-    as ``expand()`` does, in no promised order.  Fails closed: the checks of
+    as ``expand()`` does, in no promised order.  The shape is promised, the
+    memory layout is not: the power maps return a view of plane-major
+    (n, d, P) memory.  Fails closed: the checks of
     ``check_image``, then NumericalError if a fiber is non-finite or does
     not have d points.
     """
@@ -280,7 +307,7 @@ def h_function(f: BranchedCoverSpec, Y):
     """
     Y = np.asarray(Y, dtype=np.float64)
     L = fiber_branch_differentials(f, minv_batch(f, Y))
-    H = np.sqrt((min_singular(L) ** 2).sum(axis=1))
+    H = np.sqrt(branch_sums(min_singular(L) ** 2))
     return float(H[0]) if Y.ndim == 1 else H
 
 
@@ -451,16 +478,17 @@ def planar_power(k: int) -> BranchedCoverSpec:
 
     def fiber_batch(ys):
         """Vectorized fibers for points avoiding the branch value 0: (m, k, 2),
-        filled branch by branch from contiguous (m,) angles."""
+        filled branch by branch from contiguous (m,) angles into the planes
+        of a plane-major (2, k, m) buffer, returned as its (m, k, 2) view."""
         w = ys[:, 0] + 1j * ys[:, 1]
         r = np.abs(w) ** (1.0 / k)
         t0 = np.angle(w) / k
-        X = np.empty((len(ys), k, 2))
+        X = np.empty((2, k, len(ys)))
         for j in range(k):
             ang = t0 + 2 * np.pi * j / k
-            X[:, j, 0] = r * np.cos(ang)
-            X[:, j, 1] = r * np.sin(ang)
-        return X
+            np.multiply(r, np.cos(ang), out=X[0, j])
+            np.multiply(r, np.sin(ang), out=X[1, j])
+        return X.T
 
     def branch_diff_batch(X):
         return _conformal_matrix(1.0 / (k * _complex(X) ** (k - 1)))

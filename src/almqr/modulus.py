@@ -44,6 +44,18 @@ from .util import row_norms
 # curve families
 
 
+def _segments(polylines: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The segments of all polylines at once, in curve order: their curves (S,),
+    start points (S, 2), vectors (S, 2) and lengths (S,)."""
+    pts = [np.asarray(p, dtype=np.float64) for p in polylines]
+    V = np.concatenate(pts)
+    curve = np.repeat(np.arange(len(pts)), [len(p) - 1 for p in pts])
+    # segment s starts at vertex s + curve[s]: each earlier curve has one vertex more than segments
+    start = np.arange(len(curve)) + curve
+    seg = V[start + 1] - V[start]
+    return curve, V[start], seg, np.linalg.norm(seg, axis=1)
+
+
 @dataclass
 class CurveFamily:
     """A finite family of rectifiable curves given as polylines."""
@@ -54,10 +66,9 @@ class CurveFamily:
     def __post_init__(self):
         if not self.polylines:
             raise ValueError("empty curve family")
-        for pts in self.polylines:
-            seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-            if seg.sum() <= 0:
-                raise ValueError("curve with zero length rejected")
+        curve, _, _, seg_len = _segments(self.polylines)
+        if np.any(np.bincount(curve, weights=seg_len, minlength=len(self.polylines)) <= 0):
+            raise ValueError("curve with zero length rejected")
 
     def __len__(self) -> int:
         return len(self.polylines)
@@ -125,6 +136,10 @@ class Grid2D:
         return float(np.prod(self.h))
 
 
+# sub-samples rasterized at once: curves go in groups of about this many, which bounds the merge's memory
+RASTER_CHUNK = 1 << 12
+
+
 def _rasterize(
     polylines: Sequence[np.ndarray],
     grid: Grid2D,
@@ -132,36 +147,43 @@ def _rasterize(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deposit per-curve arclength (or supplied per-segment mass) onto cells.
 
-    Returns COO triplets (curve_row, cell_col, value) with duplicates merged.
+    Returns COO triplets (curve_row, cell_col, value) with duplicates merged,
+    sorted by (row, col).  The segments of all curves are measured at once;
+    their sub-samples are made and merged for a group of whole curves at a
+    time, in curve order, each group starting within its own window of
+    ``RASTER_CHUNK`` sub-samples.  A group's merge is the whole family's
+    merge restricted to its rows, and every sub-sample and per-cell sum is
+    formed as in a per-segment loop, so the bytes do not depend on grouping.
     """
     hmin = float(grid.h.min())
-    rows, cols, vals = [], [], []
-    for ci, pts in enumerate(polylines):
-        pts = np.asarray(pts, dtype=np.float64)
-        seg = np.diff(pts, axis=0)
-        seg_len = np.linalg.norm(seg, axis=1)
-        mass = seg_len if seg_values is None else np.asarray(seg_values[ci], dtype=np.float64)
-        # all sub-samples of the curve at once, in per-segment order, so the merged sums keep their bytes
-        k = np.flatnonzero(seg_len != 0)
-        nsub = np.maximum(1, np.ceil(seg_len[k] / (hmin / 3.0)).astype(np.int64))
-        first = np.cumsum(nsub) - nsub
-        k_of = np.repeat(k, nsub)
-        t = (np.arange(nsub.sum()) - np.repeat(first, nsub) + 0.5) / np.repeat(nsub, nsub)
-        cols.append(grid.cell_of(pts[k_of] + t[:, None] * seg[k_of]))
-        rows.append(np.full(len(t), ci, dtype=np.int64))
-        vals.append(np.repeat(mass[k] / nsub, nsub))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    # merge duplicate (row, col) pairs
-    key = rows * (grid.ncells**2) + cols
-    order = np.argsort(key, kind="stable")
-    key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
-    boundary = np.concatenate([[True], key[1:] != key[:-1]])
-    group = np.cumsum(boundary) - 1
-    merged_vals = np.bincount(group, weights=vals)
-    first = np.flatnonzero(boundary)
-    return rows[first], cols[first], merged_vals
+    curve, origin, seg, seg_len = _segments(polylines)
+    mass = seg_len if seg_values is None else np.concatenate([np.asarray(v, dtype=np.float64) for v in seg_values])
+    if mass.shape != seg_len.shape:
+        raise ValueError(f"seg_values give {mass.shape[0]} segment masses for {len(seg_len)} segments")
+    k = np.flatnonzero(seg_len != 0)
+    nsub = np.maximum(1, np.ceil(seg_len[k] / (hmin / 3.0)).astype(np.int64))
+    first = np.cumsum(nsub) - nsub
+    kc = curve[k]
+    window = first[np.searchsorted(kc, kc)] // RASTER_CHUNK  # the window of each curve's first sub-sample
+    cuts = np.flatnonzero(np.diff(window)) + 1
+    out_rows, out_cols, out_vals = [], [], []
+    for a, b in zip([0, *cuts], [*cuts, len(k)]):
+        ks, ns = k[a:b], nsub[a:b]
+        k_of = np.repeat(ks, ns)
+        t = (np.arange(ns.sum()) - np.repeat(first[a:b] - first[a], ns) + 0.5) / np.repeat(ns, ns)
+        cols = grid.cell_of(origin[k_of] + t[:, None] * seg[k_of])
+        rows = np.repeat(kc[a:b], ns)
+        vals = np.repeat(mass[ks] / ns, ns)
+        # merge duplicate (row, col) pairs
+        key = rows * (grid.ncells**2) + cols
+        order = np.argsort(key, kind="stable")
+        key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
+        boundary = np.concatenate([[True], key[1:] != key[:-1]])
+        head = np.flatnonzero(boundary)
+        out_rows.append(rows[head])
+        out_cols.append(cols[head])
+        out_vals.append(np.bincount(np.cumsum(boundary) - 1, weights=vals))
+    return np.concatenate(out_rows), np.concatenate(out_cols), np.concatenate(out_vals)
 
 
 @dataclass
@@ -241,9 +263,10 @@ def discrete_modulus(
         raise ValueError("nonpositive cell weights")
 
     q = n / (n - 1.0)
+    per_row = np.bincount(rows, minlength=M)  # rows is sorted, so lam[rows] is np.repeat(lam, per_row)
 
     def a_t(lam: np.ndarray) -> np.ndarray:  # A^T lam over touched cells
-        return np.bincount(cols_c, weights=vals * lam[rows], minlength=ncells)
+        return np.bincount(cols_c, weights=vals * np.repeat(lam, per_row), minlength=ncells)
 
     def a(rho: np.ndarray) -> np.ndarray:  # A rho over curves
         return np.bincount(rows, weights=vals * rho[cols_c], minlength=M)
@@ -346,14 +369,18 @@ def metric_jacobian_values(f: BranchedCoverSpec, X: np.ndarray) -> np.ndarray:
     checks of ``fiber_branch_differentials`` run on them.
     """
     L = fiber_branch_differentials(f, X)
-    # G entry by entry (rows k, then branches j): a quarter of the time of one (j, k, i, l) product
-    G = np.empty((len(L), f.n, f.n))
-    for i, l in zip(*np.triu_indices(f.n)):
-        col = L[..., 0, i] * L[..., 0, l]
-        for k in range(1, f.n):
-            col += L[..., k, i] * L[..., k, l]
-        G[:, i, l] = G[:, l, i] = col.sum(axis=1)
-    return np.sqrt(np.maximum(det(G), 0.0))
+    P, d, n = X.shape
+    # G entry by entry (rows k, then branches j) on contiguous (d, P) planes
+    Lt = np.ascontiguousarray(L.transpose(2, 3, 1, 0))
+    G = np.empty((n, n, P))
+    for i, l in zip(*np.triu_indices(n)):
+        col = Lt[0, i] * Lt[0, l]
+        for k in range(1, n):
+            col += Lt[k, i] * Lt[k, l]
+        # summed down axis 0, the d terms add in order, as numpy adds a row of
+        # fewer than 8; from 8 terms on it adds a contiguous row pairwise
+        G[i, l] = G[l, i] = col.sum(axis=0) if d < 8 else np.ascontiguousarray(col.T).sum(axis=1)
+    return np.sqrt(np.maximum(det(G.transpose(2, 0, 1)), 0.0))
 
 
 def pushforward_modulus_check(
@@ -582,19 +609,23 @@ def ahlfors_sampler(
     image of the multi-valued inverse, via the area formula, compared with
     the upper-regularity constant vol(B^n) d^{n/2} K_I K_O r^n.
 
-    The sampling box around each center is grown until the ball indicator
-    stops touching its outer shell; a ball that still touches it after the
-    last growth raises NumericalError, since a truncated ball underestimates
-    the measure that the upper bound is checked against.  Every box draw is
-    checked against f's image whole, but only the samples within the
-    certified reach of the center (``covers.ball_reach``) can lie in the
-    ball, so only they are lifted, in one ``minv_batch`` call per draw; the
-    others have density 0.  A relative slack of 1e-6 on the squared reach
-    absorbs rounding in the bounds and in fibers computed to within about
-    1e-7 r, so the lifted rows hold every row the ball test accepts.  The ball test, the shell test and the metric Jacobian read
-    the lifted fibers, and the branch-differential checks run on the held
-    fibers of the samples inside the ball.  A cover that is not planar
-    raises CoverError.
+    Each box draw is ``Generator.random((N, 2))`` scaled column by column in
+    place, col * (hi - lo) + lo, which is ``Generator.uniform(lo, hi)`` of
+    the same stream bit for bit.  The sampling box around each center is
+    grown until the ball indicator stops touching its outer shell; a ball
+    that still touches it after the last growth raises NumericalError, since
+    a truncated ball underestimates the measure that the upper bound is
+    checked against.  Every box draw is checked against f's image whole,
+    but only the samples within the certified reach of the center
+    (``covers.ball_reach``) can lie in the ball, so only they are lifted, in
+    one ``minv_batch`` call per draw; the others have density 0.  A relative
+    slack of 1e-6 on the squared reach absorbs rounding in the bounds and in
+    fibers computed to within about 1e-7 r, so the lifted rows hold every
+    row the ball test accepts.  The reach test and the shell test read the
+    same coordinate differences from the center; the ball test, the shell
+    test and the metric Jacobian read the lifted fibers, and the
+    branch-differential checks run on the held fibers of the samples inside
+    the ball.  A cover that is not planar raises CoverError.
     """
     n = f.n
     if n != 2:
@@ -612,13 +643,19 @@ def ahlfors_sampler(
             reach_sq = ball_reach(f, zC, r) ** 2 * (1.0 + 1e-6)
             for _ in range(4):
                 lo, hi = y0 - R, y0 + R
-                ys = check_image(f, rng.uniform(lo, hi, size=(n_samples, 2)))
-                near = np.flatnonzero((ys[:, 0] - y0[0]) ** 2 + (ys[:, 1] - y0[1]) ** 2 < reach_sq)
-                yn = ys[near]
+                span = hi - lo
+                ys = rng.random((n_samples, 2))
+                for c in range(2):
+                    col = ys[:, c]
+                    col *= span[c]
+                    col += lo[c]
+                ys = check_image(f, ys)
+                dx, dy = ys[:, 0] - y0[0], ys[:, 1] - y0[1]
+                near = np.flatnonzero(dx * dx + dy * dy < reach_sq)
                 # the metric Jacobian below reads the fibers of the last draw
-                fibers = minv_batch(f, yn)
+                fibers = minv_batch(f, ys.take(near, axis=0))
                 inside = kernels.dist_sq_one_to_many(zC, fibers) < r * r
-                shell = np.maximum(np.abs(yn[:, 0] - y0[0]), np.abs(yn[:, 1] - y0[1])) > 0.85 * R
+                shell = np.maximum(np.abs(dx.take(near)), np.abs(dy.take(near))) > 0.85 * R
                 boundary_fraction = float((inside & shell).sum() / max(inside.sum(), 1))
                 if boundary_fraction == 0.0:
                     break
@@ -627,10 +664,11 @@ def ahlfors_sampler(
                 raise NumericalError(
                     f"ball of radius {r} around {y0.tolist()} still touches its sampling box after 4 growths"
                 )
-            vol_box = float(np.prod(hi - lo))
+            vol_box = float(np.prod(span))
             vals = np.zeros(n_samples)
             if inside.any():
-                vals[near[inside]] = metric_jacobian_values(f, fibers[inside])
+                # gathered plane by plane, so the Jacobian reads contiguous (d, P) planes
+                vals[near[inside]] = metric_jacobian_values(f, fibers.T.compress(inside, axis=-1).T)
             est = vol_box * float(vals.mean())
             sd = vol_box * float(vals.std(ddof=1) / np.sqrt(n_samples))
             denom = const * r**n

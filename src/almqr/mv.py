@@ -28,6 +28,7 @@ from .covers import (
     BranchedCoverSpec,
     NumericalError,
     branch_differentials_batch,
+    branch_sums,
     det,
     match_fibers,
     minv_batch,
@@ -148,8 +149,9 @@ def branches(F: MultiValuedMap, X, h: float = 1e-5) -> tuple[np.ndarray, np.ndar
     X = np.asarray(X, dtype=np.float64).reshape(-1, F.m)
     if F.exact_branches is not None:
         values, L = F.exact_branches(X)
-        values = np.asarray(values, dtype=np.float64)
-        L = np.array(L, dtype=np.float64)
+        # C order whatever the cover's layout, so the callers' reshapes are views
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        L = np.array(L, dtype=np.float64, order="C")
     else:
         P, m = X.shape
         E = h * np.eye(m)
@@ -341,7 +343,7 @@ def qr_curve_check(
     excluded = int((~keep).sum())
 
     _, L = branch_differentials_batch(f, ys_used)
-    ratios = op_norm_sq(L).sum(axis=1) ** (n / 2.0) / (const * det(L).sum(axis=1))
+    ratios = branch_sums(op_norm_sq(L)) ** (n / 2.0) / (const * branch_sums(det(L)))
 
     spread = float(ratios.max() - ratios.min())
     if spread < 64 * np.finfo(float).eps * max(1.0, abs(float(ratios.max()))):

@@ -7,6 +7,8 @@ statement a check exercises, forming the coverage matrix of the suite.
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
 from .almgren import (
@@ -437,6 +439,20 @@ def _positive(config, key: str, default: int) -> int:
     return value
 
 
+def _point(config, key: str, default: list) -> np.ndarray:
+    """The point config[key] (or the default); SpecError unless it is a non-empty list of finite numbers."""
+    raw = config.get(key, default)
+    y = None
+    if isinstance(raw, (list, tuple)) and raw and all(isinstance(v, Real) and not isinstance(v, bool) for v in raw):
+        try:
+            y = np.asarray(raw, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if y is None or not np.isfinite(y).all():
+        raise SpecError(f"{key} must be a non-empty list of finite numbers, got {raw!r}")
+    return y
+
+
 def _check_upper_gradient(config, seed):
     f = _map_from_config(config)
     region = _region_from_config(config, "annulus:0.5,1.5")
@@ -635,7 +651,7 @@ def _check_interp(config, seed):
 
 def _check_preimage_measure(config, seed):
     f = _map_from_config(config)
-    y0 = np.asarray(config.get("center_y", [1.0, 0.0]), dtype=float)
+    y0 = _point(config, "center_y", [1.0, 0.0])
     r = float(config.get("radius", 0.3))
     z = minv(f, y0)
     dom = Box(*config.get("domain_box", ([-2.0, -2.0], [2.0, 2.0])))
@@ -681,7 +697,7 @@ def _check_monodromy(config, seed):
 
 def _check_metric_qc(config, seed):
     f = _map_from_config(config)
-    y0 = np.asarray(config.get("y", [1.0, 0.0]), dtype=float)
+    y0 = _point(config, "y", [1.0, 0.0])
     radii = config.get("radii", [0.1, 0.05, 0.02])
     try:
         valid = len(radii) > 0 and all(np.isfinite(r) and r > 0 for r in radii)

@@ -204,10 +204,21 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
         ("metric-qc", {"map": {"map": "wind3", "k": 2}, "y": [1.0, 0.0, 0.0]}),
         ("qr-curve", {"map": {"map": "wind3", "k": 2}}),
         ("preimage-measure", {"map": {"map": "wind3", "k": 2}}),
+        ("metric-qc", {"y": "ab"}),
+        ("metric-qc", {"y": [1.0, float("nan")]}),
+        ("metric-qc", {"y": [[1.0, 0.0]]}),
+        ("metric-qc", {"y": []}),
+        ("preimage-measure", {"center_y": "ab"}),
+        ("preimage-measure", {"center_y": [1.0, "0"]}),
+        ("preimage-measure", {"center_y": [float("inf"), 0.0]}),
+        ("preimage-measure", {"center_y": [True, False]}),
+        ("preimage-measure", {"center_y": [10**400, 0]}),
     ],
     ids=["interp-no-pairs", "upper-gradient-no-samples", "gen-inverse-no-samples", "energy-order-0", "area-no-orders",
          "metric-qc-no-radii", "metric-qc-zero-radius", "metric-qc-wind3", "qr-curve-wind3-planar-region",
-         "preimage-measure-wind3-planar-points"],
+         "preimage-measure-wind3-planar-points", "metric-qc-y-a-string", "metric-qc-y-nan", "metric-qc-y-nested",
+         "metric-qc-y-empty", "preimage-measure-center-a-string", "preimage-measure-center-a-string-entry",
+         "preimage-measure-center-inf", "preimage-measure-center-booleans", "preimage-measure-center-huge-integer"],
 )
 def test_bad_config_exit_code(check, config, capsys):
     # no samples, no levels, or points of the wrong dimension: a usage error (exit 2), not a traceback

@@ -11,15 +11,19 @@ from almqr.almgren import distance_value, distance_values, points_of, sorted_tup
 from almqr.covers import (
     CoverError,
     NumericalError,
+    _conformal_matrix,
     ball_reach,
     branch_differentials,
+    branch_sums,
     build_map,
     complex_polynomial,
+    det,
     h_function,
     min_singular,
     minv,
     minv_batch,
     op_norm,
+    op_norm_sq,
     planar_power,
     precomposed,
     winding_map_3d,
@@ -160,6 +164,72 @@ def test_power_fiber_batch_equals_broadcast_formula(k):
         for scale in (1e-8, 1.0, 1e6):
             ys = rng.normal(size=(m, 2)) * scale
             assert np.array_equal(planar_power(k).fiber_batch(ys), reference(ys))
+
+def _stacked_conformal_matrix(w):
+    """The (..., 2, 2) matrices of multiplication by w, stacked entry by entry along the last axis."""
+    w = np.asarray(w)
+    return np.stack([w.real, -w.imag, w.imag, w.real], axis=-1).reshape(w.shape + (2, 2))
+
+
+def test_conformal_matrix_equals_the_stacked_form():
+    # the plane-major fill gives the stacked form's values and signed zeros, in any layout of w
+    rng = np.random.default_rng(21)
+    w = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    w[0, 0], w[1, 1], w[2, 2] = 0.0, complex(-0.0, 0.0), complex(0.0, -0.0)
+    for case in (w, np.asfortranarray(w), w[::2, ::-1], w[3], w[4, 1], complex(2.5, -0.0), w[None]):
+        got, ref = _conformal_matrix(case), _stacked_conformal_matrix(case)
+        assert got.shape == ref.shape and np.ascontiguousarray(got).tobytes() == ref.tobytes()
+    M = _conformal_matrix(np.asfortranarray(w))
+    assert M[..., 0, 1].flags.f_contiguous  # planes laid out as w is
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9])
+def test_power_fiber_batch_equals_the_row_major_fill(k):
+    # the branch-by-branch fill into a (m, k, 2) buffer that the plane-major fill replaced
+    def reference(ys):
+        w = ys[:, 0] + 1j * ys[:, 1]
+        r = np.abs(w) ** (1.0 / k)
+        t0 = np.angle(w) / k
+        X = np.empty((len(ys), k, 2))
+        for j in range(k):
+            ang = t0 + 2 * np.pi * j / k
+            X[:, j, 0] = r * np.cos(ang)
+            X[:, j, 1] = r * np.sin(ang)
+        return X
+
+    rng = np.random.default_rng(22)
+    for m in (0, 1, 1001):
+        ys = rng.normal(size=(m, 2))
+        got = planar_power(k).fiber_batch(ys)
+        assert got.shape == (m, k, 2) and np.ascontiguousarray(got).tobytes() == reference(ys).tobytes()
+        assert got.T.flags.c_contiguous  # (2, k, m) planes
+        # the branch differentials of plane-major fibers against the stacked form on C-ordered ones
+        X = minv_batch(planar_power(k), ys[np.hypot(ys[:, 0], ys[:, 1]) > 1e-3])
+        Xc = np.ascontiguousarray(X)
+        ref = _stacked_conformal_matrix(1.0 / (k * (Xc[..., 0] + 1j * Xc[..., 1]) ** (k - 1)))
+        assert np.ascontiguousarray(planar_power(k).branch_diff_batch(X)).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 7, 8, 9, 12])
+def test_branch_sums_over_plane_major_fibers_equal_row_sums(k):
+    # numpy sums a contiguous row of 8 or more terms pairwise, but adds in
+    # order down the (d, P) planes of the power maps' fibers; h_function and
+    # the qr-curve ratios sum C-ordered rows at every degree
+    f = planar_power(k)
+    ys = np.random.default_rng(23).uniform(-2, 2, size=(3000, 2))
+    X = minv_batch(f, ys)
+    L = np.ascontiguousarray(f.branch_diff_batch(np.ascontiguousarray(X)))
+    assert h_function(f, ys).tobytes() == np.sqrt((min_singular(L) ** 2).sum(axis=1)).tobytes()
+    assert branch_sums(np.asfortranarray(L[..., 0, 0])).tobytes() == L[..., 0, 0].sum(axis=1).tobytes()
+    # the qr-curve ratios, |L|^2 summed over / det L summed over (n = 2, K_I = 1), from the same samples
+    region = Annulus(np.zeros(2), 0.3, 1.5)
+    rep = qr_curve_check(f, region, n_samples=2000, seed=3)
+    ys = region.sample(np.random.default_rng(np.random.SeedSequence([3, 7])), 2000)
+    ys = ys[f.branch_value_distance(ys) > 1e-3 * region.diameter()]
+    L = np.ascontiguousarray(f.branch_diff_batch(np.ascontiguousarray(minv_batch(f, ys))))
+    ratios = op_norm_sq(L).sum(axis=1) / det(L).sum(axis=1)
+    assert [rep["max_ratio"], rep["min_ratio"], rep["mean_ratio"]] == [ratios.max(), ratios.min(), ratios.mean()]
+
 
 def test_catalog_distortion_invariants():
     rng = np.random.default_rng(3)

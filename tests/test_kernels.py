@@ -346,6 +346,37 @@ def test_solver_fails_closed_on_non_finite_costs():
                 assert "overflowed" in str(exc)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_kernels_fail_closed(d):
+    # the closed forms of d <= 2 raise as the cost matrices of d >= 3 do, naming the pairs
+    rng = np.random.default_rng(60 + d)
+    Ps, Qs = rng.normal(size=(5, d, 2)), rng.normal(size=(5, d, 2))
+    good = kernels.dist_sq_pairs(Ps, Qs)
+    assert np.isfinite(good).all()
+    for bad in (np.nan, np.inf, -np.inf):
+        P = Ps.copy()
+        P[3, 0, 1] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=r"pairs \[3\] have non-finite distances"):
+                kernels.dist_sq_pairs(P, Qs)
+            with pytest.raises(ValueError, match=r"pairs \[3\] have non-finite distances"):
+                kernels.dist_sq_one_to_many(Qs[0], P)
+            with pytest.raises(ValueError, match="non-finite"):
+                kernels.dist_sq(P[3], Qs[3])
+    with pytest.raises(ValueError, match=r"pairs \[0\] have non-finite distances"):
+        kernels.dist_sq_pairs(np.full((1, d, 2), np.nan), np.zeros((1, d, 2)))
+    # finite tuples whose squared distances overflow to inf
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"pairs \[0, 1, 2, 3, 4\]"):
+            kernels.dist_sq_pairs(Ps * 1e200, -Qs * 1e200)
+        with pytest.raises(ValueError, match="non-finite"):
+            almgren.distance_value(AlmgrenPoint.from_points(Ps[0] * 1e200), AlmgrenPoint.from_points(-Qs[0] * 1e200))
+    # the check reads the result only: finite input keeps its bytes
+    assert kernels.dist_sq_one_to_many(Ps[0], Qs).tobytes() == _kernels_py._checked(
+        kernels.dist_sq_one_to_many(Ps[0], Qs)
+    ).tobytes()
+
+
 @pytest.mark.parametrize("d", range(2, 8))
 def test_lex_matchings_are_the_first_optimal_matching(d):
     # integer points on a small grid: many tied optimal matchings, priced exactly

@@ -1,6 +1,7 @@
 """Discrete modulus, geometric quasiconformality and measure checks."""
 
 import dataclasses
+import json
 from functools import partial
 
 import numpy as np
@@ -12,6 +13,7 @@ from almqr.covers import (
     CoverError,
     NumericalError,
     complex_polynomial,
+    det,
     h_function,
     minv,
     minv_batch,
@@ -155,6 +157,30 @@ def test_rasterize_matches_per_segment_loop():
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64, 400, 1 << 16])
+def test_rasterize_groups_of_curves_keep_the_bytes(monkeypatch, chunk):
+    # groups of whole curves, each starting in its own window of `chunk`
+    # sub-samples: every grouping gives the per-segment loop's bytes
+    rng = np.random.default_rng(6)
+    grid = Grid2D(ANN.bbox(), 32)
+    curves = radial_family(ANN, 9).polylines + circle_family(ANN, 2, vertices=40).polylines
+    # zero-length segments first and last in a curve, so they sit on a group's edge,
+    # and a curve of only zero-length segments, which deposits nothing
+    curves.insert(3, np.array([[1.0, 0.0], [1.0, 0.0], [1.5, 0.5], [2.0, -1.0], [2.0, -1.0]]))
+    curves.insert(5, np.array([[0.5, 0.5], [0.5, 0.5]]))
+    curves.append(np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.2, 1.3]]))
+    values = [rng.uniform(0.5, 2.0, len(p) - 1) for p in curves]
+    monkeypatch.setattr(modulus, "RASTER_CHUNK", chunk)
+    for seg_values in (None, values):
+        got = _rasterize(curves, grid, seg_values=seg_values)
+        ref = _rasterize_reference(curves, grid, seg_values=seg_values)
+        assert 5 not in got[0] and 3 in got[0]
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match="segment masses"):
+        _rasterize(curves, grid, seg_values=values[:-1] + [values[-1][:1]])
+
+
 def test_pushforward_modulus_fails_closed_on_lift_failures():
     f = planar_power(2)
 
@@ -243,12 +269,50 @@ def test_ahlfors_density_reads_the_fibers_of_its_own_samples():
     assert s.measure == pytest.approx((2 * R) ** 2 * density.mean(), rel=1e-12)
 
 
+def _metric_jacobian_reference(L: np.ndarray) -> np.ndarray:
+    """The Gram route on C-ordered (P, d) products, each summed along its row."""
+    L = np.ascontiguousarray(L)
+    n = L.shape[-1]
+    G = np.empty((len(L), n, n))
+    for i, l in zip(*np.triu_indices(n)):
+        col = L[..., 0, i] * L[..., 0, l]
+        for k in range(1, n):
+            col += L[..., k, i] * L[..., k, l]
+        G[:, i, l] = G[:, l, i] = col.sum(axis=1)
+    return np.sqrt(np.maximum(det(G), 0.0))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_metric_jacobian_values_equal_the_row_sum_route_bit_for_bit(d, n):
+    # planes summed down axis 0 for d < 8, (P, d) rows summed pairwise from 8 on:
+    # both equal the row sums of C-ordered products, whatever the layout of L
+    rng = np.random.default_rng(10 * d + n)
+    P = 600
+    L = rng.normal(size=(P, d, n, n)) * 10.0 ** rng.integers(-3, 4, size=(P, d, 1, 1))
+    ref = _metric_jacobian_reference(L)
+    X = rng.normal(size=(P, d, n))
+    layouts = {
+        "C": L,
+        "plane-major": np.ascontiguousarray(L.transpose(2, 3, 1, 0)).transpose(3, 2, 0, 1),
+        "(P, d) planes": np.ascontiguousarray(L.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1),
+        "Fortran": np.asfortranarray(L),
+    }
+    for name, Ll in layouts.items():
+        assert np.array_equal(Ll, L)
+        stub = dataclasses.replace(planar_power(1), n=n, degree=d, branch_diff_batch=lambda X, Ll=Ll: Ll)
+        got = metric_jacobian_values(stub, X)
+        assert got.tobytes() == ref.tobytes(), name
+
+
 def _ahlfors_lifting_every_row(f, centers, radii, N, seed):
-    """(measure, ratio, rows inside) of each ball, from the sampler's draws with every row lifted."""
+    """(OmegaFSample.to_json(), rows inside) of each ball, from ``Generator.uniform``
+    draws of the sampler's streams with every row lifted."""
     const = modulus.UNIT_BALL_VOLUME[2] * f.degree ** 1.0 * f.K_I * f.K_O
     out = []
     for ic, y0 in enumerate(centers):
-        zC = minv(f, y0).expand()
+        z = minv(f, y0)
+        zC = z.expand()
         H0 = h_function(f, y0)
         for ir, r in enumerate(radii):
             rng = np.random.default_rng(np.random.SeedSequence([seed, 11, ic, ir]))
@@ -258,13 +322,24 @@ def _ahlfors_lifting_every_row(f, centers, radii, N, seed):
                 ys = rng.uniform(lo, hi, size=(N, 2))
                 fibers = minv_batch(f, ys)
                 inside = kernels.dist_sq_one_to_many(zC, fibers) < r * r
-                if not (inside & (np.abs(ys - y0).max(axis=1) > 0.85 * R)).any():
+                touching = inside & (np.abs(ys - y0).max(axis=1) > 0.85 * R)
+                if not touching.any():
                     break
                 R *= 1.6
             vals = np.zeros(N)
             vals[inside] = metric_jacobian_values(f, fibers[inside])
             est = float(np.prod(hi - lo)) * float(vals.mean())
-            out.append((est, est / (const * r**2), int(inside.sum())))
+            sd = float(np.prod(hi - lo)) * float(vals.std(ddof=1) / np.sqrt(N))
+            sample = {
+                "center": z.to_json(),
+                "radius": float(r),
+                "measure": est,
+                "ci_halfwidth": 3.0 * sd,
+                "ratio": est / (const * r**2),
+                "ratio_ci": 3.0 * sd / (const * r**2),
+                "boundary_fraction": float(touching.sum() / max(inside.sum(), 1)),
+            }
+            out.append((sample, int(inside.sum())))
     return out
 
 
@@ -292,9 +367,9 @@ def test_ahlfors_lifting_the_certified_reach_equals_lifting_every_row(f):
 
     got = ahlfors_sampler(dataclasses.replace(f, fiber_batch=fiber_batch), centers, radii, n_samples=4000, seed=3)
     ref = _ahlfors_lifting_every_row(f, centers, radii, 4000, 3)
-    for s, (measure, ratio, n_inside) in zip(got, ref, strict=True):
+    for s, (sample, n_inside) in zip(got, ref, strict=True):
         assert n_inside > 0
-        assert (s.measure, s.ratio) == (measure, ratio)
+        assert json.dumps(s.to_json()) == json.dumps(sample)
     assert sum(lifted) < len(ref) * 4000  # some rows were never lifted
 
 
