@@ -25,6 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .util import row_norms
+
 
 def _sort_with_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Sort an index tuple, returning the parity sign; 0 on repeats."""
@@ -177,6 +179,11 @@ class KCovector:
         B = basis(self.dim, self.degree)
         return [(B[i], float(self.row[i])) for i in np.flatnonzero(self.row)]
 
+    @functools.cached_property
+    def term_columns(self) -> np.ndarray:
+        """The index tuples I of ``terms`` as one read-only array (T, k)."""
+        return _frozen(np.array([I for I, _ in self.terms], dtype=np.int64).reshape(-1, self.degree))
+
     def __call__(self, vectors: np.ndarray) -> float:
         """Evaluate on k row vectors, shape (k, N): the batch of one."""
         V = np.asarray(vectors, dtype=np.float64)
@@ -191,10 +198,13 @@ class KCovector:
             raise ValueError(f"expected frames of shape (S, {self.degree}, {self.dim}), got {V.shape}")
         if self.degree == 0:
             return np.full(len(V), self.row[0])
+        # every term's k x k block in one stack (T, S, k, k): det factors each matrix on its
+        # own, so a value does not depend on the stack; the terms add in ``terms`` order
+        M = V[:, :, self.term_columns].transpose(2, 0, 1, 3)
+        values = np.linalg.det(M) if self.degree > 1 else M[:, :, 0, 0]
         total = np.zeros(len(V))
-        for I, c in self.terms:
-            M = V[:, :, I]
-            total += c * (np.linalg.det(M) if self.degree > 1 else M[:, 0, 0])
+        for (_, c), value in zip(self.terms, values):
+            total += c * value
         return total
 
     def add(self, other: "KCovector", scale: float = 1.0) -> "KCovector":
@@ -582,22 +592,36 @@ def _halton_frames(k: int, N: int, count: int) -> np.ndarray:
     return _frozen(frames)
 
 
+@functools.lru_cache(maxsize=None)
+def _cofactor_layout(k: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, signs) of the cofactors of row a of a k x k matrix.
+
+    The minor of entry (a, b) keeps ``rows`` (every row but a) and ``cols[b]``
+    (every column but b); its sign is ``signs[b]`` = (-1)^(a+b).
+    """
+    rows = np.array([r for r in range(k) if r != a], dtype=np.int64)
+    cols = np.array([[x for x in range(k) if x != b] for b in range(k)], dtype=np.int64).reshape(k, k - 1)
+    return _frozen(rows, cols, (-1.0) ** (a + np.arange(k)))
+
+
 def _row_gradients(cov: KCovector, V: np.ndarray, a: int) -> np.ndarray:
     """Gradients (S, N) of cov over frames V (S, k, N) with respect to row a (cofactor expansion).
 
     For each (I, c) of ``cov.terms``, column b of I gains c (-1)^(a+b) times the
-    minor of V[:, :, I] without row a and column b; k >= 2.
+    minor of V[:, :, I] without row a and column b; k >= 2.  The minors of
+    all terms are one stack (S, T, k, k-1, k-1) and one ``det`` call, which
+    factors each matrix on its own, so no value depends on the stack.  The
+    gains add into zeros in ``terms`` order: ``bincount`` adds its weights in
+    the order given, as a loop over the terms would.
     """
     S, k, N = V.shape
-    rest = V[:, [r for r in range(k) if r != a]]  # (S, k-1, N)
-    cols = [[x for x in range(k) if x != b] for b in range(k)]  # row b: the columns other than b
-    signs = (-1.0) ** (a + np.arange(k))
-    g = np.zeros((S, N))
-    for I, c in cov.terms:
-        minors = rest[:, :, I][:, :, cols].transpose(0, 2, 1, 3)  # (S, k, k-1, k-1), one per column b
-        det = np.linalg.det(minors) if k > 2 else minors[:, :, 0, 0]
-        g[:, I] += (c * signs) * det
-    return g
+    rows, cols, signs = _cofactor_layout(k, a)
+    I = cov.term_columns  # (T, k)
+    minors = V.reshape(S, k * N)[:, rows[:, None] * N + I[:, cols][:, :, None, :]]
+    dets = np.linalg.det(minors) if k > 2 else minors[..., 0, 0]  # (S, T, k)
+    gains = dets * (np.array([c for _, c in cov.terms]).reshape(-1, 1) * signs)
+    at = (np.arange(S)[:, None] * N + I.ravel()).ravel()
+    return np.bincount(at, weights=gains.ravel(), minlength=S * N).reshape(S, N)
 
 
 def comass(form: KForm, x: np.ndarray, settings: ComassSettings | None = None) -> ComassResult:
@@ -612,6 +636,12 @@ def comass(form: KForm, x: np.ndarray, settings: ComassSettings | None = None) -
     stack; a start stops at its first sweep that gains at most ``tol``, and
     the first start of the largest value wins.  A covector with a non-finite
     coefficient gives an unconverged NaN result without any sweep.
+
+    Each row update normalizes the gradients of all running starts at once
+    with ``util.row_norms``, a stacked vector-vector ``matmul`` that makes the
+    same BLAS dot product per row as the 1-D ``np.linalg.norm`` of that row;
+    an axis norm, ``einsum`` or ``(g * g).sum(1)`` would round differently and
+    move frames.  A gradient row of norm zero (or NaN) leaves its frame row.
     """
     settings = settings or ComassSettings()
     if settings.n_starts < 1:
@@ -652,10 +682,9 @@ def comass(form: KForm, x: np.ndarray, settings: ComassSettings | None = None) -
         W = V[running]
         for a in range(k):
             g = _row_gradients(cov, W, a)
-            for j, row in enumerate(g):
-                norm = float(np.linalg.norm(row))  # the 1-D path, row by row: an axis norm rounds differently
-                if norm > 0:
-                    W[j, a] = row / norm
+            norm = row_norms(g)
+            pos = norm > 0
+            W[pos, a] = g[pos] / norm[pos, None]
         new = cov.evaluate(W)
         done = new - val[running] <= settings.tol
         V[running] = W

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,9 +164,21 @@ def parse_region(text: str):
 # quadrature
 
 
-def gl_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
+@functools.lru_cache(maxsize=64)
+def legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(order)``, nodes and weights on [-1, 1], computed once per order.
+
+    The arrays are read-only: the cache shares them with every caller.
+    """
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gl_nodes(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [a, b] (new arrays; the rule itself is cached)."""
+    x, w = legendre_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

@@ -7,7 +7,7 @@ statement a check exercises, forming the coverage matrix of the suite.
 
 from __future__ import annotations
 
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -192,9 +192,9 @@ def _check_barycenter_lipschitz(config, seed):
 
 
 def _check_comass(config, seed):
-    tol = float(config.get("tol", 1e-6))
+    tol = _finite(config, "tol", 1e-6, minimum=0.0)
     n_points = _positive(config, "points", 10)
-    expected = float(config.get("expected", 1.0))
+    expected = _finite(config, "expected", 1.0)
     if "form" in config:
         # one pass at the form's own dimension
         form = build_form(config["form"])
@@ -382,12 +382,12 @@ def _check_qr_curve(config, seed):
 
 
 def _check_stokes(config, seed):
+    n_forms = _positive(config, "forms", 5)
+    n_tests = _positive(config, "testforms", 5)
+    orders = _orders(config, "orders", (16, 32, 64))
+    tol = _finite(config, "tol", 1e-3)
     f = _map_from_config(config)
     F = from_cover(f, Box([0.4, 0.4], [1.8, 1.8]))
-    n_forms = int(config.get("forms", 5))
-    n_tests = int(config.get("testforms", 5))
-    orders = tuple(config.get("orders", (16, 32, 64)))
-    tol = float(config.get("tol", 1e-3))
     rng = seeded_rng(seed, 8)
     worst = 0.0
     all_decreasing = True
@@ -439,6 +439,41 @@ def _positive(config, key: str, default: int) -> int:
     return value
 
 
+def _finite(config, key: str, default: float, minimum: float = -np.inf) -> float:
+    """The number config[key] (or the default); SpecError unless it is finite and at least ``minimum``."""
+    raw = config.get(key, default)
+    value = np.nan
+    if isinstance(raw, Real) and not isinstance(raw, bool):
+        try:
+            value = float(raw)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not (np.isfinite(value) and value >= minimum):
+        bound = f" and at least {minimum}" if minimum > -np.inf else ""
+        raise SpecError(f"{key} must be a finite number{bound}, got {raw!r}")
+    return value
+
+
+# the largest Gauss-Legendre order a check accepts: a tensor rule of order q on a
+# box has q^2 nodes, so 1024 gives about a million, and each order's rule is cached
+MAX_ORDER = 1024
+
+
+def _order(raw, key: str) -> int:
+    """One quadrature order; SpecError unless it is an integer from 1 to MAX_ORDER."""
+    if isinstance(raw, bool) or not isinstance(raw, Integral) or not 1 <= raw <= MAX_ORDER:
+        raise SpecError(f"{key} must be integers from 1 to {MAX_ORDER}, got {raw!r}")
+    return int(raw)
+
+
+def _orders(config, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
+    """The quadrature orders config[key] (or the default): a non-empty list, each checked by ``_order``."""
+    raw = config.get(key, default)
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise SpecError(f"{key} must be a non-empty list of quadrature orders, got {raw!r}")
+    return tuple(_order(v, key) for v in raw)
+
+
 def _point(config, key: str, default: list) -> np.ndarray:
     """The point config[key] (or the default); SpecError unless it is a non-empty list of finite numbers."""
     raw = config.get(key, default)
@@ -478,9 +513,7 @@ def _check_area(config, seed):
         "sq_norm": lambda X: np.einsum("ij,ij->i", X, X),
         "inv_grad_sq": lambda X: 1.0 / np.maximum(np.hypot(X[:, 0], X[:, 1]) ** (2 * (d - 1)) * d * d, 1e-300),
     }
-    orders = tuple(int(o) for o in config.get("orders", (32, 64)))
-    if not orders or min(orders) < 1:
-        raise SpecError(f"area needs at least one quadrature order, each at least 1; got {list(orders)}")
+    orders = _orders(config, "orders", (32, 64))
     worst = 0.0
     rows = {}
     for name, g in gs.items():
@@ -496,7 +529,7 @@ def _check_energy(config, seed):
     d = f.degree
     E = Annulus(np.zeros(2), *config.get("image_annulus", (1.0, 4.0)))
     pre = Annulus(np.zeros(2), E.r_in ** (1.0 / d), E.r_out ** (1.0 / d))
-    rep = energy_bound_check(f, E, pre, order=_positive(config, "order", 64))
+    rep = energy_bound_check(f, E, pre, order=_order(config.get("order", 64), "order"))
     return rep["pass"], {"energy": rep["energy"], "bound": rep["bound"], "slack": rep["slack"]}, {
         "bound_slack": 1e-9
     }, 0

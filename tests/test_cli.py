@@ -8,6 +8,7 @@ import pytest
 
 from almqr import kernels, runner
 from almqr.cli import load_manifest, main
+from almqr.dsl import SpecError
 from almqr.reports import stable_body
 from almqr.runner import CHECKS, run_check
 
@@ -213,12 +214,34 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
         ("preimage-measure", {"center_y": [float("inf"), 0.0]}),
         ("preimage-measure", {"center_y": [True, False]}),
         ("preimage-measure", {"center_y": [10**400, 0]}),
+        ("stokes", {"orders": []}),
+        ("stokes", {"orders": [0]}),
+        ("stokes", {"orders": [16, "a"]}),
+        ("stokes", {"orders": [100000]}),
+        ("stokes", {"orders": [16.0]}),
+        ("stokes", {"orders": [True]}),
+        ("stokes", {"orders": 16}),
+        ("stokes", {"forms": 0}),
+        ("stokes", {"testforms": 2.5}),
+        ("stokes", {"tol": "ab"}),
+        ("stokes", {"tol": None}),
+        ("stokes", {"tol": float("inf")}),
+        ("area", {"orders": [32, 1025]}),
+        ("area", {"orders": ["32"]}),
+        ("energy", {"order": 100000}),
+        ("energy", {"order": 2.5}),
+        ("energy", {"order": "64"}),
     ],
     ids=["interp-no-pairs", "upper-gradient-no-samples", "gen-inverse-no-samples", "energy-order-0", "area-no-orders",
          "metric-qc-no-radii", "metric-qc-zero-radius", "metric-qc-wind3", "qr-curve-wind3-planar-region",
          "preimage-measure-wind3-planar-points", "metric-qc-y-a-string", "metric-qc-y-nan", "metric-qc-y-nested",
          "metric-qc-y-empty", "preimage-measure-center-a-string", "preimage-measure-center-a-string-entry",
-         "preimage-measure-center-inf", "preimage-measure-center-booleans", "preimage-measure-center-huge-integer"],
+         "preimage-measure-center-inf", "preimage-measure-center-booleans", "preimage-measure-center-huge-integer",
+         "stokes-no-orders", "stokes-order-0", "stokes-order-a-string", "stokes-order-too-large",
+         "stokes-order-a-float", "stokes-order-a-boolean", "stokes-orders-not-a-list", "stokes-no-forms",
+         "stokes-testforms-not-an-integer", "stokes-tol-a-string", "stokes-tol-null", "stokes-tol-inf",
+         "area-order-too-large", "area-order-a-string", "energy-order-too-large", "energy-order-not-an-integer",
+         "energy-order-a-string"],
 )
 def test_bad_config_exit_code(check, config, capsys):
     # no samples, no levels, or points of the wrong dimension: a usage error (exit 2), not a traceback
@@ -259,12 +282,32 @@ def test_split_pullback_bad_config_exit_code(config, capsys):
         {"ns": [0]},
         {"form": {"kind": "trace_vol", "n": 2, "d": 2}, "ns": [3]},
         {"form": {"kind": "trace_vol", "n": 2, "d": 2}, "ds": [2, 3]},
+        {"tol": "ab"},
+        {"tol": None},
+        {"tol": -1e-6},
+        {"tol": float("nan")},
+        {"expected": "x"},
+        {"expected": float("inf")},
+        {"expected": 10**400},
     ],
-    ids=["no-points", "points-not-an-integer", "no-ns", "no-ds", "zero-n", "form-with-other-ns", "form-with-other-ds"],
+    ids=["no-points", "points-not-an-integer", "no-ns", "no-ds", "zero-n", "form-with-other-ns", "form-with-other-ds",
+         "tol-a-string", "tol-null", "tol-negative", "tol-nan", "expected-a-string", "expected-inf",
+         "expected-huge-integer"],
 )
 def test_comass_bad_config_exit_code(config, capsys):
     assert run_cli("verify", "comass", "--config", json.dumps(config)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_quadrature_order_bounds():
+    # the largest accepted order is MAX_ORDER; the rule cache keeps one rule per order
+    assert runner._order(1, "order") == 1
+    assert runner._order(runner.MAX_ORDER, "order") == runner.MAX_ORDER
+    for bad in (0, runner.MAX_ORDER + 1, -3, 2.0, "8", None, True):
+        with pytest.raises(SpecError):
+            runner._order(bad, "order")
+    assert runner._orders({}, "orders", (16, 32)) == (16, 32)
+    assert runner._orders({"orders": [64]}, "orders", (16,)) == (64,)
 
 
 def test_comass_check_of_a_form_runs_at_its_own_dimension(capsys):

@@ -429,6 +429,142 @@ def test_comass_reference_partly_unconverged():
         assert not res.converged and res.sweeps == max_iters
 
 
+# The lockstep ascent as it was before its steps were batched, kept as a
+# reference: one determinant call per term, the terms added one at a time,
+# and each gradient row normalized by its own 1-D np.linalg.norm.
+
+
+def _loop_evaluate(cov, V):
+    if cov.degree == 0:
+        return np.full(len(V), cov.row[0])
+    total = np.zeros(len(V))
+    for I, c in cov.terms:
+        M = V[:, :, I]
+        total += c * (np.linalg.det(M) if cov.degree > 1 else M[:, 0, 0])
+    return total
+
+
+def _loop_row_gradients(cov, V, a):
+    S, k, N = V.shape
+    rest = V[:, [r for r in range(k) if r != a]]
+    cols = [[x for x in range(k) if x != b] for b in range(k)]
+    signs = (-1.0) ** (a + np.arange(k))
+    g = np.zeros((S, N))
+    for I, c in cov.terms:
+        minors = rest[:, :, I][:, :, cols].transpose(0, 2, 1, 3)
+        det = np.linalg.det(minors) if k > 2 else minors[:, :, 0, 0]
+        g[:, I] += (c * signs) * det
+    return g
+
+
+def _loop_comass(form, x, settings):
+    cov = form.at(x)
+    k, N = cov.degree, cov.dim
+    if k == 1:
+        g = np.array(cov.row)
+        norm = float(np.linalg.norm(g))
+        frame = (g / norm)[None, :] if norm > 0 else np.zeros((1, N))
+        return norm, frame, True, 1, 1
+    elementary = []
+    for I, c in sorted(cov.terms, key=lambda t: -abs(t[1]))[: max(4, settings.n_starts // 4)]:
+        V = np.zeros((k, N))
+        V[np.arange(k), I] = 1.0
+        if c < 0:
+            V[0] *= -1.0
+        elementary.append(V)
+    count = max(0, settings.n_starts - len(elementary))
+    V = np.concatenate([np.reshape(elementary, (-1, k, N)), forms._halton_frames(k, N, count)])
+    S = len(V)
+    val = _loop_evaluate(cov, V)
+    converged = np.zeros(S, dtype=bool)
+    sweeps = np.zeros(S, dtype=np.int64)
+    running = np.arange(S)
+    for sweep in range(settings.max_iters):
+        if len(running) == 0:
+            break
+        sweeps[running] = sweep + 1
+        W = V[running]
+        for a in range(k):
+            g = _loop_row_gradients(cov, W, a)
+            for j, row in enumerate(g):
+                norm = float(np.linalg.norm(row))
+                if norm > 0:
+                    W[j, a] = row / norm
+        new = _loop_evaluate(cov, W)
+        done = new - val[running] <= settings.tol
+        V[running] = W
+        val[running] = new
+        converged[running[done]] = True
+        running = running[~done]
+    best = int(np.argmax(val))
+    return float(val[best]), V[best], bool(converged[best]), S, int(sweeps[best])
+
+
+def _assert_matches_loop(form, x, settings=ComassSettings()):
+    res = comass(form, x, settings)
+    val, frame, converged, n_starts, sweeps = _loop_comass(form, x, settings)
+    assert np.float64(res.value).tobytes() == np.float64(val).tobytes()
+    assert res.frame.tobytes() == frame.tobytes()
+    assert (res.converged, res.n_starts, res.sweeps) == (converged, n_starts, sweeps)
+    return res
+
+
+def _random_constant_form(rng, n, d, k, scale=1.0):
+    """A constant k-form on (R^n)^d with 1 to 12 random coefficients."""
+    size = len(forms.basis(n * d, k))
+    terms = int(rng.integers(1, min(size, 12) + 1))
+    row = np.zeros(size)
+    row[rng.choice(size, size=terms, replace=False)] = scale * rng.normal(size=terms)
+    return KForm.constant(KCovector(n * d, k, row), n, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_comass_equals_the_row_by_row_loop(n, d):
+    rng = np.random.default_rng(200 + 10 * n + d)
+    vol = natural_volume_form(n, d)
+    for _ in range(2):
+        _assert_matches_loop(vol, rng.normal(size=n * d))
+    N = n * d
+    for k in sorted({1, n, min(2, N)}):
+        for scale in (1e-5, 1.0, 1e5):
+            form = _random_constant_form(rng, n, d, k, scale)
+            _assert_matches_loop(form, np.zeros(N), ComassSettings(n_starts=int(rng.integers(1, 65))))
+        # the zero covector: no term, every gradient row is zero and no frame row moves
+        res = _assert_matches_loop(KForm.zero(k, n, d), np.zeros(N), ComassSettings(n_starts=8))
+        assert res.value == 0.0 and res.converged
+
+
+def test_comass_equals_the_row_by_row_loop_on_mixed_and_unconverged_forms():
+    x = np.random.default_rng(13).normal(size=4)
+    for settings in (ComassSettings(), ComassSettings(n_starts=9), ComassSettings(max_iters=2, tol=0.0)):
+        _assert_matches_loop(MIXED_FORM, x, settings)
+    # a symmetrized wedge of a non-constant and a constant 1-form on (R^2)^2
+    a = KForm(degree=1, n=2, d=2, coeff_fn=lambda X: np.stack([X[:, 0], X[:, 3] ** 2, -X[:, 1], X[:, 2]], axis=1))
+    b = KForm.constant(KCovector(4, 1, [0.3, -1.0, 0.0, 2.0]), 2, 2)
+    _assert_matches_loop(symmetrize(wedge(a, b), GroupAction.full(2, 2)), x)
+
+
+def test_batched_covector_steps_equal_their_term_loops():
+    rng = np.random.default_rng(14)
+    for _ in range(150):
+        N = int(rng.integers(1, 10))
+        k = int(rng.integers(1, min(N, 5) + 1))
+        size = len(forms.basis(N, k))
+        terms = int(rng.integers(0, size + 1))  # 0: the zero covector
+        row = np.zeros(size)
+        row[rng.choice(size, size=terms, replace=False)] = rng.normal(size=terms) * 10.0 ** rng.integers(-5, 6)
+        cov = KCovector(N, k, row)
+        V = rng.normal(size=(int(rng.integers(1, 70)), k, N)) * 10.0 ** rng.integers(-3, 4)
+        assert cov.evaluate(V).tobytes() == _loop_evaluate(cov, V).tobytes()
+        if k >= 2:
+            for a in range(k):
+                assert forms._row_gradients(cov, V, a).tobytes() == _loop_row_gradients(cov, V, a).tobytes()
+        # a gradient row normalized in the stack equals its 1-D norm
+        g = V.reshape(len(V), -1)
+        assert forms.row_norms(g).tobytes() == np.array([np.linalg.norm(r) for r in g]).tobytes()
+
+
 def test_comass_rejects_empty_start_set():
     with pytest.raises(ValueError):
         comass(natural_volume_form(2, 2), np.zeros(4), ComassSettings(n_starts=0))

@@ -6,7 +6,7 @@ import pytest
 from almqr.covers import planar_power
 from almqr.forms import GroupAction, KForm, MultiPoly, natural_volume_form, polynomial_one_form, symmetrize, trace_form
 from almqr.mv import BumpTestForm, from_cover, weak_stokes_check
-from almqr.regions import Box
+from almqr.regions import Box, gl_nodes, legendre_rule
 
 SUPPORT = Box([0.4, 0.4], [1.8, 1.8])
 BUMP = BumpTestForm(lo=[0.5, 0.5], hi=[1.7, 1.7], q=3)
@@ -71,3 +71,22 @@ def test_degree_restriction():
     om = KForm.zero(0, 2, 2)  # a 0-form: m - k - 1 = 1 test forms unsupported
     with pytest.raises(Exception):
         weak_stokes_check(F, om, BUMP, orders=(4,))
+
+
+@pytest.mark.parametrize("order", [1, 2, 16, 64, 129])
+def test_gauss_legendre_rules_are_cached_read_only_leggauss(order):
+    x, w = legendre_rule(order)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+    assert legendre_rule(order) is legendre_rule(order)
+    for a in (x, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # gl_nodes maps the shared rule into new arrays, as it mapped a fresh leggauss
+    nodes, weights = gl_nodes(0.4, 1.8, order)
+    mid, half = 0.5 * (0.4 + 1.8), 0.5 * (1.8 - 0.4)
+    assert nodes.tobytes() == (mid + half * ref_x).tobytes()
+    assert weights.tobytes() == (half * ref_w).tobytes()
+    nodes[0] = 5.0
+    assert legendre_rule(order)[0].tobytes() == ref_x.tobytes()
