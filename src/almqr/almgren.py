@@ -245,17 +245,87 @@ def distance_values(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.sqrt(kernels.dist_sq_pairs(np.where(swap, Q, P), np.where(swap, P, Q)))
 
 
-def _matched_value(P: np.ndarray, Q: np.ndarray, matching) -> float:
-    """Exactly rounded value of a matching (order-independent, hence symmetric).
+# a cascaded sum r is certified by its error bound only from this magnitude up,
+# where half the gap to its neighbours is far from underflow; and rows with
+# sum |x| from _SUM_LIMIT up go to math.fsum, since below it no partial sum,
+# of the cascade or of fsum, can overflow
+_CERTIFIED_LOW, _SUM_LIMIT = 2.0**-900, 2.0**1000
 
-    The coordinates go to Python floats first: the same IEEE operations as on
-    numpy scalars, without their per-element cost.
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, t)`` with s = fl(a + b) and s + t = a + b exactly, elementwise (Knuth's TwoSum; no overflow)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
+def _cascade_sums(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cascaded sums r (m,) of the rows of X (m, k), and the mask (m,) of rows where r is exactly rounded.
+
+    The running sum s takes the terms with TwoSum, and its residuals t are
+    summed into e with TwoSum too (T. Ogita, S. M. Rump and S. Oishi,
+    Accurate sum and dot product, SIAM J. Sci. Comput. 26, 2005), so the
+    exact row sum is s + e + sum(g), with g the residuals of e.  Then
+    r = fl(s + e), and TwoSum gives its error f exactly.  If every g is 0,
+    r is the IEEE round-to-nearest-even of the exact sum, ties included,
+    which is what ``math.fsum`` returns.  Otherwise the exact sum lies within
+    |f| + sum|g| of r, and sum|g| <= 2 fl(sum|g|); the row is certified when
+    that is below half the smaller gap from r to its neighbours and |r| is
+    at least ``_CERTIFIED_LOW``.  Rows with a non-finite term, or with
+    sum |x| of ``_SUM_LIMIT`` or more, are not certified.
     """
-    P, Q = np.asarray(P).tolist(), np.asarray(Q).tolist()
-    pair_sq = [
-        math.fsum((a - b) * (a - b) for a, b in zip(P[i], Q[j])) for i, j in enumerate(matching)
-    ]
-    return float(np.sqrt(max(math.fsum(pair_sq), 0.0)))
+    m, k = X.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = X[:, 0] if k else np.zeros(m)
+        e = np.zeros(m)
+        g_abs = np.zeros(m)  # fl(sum |g|)
+        for i in range(1, k):
+            s, t = _two_sum(s, X[:, i])
+            e, g = _two_sum(e, t)
+            g_abs += np.abs(g)
+        # e starts at +0.0 and so is never -0.0: r is never -0.0 either, and
+        # a zero sum is +0.0, as in math.fsum
+        r, f = _two_sum(s, e)
+        a = np.abs(r)
+        half_gap = 0.5 * np.minimum(np.spacing(a), a - np.nextafter(a, 0.0))
+        bounded = (a >= _CERTIFIED_LOW) & (np.abs(f) + 2.0 * g_abs < half_gap)
+        return r, (np.abs(X).sum(axis=1) < _SUM_LIMIT) & ((g_abs == 0.0) | bounded)
+
+
+def exact_sums(X) -> np.ndarray:
+    """Exactly rounded sums (m,) of the rows of X (m, k): ``math.fsum`` of each row, bit for bit.
+
+    :func:`_cascade_sums` prices every row and certifies almost all of them;
+    the rest (near ties, non-finite or huge terms) go to ``math.fsum``
+    (J. R. Shewchuk, Discrete Comput. Geom. 18, 1997), which also raises
+    where it raises (an infinite sum of finite terms, inf - inf).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    r, certified = _cascade_sums(X)
+    for i in np.flatnonzero(~certified).tolist():
+        r[i] = math.fsum(X[i].tolist())
+    return r
+
+
+def matched_values(P, Q, perms) -> np.ndarray:
+    """Values (m,) of the matchings ``perms`` (m, d) of paired expanded tuples P, Q (m, d, n).
+
+    Row i of pair a is matched to row ``perms[a, i]`` of Q[a].  Each squared
+    pair distance is the exactly rounded sum of its n squared coordinate
+    differences (the same IEEE operations as on Python floats), the total
+    the exactly rounded sum of the d pair values, and its square root is
+    taken last.  Exact sums do not depend on the order of the terms, so the
+    value is symmetric in P and Q, and zero coordinates appended to both
+    sides do not change it.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
+    m, d, n = P.shape
+    with np.errstate(over="ignore"):  # squares that overflow make inf terms, and fsum decides
+        diff = P - np.take_along_axis(Q, np.asarray(perms, dtype=np.int64)[:, :, None], axis=1)
+        sq = diff * diff
+    pair_sq = exact_sums(sq.reshape(m * d, n)).reshape(m, d)
+    return np.sqrt(np.maximum(exact_sums(pair_sq), 0.0))
 
 
 def _lex_refine(cost: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -307,29 +377,52 @@ def lex_matchings(cost: np.ndarray) -> np.ndarray:
     return _lex_refine(cost, kernels.solve_assignments(cost)[0])
 
 
+def _degree_stack(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cost matrices and tuples of the pairs [(P, Q)] of one degree d: expanded tuples (k, d, n), n free per batch.
+
+    Returns the stacked cost matrices (sum k, d, d), each batch's made by
+    ``kernels.sq_costs`` at its own n, and P and Q stacked (sum k, d, N),
+    zero-padded to the largest n, N; :func:`matched_values` does not see the
+    padding.
+    """
+    cost = np.concatenate([kernels.sq_costs(P, Q) for P, Q in pairs])
+    P = np.zeros((len(cost), cost.shape[1], max(P.shape[2] for P, _ in pairs)))
+    Q = np.zeros_like(P)
+    start = 0
+    for p, q in pairs:
+        P[start : start + len(p), :, : p.shape[2]] = p
+        Q[start : start + len(q), :, : q.shape[2]] = q
+        start += len(p)
+    return cost, P, Q
+
+
 def lex_distances(pairs) -> np.ndarray:
     """:func:`distance` values of the pairs [(P, Q)] of one degree d: expanded tuples (k, d, n), n free per batch.
 
     The cost matrices do not depend on n, so one :func:`lex_matchings`
-    call prices them all, and each value is finalized as in :func:`distance`.
+    call and one :func:`matched_values` call price them all.
     """
-    matchings = lex_matchings(np.concatenate([kernels.sq_costs(P, Q) for P, Q in pairs]))
-    PQ = [pq for P, Q in pairs for pq in zip(P, Q)]
-    return np.array([_matched_value(p, q, perm) for (p, q), perm in zip(PQ, matchings)], dtype=np.float64)
+    cost, P, Q = _degree_stack(pairs)
+    return matched_values(P, Q, lex_matchings(cost))
 
 
 def distance(p: AlmgrenPoint, q: AlmgrenPoint) -> DistanceResult:
     """Assignment distance with the lexicographically smallest optimal matching.
 
-    The matching is :func:`lex_matchings` of a batch of one.  The value is
-    finalized with exactly rounded summation over the matched pairs, so it
-    is symmetric in the arguments and agrees bit for bit with the
-    enumeration oracle whenever both find the same matching.
+    The matching is :func:`lex_matchings` of a batch of one, and the value
+    :func:`matched_values` of a batch of one: exactly rounded sums over the
+    matched pairs, so it is symmetric in the arguments and agrees bit for bit
+    with the enumeration oracle whenever both find the same matching.
     """
     _check_compatible(p, q)
-    P, Q = p.expand(), q.expand()
-    matching = tuple(lex_matchings(kernels.sq_costs(P[None], Q[None]))[0].tolist())
-    return DistanceResult(value=_matched_value(P, Q, matching), matching=matching)
+    P, Q = p.expand()[None], q.expand()[None]
+    matching = lex_matchings(kernels.sq_costs(P, Q))
+    return DistanceResult(value=float(matched_values(P, Q, matching)[0]), matching=tuple(matching[0].tolist()))
+
+
+def _check_bruteforce(d: int) -> None:
+    if d > MAX_BRUTEFORCE_D:
+        raise TupleSpaceError(f"brute force limited to d <= {MAX_BRUTEFORCE_D}, got {d}")
 
 
 def bruteforce_matchings(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,17 +430,26 @@ def bruteforce_matchings(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.n
 
     Returns ``(value, matching)``: ``matching[a]`` (m, d) is the first
     minimum-cost permutation in lexicographic order, found by pricing all d!
-    of them, and ``value[a]`` its distance by the exactly rounded summation
-    of :func:`distance`.  Independent of the assignment solver.
+    of them (``kernels.enumerate_min``), and ``value[a]`` its
+    :func:`matched_values`, as in :func:`distance`.  Independent of the
+    assignment solver.
     """
     P = np.asarray(P, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
-    d = P.shape[1]
-    if d > MAX_BRUTEFORCE_D:
-        raise TupleSpaceError(f"brute force limited to d <= {MAX_BRUTEFORCE_D}, got {d}")
+    _check_bruteforce(P.shape[1])
     _, perms = kernels.enumerate_min(kernels.sq_costs(P, Q))
-    values = np.array([_matched_value(p, q, perm) for p, q, perm in zip(P, Q, perms)], dtype=np.float64)
-    return values, perms
+    return matched_values(P, Q, perms), perms
+
+
+def bruteforce_distances(pairs) -> np.ndarray:
+    """:func:`bruteforce_matchings` values of the pairs [(P, Q)] of one degree d <= 8, n free per batch.
+
+    As in :func:`lex_distances`, one ``kernels.enumerate_min`` call and one
+    :func:`matched_values` call price them all.
+    """
+    cost, P, Q = _degree_stack(pairs)
+    _check_bruteforce(cost.shape[1])
+    return matched_values(P, Q, kernels.enumerate_min(cost)[1])
 
 
 def distance_bruteforce(p: AlmgrenPoint, q: AlmgrenPoint) -> DistanceResult:

@@ -12,13 +12,13 @@ from numbers import Integral, Real
 import numpy as np
 
 from .almgren import (
-    AlmgrenPoint,
-    barycenter,
-    bruteforce_matchings,
+    barycenters,
+    bruteforce_distances,
     distance_value,
     distance_values,
     distances_to_diagonal,
     lex_distances,
+    points_of,
     sorted_tuples,
 )
 from .covers import NumericalError, build_map, lift_path, minv, planar_power, preimage_measure_check
@@ -67,29 +67,31 @@ from .util import row_dots, row_norms, seeded_rng
 
 # samples drawn and priced together by the tuple-space checks; a block's
 # tuples are held at once, so this bounds their memory (the solver route of
-# metric-oracle keeps every block until it prices each degree at once)
+# metric-oracle keeps every block until it prices each degree at once, on both
+# of its routes)
 SAMPLE_BLOCK = 500
 
 
 def _draw_groups(rng, n_samples: int, tuples: int, spread: float = 2.0):
     """Random samples of ``tuples`` d-tuples in R^n each, grouped by (d, n).
 
-    Sample s draws d in [2, 6], n in [1, 4], then its tuples, each from
-    ``rng.normal(scale=spread, size=(d, n))``, in that order.  Block by block
-    of ``SAMPLE_BLOCK`` samples, yields (sample indices (k,), [tuple batch
-    (k, d, n) in ``sorted_tuples`` form] * tuples) for each (d, n) drawn.
+    Sample s draws d in [2, 6], n in [1, 4], then its tuples in one
+    ``rng.normal(scale=spread, size=(tuples, d, n))``, in that order.  Block
+    by block of ``SAMPLE_BLOCK`` samples, yields (sample indices (k,),
+    [tuple batch (k, d, n) in ``sorted_tuples`` form] * tuples) for each
+    (d, n) drawn; one ``sorted_tuples`` call sorts every tuple of a group.
     """
     for start in range(0, n_samples, SAMPLE_BLOCK):
         draws: dict = {}
         for s in range(start, min(start + SAMPLE_BLOCK, n_samples)):
             d = int(rng.integers(2, 7))
             n = int(rng.integers(1, 5))
-            idx, batches = draws.setdefault((d, n), ([], [[] for _ in range(tuples)]))
+            idx, samples = draws.setdefault((d, n), ([], []))
             idx.append(s)
-            for batch in batches:
-                batch.append(rng.normal(scale=spread, size=(d, n)))
-        for idx, batches in draws.values():
-            yield np.array(idx), [sorted_tuples(np.array(b)) for b in batches]
+            samples.append(rng.normal(scale=spread, size=(tuples, d, n)))
+        for (d, n), (idx, samples) in draws.items():
+            slots = np.array(samples).swapaxes(0, 1).reshape(tuples * len(idx), d, n)  # tuple slot major
+            yield np.array(idx), list(sorted_tuples(slots).reshape(tuples, len(idx), d, n))
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +99,19 @@ def _draw_groups(rng, n_samples: int, tuples: int, spread: float = 2.0):
 
 
 def _check_metric_oracle(config, seed):
-    n_samples = int(config.get("samples", 10_000))
+    n_samples = _positive(config, "samples", 10_000)
     oracle = np.zeros(n_samples)
     solver = np.zeros(n_samples)
     by_degree: dict[int, list] = {}
     for idx, (P, Q) in _draw_groups(seeded_rng(seed, 1), n_samples, 2):
-        oracle[idx] = bruteforce_matchings(P, Q)[0]
         by_degree.setdefault(P.shape[1], []).append((idx, (P, Q)))
-    # the solver route: one solve and one lexicographic refinement per degree
+    # one pass per degree on both routes: the enumeration oracle, and one solve
+    # with one lexicographic refinement
     for blocks in by_degree.values():
-        solver[np.concatenate([idx for idx, _ in blocks])] = lex_distances([pq for _, pq in blocks])
+        idx = np.concatenate([idx for idx, _ in blocks])
+        pairs = [pq for _, pq in blocks]
+        oracle[idx] = bruteforce_distances(pairs)
+        solver[idx] = lex_distances(pairs)
     gaps = np.abs(solver - oracle)
     first = np.flatnonzero(gaps != 0.0)[:1]  # the first gap in sample order, NaN included
     worst = float(gaps[first[0]]) if len(first) else 0.0
@@ -115,29 +120,33 @@ def _check_metric_oracle(config, seed):
 
 
 def _check_metric_axioms(config, seed):
-    n_samples = int(config.get("samples", 10_000))
-    tol = float(config.get("tol", 1e-12))
+    n_samples = _positive(config, "samples", 10_000)
+    tol = _finite(config, "tol", 1e-12, minimum=0.0)
     rng = seeded_rng(seed, 2)
     excess = [np.full(1, -np.inf)]
     asym = [np.zeros(1)]
     for _, (P, Q, R) in _draw_groups(rng, n_samples, 3):
-        dpq = distance_values(P, Q)
-        dqr = distance_values(Q, R)
-        dpr = distance_values(P, R)
+        dpq, dqr, dpr, dqp = distance_values(np.concatenate([P, Q, P, Q]), np.concatenate([Q, R, R, P])).reshape(4, -1)
         excess.append(dpr - (dpq + dqr))
-        asym.append(np.abs(dpq - distance_values(Q, P)))
+        asym.append(np.abs(dpq - dqp))
     # np.max keeps a NaN, so a NaN distance fails the check
     worst_tri = np.max(np.concatenate(excess))
     worst_sym = float(np.max(np.concatenate(asym)))
-    # identity of indiscernibles on shuffled multisets
-    ident_ok = True
+    # identity of indiscernibles on shuffled multisets: the draws one by one
+    # (they define the stream), the points and distances per (d, n)
+    shuffled: dict = {}
     for _ in range(200):
         d = int(rng.integers(2, 6))
         n = int(rng.integers(1, 4))
         pts = rng.normal(size=(d, n))
-        p = AlmgrenPoint.from_points(pts)
-        q = AlmgrenPoint.from_points(pts[rng.permutation(d)])
-        ident_ok = ident_ok and p == q and distance_value(p, q) == 0.0
+        group = shuffled.setdefault((d, n), ([], []))
+        group[0].append(pts)
+        group[1].append(pts[rng.permutation(d)])
+    ident_ok = True
+    for X, Y in shuffled.values():
+        X, Y = np.array(X), np.array(Y)
+        same = all(p == q for p, q in zip(points_of(X), points_of(Y)))
+        ident_ok = ident_ok and same and bool(np.all(distance_values(sorted_tuples(X), sorted_tuples(Y)) == 0.0))
     passed = worst_tri <= tol and worst_sym == 0.0 and ident_ok
     metrics = {
         "n_samples": n_samples,
@@ -162,8 +171,8 @@ def _lipschitz_ratios(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _check_barycenter_lipschitz(config, seed):
-    n_samples = int(config.get("samples", 10_000))
-    tol = float(config.get("tol", 1e-12))
+    n_samples = _positive(config, "samples", 10_000)
+    tol = _finite(config, "tol", 1e-12, minimum=0.0)
     rng = seeded_rng(seed, 3)
     ratios = [np.zeros(1)]
     excluded = 0
@@ -172,16 +181,19 @@ def _check_barycenter_lipschitz(config, seed):
         ratios.append(ratio)
         excluded += coincident
     worst = np.max(np.concatenate(ratios))  # a NaN ratio stays NaN and fails
-    # equality witness on diagonal pairs
-    eq_gap = 0.0
+    # equality witness on diagonal pairs d*[[a]], d*[[b]]: the draws one by one,
+    # the barycenters and distances per (d, n)
+    ends: dict = {}
     for _ in range(100):
         d = int(rng.integers(2, 7))
         n = int(rng.integers(1, 5))
-        a, b = rng.normal(size=(2, n))
-        p = AlmgrenPoint.diagonal(a, d)
-        q = AlmgrenPoint.diagonal(b, d)
-        ratio = np.sqrt(d) * np.linalg.norm(barycenter(p) - barycenter(q)) / distance_value(p, q)
-        eq_gap = max(eq_gap, abs(ratio - 1.0))
+        ends.setdefault((d, n), []).append(rng.normal(size=(2, n)))
+    gaps = []
+    for (d, _), ab in ends.items():
+        P, Q = (sorted_tuples(np.repeat(x[:, None, :], d, axis=1)) for x in np.array(ab).swapaxes(0, 1))
+        ratio = np.sqrt(d) * row_norms(barycenters(P) - barycenters(Q)) / distance_values(P, Q)
+        gaps.append(np.abs(ratio - 1.0))
+    eq_gap = np.max(np.concatenate(gaps), initial=0.0)  # a NaN ratio stays NaN and fails
     passed = worst <= 1.0 + tol and eq_gap <= tol
     metrics = {"n_samples": n_samples, "max_ratio": float(worst), "diagonal_equality_gap": eq_gap}
     return passed, metrics, {"ratio_bound": 1.0 + tol}, excluded
@@ -203,11 +215,8 @@ def _check_comass(config, seed):
                 raise SpecError(f"{key} must be [{own}] (or left out) alongside a form, got {config[key]!r}")
         passes = [(form.n, form.d, form)]
     else:
-        ns = config.get("ns", [2, 3])
-        ds = config.get("ds", [2, 3])
-        for key, sizes in (("ns", ns), ("ds", ds)):
-            if not isinstance(sizes, (list, tuple)) or not sizes or not all(type(v) is int and v >= 1 for v in sizes):
-                raise SpecError(f"{key} must be a non-empty list of positive integers, got {sizes!r}")
+        ns = _counts(config, "ns", [2, 3])
+        ds = _counts(config, "ds", [2, 3])
         passes = [(n, d, natural_volume_form(n, d)) for n in ns for d in ds]
     rng = seeded_rng(seed, 4)
     worst = 0.0
@@ -439,6 +448,17 @@ def _positive(config, key: str, default: int) -> int:
     return value
 
 
+def _counts(config, key: str, default: list) -> list:
+    """The list config[key] (or the default); SpecError unless it is a non-empty list of integers of at least 1.
+
+    A sweep over an empty list would pass with nothing checked.
+    """
+    raw = config.get(key, default)
+    if not isinstance(raw, (list, tuple)) or not raw or not all(type(v) is int and v >= 1 for v in raw):
+        raise SpecError(f"{key} must be a non-empty list of positive integers, got {raw!r}")
+    return raw
+
+
 def _finite(config, key: str, default: float, minimum: float = -np.inf) -> float:
     """The number config[key] (or the default); SpecError unless it is finite and at least ``minimum``."""
     raw = config.get(key, default)
@@ -502,11 +522,27 @@ def _check_upper_gradient(config, seed):
     return rep["pass"], metrics, {"tol": rep["tol"]}, rep["excluded"]
 
 
+def _image_annuli(config, d: int) -> tuple[Annulus, Annulus]:
+    """The image annulus E of area and energy (config ``image_annulus``) and its preimage under z^d.
+
+    SpecError unless the radii are two finite numbers 0 <= r_in < r_out whose
+    d-th roots stay apart.
+    """
+    radii = _point(config, "image_annulus", [1.0, 4.0])
+    if len(radii) == 2:
+        try:
+            E = Annulus(np.zeros(2), float(radii[0]), float(radii[1]))
+            return E, Annulus(np.zeros(2), E.r_in ** (1.0 / d), E.r_out ** (1.0 / d))
+        except ValueError:
+            pass
+    raise SpecError(f"image_annulus must be radii [r_in, r_out] with 0 <= r_in < r_out, "
+                    f"got {config['image_annulus']!r}")
+
+
 def _check_area(config, seed):
     f = _map_from_config(config)
     d = f.degree
-    E = Annulus(np.zeros(2), *config.get("image_annulus", (1.0, 4.0)))
-    pre = Annulus(np.zeros(2), E.r_in ** (1.0 / d), E.r_out ** (1.0 / d))
+    E, pre = _image_annuli(config, d)
     tol = float(config.get("tol", 1e-3))
     gs = {
         "one": lambda X: np.ones(len(X)),
@@ -526,9 +562,7 @@ def _check_area(config, seed):
 
 def _check_energy(config, seed):
     f = _map_from_config(config)
-    d = f.degree
-    E = Annulus(np.zeros(2), *config.get("image_annulus", (1.0, 4.0)))
-    pre = Annulus(np.zeros(2), E.r_in ** (1.0 / d), E.r_out ** (1.0 / d))
+    E, pre = _image_annuli(config, f.degree)
     rep = energy_bound_check(f, E, pre, order=_order(config.get("order", 64), "order"))
     return rep["pass"], {"energy": rep["energy"], "bound": rep["bound"], "slack": rep["slack"]}, {
         "bound_slack": 1e-9
@@ -536,14 +570,14 @@ def _check_energy(config, seed):
 
 
 def _check_gen_inverse(config, seed):
-    degrees = config.get("degrees", [2, 3, 4])
+    degrees = _counts(config, "degrees", [2, 3, 4])
     n_samples = _positive(config, "samples", 10_000)
     tol = float(config.get("tol", 1e-8))
     region = Annulus(np.zeros(2), 0.2, 2.0)
     worst = 0.0
     for ix, d in enumerate(degrees):
-        f = planar_power(int(d)) if config.get("use_power", False) else build_map(
-            {"map": "poly", "coeffs": [0.0] * int(d) + [1.0]}
+        f = planar_power(d) if config.get("use_power", False) else build_map(
+            {"map": "poly", "coeffs": [0.0] * d + [1.0]}
         )
         ys = region.sample(seeded_rng(seed, 9, ix), n_samples)
         worst = max(worst, float(np.linalg.norm(generalized_inverse(f, ys), axis=1).max()))
@@ -639,7 +673,7 @@ def _synthetic_map(d: int, rho: float = 0.5) -> MultiValuedMap:
 
 
 def _check_interp(config, seed):
-    ds = config.get("ds", [2, 3])
+    ds = _counts(config, "ds", [2, 3])
     eps = float(config.get("eps", 0.1))
     n_pairs = _positive(config, "pairs", 10_000)
     tol = float(config.get("tol", 1e-6))
@@ -647,7 +681,7 @@ def _check_interp(config, seed):
     rows = []
     passed = True
     for d in ds:
-        F = _synthetic_map(int(d))
+        F = _synthetic_map(d)
         X = F.domain.sample(rng, n_pairs)
         Y = F.domain.sample(rng, n_pairs)
         norm = row_norms(X - Y)

@@ -6,7 +6,8 @@ for bit, row by row.  At covering degrees (d <= 10) it is an order of
 magnitude faster per matrix than a batch of one, so per-pair test loops use
 it, with ``lex_refine`` and ``distance`` built on it one pair at a time as
 ``almgren._lex_refine`` and ``almgren.distance`` are built on the batched
-solver.
+solver.  ``matched_value`` is the value of one matching by ``math.fsum`` on
+Python floats: ``almgren.matched_values`` must match it bit for bit.
 """
 
 import math
@@ -14,7 +15,20 @@ import math
 import numpy as np
 
 from almqr import kernels
-from almqr.almgren import DistanceResult, _check_compatible, _matched_value
+from almqr.almgren import DistanceResult, _check_compatible
+
+
+def matched_value(P: np.ndarray, Q: np.ndarray, matching) -> float:
+    """Exactly rounded value of a matching (order-independent, hence symmetric).
+
+    The coordinates go to Python floats first: the same IEEE operations as on
+    numpy scalars, without their per-element cost.
+    """
+    P, Q = np.asarray(P).tolist(), np.asarray(Q).tolist()
+    pair_sq = [
+        math.fsum((a - b) * (a - b) for a, b in zip(P[i], Q[j])) for i, j in enumerate(matching)
+    ]
+    return float(np.sqrt(max(math.fsum(pair_sq), 0.0)))
 
 
 def solve_assignment(cost: np.ndarray) -> tuple[float, np.ndarray]:
@@ -126,4 +140,4 @@ def distance(p, q) -> DistanceResult:
     cost = kernels.sq_costs(P[None], Q[None])[0]
     best, _ = solve_assignment(cost)
     matching = lex_refine(cost, best)
-    return DistanceResult(value=_matched_value(P, Q, matching), matching=matching)
+    return DistanceResult(value=matched_value(P, Q, matching), matching=matching)

@@ -231,6 +231,28 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
         ("energy", {"order": 100000}),
         ("energy", {"order": 2.5}),
         ("energy", {"order": "64"}),
+        ("metric-oracle", {"samples": 0}),
+        ("metric-axioms", {"samples": 0}),
+        ("barycenter-lipschitz", {"samples": 0}),
+        ("metric-oracle", {"samples": 2.5}),
+        ("metric-axioms", {"tol": "ab"}),
+        ("metric-axioms", {"tol": -1e-12}),
+        ("barycenter-lipschitz", {"tol": float("nan")}),
+        ("barycenter-lipschitz", {"tol": None}),
+        ("gen-inverse", {"degrees": []}),
+        ("gen-inverse", {"degrees": [2.5]}),
+        ("gen-inverse", {"degrees": [2, "3"]}),
+        ("gen-inverse", {"degrees": 3}),
+        ("gen-inverse", {"degrees": [0]}),
+        ("interp", {"ds": []}),
+        ("interp", {"ds": [True]}),
+        ("interp", {"ds": [0]}),
+        ("area", {"image_annulus": [4, 1]}),
+        ("energy", {"image_annulus": [4, 1]}),
+        ("area", {"image_annulus": [1.0]}),
+        ("energy", {"image_annulus": [-1.0, 2.0]}),
+        ("area", {"image_annulus": [1.0, float("nan")]}),
+        ("energy", {"image_annulus": "ab"}),
     ],
     ids=["interp-no-pairs", "upper-gradient-no-samples", "gen-inverse-no-samples", "energy-order-0", "area-no-orders",
          "metric-qc-no-radii", "metric-qc-zero-radius", "metric-qc-wind3", "qr-curve-wind3-planar-region",
@@ -241,7 +263,13 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
          "stokes-order-a-float", "stokes-order-a-boolean", "stokes-orders-not-a-list", "stokes-no-forms",
          "stokes-testforms-not-an-integer", "stokes-tol-a-string", "stokes-tol-null", "stokes-tol-inf",
          "area-order-too-large", "area-order-a-string", "energy-order-too-large", "energy-order-not-an-integer",
-         "energy-order-a-string"],
+         "energy-order-a-string", "metric-oracle-no-samples", "metric-axioms-no-samples",
+         "barycenter-lipschitz-no-samples", "metric-oracle-samples-not-an-integer", "metric-axioms-tol-a-string",
+         "metric-axioms-tol-negative", "barycenter-lipschitz-tol-nan", "barycenter-lipschitz-tol-null",
+         "gen-inverse-no-degrees", "gen-inverse-degree-a-float", "gen-inverse-degree-a-string",
+         "gen-inverse-degrees-not-a-list", "gen-inverse-degree-0", "interp-no-ds", "interp-d-a-boolean", "interp-d-0",
+         "area-annulus-reversed", "energy-annulus-reversed", "area-annulus-one-radius", "energy-annulus-negative",
+         "area-annulus-nan", "energy-annulus-a-string"],
 )
 def test_bad_config_exit_code(check, config, capsys):
     # no samples, no levels, or points of the wrong dimension: a usage error (exit 2), not a traceback

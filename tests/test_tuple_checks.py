@@ -16,11 +16,11 @@ import itertools
 import numpy as np
 import pytest
 from scalar_assignment import distance as scalar_distance
+from scalar_assignment import matched_value
 
 from almqr import kernels, runner
 from almqr.almgren import (
     AlmgrenPoint,
-    _matched_value,
     barycenter,
     distance_value,
     distance_values,
@@ -53,7 +53,7 @@ def _bruteforce_reference(p, q):
         total = cost[np.arange(d), perm].sum()
         if total < best:
             best, best_perm = total, perm
-    return _matched_value(P, Q, best_perm)
+    return matched_value(P, Q, best_perm)
 
 
 def _metric_oracle_reference(n_samples, seed, distance=scalar_distance):
