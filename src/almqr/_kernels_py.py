@@ -142,16 +142,19 @@ def _permutations(d: int) -> np.ndarray:
     return perms
 
 
-def enumerate_min(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def enumerate_min(cost: np.ndarray, runner_up: bool = False):
     """Minimum-cost permutation of each matrix of ``cost`` (m, d, d), by pricing all d! of them.
 
     Returns ``(value, perm)``: ``perm[a]`` (m, d) is the first minimum in
     lexicographic order and ``value[a] = sum_i cost[a, i, perm[a, i]]``,
-    added from row 0 down.  Totals are accumulated one row of the cost
-    matrices at a time, so memory stays at (rows, d!) per chunk of
-    ``ENUMERATION_CHUNK`` entries.  A NaN or infinite total has no
-    minimum to take, so a stack with a non-finite entry raises
-    ``ValueError`` naming its matrices, as :func:`solve_assignments` does.
+    added from row 0 down.  With ``runner_up``, returns ``(value, perm,
+    second)``, where ``second[a]`` is the smallest total of the other
+    permutations (equal to ``value[a]`` at a tie; inf at d <= 1).  Totals
+    are accumulated one row of the cost matrices at a time, so memory stays
+    at (rows, d!) per chunk of ``ENUMERATION_CHUNK`` entries.  A NaN or
+    infinite total has no minimum to take, so a stack with a non-finite
+    entry raises ``ValueError`` naming its matrices, as
+    :func:`solve_assignments` does.
     """
     cost = np.asarray(cost, dtype=np.float64)
     m, d = cost.shape[0], cost.shape[1]
@@ -161,8 +164,9 @@ def enumerate_min(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     perms = _permutations(d)
     value = np.zeros(m)
     arg = np.zeros(m, dtype=np.int64)
+    second = np.full(m, np.inf) if runner_up else None
     if d == 0:
-        return value, perms[arg]
+        return (value, perms[arg], second) if runner_up else (value, perms[arg])
     step = max(1, ENUMERATION_CHUNK // len(perms))
     for s in range(0, m, step):
         c = cost[s : s + step]
@@ -172,7 +176,11 @@ def enumerate_min(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         best = np.argmin(totals, axis=1)
         arg[s : s + step] = best
         value[s : s + step] = totals[np.arange(len(c)), best]
-    return value, perms[arg]
+        if runner_up and d == 2:
+            second[s : s + step] = np.maximum(totals[:, 0], totals[:, 1])
+        elif runner_up and d > 2:
+            second[s : s + step] = np.partition(totals, 1, axis=1)[:, 1]
+    return (value, perms[arg], second) if runner_up else (value, perms[arg])
 
 
 def sq_costs(Ps: np.ndarray, Qs: np.ndarray) -> np.ndarray:

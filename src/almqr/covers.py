@@ -12,11 +12,12 @@ multi-valued inverse over points Y (P, n) in one call of the cover's
 ``fiber_batch`` and returns expanded, index-weighted fibers (P, d, n) in no
 promised row order (``almgren.sorted_tuples`` orders them, ``points_of``
 merges them); ``minv(f, y)`` is its batch of one, as an AlmgrenPoint.  Path
-lifting goes through it too: ``lift_paths`` steps every curve of a family
-in lockstep, one ``minv_batch`` call per attempted step, and ``lift_path``
-is its batch of one.  The oracle fails closed: CoverError for points of
-the wrong dimension or outside the image, NumericalError for a non-finite
-or miscounted fiber.
+lifting goes through it too: ``lift_paths`` prices a window of speculative
+steps of every curve of a family in one ``minv_batch`` call per round and
+commits, per curve, the steps that stepping one at a time would take, bit
+for bit; ``lift_path`` is its batch of one.  The oracle fails closed:
+CoverError for points of the wrong dimension or outside the image,
+NumericalError for a non-finite or miscounted fiber.
 
 The branch differentials Df^{-1} at the fiber points have one batch route,
 ``fiber_branch_differentials(f, X)``: the cover's ``branch_diff_batch`` on
@@ -38,7 +39,9 @@ sampler lifts only the samples inside that disc.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -224,6 +227,17 @@ def check_image(f: BranchedCoverSpec, Y) -> np.ndarray:
     return Y
 
 
+def _fiber_rows(f: BranchedCoverSpec, Y: np.ndarray) -> np.ndarray:
+    """``f.fiber_batch`` over checked points Y (P, n); NumericalError unless the fibers have shape (P, d, n)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X = f.fiber_batch(Y)
+    if X.shape != (len(Y), f.degree, f.n):
+        raise NumericalError(
+            f"fibers of {f.name} have shape {X.shape}, expected {(len(Y), f.degree, f.n)} (root clustering failed)"
+        )
+    return X
+
+
 def minv_batch(f: BranchedCoverSpec, Y) -> np.ndarray:
     """Expanded fibers (P, d, n) of the multi-valued inverse over points Y (P, n).
 
@@ -235,12 +249,7 @@ def minv_batch(f: BranchedCoverSpec, Y) -> np.ndarray:
     not have d points.
     """
     Y = check_image(f, Y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        X = f.fiber_batch(Y)
-    if X.shape != (len(Y), f.degree, f.n):
-        raise NumericalError(
-            f"fibers of {f.name} have shape {X.shape}, expected {(len(Y), f.degree, f.n)} (root clustering failed)"
-        )
+    X = _fiber_rows(f, Y)
     if not np.isfinite(X).all():
         bad = np.argmin(np.isfinite(X).all(axis=(1, 2)))
         raise NumericalError(f"non-finite fiber of {f.name} over {Y[bad].tolist()}")
@@ -693,37 +702,97 @@ class LiftedPath:
         return match_fibers(self.lifts[-1:], self.lifts[:1])[0]
 
 
-def _fibers_failing_alone(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, dict]:
+# rows of window steps that one round of ``lift_paths`` prices, over all its paths
+LIFT_ROWS = 1 << 12
+
+# the largest degree whose fibers are matched by enumerating every permutation
+ENUMERATED_DEGREE = 6
+
+
+def _fibers_failing_alone(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``minv_batch`` over Y (A, n), except that a row it rejects fails alone.
 
-    Returns the fibers (A, d, n) and {row: the error minv_batch raises for that
-    row by itself}; failed rows of the fibers are NaN.
+    Returns the fibers (A, d, n), zero in failed rows, and the mask (A,) of
+    the rows that ``minv_batch`` rejects by themselves (``_row_error`` gives
+    their errors): rows of the wrong dimension, non-finite or outside the
+    image, and rows whose fibers are non-finite.
     """
     try:
-        return minv_batch(f, Y), {}
+        return minv_batch(f, Y), np.zeros(len(Y), dtype=bool)
     except (CoverError, NumericalError):
         pass
-    F = np.full((len(Y), f.degree, f.n), np.nan)
-    errors = {}
-    for i, y in enumerate(Y):
-        try:
-            F[i] = minv_batch(f, y[None])[0]
-        except (CoverError, NumericalError) as exc:
-            errors[i] = exc
-    return F, errors
+    F = np.zeros((len(Y), f.degree, f.n))
+    bad = np.ones(len(Y), dtype=bool)
+    if Y.ndim != 2 or Y.shape[1] != f.n:
+        return F, bad
+    finite = np.isfinite(Y).all(axis=1)
+    bad[finite] = ~f.contains_image(Y[finite])
+    good = np.flatnonzero(~bad)
+    if not len(good):
+        return F, bad
+    try:
+        X = _fiber_rows(f, Y[good])
+    except NumericalError:  # a misshapen batch: each row alone
+        X = np.full((len(good), f.degree, f.n), np.nan)
+        for i, r in enumerate(good):
+            try:
+                X[i] = minv_batch(f, Y[r : r + 1])[0]
+            except (CoverError, NumericalError):
+                pass
+    ok = np.isfinite(X).all(axis=(1, 2))
+    F[good[ok]] = X[ok]
+    bad[good[~ok]] = True
+    return F, bad
+
+
+def _row_error(f: BranchedCoverSpec, y: np.ndarray) -> Exception:
+    """The error that ``minv_batch`` raises for the one point y (n,)."""
+    try:
+        minv_batch(f, y[None])
+    except (CoverError, NumericalError) as exc:
+        return exc
+    return NumericalError(f"the fiber of {f.name} over {y.tolist()} failed in a batch but not alone")
+
+
+def _fiber_costs(X: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Squared distances cost (A, d, d), cost[a, i, j] = |X[a, i] - F[a, j]|^2, for tuples X and F (A, d, n).
+
+    Below 8 coordinates the squares are added in order, plane by plane: the
+    bits of numpy's sum of a row that short, and of ``np.linalg.norm``.
+    """
+    D = X[:, :, None, :] - F[:, None, :, :]
+    if D.shape[-1] >= 8:
+        return (D * D).sum(axis=-1)
+    cost = D[..., 0] ** 2
+    for k in range(1, D.shape[-1]):
+        cost += D[..., k] ** 2
+    return cost
+
+
+def _matching(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal assignments perm (A, d) of cost matrices (A, d, d), and which of them are certified (A,).
+
+    For d <= ENUMERATED_DEGREE every permutation is priced at once
+    (``kernels.enumerate_min``) and the first minimum in lexicographic order
+    wins; above that all rows go to one ``kernels.solve_assignments`` call.
+    A matching is certified when it beats every other by more than the
+    rounding of its d-term totals, so that it is the unique optimum however
+    the rows of the cost matrix are ordered.  The solver's are never.
+    """
+    d = cost.shape[1]
+    if not len(cost):  # an empty stack costs the solver a full sweep of its loops
+        return np.zeros((0, d), dtype=np.int64), np.zeros(0, dtype=bool)
+    if d > ENUMERATED_DEGREE:
+        return kernels.solve_assignments(cost)[1], np.zeros(len(cost), dtype=bool)
+    value, perm, second = kernels.enumerate_min(cost, runner_up=True)
+    # a total of two terms rounds alike in either order; a sum of d >= 3 nonnegative
+    # terms lies within (d - 1) u of the exact one in any order (u = 2^-53)
+    return perm, second > value * (1.0 if d <= 2 else 1.0 + 8 * d * 2.0**-53)
 
 
 def match_fibers(X: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Optimal assignment perm (A, d) of the fibers F (A, d, n) to the lifts X, F[a, perm[a]] ~ X[a].
-
-    For d <= 6 every permutation is priced at once (``kernels.enumerate_min``)
-    and the first minimum in lexicographic order wins; above that all rows
-    go to one ``kernels.solve_assignments`` call.
-    """
-    cost = ((X[:, :, None, :] - F[:, None, :, :]) ** 2).sum(axis=3)
-    if X.shape[1] > 6:
-        return kernels.solve_assignments(cost)[1]
-    return kernels.enumerate_min(cost)[1]
+    """Optimal assignment perm (A, d) of the fibers F (A, d, n) to the lifts X, F[a, perm[a]] ~ X[a] (``_matching``)."""
+    return _matching(_fiber_costs(X, F))[0]
 
 
 def _distinct_gaps(X: np.ndarray, merge_tol: float) -> np.ndarray:
@@ -731,6 +800,59 @@ def _distinct_gaps(X: np.ndarray, merge_tol: float) -> np.ndarray:
     i, j = np.triu_indices(X.shape[1], 1)
     r = np.linalg.norm(X[:, i] - X[:, j], axis=2)
     return np.where(r > merge_tol, r, np.inf).min(axis=1, initial=np.inf)
+
+
+def _window(t, h, h_try, width, t1, t_end, base_h):
+    """The steps that paths at (t, h, h_try) (A,) take while every step is accepted, at most width[a] each.
+
+    Returns (path, step, h, h_try, t_to) per step, path by path, and the
+    steps per path (A,).  The parameters are the sums that the step
+    rule adds, in its order: after a step at h_try == h the step doubles
+    toward base_h, after a shorter one it keeps that length.  A window ends
+    at the step that reaches t_end, at the first later step clipped to t1,
+    or at its width.
+    """
+    A, W = len(t), int(width.max())
+    H = np.empty((A, W))
+    H[:, 0] = h
+    if W > 1:
+        h1 = np.where(h_try == h, np.minimum(h * 2.0, base_h), h_try)
+        with np.errstate(over="ignore"):
+            H[:, 1:] = np.minimum(h1[:, None] * 2.0 ** np.arange(W - 1), base_h)
+    # cumsum adds in order, so each start is the sum the step rule makes up to the first clip
+    T = np.cumsum(np.column_stack([t, h_try, H[:, 1:]]), axis=1)[:, :W]
+    HT = np.minimum(H, t1 - T)
+    HT[:, 0] = h_try
+    T_to = T + HT
+    end = ~(T_to < t_end) | (np.arange(W) >= width[:, None] - 1)
+    end[:, 1:] |= HT[:, 1:] < H[:, 1:]
+    steps = np.argmax(end, axis=1) + 1
+    inside = np.arange(W) < steps[:, None]
+    path, step = np.nonzero(inside)
+    return path, step, H[inside], HT[inside], T_to[inside], steps
+
+
+def _window_labels(q: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Labels (R, d) along windows of rows laid out path by path, each window opened where ``first`` holds.
+
+    q[r] maps each point of the fiber before row r to its match in row r's
+    fiber (the first row of a window: each label of the lifts).  Row r's
+    labels compose the matchings of its window up to r.  An inclusive
+    (Hillis-Steele) scan composes only the rows whose matching moves a
+    point; every other row keeps the labels of the row before it.
+    """
+    moves = first.copy()
+    for j in range(q.shape[1]):
+        moves |= q[:, j] != j
+    c = q[moves]
+    heads = np.flatnonzero(first[moves])
+    rank = np.arange(len(c)) - np.repeat(heads, np.diff(np.append(heads, len(c))))
+    off = 1
+    while off <= rank.max():
+        later = np.flatnonzero(rank >= off)
+        c[later] = np.take_along_axis(c[later], c[later - off], axis=1)
+        off *= 2
+    return c[np.cumsum(moves) - 1]
 
 
 def lift_paths(
@@ -744,7 +866,7 @@ def lift_paths(
     h_min: float = 1e-8,
     merge_tol: float = 1e-6,
 ) -> list[LiftedPath | CoverError | NumericalError]:
-    """Track the d total lifts of P paths in lockstep by predictor-corrector continuation.
+    """Track the d total lifts of P paths by predictor-corrector continuation, a window of steps at a time.
 
     ``gamma(rows, t)`` maps path indices (A,) and parameters (A,) to base
     points (A, n).  At each step the fiber of the new base point is matched
@@ -752,76 +874,130 @@ def lift_paths(
     when the matched jump exceeds ``jump_factor`` times the smallest distinct
     fiber gap.  When the halving reaches ``h_min`` and the fiber has
     collapsed below ``merge_tol`` (or the jump is within the larger gap), the
-    passage is recorded as a branch crossing.
+    passage is recorded as a branch crossing.  Every path keeps its own step
+    size, which doubles back toward its first one after a halving.
 
-    Every path keeps its own step size, so it takes the same step decisions
-    as when lifted alone; each attempt makes one ``minv_batch`` call, one
-    batched matching and one distinct-gap pass over the paths still running.
+    The steps are speculative.  In each round every running path prices a
+    window of its next steps (``_window``) as if each were accepted, all
+    paths in one ``gamma`` call, one fiber batch and one matching, each
+    fiber matched to the one before it and the labels composed along the
+    window.  A path commits the longest prefix of accepted steps whose
+    matchings are certified (``_matching``), so that they are the
+    matchings of the labelled lifts too.  The first other step is settled as
+    a lone step: matched to the labelled lifts, then accepted, halved,
+    crossed or failed; the rest of the window is dropped.  So each path gets
+    the lift and the error that stepping one step at a time gives, bit for
+    bit, and an error is reported only at a point such stepping reaches.
+    A round prices at most ``LIFT_ROWS`` rows; a path's window shrinks
+    after a rejection and doubles with each full commit.  Above degree
+    ENUMERATED_DEGREE, and after ``gamma`` raises in a window, every window
+    is one step.
+
     The lift labels start in the order of ``minv(f, gamma(t0)).expand()``.
     Entry p of the result is path p's LiftedPath, or the error that stopped
     it alone: CoverError off the image, NumericalError for a non-finite
-    fiber, LiftError on step underflow.
+    fiber, LiftError on step underflow.  ValueError, before any work, if
+    ``initial_steps`` is not an integer of at least 1 or t0 <= t1 are not
+    finite.
     """
+    if isinstance(initial_steps, bool) or not isinstance(initial_steps, Integral) or initial_steps < 1:
+        raise ValueError(f"initial_steps must be an integer of at least 1, got {initial_steps!r}")
+    if not (isinstance(t0, Real) and isinstance(t1, Real) and math.isfinite(t0) and math.isfinite(t1) and t0 <= t1):
+        raise ValueError(f"t0 <= t1 must be finite numbers, got t0={t0!r}, t1={t1!r}")
     if P == 0:
         return []
     out: list = [None] * P
     rows = np.arange(P)
     t = np.full(P, float(t0))
     y_start = np.asarray(gamma(rows, t), dtype=np.float64)
-    X, errors = _fibers_failing_alone(f, y_start)
+    X, bad = _fibers_failing_alone(f, y_start)
     X = sorted_tuples(X)
-    running = np.ones(P, dtype=bool)
-    for i, exc in errors.items():
-        out[i] = exc
-        running[i] = False
-    chunks = [(rows[running], t[running], y_start[running], X[running])]  # accepted points, step by step
+    for i in np.flatnonzero(bad):
+        out[i] = _row_error(f, y_start[i])
+    running = ~bad
+    chunks = [(rows[running], t[running], y_start[running], X[running])]  # accepted points, round by round
     crossings: list[tuple[np.ndarray, np.ndarray]] = []
 
     base_h = (t1 - t0) / initial_steps
     h = np.full(P, base_h)
     h_try = np.minimum(h, t1 - t)
     max_jump = np.zeros(P)
-    running &= t < t1 - 1e-15
+    t_end = t1 - 1e-15
+    cap = LIFT_ROWS if f.degree <= ENUMERATED_DEGREE else 1
+    window = np.full(P, cap)
+    running &= t < t_end
     while running.any():
         act = np.flatnonzero(running)
-        t_new = t[act] + h_try[act]
-        y_new = np.asarray(gamma(act, t_new), dtype=np.float64)
-        F, errors = _fibers_failing_alone(f, y_new)
-        if errors:
-            for i, exc in errors.items():
-                out[act[i]] = exc
-            ok = np.ones(len(act), dtype=bool)
-            ok[list(errors)] = False
-            running[act[~ok]] = False
-            act, t_new, y_new, F = act[ok], t_new[ok], y_new[ok], F[ok]
-        Xa = X[act]
-        perm = match_fibers(Xa, F)
-        F = np.take_along_axis(F, perm[:, :, None], axis=1)
-        jumps = np.linalg.norm(Xa - F, axis=2).max(axis=1)
-        gap = _distinct_gaps(Xa, merge_tol)
-        accept = jumps <= jump_factor * gap
-        halve = ~accept & (h_try[act] > h_min)
-        h_try[act[halve]] *= 0.5
+        path, step, hs, hts, ts1, steps = _window(
+            t[act], h[act], h_try[act], np.minimum(window[act], max(1, cap // len(act))), t1, t_end, base_h
+        )
+        p = act[path]
+        try:
+            Y = np.asarray(gamma(p, ts1), dtype=np.float64)
+        except Exception:
+            if len(path) == len(act):  # one step per path: the points a lone step evaluates
+                raise
+            cap = 1  # gamma may be undefined past a point a lone step never reaches: step one at a time
+            continue
+        F, bad = _fibers_failing_alone(f, Y)
+        first = step == 0
+        prev = np.empty_like(F)  # the fiber each step leaves: the lifts, then the window's previous step
+        prev[1:] = F[:-1]
+        prev[first] = X[act]
+        cost = _fiber_costs(prev, F)
+        q, certified = _matching(cost)
+        R, d = q.shape
+        # the matched costs are the squared jumps, bit for bit
+        jumps = np.sqrt(np.take(cost, q + (np.arange(R) * d * d)[:, None] + np.arange(0, d * d, d)).max(axis=1))
+        gap = _distinct_gaps(prev, merge_tol)
+        ok = ~bad & (jumps <= jump_factor * gap) & (first | certified)
+        k = np.minimum.reduceat(np.where(ok, steps[path], step), np.flatnonzero(first))  # committed steps per path
+        labels = _window_labels(q, first) + (np.arange(R) * d)[:, None]
+        lifts = np.take(F.reshape(R * d, -1), labels, axis=0)  # F[r, labels[r]], a flat gather
+        accepted = step < k[path]
+
+        # the first step past the prefix, settled as a lone step against the labelled lifts
+        edge = np.flatnonzero(step == k[path])
+        for r in edge[bad[edge]]:
+            out[p[r]] = _row_error(f, Y[r])
+            running[p[r]] = False
+        edge = edge[~bad[edge]]
+        Xe = X[p[edge]]
+        inner = step[edge] > 0
+        Xe[inner] = lifts[edge[inner] - 1]
+        Fe = np.take_along_axis(F[edge], match_fibers(Xe, F[edge])[:, :, None], axis=1)
+        jumps[edge] = np.linalg.norm(Xe - Fe, axis=2).max(axis=1)
+        accept = jumps[edge] <= jump_factor * gap[edge]
+        halve = ~accept & (hts[edge] > h_min)
         stuck = np.flatnonzero(~accept & ~halve)
         if len(stuck):
             # merged passage through a near-collision of lifts
-            gap_new = _distinct_gaps(F[stuck], merge_tol)
-            scale = np.maximum(np.linalg.norm(Xa[stuck], axis=2).max(axis=1), 1.0)
-            g = gap[stuck]
-            cross = (np.minimum(g, gap_new) <= merge_tol * scale * 10) | (jumps[stuck] <= np.maximum(g, gap_new))
+            gap_new = _distinct_gaps(Fe[stuck], merge_tol)
+            scale = np.maximum(np.linalg.norm(Xe[stuck], axis=2).max(axis=1), 1.0)
+            g = gap[edge[stuck]]
+            cross = (np.minimum(g, gap_new) <= merge_tol * scale * 10) | (jumps[edge[stuck]] <= np.maximum(g, gap_new))
             accept[stuck[cross]] = True
-            crossings.append((act[stuck[cross]], t_new[stuck[cross]]))
-            for i in stuck[~cross]:
-                out[act[i]] = LiftError(f"step underflow lifting through t={t_new[i]:.6g} (fiber collision)", float(t_new[i]))
-            running[act[stuck[~cross]]] = False
-        a = act[accept]
-        X[a] = F[accept]
-        max_jump[a] = np.maximum(max_jump[a], jumps[accept])
-        t[a] = t_new[accept]
-        chunks.append((a, t_new[accept], y_new[accept], F[accept]))
-        h[a] = np.where(h_try[a] == h[a], np.minimum(h[a] * 2.0, base_h), h_try[a])
+            crossings.append((p[edge[stuck[cross]]], ts1[edge[stuck[cross]]]))
+            for r in edge[stuck[~cross]]:
+                out[p[r]] = LiftError(f"step underflow lifting through t={ts1[r]:.6g} (fiber collision)", float(ts1[r]))
+                running[p[r]] = False
+        accepted[edge[accept]] = True
+        lifts[edge[accept]] = Fe[accept]
+
+        acc = np.flatnonzero(accepted)
+        chunks.append((p[acc], ts1[acc], Y[acc], lifts[acc]))
+        np.maximum.at(max_jump, p[acc], jumps[acc])
+        last = np.full(len(act), -1)
+        np.maximum.at(last, path[acc], acc)
+        r = last[last >= 0]
+        a = p[r]
+        X[a] = lifts[r]
+        t[a] = ts1[r]
+        h[a] = np.where(hts[r] == hs[r], np.minimum(hs[r] * 2.0, base_h), hts[r])
         h_try[a] = np.minimum(h[a], t1 - t[a])
-        running[a] = t[a] < t1 - 1e-15
+        running[a] &= t[a] < t_end
+        h_try[p[edge[halve]]] *= 0.5
+        window[act] = np.minimum(np.where(k < steps, 2 * k + 2, 2 * window[act]), LIFT_ROWS)
 
     # regroup the accepted points path by path; the stable sort keeps each path's steps in order
     rows_all, ts, base, lifts = (np.concatenate(c) for c in zip(*chunks))
@@ -858,7 +1034,7 @@ def lift_path(
     """``lift_paths`` for the one path ``gamma(t)``; raises the error that stops it."""
     (lp,) = lift_paths(
         f,
-        lambda rows, t: np.asarray(gamma(t[0]), dtype=np.float64).reshape(1, f.n),
+        lambda rows, t: np.array([np.asarray(gamma(tv), dtype=np.float64).reshape(f.n) for tv in t]),
         1,
         t0=t0,
         t1=t1,
@@ -892,14 +1068,26 @@ def polyline_paths(polylines) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         seg[c, : len(s)] = s
         last[c] = len(s) - 1
     total = cum[np.arange(P), last + 1]
+    vertices = pts.reshape(P * (m + 1), -1)
+    still = total == 0
 
     def gamma(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # flat np.take gathers: several times cheaper than fancy indexing with two index arrays
         s = np.clip(t, 0.0, 1.0) * total[rows]
-        i = np.minimum(np.maximum((cum[rows] <= s[:, None]).sum(axis=1) - 1, 0), last[rows])
-        seg_i = seg[rows, i]
-        u = np.where(seg_i > 0, (s - cum[rows, i]) / np.where(seg_i > 0, seg_i, 1.0), 0.0)[:, None]
-        y = pts[rows, i] * (1 - u) + pts[rows, i + 1] * u
-        return np.where((total[rows] == 0)[:, None], pts[rows, 0], y)
+        # count the vertices with cum <= s by bisecting each row's sorted cum, in O(rows) memory
+        lo, hi = np.zeros(len(rows), dtype=np.int64), np.full(len(rows), m)
+        for _ in range(m.bit_length()):
+            mid = (lo + hi) // 2
+            below = np.take(cum, rows * m + np.minimum(mid, m - 1)) <= s
+            lo, hi = np.where((lo < hi) & below, mid + 1, lo), np.where((lo < hi) & ~below, mid, hi)
+        i = np.minimum(np.maximum(lo - 1, 0), last[rows])
+        seg_i = np.take(seg, rows * m + i)
+        u = np.where(seg_i > 0, (s - np.take(cum, rows * m + i)) / np.where(seg_i > 0, seg_i, 1.0), 0.0)[:, None]
+        v = rows * (m + 1) + i
+        y = np.take(vertices, v, axis=0) * (1 - u) + np.take(vertices, v + 1, axis=0) * u
+        if still[rows].any():
+            y = np.where(still[rows][:, None], np.take(vertices, rows * (m + 1), axis=0), y)
+        return y
 
     return gamma
 

@@ -263,6 +263,7 @@ def discrete_modulus(
         raise ValueError("nonpositive cell weights")
 
     q = n / (n - 1.0)
+    nV = n * V
     per_row = np.bincount(rows, minlength=M)  # rows is sorted, so lam[rows] is np.repeat(lam, per_row)
 
     def a_t(lam: np.ndarray) -> np.ndarray:  # A^T lam over touched cells
@@ -272,10 +273,11 @@ def discrete_modulus(
         return np.bincount(rows, weights=vals * rho[cols_c], minlength=M)
 
     def rho_of(lam: np.ndarray) -> np.ndarray:
-        return (a_t(lam) / (n * V)) ** (1.0 / (n - 1.0))
+        # at n = 2 the power is 1.0, which would only copy its input, bits unchanged
+        return a_t(lam) / nV if n == 2.0 else (a_t(lam) / nV) ** (1.0 / (n - 1.0))
 
     def dual(lam: np.ndarray) -> float:
-        s = a_t(lam) / (n * V)
+        s = a_t(lam) / nV
         return float(lam.sum() - (n - 1.0) * (V * s**q).sum())
 
     # Lipschitz estimate of the dual gradient at n = 2 via power iteration
@@ -284,7 +286,7 @@ def discrete_modulus(
     if n == 2.0:
         v = np.ones(M)
         for _ in range(40):
-            w = a(a_t(v) / (2.0 * V))
+            w = a(a_t(v) / nV)
             nv = np.linalg.norm(w)
             if nv == 0:
                 break

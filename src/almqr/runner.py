@@ -259,8 +259,8 @@ def _poly_kform(rng, n: int, d: int) -> KForm:
 
 
 def _check_invariant_projection(config, seed):
-    tol_ratio = float(config.get("tol_ratio", 1e-12))
-    tol_fd = float(config.get("tol_fd", 1e-6))
+    tol_ratio = _finite(config, "tol_ratio", 1e-12, minimum=0.0)
+    tol_fd = _finite(config, "tol_fd", 1e-6, minimum=0.0)
     tol_gap = 1e-12
     rng = seeded_rng(seed, 5)
     n, d = 2, 2
@@ -318,7 +318,7 @@ def _check_invariant_projection(config, seed):
 
 def _check_split_pullback(config, seed):
     n_points = _positive(config, "points", 1000)
-    tol = float(config.get("tol", 1e-9))
+    tol = _finite(config, "tol", 1e-9, minimum=0.0)
     shapes = config.get("shapes", [[1, 1], [2, 1], [2, 2]])
     if not isinstance(shapes, (list, tuple)) or not shapes:
         raise SpecError(f"shapes must be a non-empty list of [d0, d1] pairs, got {shapes!r}")
@@ -378,10 +378,12 @@ def _region_from_config(config, default="annulus:0.3,1.5"):
 def _check_qr_curve(config, seed):
     f = _map_from_config(config)
     region = _region_from_config(config)
-    n_samples = int(config.get("samples", 10_000))
-    tol = float(config.get("tol", 1e-9 if f.K_I == 1.0 else 1e-6))
+    n_samples = _positive(config, "samples", 10_000)
+    tol = _finite(config, "tol", 1e-9 if f.K_I == 1.0 else 1e-6, minimum=0.0)
+    sharp = config.get("sharp", f.K_I == 1.0)
+    if not isinstance(sharp, bool):
+        raise SpecError(f"sharp must be true or false, got {sharp!r}")
     rep = qr_curve_check(f, region, n_samples=n_samples, seed=seed, tol=tol)
-    sharp = bool(config.get("sharp", f.K_I == 1.0))
     passed = rep["pass"]
     if sharp:
         passed = passed and rep["min_ratio"] >= 1.0 - tol
@@ -441,21 +443,22 @@ def _positive(config, key: str, default: int) -> int:
         value = int(raw)
     except (TypeError, ValueError, OverflowError):
         value = None
-    if value is None or (value != raw and not isinstance(raw, str)):  # 2.5 is not a count
+    # 2.5 is not a count, nor is true
+    if value is None or isinstance(raw, bool) or (value != raw and not isinstance(raw, str)):
         raise SpecError(f"{key} must be an integer, got {raw!r}")
     if value < 1:
         raise SpecError(f"{key} must be at least 1, got {value}")
     return value
 
 
-def _counts(config, key: str, default: list) -> list:
-    """The list config[key] (or the default); SpecError unless it is a non-empty list of integers of at least 1.
+def _counts(config, key: str, default: list, minimum: int = 1) -> list:
+    """The list config[key] (or the default); SpecError unless it is a non-empty list of integers >= ``minimum``.
 
     A sweep over an empty list would pass with nothing checked.
     """
     raw = config.get(key, default)
-    if not isinstance(raw, (list, tuple)) or not raw or not all(type(v) is int and v >= 1 for v in raw):
-        raise SpecError(f"{key} must be a non-empty list of positive integers, got {raw!r}")
+    if not isinstance(raw, (list, tuple)) or not raw or not all(type(v) is int and v >= minimum for v in raw):
+        raise SpecError(f"{key} must be a non-empty list of integers of at least {minimum}, got {raw!r}")
     return raw
 
 
@@ -516,7 +519,7 @@ def _check_upper_gradient(config, seed):
         f,
         fam,
         samples_per_curve=_positive(config, "samples_per_curve", 64),
-        tol=float(config.get("tol", 1e-6)),
+        tol=_finite(config, "tol", 1e-6, minimum=0.0),
     )
     metrics = {k: rep[k] for k in ("violation_fraction", "worst_low_gap", "worst_high_gap", "n_samples", "K_factor")}
     return rep["pass"], metrics, {"tol": rep["tol"]}, rep["excluded"]
@@ -543,7 +546,7 @@ def _check_area(config, seed):
     f = _map_from_config(config)
     d = f.degree
     E, pre = _image_annuli(config, d)
-    tol = float(config.get("tol", 1e-3))
+    tol = _finite(config, "tol", 1e-3, minimum=0.0)
     gs = {
         "one": lambda X: np.ones(len(X)),
         "sq_norm": lambda X: np.einsum("ij,ij->i", X, X),
@@ -570,9 +573,10 @@ def _check_energy(config, seed):
 
 
 def _check_gen_inverse(config, seed):
-    degrees = _counts(config, "degrees", [2, 3, 4])
+    # the root sum of z^d - y vanishes only from d = 2 on: at d = 1 it is y
+    degrees = _counts(config, "degrees", [2, 3, 4], minimum=2)
     n_samples = _positive(config, "samples", 10_000)
-    tol = float(config.get("tol", 1e-8))
+    tol = _finite(config, "tol", 1e-8, minimum=0.0)
     region = Annulus(np.zeros(2), 0.2, 2.0)
     worst = 0.0
     for ix, d in enumerate(degrees):
@@ -592,7 +596,7 @@ def _check_modulus(config, seed):
     res = discrete_modulus(fam, region, grid=grid, n=float(config.get("n", 2)))
     exact = ring_modulus_exact(region.r_in, region.r_out)
     rel = abs(res.value - exact) / exact
-    tol = float(config.get("tol", 0.05))
+    tol = _finite(config, "tol", 0.05, minimum=0.0)
     passed = rel <= tol and res.converged
     metrics = {"value": res.value, "exact": exact, "rel_error": rel, **res.to_json()}
     return passed, metrics, {"rel_tol": tol}, 0
@@ -606,9 +610,9 @@ def _check_geom_qc(config, seed):
         f,
         fam,
         region,
-        grid=int(config.get("grid", 256)),
-        slack=float(config.get("slack", 0.05)),
-        lift_steps=int(config.get("lift_steps", 128)),
+        grid=_positive(config, "grid", 256),
+        slack=_finite(config, "slack", 0.05, minimum=0.0),
+        lift_steps=_positive(config, "lift_steps", 128),
     )
     metrics = {k: rep[k] for k in ("mod_base", "mod_image", "ratio", "K_I_K_O", "bound_lo", "bound_hi")}
     return rep["pass"], metrics, {"slack": config.get("slack", 0.05)}, rep["lift_failures"]
@@ -676,7 +680,7 @@ def _check_interp(config, seed):
     ds = _counts(config, "ds", [2, 3])
     eps = float(config.get("eps", 0.1))
     n_pairs = _positive(config, "pairs", 10_000)
-    tol = float(config.get("tol", 1e-6))
+    tol = _finite(config, "tol", 1e-6, minimum=0.0)
     rng = seeded_rng(seed, 11)
     rows = []
     passed = True
@@ -748,7 +752,7 @@ def _check_monodromy(config, seed):
     def gamma(t):
         return np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)])
 
-    lp = lift_path(f, gamma, initial_steps=int(config.get("steps", 256)))
+    lp = lift_path(f, gamma, initial_steps=_positive(config, "steps", 256))
     perm = lp.monodromy()
     closed_gap = distance_value(minv(f, gamma(0.0)), minv(f, gamma(1.0)))
     nontrivial = perm is not None and not np.array_equal(perm, np.arange(f.degree))

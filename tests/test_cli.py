@@ -278,6 +278,60 @@ def test_bad_config_exit_code(check, config, capsys):
 
 
 @pytest.mark.parametrize(
+    "check, config",
+    [
+        ("geom-qc", {"lift_steps": -1}),
+        ("geom-qc", {"lift_steps": 0}),
+        ("geom-qc", {"lift_steps": 2.5}),
+        ("geom-qc", {"lift_steps": "ab"}),
+        ("geom-qc", {"grid": 0}),
+        ("geom-qc", {"grid": None}),
+        ("geom-qc", {"slack": -0.05}),
+        ("geom-qc", {"slack": float("nan")}),
+        ("geom-qc", {"slack": "ab"}),
+        ("monodromy", {"steps": -1}),
+        ("monodromy", {"steps": 0}),
+        ("monodromy", {"steps": True}),
+        ("gen-inverse", {"degrees": [1]}),
+        ("gen-inverse", {"degrees": [2, 1]}),
+        ("gen-inverse", {"tol": "ab"}),
+        ("invariant-projection", {"tol_ratio": None}),
+        ("invariant-projection", {"tol_fd": -1.0}),
+        ("split-pullback", {"tol": None}),
+        ("qr-curve", {"tol": "ab"}),
+        ("qr-curve", {"samples": 0}),
+        ("qr-curve", {"samples": "ab"}),
+        ("qr-curve", {"sharp": "no"}),
+        ("qr-curve", {"sharp": 1}),
+        ("upper-gradient", {"tol": float("nan")}),
+        ("upper-gradient", {"tol": -1e-6}),
+        ("area", {"tol": "ab"}),
+        ("modulus", {"tol": float("inf")}),
+        ("interp", {"tol": None}),
+    ],
+    ids=["geom-qc-lift-steps-negative", "geom-qc-lift-steps-0", "geom-qc-lift-steps-a-float",
+         "geom-qc-lift-steps-a-string", "geom-qc-grid-0", "geom-qc-grid-null", "geom-qc-slack-negative",
+         "geom-qc-slack-nan", "geom-qc-slack-a-string", "monodromy-steps-negative", "monodromy-steps-0",
+         "monodromy-steps-a-boolean", "gen-inverse-degree-1", "gen-inverse-degrees-with-1", "gen-inverse-tol-a-string",
+         "invariant-projection-tol-ratio-null", "invariant-projection-tol-fd-negative", "split-pullback-tol-null",
+         "qr-curve-tol-a-string", "qr-curve-no-samples", "qr-curve-samples-a-string", "qr-curve-sharp-a-string",
+         "qr-curve-sharp-an-integer", "upper-gradient-tol-nan", "upper-gradient-tol-negative", "area-tol-a-string",
+         "modulus-tol-inf", "interp-tol-null"],
+)
+def test_bad_lifting_and_tolerance_config_exit_code(check, config, capsys):
+    # bad step counts end before any lifting (lift_steps -1 used to hang), bad tolerances
+    # before any work, and a degree outside the root-sum claim is a usage error, not a FAIL
+    assert run_cli("verify", check, "--config", json.dumps(config)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_qr_curve_sharp_false_is_read_as_false():
+    # a real boolean is taken as given: the lower bound is dropped, not read as truthy
+    config = {"map": {"map": "power", "k": 2}, "samples": 2000, "sharp": False}
+    assert run_check("qr-curve", config, seed=0).thresholds["lower_if_sharp"] is None
+
+
+@pytest.mark.parametrize(
     "config",
     [
         {"points": 0},

@@ -166,6 +166,19 @@ def test_enumerate_min_matches_brute_min_cost(d):
             assert tuple(p.tolist()) == ref_perm  # the first minimum in lexicographic order
 
 
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 6])
+def test_enumerate_min_runner_up_is_the_second_smallest_total(d):
+    rng = np.random.default_rng(30 + d)
+    cost = _tie_costs(rng, d, 2) if d else np.zeros((4, 0, 0))
+    value, perm, second = kernels.enumerate_min(cost, runner_up=True)
+    plain = kernels.enumerate_min(cost)
+    assert value.tobytes() == plain[0].tobytes() and perm.tobytes() == plain[1].tobytes()
+    for c, v, s in zip(cost, value, second):
+        totals = sorted(sum(c[i, p[i]] for i in range(d)) for p in itertools.permutations(range(d)))
+        # the same left-to-right sums; ties give second == value, a single matching inf
+        assert s == (totals[1] if len(totals) > 1 else np.inf) and v == totals[0]
+
+
 def test_enumerate_min_empty_and_chunked(monkeypatch):
     for d in (0, 1, 3):
         value, perm = kernels.enumerate_min(np.zeros((0, d, d)))

@@ -1,18 +1,22 @@
 """Path lifting through branched covers: continuation, monodromy, collisions."""
 
+import lift_reference
 import numpy as np
 import pytest
 
+from almqr import covers
 from almqr.almgren import distance_value
 from almqr.covers import (
     CoverError,
     LiftedPath,
     NumericalError,
+    complex_polynomial,
     lift_path,
     lift_paths,
     minv,
     planar_power,
     polyline_paths,
+    precomposed,
     winding_map_3d,
 )
 
@@ -177,3 +181,190 @@ def test_polyline_paths_match_scalar_reference():
         ref = _polyline_reference(pts)
         got = gamma(np.full(len(ts), c), ts)
         assert got.tobytes() == np.array([ref(t) for t in ts]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# speculative windows against the step-at-a-time reference (tests/lift_reference.py)
+
+Z3_3Z = complex_polynomial([0, -3, 0, 1])  # critical values +-2, over the critical points -+1
+AFFINE_Z2 = precomposed(np.array([[1.3, 0.0], [0.0, 0.7692307692307693]]), planar_power(2))
+
+
+def _assert_matches_reference(f, gamma, P, **kwargs):
+    """lift_paths and the reference give every path the same LiftedPath bytes, or the same error."""
+    got = lift_paths(f, gamma, P, **kwargs)
+    ref = lift_reference.lift_paths(f, gamma, P, **kwargs)
+    assert len(got) == len(ref) == P
+    for a, b in zip(got, ref):
+        if isinstance(b, Exception):
+            assert type(a) is type(b) and str(a) == str(b)
+        else:
+            assert isinstance(a, LiftedPath)
+            _assert_same_lift(a, b)
+    return got
+
+
+def _curves(rng, count, scale, through=None):
+    """Random polylines of 2-5 vertices; with ``through``, every third passes that point."""
+    curves = []
+    for c in range(count):
+        pts = rng.normal(size=(int(rng.integers(2, 6)), 2)) * scale
+        if through is not None and c % 3 == 0:
+            pts[len(pts) // 2] = through
+        curves.append(pts)
+    return curves
+
+
+@pytest.mark.parametrize(
+    "f, through",
+    [
+        (planar_power(2), [0.0, 0.0]),
+        (planar_power(3), [0.0, 0.0]),
+        (Z3_3Z, [2.0, 0.0]),
+        (Z3_3Z, [-2.0, 1e-9]),
+        (AFFINE_Z2, [0.0, 0.0]),
+        (planar_power(7), [0.0, 0.0]),
+    ],
+    ids=["z2", "z3", "z3-3z-at-2", "z3-3z-near-minus-2", "affine-z2", "z7-solver"],
+)
+@pytest.mark.parametrize("steps", [4, 32, 128])
+def test_windows_equal_the_step_at_a_time_reference(f, through, steps):
+    rng = np.random.default_rng(steps)
+    curves = _curves(rng, 9, 1.5, through)
+    out = _assert_matches_reference(f, polyline_paths(curves), len(curves), initial_steps=steps)
+    # paths of unequal length: the ones through the branch value halve
+    assert len({len(lp.ts) for lp in out if isinstance(lp, LiftedPath)}) > 1
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (0.25, 0.8), (-0.5, 2.0), (0.3, 0.3), (3.0, 1000.0)])
+def test_windows_equal_the_reference_on_other_intervals(t0, t1):
+    rng = np.random.default_rng(5)
+    curves = _curves(rng, 6, 1.0, [0.0, 0.0])
+    _assert_matches_reference(planar_power(3), polyline_paths(curves), len(curves), t0=t0, t1=t1, initial_steps=24)
+
+    def loops(rows, t):  # circles about the branch value, once around over [t0, t1]
+        angle = 2 * np.pi * (t - t0) / max(t1 - t0, 1.0)
+        return (0.5 + 0.3 * rows)[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+
+    _assert_matches_reference(planar_power(3), loops, 4, t0=t0, t1=t1, initial_steps=24)
+
+
+def test_windows_equal_the_reference_for_failing_paths():
+    f = winding_map_3d(2)  # image: the solid cylinder r <= 2, |z| <= 1
+    paths = [
+        lambda t: np.array([0.5 + 3.0 * t, 0.2, 0.1]),  # leaves the image partway
+        lambda t: np.array([0.5 + t, 0.2, 0.1 - 0.5 * t]),
+        lambda t: np.array([1e-9 + t - 0.5, 1e-9, 0.0]),  # passes the branch axis
+        lambda t: np.array([0.4, np.inf if t > 0.6 else 0.3, 0.0]),  # turns non-finite
+        lambda t: np.array([3.0, 0.0, 0.0]),  # outside from the start
+        lambda t: np.array([4.0 * t - 1.5, 1e-9, 0.0]),  # halves by the axis, then leaves the image
+    ]
+    out = _assert_matches_reference(f, _batch_gamma(paths), len(paths), initial_steps=40)
+    assert isinstance(out[5], CoverError)
+    # after a crossing the steps leave the grid of the first window, so an error at a point
+    # of that window, past the rejection, would name a point a lone step never reaches
+    paths = [lambda t: np.array([2.0 * t - 1.0, 1e-9 if t <= 0.7 else np.inf])]
+    (lp,) = _assert_matches_reference(planar_power(2), _batch_gamma(paths), 1, initial_steps=64)
+    assert isinstance(lp, NumericalError) and "non-finite point" in str(lp)
+    assert isinstance(out[0], CoverError) and isinstance(out[3], NumericalError) and isinstance(out[4], CoverError)
+    assert _assert_matches_reference(f, _batch_gamma(paths), 0) == []
+
+
+def test_windows_equal_the_reference_when_every_round_is_capped(monkeypatch):
+    rng = np.random.default_rng(11)
+    curves = _curves(rng, 7, 1.2, [0.0, 0.0])
+    rounds = []
+    original = covers._window
+    monkeypatch.setattr(covers, "_window", lambda *a: rounds.append(1) or original(*a))
+    monkeypatch.setattr(covers, "LIFT_ROWS", 9)
+    _assert_matches_reference(planar_power(2), polyline_paths(curves), len(curves), initial_steps=64)
+    assert len(rounds) > 64  # at most 9 rows a round: many rounds
+
+
+def test_windows_equal_the_reference_at_exact_and_near_ties():
+    # the fibers of z^2 turn by a right angle each step, so both matchings tie exactly; a loose
+    # jump factor accepts them, and the tie is broken in label order, as a lone step breaks it
+    def turning(phase):
+        return lambda t: np.array([np.cos(np.pi * (4 * t + phase)), np.sin(np.pi * (4 * t + phase))])
+
+    paths = [turning(phase) for phase in (0.0, 0.5, 1.0, 1e-12)]
+    paths += [lambda t: np.array([0.0, 0.0]), lambda t: np.array([2.0, 0.0])]  # constant at branch values
+    for f in (planar_power(2), Z3_3Z, planar_power(3)):
+        for jump_factor in (0.5, 1.0, 2.0):
+            _assert_matches_reference(f, _batch_gamma(paths), len(paths), initial_steps=8, jump_factor=jump_factor)
+
+
+def test_uncertified_steps_are_settled_as_lone_steps(monkeypatch):
+    # with no speculative matching certified, every window commits one step and settles the next alone
+    original = covers._matching
+    monkeypatch.setattr(covers, "_matching", lambda cost: (original(cost)[0], np.zeros(len(cost), dtype=bool)))
+    rng = np.random.default_rng(2)
+    for f in (planar_power(2), Z3_3Z):
+        curves = _curves(rng, 5, 1.5, [0.0, 0.0])
+        _assert_matches_reference(f, polyline_paths(curves), len(curves), initial_steps=32)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_certified_matchings_are_the_optimum_in_any_row_order(d):
+    # near ties: the two cheapest matchings a and b, which differ on one cycle, total within a few ulps
+    rng = np.random.default_rng(d)
+    rows = np.arange(d)
+    a = rng.permutation(d)
+    b = a[(rows + 1) % d]
+    cost = rng.uniform(1.0, 2.0, size=(2000, d, d))
+    cost[:, rows, a] = rng.uniform(0.2, 0.3, size=(2000, d))
+    cost[:, rows, b] = rng.uniform(0.0, 0.05, size=(2000, d))
+    excess = cost[:, rows, b].sum(axis=1) - cost[:, rows, a].sum(axis=1)
+    cost[:, 0, b[0]] -= excess * rng.choice([1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 1e-13, 0.999], size=2000)
+    perm, certified = covers._matching(cost)
+    assert certified.any() and not certified.all()
+    for sigma in (rng.permutation(d) for _ in range(6)):
+        # in any row order a certified row keeps its pairs; the label-order route serves the rest
+        again = covers._matching(cost[:, sigma])[0]
+        assert np.array_equal(again[certified], perm[certified][:, sigma])
+    if d > 2:
+        # the certificate is needed: some uncertified rows do change pairs with the row order
+        changed = [
+            ~(covers._matching(cost[:, sigma])[0] == perm[:, sigma]).all(axis=1)
+            for sigma in (rng.permutation(d) for _ in range(20))
+        ]
+        assert np.any(changed) and not np.any(np.array(changed)[:, certified])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"initial_steps": -1}, {"initial_steps": 0}, {"initial_steps": 2.5}, {"initial_steps": True},
+     {"t0": 1.0, "t1": 0.0}, {"t1": float("nan")}, {"t0": -float("inf")}, {"t1": "1"}],
+)
+def test_bad_lifting_inputs_fail_before_any_work(kwargs):
+    calls = []
+    with pytest.raises(ValueError):
+        lift_paths(planar_power(2), lambda rows, t: calls.append(1), 3, **kwargs)
+    with pytest.raises(ValueError):
+        lift_paths(planar_power(2), lambda rows, t: calls.append(1), 0, **kwargs)
+    assert not calls
+
+
+def test_gamma_raising_past_a_failure_is_not_reported():
+    # the path leaves the image before t = 0.5; a window reaches past it, where gamma raises
+    def gamma(rows, t):
+        if np.any(t > 0.5):
+            raise RuntimeError("gamma is undefined past t = 0.5")
+        return np.stack([0.5 + 4.0 * t, np.full(len(t), 0.2), np.zeros(len(t))], axis=1)
+
+    out = _assert_matches_reference(winding_map_3d(2), gamma, 1, initial_steps=16)
+    assert isinstance(out[0], CoverError)
+    # where a lone step evaluates gamma, its error is raised as before
+    with pytest.raises(RuntimeError):
+        lift_paths(planar_power(2), lambda rows, t: gamma(rows, t)[:, :2], 1, initial_steps=16)
+
+
+def test_lift_path_evaluates_gamma_at_every_parameter():
+    seen = []
+
+    def gamma(t):
+        seen.append(float(t))
+        return circle(t)
+
+    lp = lift_path(planar_power(2), gamma, initial_steps=32)
+    assert sorted(set(seen)) == sorted(set([0.0] + lp.ts.tolist()))
