@@ -117,7 +117,9 @@ def _cmd_form_comass(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = dict(_load_json_arg(args.config)) if args.config else {}
+    config = _load_json_arg(args.config) if args.config else {}
+    if not isinstance(config, dict):
+        raise SpecError(f"--config must be a JSON object, got {config!r}")
     if args.map:
         config["map"] = _load_json_arg(args.map)
     if args.form:
@@ -155,10 +157,7 @@ def _cmd_sample_ahlfors(args) -> int:
         centers = _load_json_arg(args.centers)
         config["center_points"] = centers
     if args.radii:
-        try:
-            config["radii_list"] = [float(v) for v in args.radii.split(",")]
-        except ValueError as exc:
-            raise SpecError(f"--radii must be comma-separated numbers, got {args.radii!r}") from exc
+        config["radii_list"] = json.loads(f"[{args.radii}]")  # comma-separated numbers; the schema checks each
     record = run_check("ahlfors", config, seed=args.seed)
     return _emit(record, args)
 

@@ -6,10 +6,7 @@ import numpy as np
 
 from .forms import KCovector, KForm, MultiPoly, natural_volume_form, polynomial_one_form, trace_form
 from .mv import BumpTestForm
-
-
-class SpecError(ValueError):
-    """Malformed form, test-form or check-config description."""
+from .util import SpecError
 
 
 def _poly_from_dict(n: int, terms: dict) -> MultiPoly:

@@ -14,6 +14,7 @@ dual value a lower bound (the gap is part of the diagnostics).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from .covers import (
     polyline_paths,
 )
 from .regions import Annulus, Box, annulus_quadrature, box_quadrature
-from .util import row_norms
+from .util import SpecError, row_norms
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +96,25 @@ def circle_family(ann: Annulus, count: int, vertices: int = 720) -> CurveFamily:
 
 
 def build_family(spec, region) -> CurveFamily:
-    """Family DSL: 'radial' | 'circles' | {'family':..., 'count':...} | polyline list."""
+    """Family DSL: 'radial' | 'circles' | {'family': 'radial' | 'circles', 'count': n >= 1} on an annulus |
+    {'family': 'polylines', 'paths': [...]}; SpecError for any other spec."""
     if isinstance(spec, str):
         spec = {"family": spec}
-    if isinstance(spec, dict):
-        kind = spec.get("family")
-        count = int(spec.get("count", 512))
-        if kind == "radial":
-            return radial_family(region, count)
-        if kind == "circles":
-            return circle_family(region, count)
-        if kind == "polylines":
-            return CurveFamily([np.asarray(p, dtype=float) for p in spec["paths"]])
-    raise ValueError(f"bad family spec {spec!r}")
+    kind = spec.get("family") if isinstance(spec, dict) else None
+    if kind in ("radial", "circles"):
+        count = spec.get("count", 512)
+        if isinstance(count, bool) or not isinstance(count, Integral) or count < 1 or not isinstance(region, Annulus):
+            raise SpecError(f"a {kind} family needs a count of at least 1 and an annulus, got {count!r} on {region!r}")
+        return (radial_family if kind == "radial" else circle_family)(region, int(count))
+    if kind == "polylines":
+        try:
+            paths = [np.asarray(p, dtype=float) for p in spec["paths"]]
+            if not all(p.ndim == 2 and p.shape[1] == 2 and np.isfinite(p).all() for p in paths):
+                raise ValueError("each path must be a list of finite planar points")
+            return CurveFamily(paths)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"bad polyline family {spec!r}: {exc}") from exc
+    raise SpecError(f"bad family spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,9 @@ class BumpTestForm:
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=np.float64)
         self.hi = np.asarray(self.hi, dtype=np.float64)
+        box_ok = self.lo.ndim == 1 and self.lo.shape == self.hi.shape and np.all(self.lo < self.hi)
+        if not (box_ok and np.isfinite(self.hi - self.lo).all() and self.q >= 1 and np.isfinite(self.amp)):
+            raise ValueError("a bump needs finite corners lo < hi, q >= 1 and a finite amp")
 
     def _u(self, x: np.ndarray) -> np.ndarray:
         return (2.0 * x - (self.lo + self.hi)) / (self.hi - self.lo)

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import SpecError
+
 
 @dataclass(frozen=True)
 class Box:
@@ -16,7 +18,7 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=np.float64))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=np.float64))
-        if self.lo.shape != self.hi.shape or np.any(self.hi <= self.lo):
+        if self.lo.shape != self.hi.shape or not np.all((self.lo < self.hi) & np.isfinite(self.hi - self.lo)):
             raise ValueError("invalid box bounds")
 
     @property
@@ -47,8 +49,8 @@ class Disk:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -81,8 +83,8 @@ class Annulus:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64))
-        if not (0 <= self.r_in < self.r_out):
-            raise ValueError("need 0 <= r_in < r_out")
+        if not (0 <= self.r_in < self.r_out < np.inf):
+            raise ValueError("need 0 <= r_in < r_out < inf")
 
     @property
     def dim(self) -> int:
@@ -145,19 +147,20 @@ class Cylinder:
 
 
 def parse_region(text: str):
-    """Parse the CLI region DSL: 'annulus:r0,r1', 'disk:r', 'box:x0,x1,y0,y1'."""
-    kind, _, rest = text.partition(":")
-    try:
-        vals = [float(v) for v in rest.split(",")] if rest else []
-        if kind == "annulus" and len(vals) == 2:
-            return Annulus(np.zeros(2), vals[0], vals[1])
-        if kind == "disk" and len(vals) == 1:
-            return Disk(np.zeros(2), vals[0])
-        if kind == "box" and len(vals) == 4:
-            return Box([vals[0], vals[2]], [vals[1], vals[3]])
-    except ValueError as exc:
-        raise ValueError(f"bad region spec {text!r}: {exc}") from exc
-    raise ValueError(f"bad region spec {text!r}")
+    """Parse the CLI region DSL: 'annulus:r0,r1', 'disk:r', 'box:x0,x1,y0,y1'; SpecError for any other text."""
+    if isinstance(text, str):
+        kind, _, rest = text.partition(":")
+        try:
+            vals = [float(v) for v in rest.split(",")] if rest else []
+            if kind == "annulus" and len(vals) == 2:
+                return Annulus(np.zeros(2), vals[0], vals[1])
+            if kind == "disk" and len(vals) == 1:
+                return Disk(np.zeros(2), vals[0])
+            if kind == "box" and len(vals) == 4:
+                return Box([vals[0], vals[2]], [vals[1], vals[3]])
+        except ValueError as exc:
+            raise SpecError(f"bad region spec {text!r}: {exc}") from exc
+    raise SpecError(f"bad region spec {text!r}")
 
 
 # ---------------------------------------------------------------------------

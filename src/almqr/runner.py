@@ -7,7 +7,9 @@ statement a check exercises, forming the coverage matrix of the suite.
 
 from __future__ import annotations
 
+import math
 from numbers import Integral, Real
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -65,6 +67,170 @@ from .reports import ReportRecord, timed
 from .util import row_dots, row_norms, seeded_rng
 
 
+# ---------------------------------------------------------------------------
+# config schema: each check declares its fields (a name, a kind and a default),
+# and ``validate`` turns a config into the typed values the check runs on
+
+# the largest Gauss-Legendre order a check accepts: a tensor rule of order q on a
+# box has q^2 nodes, so 1024 gives about a million, and each order's rule is cached
+MAX_ORDER = 1024
+
+
+class Kind(NamedTuple):
+    what: str  # what a valid value is, for the error message
+    # (raw value, typed values of the fields declared before) -> typed value; TypeError or ValueError if invalid
+    parse: Callable[[Any, dict], Any]
+
+
+class Field(NamedTuple):
+    name: str
+    kind: Kind
+    default: Any = None  # None: a key left out reaches the check as None; a callable derives it from earlier fields
+
+
+def count(lo: int = 1, hi: int | None = None) -> Kind:
+    """An integer from ``lo`` to ``hi`` (no upper bound if None); a boolean, float or string is not a count."""
+
+    def parse(raw, _):
+        if isinstance(raw, bool) or not isinstance(raw, Integral) or raw < lo or (hi is not None and raw > hi):
+            raise ValueError
+        return int(raw)
+
+    return Kind(f"an integer from {lo} to {hi}" if hi is not None else f"an integer of at least {lo}", parse)
+
+
+def number(lo: float = -math.inf, above: bool = False) -> Kind:
+    """A finite number of at least ``lo`` (above it, if ``above``)."""
+
+    def parse(raw, _):
+        if isinstance(raw, bool) or not isinstance(raw, Real):
+            raise TypeError
+        value = float(raw)  # OverflowError for an integer beyond the float range
+        if not (math.isfinite(value) and (value > lo if above else value >= lo)):
+            raise ValueError
+        return value
+
+    bound = "" if lo == -math.inf else f" {'above' if above else 'of at least'} {lo:g}"
+    return Kind(f"a finite number{bound}", parse)
+
+
+def _seq(raw, length: int | None = None):
+    if not isinstance(raw, (list, tuple)) or not raw or (length is not None and len(raw) != length):
+        raise ValueError
+    return raw
+
+
+def listof(item: Kind, length: int | None = None) -> Kind:
+    """A non-empty list (of ``length`` entries, if given) of the ``item`` kind: an empty sweep checks nothing."""
+    size = "non-empty" if length is None else f"{length}-entry"
+    return Kind(f"a {size} list, each entry {item.what}", lambda raw, v: [item.parse(x, v) for x in _seq(raw, length)])
+
+
+def _numbers(raw, length: int | None = None) -> np.ndarray:
+    return np.array([NUMBER.parse(x, None) for x in _seq(raw, length)])
+
+
+def _flag(raw, _):
+    if not isinstance(raw, bool):
+        raise TypeError
+    return raw
+
+
+def _map(raw, _, dim=None):
+    f = build_map(raw)
+    if dim is not None and f.n != dim:
+        raise ValueError(f"a map of dimension {f.n}")
+    return f
+
+
+def _box(raw, values) -> Box:
+    lo, hi = _seq(raw, 2)
+    return Box(_numbers(lo, values["map"].n), _numbers(hi, values["map"].n))
+
+
+def _image_annuli(raw, values) -> tuple[Annulus, Annulus]:
+    """An image annulus E and its preimage under z^d, d the degree of the map."""
+    r_in, r_out = map(float, _numbers(raw, 2))
+    d = values["map"].degree
+    E = Annulus(np.zeros(2), r_in, r_out)
+    return E, Annulus(np.zeros(2), E.r_in ** (1.0 / d), E.r_out ** (1.0 / d))
+
+
+def _annulus(raw, _) -> Annulus:
+    region = parse_region(raw)
+    if not isinstance(region, Annulus):
+        raise ValueError("not an annulus")
+    return region
+
+
+NUMBER = number()
+TOL = number(0.0)  # a tolerance or slack: a value off the field's default is marked in the report
+POSITIVE = number(0.0, above=True)
+COUNT = count()
+COUNTS = listof(COUNT)
+ORDER = count(1, MAX_ORDER)
+ORDERS = listof(ORDER)
+FLAG = Kind("true or false", _flag)
+POINT = Kind("a list of finite numbers, one per coordinate of the map", lambda raw, v: _numbers(raw, v["map"].n))
+RADII = listof(POSITIVE)
+BOX = Kind("a pair [lo, hi] of points of the map's dimension with lo < hi", _box)
+IMAGE_ANNULUS = Kind("radii [r_in, r_out] with 0 <= r_in < r_out whose d-th roots stay apart", _image_annuli)
+REGION = Kind("a region 'annulus:r0,r1', 'disk:r' or 'box:x0,x1,y0,y1'", lambda raw, _: parse_region(raw))
+ANNULUS = Kind("an annulus region 'annulus:r0,r1'", _annulus)
+FAMILY = Kind("a curve family 'radial', 'circles' or {'family': ...}", lambda raw, v: build_family(raw, v["region"]))
+MAP = Kind("a catalog map spec", _map)
+PLANAR_MAP = Kind("a catalog map spec of dimension 2", lambda raw, v: _map(raw, v, dim=2))
+FORM = Kind("a form spec", lambda raw, _: build_form(raw))
+TESTFORM = Kind("a test form spec {'lo': [...], 'hi': [...], 'q': ..., 'amp': ...}", lambda raw, _: build_testform(raw))
+
+
+def validate(fields: list[Field], config: dict) -> tuple[dict, dict]:
+    """The typed value of each field, and {name: {"default", "given"}} of each tolerance off its default.
+
+    SpecError for a config that is not a dict, an unknown key, or a value (given or default) outside its kind.
+    """
+    known = [f.name for f in fields]
+    if not isinstance(config, dict):
+        raise SpecError(f"a config must be a JSON object, got {config!r}")
+    unknown = sorted(set(config) - set(known))
+    if unknown:
+        raise SpecError(f"unknown config key(s) {unknown}; the known keys are {known}")
+    values, non_default = {}, {}
+    for f in fields:
+        default = f.default(values) if callable(f.default) else f.default
+        raw = config.get(f.name, default)
+        try:
+            values[f.name] = f.kind.parse(raw, values) if f.name in config or default is not None else None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SpecError(f"{f.name} must be {f.kind.what}, got {raw!r}" + (f" ({exc})" if str(exc) else "")) from exc
+        if f.kind is TOL and values[f.name] != default:
+            non_default[f.name] = {"default": default, "given": values[f.name]}
+    return values, non_default
+
+
+# name -> (claim id, check, fields); ``run_check`` calls the check with the
+# seed and the typed value of each field
+CHECKS: dict[str, tuple[str, Callable, list[Field]]] = {}
+
+
+def _check(name: str, claim_id: str, *fields: Field):
+    """Register the decorated function as check ``name`` of claim ``claim_id``, with its config fields."""
+
+    def register(run):
+        CHECKS[name] = (claim_id, run, list(fields))
+        return run
+
+    return register
+
+
+Z2 = {"map": "power", "k": 2}
+ANY_MAP = Field("map", MAP, Z2)
+PLANAR = Field("map", PLANAR_MAP, Z2)
+SAMPLES = Field("samples", COUNT, 10_000)
+IMAGE_ANNULI = Field("image_annulus", IMAGE_ANNULUS, [1.0, 4.0])
+E_ANNULUS = "annulus:1,2.718281828459045"  # 1 < |x| < e, whose ring modulus is 2 pi
+
+
 # samples drawn and priced together by the tuple-space checks; a block's
 # tuples are held at once, so this bounds their memory (the solver route of
 # metric-oracle keeps every block until it prices each degree at once, on both
@@ -98,12 +264,12 @@ def _draw_groups(rng, n_samples: int, tuples: int, spread: float = 2.0):
 # tuple-space checks
 
 
-def _check_metric_oracle(config, seed):
-    n_samples = _positive(config, "samples", 10_000)
-    oracle = np.zeros(n_samples)
-    solver = np.zeros(n_samples)
+@_check("metric-oracle", "assignment-metric-oracle", SAMPLES)
+def _check_metric_oracle(seed, samples):
+    oracle = np.zeros(samples)
+    solver = np.zeros(samples)
     by_degree: dict[int, list] = {}
-    for idx, (P, Q) in _draw_groups(seeded_rng(seed, 1), n_samples, 2):
+    for idx, (P, Q) in _draw_groups(seeded_rng(seed, 1), samples, 2):
         by_degree.setdefault(P.shape[1], []).append((idx, (P, Q)))
     # one pass per degree on both routes: the enumeration oracle, and one solve
     # with one lexicographic refinement
@@ -116,16 +282,15 @@ def _check_metric_oracle(config, seed):
     first = np.flatnonzero(gaps != 0.0)[:1]  # the first gap in sample order, NaN included
     worst = float(gaps[first[0]]) if len(first) else 0.0
     passed = worst == 0.0
-    return passed, {"n_samples": n_samples, "worst_abs_gap": worst}, {"exact": 0.0}, 0
+    return passed, {"n_samples": samples, "worst_abs_gap": worst}, {"exact": 0.0}, 0
 
 
-def _check_metric_axioms(config, seed):
-    n_samples = _positive(config, "samples", 10_000)
-    tol = _finite(config, "tol", 1e-12, minimum=0.0)
+@_check("metric-axioms", "assignment-metric-axioms", SAMPLES, Field("tol", TOL, 1e-12))
+def _check_metric_axioms(seed, samples, tol):
     rng = seeded_rng(seed, 2)
     excess = [np.full(1, -np.inf)]
     asym = [np.zeros(1)]
-    for _, (P, Q, R) in _draw_groups(rng, n_samples, 3):
+    for _, (P, Q, R) in _draw_groups(rng, samples, 3):
         dpq, dqr, dpr, dqp = distance_values(np.concatenate([P, Q, P, Q]), np.concatenate([Q, R, R, P])).reshape(4, -1)
         excess.append(dpr - (dpq + dqr))
         asym.append(np.abs(dpq - dqp))
@@ -149,7 +314,7 @@ def _check_metric_axioms(config, seed):
         ident_ok = ident_ok and same and bool(np.all(distance_values(sorted_tuples(X), sorted_tuples(Y)) == 0.0))
     passed = worst_tri <= tol and worst_sym == 0.0 and ident_ok
     metrics = {
-        "n_samples": n_samples,
+        "n_samples": samples,
         "worst_triangle_excess": float(worst_tri),
         "worst_symmetry_gap": worst_sym,
         "indiscernible_ok": ident_ok,
@@ -170,13 +335,12 @@ def _lipschitz_ratios(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, int]:
     return np.sqrt(d) * norm / dv[keep], int(np.count_nonzero(~keep))
 
 
-def _check_barycenter_lipschitz(config, seed):
-    n_samples = _positive(config, "samples", 10_000)
-    tol = _finite(config, "tol", 1e-12, minimum=0.0)
+@_check("barycenter-lipschitz", "barycenter-lipschitz", SAMPLES, Field("tol", TOL, 1e-12))
+def _check_barycenter_lipschitz(seed, samples, tol):
     rng = seeded_rng(seed, 3)
     ratios = [np.zeros(1)]
     excluded = 0
-    for _, (P, Q) in _draw_groups(rng, n_samples, 2):
+    for _, (P, Q) in _draw_groups(rng, samples, 2):
         ratio, coincident = _lipschitz_ratios(P, Q)
         ratios.append(ratio)
         excluded += coincident
@@ -195,7 +359,7 @@ def _check_barycenter_lipschitz(config, seed):
         gaps.append(np.abs(ratio - 1.0))
     eq_gap = np.max(np.concatenate(gaps), initial=0.0)  # a NaN ratio stays NaN and fails
     passed = worst <= 1.0 + tol and eq_gap <= tol
-    metrics = {"n_samples": n_samples, "max_ratio": float(worst), "diagonal_equality_gap": eq_gap}
+    metrics = {"n_samples": samples, "max_ratio": float(worst), "diagonal_equality_gap": eq_gap}
     return passed, metrics, {"ratio_bound": 1.0 + tol}, excluded
 
 
@@ -203,26 +367,24 @@ def _check_barycenter_lipschitz(config, seed):
 # form checks
 
 
-def _check_comass(config, seed):
-    tol = _finite(config, "tol", 1e-6, minimum=0.0)
-    n_points = _positive(config, "points", 10)
-    expected = _finite(config, "expected", 1.0)
-    if "form" in config:
+@_check("comass", "natural-form-comass", Field("form", FORM), Field("tol", TOL, 1e-6), Field("points", COUNT, 10),
+        Field("expected", NUMBER, 1.0),
+        # alongside a form, ns and ds default to its own n and d
+        Field("ns", COUNTS, lambda v: [2, 3] if v["form"] is None else [v["form"].n]),
+        Field("ds", COUNTS, lambda v: [2, 3] if v["form"] is None else [v["form"].d]))
+def _check_comass(seed, form, tol, points, expected, ns, ds):
+    if form is not None:
         # one pass at the form's own dimension
-        form = build_form(config["form"])
-        for key, own in (("ns", form.n), ("ds", form.d)):
-            if config.get(key, [own]) != [own]:
-                raise SpecError(f"{key} must be [{own}] (or left out) alongside a form, got {config[key]!r}")
+        if (ns, ds) != ([form.n], [form.d]):
+            raise SpecError(f"ns and ds must be [{form.n}] and [{form.d}] (or left out) with this form, got {ns}, {ds}")
         passes = [(form.n, form.d, form)]
     else:
-        ns = _counts(config, "ns", [2, 3])
-        ds = _counts(config, "ds", [2, 3])
         passes = [(n, d, natural_volume_form(n, d)) for n in ns for d in ds]
     rng = seeded_rng(seed, 4)
     worst = 0.0
     values = []
     for n, d, form in passes:
-        for _ in range(n_points):
+        for _ in range(points):
             x = rng.normal(size=n * d)
             res = comass(form, x)
             if not res.converged:
@@ -258,9 +420,8 @@ def _poly_kform(rng, n: int, d: int) -> KForm:
     )
 
 
-def _check_invariant_projection(config, seed):
-    tol_ratio = _finite(config, "tol_ratio", 1e-12, minimum=0.0)
-    tol_fd = _finite(config, "tol_fd", 1e-6, minimum=0.0)
+@_check("invariant-projection", "invariant-projection", Field("tol_ratio", TOL, 1e-12), Field("tol_fd", TOL, 1e-6))
+def _check_invariant_projection(seed, tol_ratio, tol_fd):
     tol_gap = 1e-12
     rng = seeded_rng(seed, 5)
     n, d = 2, 2
@@ -316,23 +477,16 @@ def _check_invariant_projection(config, seed):
     return passed, metrics, {"ratio_bound": 1.0 + tol_ratio, "fd_tol": tol_fd, "gap_tol": tol_gap}, 0
 
 
-def _check_split_pullback(config, seed):
-    n_points = _positive(config, "points", 1000)
-    tol = _finite(config, "tol", 1e-9, minimum=0.0)
-    shapes = config.get("shapes", [[1, 1], [2, 1], [2, 2]])
-    if not isinstance(shapes, (list, tuple)) or not shapes:
-        raise SpecError(f"shapes must be a non-empty list of [d0, d1] pairs, got {shapes!r}")
-    for shape in shapes:
-        # GroupAction.full enumerates the symmetric group of each factor up to d = 7
-        is_pair = isinstance(shape, (list, tuple)) and len(shape) == 2
-        if not (is_pair and all(type(d) is int and 1 <= d <= 7 for d in shape)):
-            raise SpecError(f"each shape must be a pair [d0, d1] of integers from 1 to 7, got {shape!r}")
-    if n_points < len(shapes):
-        raise SpecError(f"points must be at least the number of shapes ({len(shapes)}), got {n_points}")
+# GroupAction.full enumerates the symmetric group of each factor up to d = 7
+@_check("split-pullback", "split-pullback-product", Field("points", COUNT, 1000), Field("tol", TOL, 1e-9),
+        Field("shapes", listof(listof(count(1, 7), 2)), [[1, 1], [2, 1], [2, 2]]))
+def _check_split_pullback(seed, points, tol, shapes):
+    if points < len(shapes):
+        raise SpecError(f"points must be at least the number of shapes ({len(shapes)}), got {points}")
     rng = seeded_rng(seed, 6)
     box = Box([-1.5, -1.5], [1.5, 1.5])
     worst = 0.0
-    per = n_points // len(shapes)
+    per = points // len(shapes)
     for d0, d1 in shapes:
         f0 = from_affine_branches(
             [(rng.normal(size=(2, 2)), rng.normal(size=2)) for _ in range(d0)], box, m=2
@@ -359,31 +513,19 @@ def _check_split_pullback(config, seed):
         )
         worst = max(worst, float(np.max(np.abs(lhs - rhs), initial=0.0)))
     passed = worst <= tol
-    return passed, {"n_points": n_points, "max_deviation": worst}, {"tol": tol}, 0
+    return passed, {"n_points": points, "max_deviation": worst}, {"tol": tol}, 0
 
 
 # ---------------------------------------------------------------------------
 # cover / mv checks
 
 
-def _map_from_config(config) -> tuple:
-    spec = config.get("map", {"map": "power", "k": 2})
-    return build_map(spec)
-
-
-def _region_from_config(config, default="annulus:0.3,1.5"):
-    return parse_region(config.get("region", default))
-
-
-def _check_qr_curve(config, seed):
-    f = _map_from_config(config)
-    region = _region_from_config(config)
-    n_samples = _positive(config, "samples", 10_000)
-    tol = _finite(config, "tol", 1e-9 if f.K_I == 1.0 else 1e-6, minimum=0.0)
-    sharp = config.get("sharp", f.K_I == 1.0)
-    if not isinstance(sharp, bool):
-        raise SpecError(f"sharp must be true or false, got {sharp!r}")
-    rep = qr_curve_check(f, region, n_samples=n_samples, seed=seed, tol=tol)
+# the sharp lower bound and the tighter tolerance hold for conformal maps
+@_check("qr-curve", "qr-curve-bound", ANY_MAP, Field("region", REGION, "annulus:0.3,1.5"), SAMPLES,
+        Field("tol", TOL, lambda v: 1e-9 if v["map"].K_I == 1.0 else 1e-6),
+        Field("sharp", FLAG, lambda v: v["map"].K_I == 1.0))
+def _check_qr_curve(seed, map, region, samples, tol, sharp):
+    rep = qr_curve_check(map, region, n_samples=samples, seed=seed, tol=tol)
     passed = rep["pass"]
     if sharp:
         passed = passed and rep["min_ratio"] >= 1.0 - tol
@@ -392,28 +534,31 @@ def _check_qr_curve(config, seed):
     return passed, metrics, {"upper": 1.0 + tol, "lower_if_sharp": 1.0 - tol if sharp else None}, rep["excluded"]
 
 
-def _check_stokes(config, seed):
-    n_forms = _positive(config, "forms", 5)
-    n_tests = _positive(config, "testforms", 5)
-    orders = _orders(config, "orders", (16, 32, 64))
-    tol = _finite(config, "tol", 1e-3)
-    f = _map_from_config(config)
-    F = from_cover(f, Box([0.4, 0.4], [1.8, 1.8]))
+@_check("stokes", "weak-stokes", PLANAR, Field("form", FORM), Field("testform", TESTFORM), Field("forms", COUNT, 5),
+        Field("testforms", COUNT, 5), Field("orders", ORDERS, [16, 32, 64]), Field("tol", TOL, 1e-3))
+def _check_stokes(seed, map, form, testform, forms, testforms, orders, tol):
+    # the pull-back by the inverse lives on (R^2)^d, and scalar test forms take forms of degree 1 and 2
+    if form is not None and not (form.n == 2 and form.d == map.degree and form.degree in (1, 2)):
+        raise SpecError(f"form must be of degree 1 or 2 on (R^2)^{map.degree}, got degree {form.degree} on "
+                        f"(R^{form.n})^{form.d}")
+    if testform is not None and len(testform.lo) != 2:
+        raise SpecError(f"testform must be planar, got corners {testform.lo.tolist()} and {testform.hi.tolist()}")
+    F = from_cover(map, Box([0.4, 0.4], [1.8, 1.8]))
     rng = seeded_rng(seed, 8)
     worst = 0.0
     all_decreasing = True
     rows = []
-    for i in range(n_forms):
-        if "form" in config:
-            omega = build_form(config["form"])
+    for i in range(forms):
+        if form is not None:
+            omega = form
         else:
             omega = symmetrize(
-                trace_form(polynomial_one_form(2, [_rand_poly(rng, 2), _rand_poly(rng, 2)]), f.degree),
-                GroupAction.full(2, f.degree),
+                trace_form(polynomial_one_form(2, [_rand_poly(rng, 2), _rand_poly(rng, 2)]), map.degree),
+                GroupAction.full(2, map.degree),
             )
-        for j in range(n_tests):
-            if "testform" in config:
-                alpha = build_testform(config["testform"])
+        for j in range(testforms):
+            if testform is not None:
+                alpha = testform
             else:
                 c = rng.uniform(0.7, 1.3, size=2)
                 w = rng.uniform(0.25, 0.55, size=2)
@@ -436,226 +581,102 @@ def _check_stokes(config, seed):
     return passed, metrics, {"tol": tol}, 0
 
 
-def _positive(config, key: str, default: int) -> int:
-    """The integer config[key] (or the default); SpecError unless it is an integer of at least 1."""
-    raw = config.get(key, default)
-    try:
-        value = int(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = None
-    # 2.5 is not a count, nor is true
-    if value is None or isinstance(raw, bool) or (value != raw and not isinstance(raw, str)):
-        raise SpecError(f"{key} must be an integer, got {raw!r}")
-    if value < 1:
-        raise SpecError(f"{key} must be at least 1, got {value}")
-    return value
-
-
-def _counts(config, key: str, default: list, minimum: int = 1) -> list:
-    """The list config[key] (or the default); SpecError unless it is a non-empty list of integers >= ``minimum``.
-
-    A sweep over an empty list would pass with nothing checked.
-    """
-    raw = config.get(key, default)
-    if not isinstance(raw, (list, tuple)) or not raw or not all(type(v) is int and v >= minimum for v in raw):
-        raise SpecError(f"{key} must be a non-empty list of integers of at least {minimum}, got {raw!r}")
-    return raw
-
-
-def _finite(config, key: str, default: float, minimum: float = -np.inf) -> float:
-    """The number config[key] (or the default); SpecError unless it is finite and at least ``minimum``."""
-    raw = config.get(key, default)
-    value = np.nan
-    if isinstance(raw, Real) and not isinstance(raw, bool):
-        try:
-            value = float(raw)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    if not (np.isfinite(value) and value >= minimum):
-        bound = f" and at least {minimum}" if minimum > -np.inf else ""
-        raise SpecError(f"{key} must be a finite number{bound}, got {raw!r}")
-    return value
-
-
-# the largest Gauss-Legendre order a check accepts: a tensor rule of order q on a
-# box has q^2 nodes, so 1024 gives about a million, and each order's rule is cached
-MAX_ORDER = 1024
-
-
-def _order(raw, key: str) -> int:
-    """One quadrature order; SpecError unless it is an integer from 1 to MAX_ORDER."""
-    if isinstance(raw, bool) or not isinstance(raw, Integral) or not 1 <= raw <= MAX_ORDER:
-        raise SpecError(f"{key} must be integers from 1 to {MAX_ORDER}, got {raw!r}")
-    return int(raw)
-
-
-def _orders(config, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-    """The quadrature orders config[key] (or the default): a non-empty list, each checked by ``_order``."""
-    raw = config.get(key, default)
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise SpecError(f"{key} must be a non-empty list of quadrature orders, got {raw!r}")
-    return tuple(_order(v, key) for v in raw)
-
-
-def _point(config, key: str, default: list) -> np.ndarray:
-    """The point config[key] (or the default); SpecError unless it is a non-empty list of finite numbers."""
-    raw = config.get(key, default)
-    y = None
-    if isinstance(raw, (list, tuple)) and raw and all(isinstance(v, Real) and not isinstance(v, bool) for v in raw):
-        try:
-            y = np.asarray(raw, dtype=float)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    if y is None or not np.isfinite(y).all():
-        raise SpecError(f"{key} must be a non-empty list of finite numbers, got {raw!r}")
-    return y
-
-
-def _check_upper_gradient(config, seed):
-    f = _map_from_config(config)
-    region = _region_from_config(config, "annulus:0.5,1.5")
-    fam = build_family(config.get("family", {"family": "radial", "count": 16}), region)
-    rep = upper_gradient_check(
-        f,
-        fam,
-        samples_per_curve=_positive(config, "samples_per_curve", 64),
-        tol=_finite(config, "tol", 1e-6, minimum=0.0),
-    )
+@_check("upper-gradient", "upper-gradient-sandwich", ANY_MAP, Field("region", REGION, "annulus:0.5,1.5"),
+        Field("family", FAMILY, {"family": "radial", "count": 16}), Field("samples_per_curve", COUNT, 64),
+        Field("tol", TOL, 1e-6))
+def _check_upper_gradient(seed, map, region, family, samples_per_curve, tol):
+    rep = upper_gradient_check(map, family, samples_per_curve=samples_per_curve, tol=tol)
     metrics = {k: rep[k] for k in ("violation_fraction", "worst_low_gap", "worst_high_gap", "n_samples", "K_factor")}
     return rep["pass"], metrics, {"tol": rep["tol"]}, rep["excluded"]
 
 
-def _image_annuli(config, d: int) -> tuple[Annulus, Annulus]:
-    """The image annulus E of area and energy (config ``image_annulus``) and its preimage under z^d.
-
-    SpecError unless the radii are two finite numbers 0 <= r_in < r_out whose
-    d-th roots stay apart.
-    """
-    radii = _point(config, "image_annulus", [1.0, 4.0])
-    if len(radii) == 2:
-        try:
-            E = Annulus(np.zeros(2), float(radii[0]), float(radii[1]))
-            return E, Annulus(np.zeros(2), E.r_in ** (1.0 / d), E.r_out ** (1.0 / d))
-        except ValueError:
-            pass
-    raise SpecError(f"image_annulus must be radii [r_in, r_out] with 0 <= r_in < r_out, "
-                    f"got {config['image_annulus']!r}")
-
-
-def _check_area(config, seed):
-    f = _map_from_config(config)
-    d = f.degree
-    E, pre = _image_annuli(config, d)
-    tol = _finite(config, "tol", 1e-3, minimum=0.0)
+@_check("area", "area-formula", PLANAR, IMAGE_ANNULI, Field("tol", TOL, 1e-3), Field("orders", ORDERS, [32, 64]))
+def _check_area(seed, map, image_annulus, tol, orders):
+    d = map.degree
+    E, pre = image_annulus
     gs = {
         "one": lambda X: np.ones(len(X)),
         "sq_norm": lambda X: np.einsum("ij,ij->i", X, X),
         "inv_grad_sq": lambda X: 1.0 / np.maximum(np.hypot(X[:, 0], X[:, 1]) ** (2 * (d - 1)) * d * d, 1e-300),
     }
-    orders = _orders(config, "orders", (32, 64))
     worst = 0.0
     rows = {}
     for name, g in gs.items():
-        rep = area_formula_check(f, g, E, pre, orders=orders)
+        rep = area_formula_check(map, g, E, pre, orders=orders)
         rows[name] = rep["rel_discrepancy"]
         worst = max(worst, rep["rel_discrepancy"])
     passed = worst <= tol
     return passed, {"rel_discrepancy": rows, "worst": worst}, {"tol": tol}, 0
 
 
-def _check_energy(config, seed):
-    f = _map_from_config(config)
-    E, pre = _image_annuli(config, f.degree)
-    rep = energy_bound_check(f, E, pre, order=_order(config.get("order", 64), "order"))
+@_check("energy", "inverse-energy-bound", PLANAR, IMAGE_ANNULI, Field("order", ORDER, 64))
+def _check_energy(seed, map, image_annulus, order):
+    E, pre = image_annulus
+    rep = energy_bound_check(map, E, pre, order=order)
     return rep["pass"], {"energy": rep["energy"], "bound": rep["bound"], "slack": rep["slack"]}, {
         "bound_slack": 1e-9
     }, 0
 
 
-def _check_gen_inverse(config, seed):
-    # the root sum of z^d - y vanishes only from d = 2 on: at d = 1 it is y
-    degrees = _counts(config, "degrees", [2, 3, 4], minimum=2)
-    n_samples = _positive(config, "samples", 10_000)
-    tol = _finite(config, "tol", 1e-8, minimum=0.0)
+# the root sum of z^d - y vanishes only from d = 2 on: at d = 1 it is y
+@_check("gen-inverse", "generalized-inverse-root-sum", Field("degrees", listof(count(2)), [2, 3, 4]), SAMPLES,
+        Field("tol", TOL, 1e-8), Field("use_power", FLAG, False))
+def _check_gen_inverse(seed, degrees, samples, tol, use_power):
     region = Annulus(np.zeros(2), 0.2, 2.0)
     worst = 0.0
     for ix, d in enumerate(degrees):
-        f = planar_power(d) if config.get("use_power", False) else build_map(
+        f = planar_power(d) if use_power else build_map(
             {"map": "poly", "coeffs": [0.0] * d + [1.0]}
         )
-        ys = region.sample(seeded_rng(seed, 9, ix), n_samples)
+        ys = region.sample(seeded_rng(seed, 9, ix), samples)
         worst = max(worst, float(np.linalg.norm(generalized_inverse(f, ys), axis=1).max()))
     passed = worst <= tol
-    return passed, {"max_norm": worst, "n_samples": n_samples, "degrees": degrees}, {"tol": tol}, 0
+    return passed, {"max_norm": worst, "n_samples": samples, "degrees": degrees}, {"tol": tol}, 0
 
 
-def _check_modulus(config, seed):
-    region = _region_from_config(config, "annulus:1,2.718281828459045")
-    fam = build_family(config.get("family", {"family": "radial", "count": 1024}), region)
-    grid = int(config.get("grid", 256))
-    res = discrete_modulus(fam, region, grid=grid, n=float(config.get("n", 2)))
+# the dual exponent n / (n - 1) needs n > 1
+@_check("modulus", "ring-modulus", Field("region", ANNULUS, E_ANNULUS),
+        Field("family", FAMILY, {"family": "radial", "count": 1024}), Field("grid", COUNT, 256),
+        Field("n", number(1.0, above=True), 2.0), Field("tol", TOL, 0.05))
+def _check_modulus(seed, region, family, grid, n, tol):
+    res = discrete_modulus(family, region, grid=grid, n=n)
     exact = ring_modulus_exact(region.r_in, region.r_out)
     rel = abs(res.value - exact) / exact
-    tol = _finite(config, "tol", 0.05, minimum=0.0)
     passed = rel <= tol and res.converged
     metrics = {"value": res.value, "exact": exact, "rel_error": rel, **res.to_json()}
     return passed, metrics, {"rel_tol": tol}, 0
 
 
-def _check_geom_qc(config, seed):
-    f = _map_from_config(config)
-    region = _region_from_config(config, "annulus:1,2.718281828459045")
-    fam = build_family(config.get("family", {"family": "radial", "count": 512}), region)
-    rep = pushforward_modulus_check(
-        f,
-        fam,
-        region,
-        grid=_positive(config, "grid", 256),
-        slack=_finite(config, "slack", 0.05, minimum=0.0),
-        lift_steps=_positive(config, "lift_steps", 128),
-    )
+@_check("geom-qc", "modulus-two-sided", PLANAR, Field("region", REGION, E_ANNULUS),
+        Field("family", FAMILY, {"family": "radial", "count": 512}), Field("grid", COUNT, 256),
+        Field("slack", TOL, 0.05), Field("lift_steps", COUNT, 128))
+def _check_geom_qc(seed, map, region, family, grid, slack, lift_steps):
+    rep = pushforward_modulus_check(map, family, region, grid=grid, slack=slack, lift_steps=lift_steps)
     metrics = {k: rep[k] for k in ("mod_base", "mod_image", "ratio", "K_I_K_O", "bound_lo", "bound_hi")}
-    return rep["pass"], metrics, {"slack": config.get("slack", 0.05)}, rep["lift_failures"]
+    return rep["pass"], metrics, {"slack": slack}, rep["lift_failures"]
 
 
-def _check_ahlfors(config, seed):
-    f = _map_from_config(config)
-    N = _positive(config, "samples", 100_000)
-    if "center_points" in config:
-        try:
-            centers = [np.asarray(c, dtype=float) for c in config["center_points"]]
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"ahlfors center_points must be a list of points, got {config['center_points']!r}") from exc
-    else:
-        n_centers = _positive(config, "centers", 10)
+# a confidence interval needs two samples; given points and radii replace the drawn centers and the radius sweep
+@_check("ahlfors", "ahlfors-upper-bound", PLANAR, Field("samples", count(2), 100_000),
+        Field("center_points", listof(POINT)), Field("centers", COUNT, 10), Field("radii_list", RADII),
+        Field("radii", COUNT, 10))
+def _check_ahlfors(seed, map, samples, center_points, centers, radii_list, radii):
+    if center_points is None:
         rng = seeded_rng(seed, 10)
-        angles = 2 * np.pi * rng.uniform(size=n_centers)
-        mags = rng.uniform(0.6, 1.4, size=n_centers)
-        centers = [np.array([m * np.cos(a), m * np.sin(a)]) for m, a in zip(mags, angles)]
-    if "radii_list" in config:
-        try:
-            radii = [float(r) for r in config["radii_list"]]
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"ahlfors radii_list must be a list of numbers, got {config['radii_list']!r}") from exc
-        # a ball of radius 0, below 0 or not a number has no measure to compare
-        if not all(np.isfinite(r) and r > 0 for r in radii):
-            raise SpecError(f"ahlfors radii must be finite and positive, got {radii}")
-    else:
-        radii = np.linspace(0.02, 0.2, _positive(config, "radii", 10))
-    # an empty sweep has no worst ball, and a confidence interval needs two samples
-    if not centers or not len(radii) or N < 2:
-        raise SpecError(
-            f"ahlfors needs at least one center, one radius and two samples; got {len(centers)}, {len(radii)}, {N}"
-        )
-    samples = ahlfors_sampler(f, centers, radii, n_samples=N, seed=seed)
-    worst = max(s.ratio for s in samples)
-    margin = max(s.ratio - (1.0 + s.ratio_ci) for s in samples)
-    passed = all(s.ratio <= 1.0 + s.ratio_ci for s in samples)
+        angles = 2 * np.pi * rng.uniform(size=centers)
+        mags = rng.uniform(0.6, 1.4, size=centers)
+        center_points = [np.array([m * np.cos(a), m * np.sin(a)]) for m, a in zip(mags, angles)]
+    if radii_list is None:
+        radii_list = np.linspace(0.02, 0.2, radii)
+    balls = ahlfors_sampler(map, center_points, radii_list, n_samples=samples, seed=seed)
+    worst = max(s.ratio for s in balls)
+    margin = max(s.ratio - (1.0 + s.ratio_ci) for s in balls)
+    passed = all(s.ratio <= 1.0 + s.ratio_ci for s in balls)
     metrics = {
-        "n_balls": len(samples),
+        "n_balls": len(balls),
         "max_ratio": worst,
         "worst_margin": margin,
-        "rows": [s.to_json() for s in samples],
+        "rows": [s.to_json() for s in balls],
     }
     return passed, metrics, {"bound": "1 + 3 sigma"}, 0
 
@@ -676,25 +697,23 @@ def _synthetic_map(d: int, rho: float = 0.5) -> MultiValuedMap:
     return MultiValuedMap(domain=box, m=2, n=2, d=d, evaluate=ev)
 
 
-def _check_interp(config, seed):
-    ds = _counts(config, "ds", [2, 3])
-    eps = float(config.get("eps", 0.1))
-    n_pairs = _positive(config, "pairs", 10_000)
-    tol = _finite(config, "tol", 1e-6, minimum=0.0)
+@_check("interp", "lipschitz-interpolation", Field("ds", COUNTS, [2, 3]), Field("eps", POSITIVE, 0.1),
+        Field("pairs", COUNT, 10_000), Field("tol", TOL, 1e-6), Field("cloud", COUNT, 10_000))
+def _check_interp(seed, ds, eps, pairs, tol, cloud):
     rng = seeded_rng(seed, 11)
     rows = []
     passed = True
     for d in ds:
         F = _synthetic_map(d)
-        X = F.domain.sample(rng, n_pairs)
-        Y = F.domain.sample(rng, n_pairs)
+        X = F.domain.sample(rng, pairs)
+        Y = F.domain.sample(rng, pairs)
         norm = row_norms(X - Y)
         apart = norm > 1e-12
         FX, FY = F.evaluate(X), F.evaluate(Y)
         # np.max keeps a NaN, so a NaN distance fails the check
         L = float(np.max(distance_values(FX, FY)[apart] / norm[apart])) * 1.05
         F.lipschitz_bound = L
-        G, info = interpolate_feps(F, eps, cloud_size=int(config.get("cloud", 10_000)), seed=seed)
+        G, info = interpolate_feps(F, eps, cloud_size=cloud, seed=seed)
         GX, GY = G.evaluate(X), G.evaluate(Y)
         lip_eps = np.max(distance_values(GX, GY)[apart] / norm[apart])
         dev = np.max(distance_values(GX, FX))
@@ -720,25 +739,20 @@ def _check_interp(config, seed):
     return passed, {"rows": rows, "eps": eps}, {"lip_factor": "3+2d", "dev_factor": "2L*eps", "tol": tol}, 0
 
 
-def _check_preimage_measure(config, seed):
-    f = _map_from_config(config)
-    y0 = _point(config, "center_y", [1.0, 0.0])
-    r = float(config.get("radius", 0.3))
-    z = minv(f, y0)
-    dom = Box(*config.get("domain_box", ([-2.0, -2.0], [2.0, 2.0])))
-    img = Box(*config.get("image_box", ([0.2, -0.8], [1.8, 0.8])))
-    rep = preimage_measure_check(
-        f, z, r, dom, img, n_samples=int(config.get("samples", 100_000)), seed=seed
-    )
-    if not rep.get("ok", False):
-        return False, rep, {}, 0
-    d, ratio, sd = f.degree, rep["ratio"], rep["ratio_sd"]
+# the measure check needs at least 100 samples
+@_check("preimage-measure", "preimage-measure-bound", ANY_MAP, Field("center_y", POINT, [1.0, 0.0]),
+        Field("radius", POSITIVE, 0.3), Field("domain_box", BOX, [[-2.0, -2.0], [2.0, 2.0]]),
+        Field("image_box", BOX, [[0.2, -0.8], [1.8, 0.8]]), Field("samples", count(100), 100_000))
+def _check_preimage_measure(seed, map, center_y, radius, domain_box, image_box, samples):
+    z = minv(map, center_y)
+    rep = preimage_measure_check(map, z, radius, domain_box, image_box, n_samples=samples, seed=seed)
+    d, ratio, sd = map.degree, rep["ratio"], rep["ratio_sd"]
     # the bound d with a 3 sigma allowance, both absolute and relative to the ratio
     upper = min(d + 3.0 * sd, d * (1.0 + 3.0 * sd / ratio))
     thresholds = {"bound": d, "ci": "3 sigma", "upper": upper}
     passed = ratio <= upper
     if d == 1:
-        # minv o f is the identity, so the ratio is 1 up to sampling error
+        # minv o map is the identity, so the ratio is 1 up to sampling error
         slack = 3.0 * sd + 0.02
         thresholds["lower"] = 1.0 - slack
         passed = passed and abs(ratio - 1.0) <= slack
@@ -746,16 +760,15 @@ def _check_preimage_measure(config, seed):
     return passed, metrics, thresholds, 0
 
 
-def _check_monodromy(config, seed):
-    f = _map_from_config({"map": config.get("map", {"map": "power", "k": 2})})
-
+@_check("monodromy", "monodromy-loop", PLANAR, Field("steps", COUNT, 256))
+def _check_monodromy(seed, map, steps):
     def gamma(t):
         return np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)])
 
-    lp = lift_path(f, gamma, initial_steps=_positive(config, "steps", 256))
+    lp = lift_path(map, gamma, initial_steps=steps)
     perm = lp.monodromy()
-    closed_gap = distance_value(minv(f, gamma(0.0)), minv(f, gamma(1.0)))
-    nontrivial = perm is not None and not np.array_equal(perm, np.arange(f.degree))
+    closed_gap = distance_value(minv(map, gamma(0.0)), minv(map, gamma(1.0)))
+    nontrivial = perm is not None and not np.array_equal(perm, np.arange(map.degree))
     passed = nontrivial and closed_gap <= 1e-12
     metrics = {
         "permutation": None if perm is None else perm.tolist(),
@@ -766,53 +779,24 @@ def _check_monodromy(config, seed):
     return passed, metrics, {"closed_gap_tol": 1e-12}, 0
 
 
-def _check_metric_qc(config, seed):
-    f = _map_from_config(config)
-    y0 = _point(config, "y", [1.0, 0.0])
-    radii = config.get("radii", [0.1, 0.05, 0.02])
-    try:
-        valid = len(radii) > 0 and all(np.isfinite(r) and r > 0 for r in radii)
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
-        raise SpecError(f"metric-qc needs a list of radii, each finite and positive; got {radii!r}")
-    rep = metric_qc_check(f, y0, radii)
+@_check("metric-qc", "metric-qc-bound", PLANAR, Field("y", POINT, [1.0, 0.0]), Field("radii", RADII, [0.1, 0.05, 0.02]))
+def _check_metric_qc(seed, map, y, radii):
+    rep = metric_qc_check(map, y, radii)
     return rep["pass"], {"rows": rep["rows"]}, {"slack": 1e-9}, 0
 
 
-# ---------------------------------------------------------------------------
-# registry
-
-
-CHECKS = {
-    "metric-oracle": ("assignment-metric-oracle", _check_metric_oracle),
-    "metric-axioms": ("assignment-metric-axioms", _check_metric_axioms),
-    "barycenter-lipschitz": ("barycenter-lipschitz", _check_barycenter_lipschitz),
-    "comass": ("natural-form-comass", _check_comass),
-    "invariant-projection": ("invariant-projection", _check_invariant_projection),
-    "split-pullback": ("split-pullback-product", _check_split_pullback),
-    "qr-curve": ("qr-curve-bound", _check_qr_curve),
-    "stokes": ("weak-stokes", _check_stokes),
-    "upper-gradient": ("upper-gradient-sandwich", _check_upper_gradient),
-    "area": ("area-formula", _check_area),
-    "energy": ("inverse-energy-bound", _check_energy),
-    "gen-inverse": ("generalized-inverse-root-sum", _check_gen_inverse),
-    "modulus": ("ring-modulus", _check_modulus),
-    "geom-qc": ("modulus-two-sided", _check_geom_qc),
-    "ahlfors": ("ahlfors-upper-bound", _check_ahlfors),
-    "interp": ("lipschitz-interpolation", _check_interp),
-    "preimage-measure": ("preimage-measure-bound", _check_preimage_measure),
-    "monodromy": ("monodromy-loop", _check_monodromy),
-    "metric-qc": ("metric-qc-bound", _check_metric_qc),
-}
-
-
 def run_check(name: str, config: dict, seed: int = 0) -> ReportRecord:
-    """Run a named check and wrap the outcome in a report record."""
+    """Validate the config, run the named check and wrap the outcome in a report record.
+
+    The record echoes the config as given; ``non_default`` in its thresholds names each tolerance off its default.
+    """
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-    claim_id, fn = CHECKS[name]
-    (passed, metrics, thresholds, excluded), timing = timed(fn, config, seed)
+    claim_id, run, fields = CHECKS[name]
+    values, non_default = validate(fields, config)
+    (passed, metrics, thresholds, excluded), timing = timed(run, seed, **values)
+    if non_default:
+        thresholds = {**thresholds, "non_default": non_default}
     return ReportRecord(
         check=name,
         claim_id=claim_id,

@@ -1,4 +1,4 @@
-"""Shared small utilities: deterministic RNG streams, row norms and canonical JSON."""
+"""Shared small utilities: the spec error, deterministic RNG streams, row norms and canonical JSON."""
 
 from __future__ import annotations
 
@@ -6,6 +6,10 @@ import hashlib
 import json
 
 import numpy as np
+
+
+class SpecError(ValueError):
+    """Malformed form, test-form or check-config description."""
 
 
 def seeded_rng(seed: int, *path: int) -> np.random.Generator:

@@ -253,6 +253,19 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
         ("energy", {"image_annulus": [-1.0, 2.0]}),
         ("area", {"image_annulus": [1.0, float("nan")]}),
         ("energy", {"image_annulus": "ab"}),
+        ("geom-qc", {"map": {"map": "wind3", "k": 2}}),
+        ("monodromy", {"map": {"map": "wind3", "k": 2}}),
+        ("stokes", {"map": {"map": "wind3", "k": 2}}),
+        ("stokes", {"form": {"kind": "trace_vol", "n": 3, "d": 2}}),
+        ("stokes", {"testform": {"lo": [0.5, 0.5, 0.5], "hi": [1, 1, 1]}}),
+        ("stokes", {"testform": {"lo": [1, 1], "hi": [0.5, 0.5]}}),
+        ("modulus", {"region": "disk:1"}),
+        ("modulus", {"region": "annulus:1,inf"}),
+        ("modulus", {"n": 1}),
+        ("modulus", {"family": {"family": "polylines", "paths": [[1.1, 0]]}}),
+        ("upper-gradient", {"region": "disk:1"}),
+        ("interp", {"eps": 0}),
+        ("preimage-measure", {"samples": 50}),
     ],
     ids=["interp-no-pairs", "upper-gradient-no-samples", "gen-inverse-no-samples", "energy-order-0", "area-no-orders",
          "metric-qc-no-radii", "metric-qc-zero-radius", "metric-qc-wind3", "qr-curve-wind3-planar-region",
@@ -269,7 +282,10 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
          "gen-inverse-no-degrees", "gen-inverse-degree-a-float", "gen-inverse-degree-a-string",
          "gen-inverse-degrees-not-a-list", "gen-inverse-degree-0", "interp-no-ds", "interp-d-a-boolean", "interp-d-0",
          "area-annulus-reversed", "energy-annulus-reversed", "area-annulus-one-radius", "energy-annulus-negative",
-         "area-annulus-nan", "energy-annulus-a-string"],
+         "area-annulus-nan", "energy-annulus-a-string", "geom-qc-wind3", "monodromy-wind3", "stokes-wind3",
+         "stokes-form-of-another-dimension", "stokes-testform-3d", "stokes-testform-reversed", "modulus-disk",
+         "modulus-infinite-annulus", "modulus-n-1", "modulus-polyline-not-a-path", "upper-gradient-radial-on-a-disk",
+         "interp-eps-0", "preimage-measure-too-few-samples"],
 )
 def test_bad_config_exit_code(check, config, capsys):
     # no samples, no levels, or points of the wrong dimension: a usage error (exit 2), not a traceback
@@ -323,6 +339,53 @@ def test_bad_lifting_and_tolerance_config_exit_code(check, config, capsys):
     # before any work, and a degree outside the root-sum claim is a usage error, not a FAIL
     assert run_cli("verify", check, "--config", json.dumps(config)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, known",
+    [
+        (["verify", "stokes", "--config", '{"box": [[-0.5, -0.5], [0.5, 0.5]]}'], "'testforms'"),
+        (["verify", "comass", "--samples", "5"], "'points'"),
+        (["verify", "modulus", "--map", '{"map": "power", "k": 2}'], "'grid'"),
+    ],
+    ids=["stokes-box", "comass-samples-flag", "modulus-map"],
+)
+def test_unknown_key_exit_code(argv, known, capsys):
+    # a key the check does not read is a usage error naming the known keys, not ignored and echoed
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config key") and known in err
+
+
+@pytest.mark.parametrize("argv", [["modulus", "--region", "foo"], ["modulus", "--count", "0"],
+                                  ["verify", "modulus", "--family", "radial", "--count", "-1"]])
+def test_bad_region_or_family_exit_code(argv, capsys):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("config", ["[1, 2]", '"ab"', "null"])
+def test_config_that_is_not_an_object_exit_code(config, capsys):
+    assert run_cli("verify", "comass", "--config", config) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_default_tolerances_are_marked():
+    # a tolerance off its schema default says so in the thresholds; at the default, nothing is added
+    small = {"grid": 32, "family": {"family": "radial", "count": 64}}
+    loose = run_check("modulus", {**small, "tol": 1e9})
+    assert loose.passed and loose.thresholds["non_default"] == {"tol": {"default": 0.05, "given": 1e9}}
+    assert "non_default" not in run_check("modulus", {**small, "tol": 0.05}).thresholds
+    marked = run_check("upper-gradient", {"tol": 1e9}).thresholds["non_default"]
+    assert marked == {"tol": {"default": 1e-6, "given": 1e9}}
+    # qr-curve's default follows the map: 1e-9 for a conformal one
+    assert run_check("qr-curve", {"samples": 200, "tol": 1e-6}).thresholds["non_default"]["tol"]["default"] == 1e-9
+
+
+def test_geom_qc_reports_the_validated_slack():
+    config = {"grid": 16, "family": {"family": "radial", "count": 8}, "lift_steps": 8, "slack": 1}
+    slack = run_check("geom-qc", config).thresholds["slack"]
+    assert slack == 1.0 and isinstance(slack, float)
 
 
 def test_qr_curve_sharp_false_is_read_as_false():
@@ -383,13 +446,14 @@ def test_comass_bad_config_exit_code(config, capsys):
 
 def test_quadrature_order_bounds():
     # the largest accepted order is MAX_ORDER; the rule cache keeps one rule per order
-    assert runner._order(1, "order") == 1
-    assert runner._order(runner.MAX_ORDER, "order") == runner.MAX_ORDER
+    order = [runner.Field("order", runner.ORDER, 64)]
+    assert runner.validate(order, {"order": 1})[0] == {"order": 1}
+    assert runner.validate(order, {"order": runner.MAX_ORDER})[0] == {"order": runner.MAX_ORDER}
     for bad in (0, runner.MAX_ORDER + 1, -3, 2.0, "8", None, True):
         with pytest.raises(SpecError):
-            runner._order(bad, "order")
-    assert runner._orders({}, "orders", (16, 32)) == (16, 32)
-    assert runner._orders({"orders": [64]}, "orders", (16,)) == (64,)
+            runner.validate(order, {"order": bad})
+    assert runner.validate([runner.Field("orders", runner.ORDERS, [16, 32])], {})[0] == {"orders": [16, 32]}
+    assert runner.validate([runner.Field("orders", runner.ORDERS, [16])], {"orders": [64]})[0] == {"orders": [64]}
 
 
 def test_comass_check_of_a_form_runs_at_its_own_dimension(capsys):
