@@ -139,18 +139,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
-    config = {
-        "region": args.region,
-        "family": {"family": args.family, "count": args.count},
-        "grid": args.grid,
-        "n": args.n,
-    }
+    # only the flags given enter the config; the check's schema holds the defaults
+    config = {key: value for key, value in (("region", args.region), ("grid", args.grid), ("n", args.n))
+              if value is not None}
+    if args.family is not None or args.count is not None:
+        family = {"family": args.family or "radial"}
+        config["family"] = family if args.count is None else {**family, "count": args.count}
     record = run_check("modulus", config, seed=args.seed)
     return _emit(record, args)
 
 
 def _cmd_sample_ahlfors(args) -> int:
-    config: dict = {"samples": args.N}
+    config: dict = {} if args.N is None else {"samples": args.N}
     if args.map:
         config["map"] = _load_json_arg(args.map)
     if args.centers:
@@ -257,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("modulus", help="discrete modulus of a curve family")
-    p.add_argument("--region", default="annulus:1,2.718281828459045")
-    p.add_argument("--family", default="radial")
-    p.add_argument("--count", type=int, default=1024)
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--n", type=float, default=2.0)
+    p = sub.add_parser("modulus", help="discrete modulus of a curve family (the modulus check's defaults)")
+    p.add_argument("--region")
+    p.add_argument("--family", help="radial (with --count alone) or circles")
+    p.add_argument("--count", type=int)
+    p.add_argument("--grid", type=int)
+    p.add_argument("--n", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--csv")
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--map")
     pa.add_argument("--centers")
     pa.add_argument("--radii")
-    pa.add_argument("--N", type=int, default=100_000)
+    pa.add_argument("--N", type=int)
     pa.add_argument("--seed", type=int, default=7)
     pa.add_argument("--out")
     pa.add_argument("--csv")

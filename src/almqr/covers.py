@@ -204,7 +204,7 @@ def minv(f: BranchedCoverSpec, y) -> AlmgrenPoint:
     return points_of(minv_batch(f, np.asarray(y, dtype=np.float64).reshape(1, -1)))[0]
 
 
-def _check_points(f: BranchedCoverSpec, Y: np.ndarray) -> np.ndarray:
+def check_points(f: BranchedCoverSpec, Y: np.ndarray) -> np.ndarray:
     """Y as points (P, n) of f's space; CoverError if their dimension is not f.n."""
     if Y.ndim == 0 or Y.shape[-1] != f.n:
         raise CoverError(f"points of shape {Y.shape} do not lie in R^{f.n}, where {f.name} lives")
@@ -217,7 +217,7 @@ def check_image(f: BranchedCoverSpec, Y) -> np.ndarray:
     Fails closed: CoverError if the points are not in R^n or one is outside
     the image, NumericalError if one is non-finite.
     """
-    Y = _check_points(f, np.asarray(Y, dtype=np.float64))
+    Y = check_points(f, np.asarray(Y, dtype=np.float64))
     # whole-array tests first: the row-wise ones cost ten times as much
     if not np.isfinite(Y).all():
         raise NumericalError(f"non-finite point {Y[np.argmin(np.isfinite(Y).all(axis=1))].tolist()}")
@@ -1090,71 +1090,3 @@ def polyline_paths(polylines) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         return y
 
     return gamma
-
-
-# ---------------------------------------------------------------------------
-# preimage measure comparison
-
-
-def preimage_measure_check(
-    f: BranchedCoverSpec,
-    center: AlmgrenPoint,
-    radius: float,
-    domain_region,
-    image_region,
-    n_samples: int = 100_000,
-    seed: int = 0,
-) -> dict:
-    """Monte Carlo comparison of |(minv o f)^{-1} E| against the Hausdorff
-    measure of the metric ball E in the image of the multi-valued inverse.
-
-    The Hausdorff side is computed through the area formula (density =
-    metric Jacobian of the inverse).  Returns both estimates, their CIs and
-    the ratio.
-    """
-    if n_samples < 100:
-        return {"ok": False, "reason": "sample budget too small", "n_samples": n_samples}
-    from .modulus import metric_jacobian_values
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-    zC = center.expand()
-
-    # LHS: Lebesgue measure of {x in domain : d_A(minv(f(x)), z) < r}
-    xs = _check_points(f, domain_region.sample(rng, n_samples))
-    fibers = minv_batch(f, f.evaluate(xs))
-    ind = kernels.dist_sq_one_to_many(zC, fibers) < radius**2
-    if not ind.any():
-        raise NumericalError(f"no domain sample of {n_samples} falls in the ball of radius {radius}")
-    vol = domain_region.volume()
-    p_hat = ind.mean()
-    lhs = vol * p_hat
-    lhs_sd = vol * float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_samples))
-
-    # RHS: integral of the indicator times the metric Jacobian over the image
-    ys = image_region.sample(rng, n_samples)
-    fibers = minv_batch(f, ys)
-    inside = kernels.dist_sq_one_to_many(zC, fibers) < radius**2
-    if not inside.any():
-        raise NumericalError(f"no image sample of {n_samples} falls in the ball of radius {radius}")
-    vals = np.zeros(n_samples)
-    vals[inside] = metric_jacobian_values(f, fibers[inside])
-    rhs = image_region.volume() * float(vals.mean())
-    rhs_sd = image_region.volume() * float(vals.std(ddof=1) / np.sqrt(n_samples))
-
-    ratio = lhs / rhs if rhs > 0 else np.inf
-    rel_sd = (
-        abs(ratio) * np.sqrt((lhs_sd / lhs) ** 2 + (rhs_sd / rhs) ** 2)
-        if lhs > 0 and rhs > 0
-        else np.inf
-    )
-    return {
-        "ok": True,
-        "lhs_measure": lhs,
-        "lhs_sd": lhs_sd,
-        "rhs_measure": rhs,
-        "rhs_sd": rhs_sd,
-        "ratio": ratio,
-        "ratio_sd": rel_sd,
-        "degree": f.degree,
-        "n_samples": n_samples,
-    }

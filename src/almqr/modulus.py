@@ -1,5 +1,6 @@
 """Discrete conformal modulus, curve-wise upper gradients, the area formula,
-Ahlfors-regularity sampling and metric quasiconformality checks.
+Ahlfors-regularity sampling, the preimage measure and metric quasiconformality:
+measurements that the checks of ``runner`` decide on.
 
 The discrete modulus problem
 
@@ -20,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .almgren import sorted_tuples
+from .almgren import AlmgrenPoint, sorted_tuples
 from .covers import (
     BranchedCoverSpec,
     CoverError,
@@ -28,6 +29,7 @@ from .covers import (
     NumericalError,
     ball_reach,
     check_image,
+    check_points,
     det,
     fiber_branch_differentials,
     h_function,
@@ -396,9 +398,8 @@ def pushforward_modulus_check(
     f: BranchedCoverSpec,
     family: CurveFamily,
     region,
-    grid: int = 256,
-    slack: float = 0.05,
-    lift_steps: int = 256,
+    grid: int,
+    lift_steps: int,
 ) -> dict:
     """Two-sided modulus comparison between a base family and its image under
     the multi-valued inverse.
@@ -406,8 +407,9 @@ def pushforward_modulus_check(
     The image modulus is computed on the same base grid: curve mass uses the
     tuple-space arclength of the lifted frames and cell volumes use the
     metric Jacobian of the inverse (the area formula for the Hausdorff
-    measure of the image set).  The verdict fails closed: it needs every
-    curve lifted and both modulus solves converged.
+    measure of the image set).  Curves that fail to lift are counted in
+    ``lift_failures``, and each solve's diagnostics (``converged`` among
+    them) are in ``base_diag`` and ``image_diag``.
     """
     base = discrete_modulus(family, region, grid=grid)
 
@@ -430,19 +432,11 @@ def pushforward_modulus_check(
         seg_values=seg_values,
     )
 
-    K = f.K_I * f.K_O
-    ratio = image.value / base.value
-    lo, hi = 1.0 / K - slack, K + slack
     return {
-        "check": "geom-qc",
-        "map": f.name,
         "mod_base": base.value,
         "mod_image": image.value,
-        "ratio": ratio,
-        "K_I_K_O": K,
-        "bound_lo": lo,
-        "bound_hi": hi,
-        "pass": bool(lo <= ratio <= hi and failures == 0 and base.converged and image.converged),
+        "ratio": image.value / base.value,
+        "K_I_K_O": f.K_I * f.K_O,
         "lift_failures": failures,
         "base_diag": base.to_json(),
         "image_diag": image.to_json(),
@@ -456,9 +450,9 @@ def pushforward_modulus_check(
 def upper_gradient_check(
     f: BranchedCoverSpec,
     family: CurveFamily,
-    samples_per_curve: int = 64,
+    samples_per_curve: int,
+    tol: float,
     fd_step: float = 1e-5,
-    tol: float = 1e-6,
     margin: float = 1e-3,
 ) -> dict:
     """Sampled two-sided comparison of the tuple-space speed of lifted curves
@@ -468,8 +462,10 @@ def upper_gradient_check(
     offsets +-fd_step; samples too close to the branch values, or where the
     base curve does not move, are excluded.  All curves are sampled at once:
     the fibers over the samples and over their two offsets take one
-    ``minv_batch`` call each.  A sweep with no sample left raises
-    NumericalError, since it has checked nothing.
+    ``minv_batch`` call each.  A sample below (1 - tol) times its lower
+    bound, or above (1 + tol) times its upper bound, is a violation.  A
+    sweep with no sample left raises NumericalError, since it has checked
+    nothing.
     """
     n = f.n
     Kfac = (f.K_I * f.K_O) ** (1.0 / n)
@@ -497,16 +493,12 @@ def upper_gradient_check(
     high = frame_speed > upper * (1 + tol)
     violations = int(low.sum() + high.sum())
     return {
-        "check": "upper-gradient",
-        "map": f.name,
         "n_samples": used,
         "excluded": excluded,
         "violation_fraction": violations / used,
         "worst_low_gap": float(np.max((lower[low] - frame_speed[low]) / lower[low], initial=0.0)),
         "worst_high_gap": float(np.max((frame_speed[high] - upper[high]) / upper[high], initial=0.0)),
         "K_factor": Kfac,
-        "tol": tol,
-        "pass": violations == 0,
     }
 
 
@@ -519,7 +511,7 @@ def area_formula_check(
     g: Callable[[np.ndarray], float],
     image_region,
     preimage_region,
-    orders: tuple[int, ...] = (32, 64),
+    orders: tuple[int, ...],
 ) -> dict:
     """Quadrature comparison of the push-forward integral with the domain-side
     integral of g * Jf over the exact preimage region, which keeps the
@@ -546,17 +538,13 @@ def area_formula_check(
         levels.append({"order": order, "lhs": lhs, "rhs": rhs, "rel_discrepancy": disc / scale})
     finest = levels[-1]
     return {
-        "check": "area-formula",
-        "map": f.name,
         "levels": levels,
         "rel_discrepancy": finest["rel_discrepancy"],
     }
 
 
-def energy_bound_check(
-    f: BranchedCoverSpec, image_region, preimage_region, order: int = 64
-) -> dict:
-    """int_E H^n dy <= d^{n/2-1} K_I K_O |f^{-1} E| with the slack reported.
+def energy_bound_check(f: BranchedCoverSpec, image_region, preimage_region, order: int) -> dict:
+    """The energy int_E H^n dy and its bound d^{n/2-1} K_I K_O |f^{-1} E|, with the slack (bound - energy).
 
     H takes one batch ``h_function`` call over all quadrature nodes.
     """
@@ -567,14 +555,7 @@ def energy_bound_check(
         pts, w = box_quadrature(image_region, order)
     lhs = float(w @ h_function(f, pts) ** n)
     rhs = f.degree ** (n / 2.0 - 1.0) * f.K_I * f.K_O * preimage_region.volume()
-    return {
-        "check": "inverse-energy-bound",
-        "map": f.name,
-        "energy": lhs,
-        "bound": rhs,
-        "slack": rhs - lhs,
-        "pass": bool(lhs <= rhs * (1 + 1e-9)),
-    }
+    return {"energy": lhs, "bound": rhs, "slack": rhs - lhs}
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +591,7 @@ def ahlfors_sampler(
     f: BranchedCoverSpec,
     centers: Sequence[np.ndarray],
     radii: Sequence[float],
-    n_samples: int = 100_000,
+    n_samples: int,
     seed: int = 0,
     box_safety: float = 2.0,
 ) -> list[OmegaFSample]:
@@ -696,6 +677,67 @@ def ahlfors_sampler(
 
 
 # ---------------------------------------------------------------------------
+# preimage measure comparison
+
+
+def preimage_measure_check(
+    f: BranchedCoverSpec,
+    center: AlmgrenPoint,
+    radius: float,
+    domain_region,
+    image_region,
+    n_samples: int,
+    seed: int = 0,
+) -> dict:
+    """Monte Carlo comparison of |(minv o f)^{-1} E| against the Hausdorff
+    measure of the metric ball E in the image of the multi-valued inverse.
+
+    The Hausdorff side is computed through the area formula (density =
+    metric Jacobian of the inverse).  Returns both estimates, their CIs and
+    the ratio.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
+    zC = center.expand()
+
+    # LHS: Lebesgue measure of {x in domain : d_A(minv(f(x)), z) < r}
+    xs = check_points(f, domain_region.sample(rng, n_samples))
+    fibers = minv_batch(f, f.evaluate(xs))
+    ind = kernels.dist_sq_one_to_many(zC, fibers) < radius**2
+    if not ind.any():
+        raise NumericalError(f"no domain sample of {n_samples} falls in the ball of radius {radius}")
+    vol = domain_region.volume()
+    p_hat = ind.mean()
+    lhs = vol * p_hat
+    lhs_sd = vol * float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_samples))
+
+    # RHS: integral of the indicator times the metric Jacobian over the image
+    ys = image_region.sample(rng, n_samples)
+    fibers = minv_batch(f, ys)
+    inside = kernels.dist_sq_one_to_many(zC, fibers) < radius**2
+    if not inside.any():
+        raise NumericalError(f"no image sample of {n_samples} falls in the ball of radius {radius}")
+    vals = np.zeros(n_samples)
+    vals[inside] = metric_jacobian_values(f, fibers[inside])
+    rhs = image_region.volume() * float(vals.mean())
+    rhs_sd = image_region.volume() * float(vals.std(ddof=1) / np.sqrt(n_samples))
+
+    ratio = lhs / rhs if rhs > 0 else np.inf
+    rel_sd = (
+        abs(ratio) * np.sqrt((lhs_sd / lhs) ** 2 + (rhs_sd / rhs) ** 2)
+        if lhs > 0 and rhs > 0
+        else np.inf
+    )
+    return {
+        "lhs_measure": lhs,
+        "lhs_sd": lhs_sd,
+        "rhs_measure": rhs,
+        "rhs_sd": rhs_sd,
+        "ratio": ratio,
+        "ratio_sd": rel_sd,
+    }
+
+
+# ---------------------------------------------------------------------------
 # metric quasiconformality at a point
 
 
@@ -760,19 +802,5 @@ def metric_qc_check(
             if 2 * Lstar > gap:
                 raise CoverError(f"radius {r} too large: fiber neighborhoods may merge")
             rhs += (Lstar / lstar) ** 2
-        rows.append(
-            {
-                "radius": float(r),
-                "H_minv_sq": lhs,
-                "sum_H_star_sq": rhs,
-                "slack": rhs - lhs,
-                "pass": bool(lhs <= rhs * (1 + 1e-9)),
-            }
-        )
-    return {
-        "check": "metric-qc",
-        "map": f.name,
-        "center": y0.tolist(),
-        "rows": rows,
-        "pass": bool(all(r["pass"] for r in rows)),
-    }
+        rows.append({"radius": float(r), "H_minv_sq": lhs, "sum_H_star_sq": rhs, "slack": rhs - lhs})
+    return {"rows": rows}

@@ -321,10 +321,9 @@ def generalized_inverse(f: BranchedCoverSpec, Y) -> np.ndarray:
 def qr_curve_check(
     f: BranchedCoverSpec,
     region,
-    n_samples: int = 10_000,
+    n_samples: int,
     seed: int = 0,
     margin_frac: float = 1e-3,
-    tol: float = 1e-9,
 ) -> dict:
     """Sampled ratio |D minv f|^n / (d^{n/2-1} K_I * star(minv f)* omega_n).
 
@@ -352,17 +351,12 @@ def qr_curve_check(
     else:
         hist, edges = np.histogram(ratios, bins=32)
     return {
-        "check": "qr-curve",
-        "map": f.name,
-        "n_samples": n_samples,
         "n_used": int(len(ys_used)),
         "excluded": excluded,
         "max_ratio": float(ratios.max()),
         "min_ratio": float(ratios.min()),
         "mean_ratio": float(ratios.mean()),
         "constant": const,
-        "tol": tol,
-        "pass": bool(ratios.max() <= 1.0 + tol),
         "histogram": {"counts": hist.tolist(), "edges": edges.tolist()},
     }
 
@@ -416,7 +410,7 @@ def weak_stokes_check(
     F: MultiValuedMap,
     omega: KForm,
     alpha: BumpTestForm,
-    orders: tuple[int, ...] = (16, 32, 64),
+    orders: tuple[int, ...],
     fd_step: float = 1e-5,
 ) -> dict:
     """Quadrature comparison of int dalpha ^ F*omega with (-1)^{k+1} int alpha ^ F*(d omega).
@@ -490,17 +484,12 @@ def weak_stokes_check(
         )
     finest = levels[-1]
     return {
-        "check": "weak-stokes",
         "degree": k,
         "levels": levels,
         "abs_discrepancy": finest["abs_discrepancy"],
         "rel_discrepancy": finest["rel_discrepancy"],
         "S": finest["S"],
         "degenerate": finest["degenerate"],
-        "decreasing": all(
-            levels[i + 1]["abs_discrepancy"] <= levels[i]["abs_discrepancy"] * 1.5 + 1e-14
-            for i in range(len(levels) - 1)
-        ),
     }
 
 

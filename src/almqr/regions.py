@@ -111,41 +111,6 @@ class Annulus:
         return Box(self.center - self.r_out, self.center + self.r_out)
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """{(x, y, z): r_in <= |(x, y)| <= r_out, z0 <= z <= z1}."""
-
-    r_in: float
-    r_out: float
-    z0: float
-    z1: float
-
-    @property
-    def dim(self) -> int:
-        return 3
-
-    def volume(self) -> float:
-        return float(np.pi * (self.r_out**2 - self.r_in**2) * (self.z1 - self.z0))
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        r = np.hypot(x[:, 0], x[:, 1])
-        return (r >= self.r_in) & (r <= self.r_out) & (x[:, 2] >= self.z0) & (x[:, 2] <= self.z1)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.uniform(size=size)
-        r = np.sqrt(self.r_in**2 + u * (self.r_out**2 - self.r_in**2))
-        t = rng.uniform(0, 2 * np.pi, size=size)
-        z = rng.uniform(self.z0, self.z1, size=size)
-        return np.stack([r * np.cos(t), r * np.sin(t), z], axis=1)
-
-    def diameter(self) -> float:
-        return float(np.hypot(2 * self.r_out, self.z1 - self.z0))
-
-    def bbox(self) -> Box:
-        return Box([-self.r_out, -self.r_out, self.z0], [self.r_out, self.r_out, self.z1])
-
-
 def parse_region(text: str):
     """Parse the CLI region DSL: 'annulus:r0,r1', 'disk:r', 'box:x0,x1,y0,y1'; SpecError for any other text."""
     if isinstance(text, str):

@@ -23,7 +23,7 @@ from .almgren import (
     points_of,
     sorted_tuples,
 )
-from .covers import NumericalError, build_map, lift_path, minv, planar_power, preimage_measure_check
+from .covers import NumericalError, build_map, lift_path, minv, planar_power
 from .dsl import SpecError, build_form, build_testform
 from .forms import (
     GroupAction,
@@ -46,6 +46,7 @@ from .modulus import (
     discrete_modulus,
     energy_bound_check,
     metric_qc_check,
+    preimage_measure_check,
     pushforward_modulus_check,
     ring_modulus_exact,
     upper_gradient_check,
@@ -525,13 +526,19 @@ def _check_split_pullback(seed, points, tol, shapes):
         Field("tol", TOL, lambda v: 1e-9 if v["map"].K_I == 1.0 else 1e-6),
         Field("sharp", FLAG, lambda v: v["map"].K_I == 1.0))
 def _check_qr_curve(seed, map, region, samples, tol, sharp):
-    rep = qr_curve_check(map, region, n_samples=samples, seed=seed, tol=tol)
-    passed = rep["pass"]
+    rep = qr_curve_check(map, region, n_samples=samples, seed=seed)
+    passed = rep["max_ratio"] <= 1.0 + tol
     if sharp:
         passed = passed and rep["min_ratio"] >= 1.0 - tol
     metrics = {k: rep[k] for k in ("max_ratio", "min_ratio", "mean_ratio", "n_used", "constant")}
     metrics["histogram"] = rep["histogram"]
     return passed, metrics, {"upper": 1.0 + tol, "lower_if_sharp": 1.0 - tol if sharp else None}, rep["excluded"]
+
+
+# a quadrature level's discrepancy may exceed the coarser level's by this factor, plus
+# this absolute floor for discrepancies at rounding level, and still count as decreasing
+STOKES_GROWTH = 1.5
+STOKES_FLOOR = 1e-14
 
 
 @_check("stokes", "weak-stokes", PLANAR, Field("form", FORM), Field("testform", TESTFORM), Field("forms", COUNT, 5),
@@ -564,14 +571,16 @@ def _check_stokes(seed, map, form, testform, forms, testforms, orders, tol):
                 w = rng.uniform(0.25, 0.55, size=2)
                 alpha = BumpTestForm(lo=c - w, hi=c + w, q=3, amp=float(rng.uniform(0.5, 2.0)))
             rep = weak_stokes_check(F, omega, alpha, orders=orders)
+            levels = [level["abs_discrepancy"] for level in rep["levels"]]
+            decreasing = all(b <= a * STOKES_GROWTH + STOKES_FLOOR for a, b in zip(levels, levels[1:]))
             worst = max(worst, rep["rel_discrepancy"])
-            all_decreasing = all_decreasing and rep["decreasing"]
+            all_decreasing = all_decreasing and decreasing
             rows.append(
                 {
                     "form": i,
                     "testform": j,
                     "rel": rep["rel_discrepancy"],
-                    "decreasing": rep["decreasing"],
+                    "decreasing": decreasing,
                     "S": rep["S"],
                     "degenerate": rep["degenerate"],
                 }
@@ -587,7 +596,7 @@ def _check_stokes(seed, map, form, testform, forms, testforms, orders, tol):
 def _check_upper_gradient(seed, map, region, family, samples_per_curve, tol):
     rep = upper_gradient_check(map, family, samples_per_curve=samples_per_curve, tol=tol)
     metrics = {k: rep[k] for k in ("violation_fraction", "worst_low_gap", "worst_high_gap", "n_samples", "K_factor")}
-    return rep["pass"], metrics, {"tol": rep["tol"]}, rep["excluded"]
+    return rep["violation_fraction"] == 0.0, metrics, {"tol": tol}, rep["excluded"]
 
 
 @_check("area", "area-formula", PLANAR, IMAGE_ANNULI, Field("tol", TOL, 1e-3), Field("orders", ORDERS, [32, 64]))
@@ -609,13 +618,15 @@ def _check_area(seed, map, image_annulus, tol, orders):
     return passed, {"rel_discrepancy": rows, "worst": worst}, {"tol": tol}, 0
 
 
+# the relative slack on the energy bound, for quadrature rounding
+ENERGY_SLACK = 1e-9
+
+
 @_check("energy", "inverse-energy-bound", PLANAR, IMAGE_ANNULI, Field("order", ORDER, 64))
 def _check_energy(seed, map, image_annulus, order):
     E, pre = image_annulus
     rep = energy_bound_check(map, E, pre, order=order)
-    return rep["pass"], {"energy": rep["energy"], "bound": rep["bound"], "slack": rep["slack"]}, {
-        "bound_slack": 1e-9
-    }, 0
+    return rep["energy"] <= rep["bound"] * (1 + ENERGY_SLACK), rep, {"bound_slack": ENERGY_SLACK}, 0
 
 
 # the root sum of z^d - y vanishes only from d = 2 on: at d = 1 it is y
@@ -651,16 +662,26 @@ def _check_modulus(seed, region, family, grid, n, tol):
         Field("family", FAMILY, {"family": "radial", "count": 512}), Field("grid", COUNT, 256),
         Field("slack", TOL, 0.05), Field("lift_steps", COUNT, 128))
 def _check_geom_qc(seed, map, region, family, grid, slack, lift_steps):
-    rep = pushforward_modulus_check(map, family, region, grid=grid, slack=slack, lift_steps=lift_steps)
-    metrics = {k: rep[k] for k in ("mod_base", "mod_image", "ratio", "K_I_K_O", "bound_lo", "bound_hi")}
-    return rep["pass"], metrics, {"slack": slack}, rep["lift_failures"]
+    rep = pushforward_modulus_check(map, family, region, grid=grid, lift_steps=lift_steps)
+    K, ratio = rep["K_I_K_O"], rep["ratio"]
+    lo, hi = 1.0 / K - slack, K + slack
+    # fails closed: every curve lifted and both modulus solves converged
+    solved = rep["lift_failures"] == 0 and rep["base_diag"]["converged"] and rep["image_diag"]["converged"]
+    metrics = {**{k: rep[k] for k in ("mod_base", "mod_image", "ratio", "K_I_K_O")}, "bound_lo": lo, "bound_hi": hi}
+    return lo <= ratio <= hi and solved, metrics, {"slack": slack}, rep["lift_failures"]
 
 
-# a confidence interval needs two samples; given points and radii replace the drawn centers and the radius sweep
+# a confidence interval needs two samples; given points and radii replace the drawn centers and the
+# radius sweep, so the counts default to 10 only without them, and giving both of a pair is an error
 @_check("ahlfors", "ahlfors-upper-bound", PLANAR, Field("samples", count(2), 100_000),
-        Field("center_points", listof(POINT)), Field("centers", COUNT, 10), Field("radii_list", RADII),
-        Field("radii", COUNT, 10))
+        Field("center_points", listof(POINT)),
+        Field("centers", COUNT, lambda v: 10 if v["center_points"] is None else None),
+        Field("radii_list", RADII), Field("radii", COUNT, lambda v: 10 if v["radii_list"] is None else None))
 def _check_ahlfors(seed, map, samples, center_points, centers, radii_list, radii):
+    if center_points is not None and centers is not None:
+        raise SpecError("give center_points or centers, not both")
+    if radii_list is not None and radii is not None:
+        raise SpecError("give radii_list or radii, not both")
     if center_points is None:
         rng = seeded_rng(seed, 10)
         angles = 2 * np.pi * rng.uniform(size=centers)
@@ -779,10 +800,15 @@ def _check_monodromy(seed, map, steps):
     return passed, metrics, {"closed_gap_tol": 1e-12}, 0
 
 
+# the relative slack on each radius' bound, for rounding
+METRIC_QC_SLACK = 1e-9
+
+
 @_check("metric-qc", "metric-qc-bound", PLANAR, Field("y", POINT, [1.0, 0.0]), Field("radii", RADII, [0.1, 0.05, 0.02]))
 def _check_metric_qc(seed, map, y, radii):
-    rep = metric_qc_check(map, y, radii)
-    return rep["pass"], {"rows": rep["rows"]}, {"slack": 1e-9}, 0
+    rows = [{**row, "pass": row["H_minv_sq"] <= row["sum_H_star_sq"] * (1 + METRIC_QC_SLACK)}
+            for row in metric_qc_check(map, y, radii)["rows"]]
+    return all(row["pass"] for row in rows), {"rows": rows}, {"slack": METRIC_QC_SLACK}, 0
 
 
 def run_check(name: str, config: dict, seed: int = 0) -> ReportRecord:

@@ -266,6 +266,8 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
         ("upper-gradient", {"region": "disk:1"}),
         ("interp", {"eps": 0}),
         ("preimage-measure", {"samples": 50}),
+        ("ahlfors", {"center_points": [[1.0, 0.0]], "centers": 5}),
+        ("ahlfors", {"radii_list": [0.1], "radii": 7}),
     ],
     ids=["interp-no-pairs", "upper-gradient-no-samples", "gen-inverse-no-samples", "energy-order-0", "area-no-orders",
          "metric-qc-no-radii", "metric-qc-zero-radius", "metric-qc-wind3", "qr-curve-wind3-planar-region",
@@ -285,7 +287,8 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
          "area-annulus-nan", "energy-annulus-a-string", "geom-qc-wind3", "monodromy-wind3", "stokes-wind3",
          "stokes-form-of-another-dimension", "stokes-testform-3d", "stokes-testform-reversed", "modulus-disk",
          "modulus-infinite-annulus", "modulus-n-1", "modulus-polyline-not-a-path", "upper-gradient-radial-on-a-disk",
-         "interp-eps-0", "preimage-measure-too-few-samples"],
+         "interp-eps-0", "preimage-measure-too-few-samples", "ahlfors-center-points-and-centers",
+         "ahlfors-radii-list-and-radii"],
 )
 def test_bad_config_exit_code(check, config, capsys):
     # no samples, no levels, or points of the wrong dimension: a usage error (exit 2), not a traceback
@@ -535,7 +538,7 @@ def test_invariant_projection_catches_wrong_derivative(monkeypatch):
 
 def test_preimage_measure_degree_one_is_two_sided(monkeypatch):
     # for the identity the ratio is 1: 0.8 +- 0.01 is below the bound but still wrong
-    rep = {"ok": True, "lhs_measure": 0.8, "rhs_measure": 1.0, "ratio": 0.8, "ratio_sd": 0.01}
+    rep = {"lhs_measure": 0.8, "rhs_measure": 1.0, "ratio": 0.8, "ratio_sd": 0.01}
     monkeypatch.setattr(runner, "preimage_measure_check", lambda *args, **kwargs: rep)
     assert not run_check("preimage-measure", {"map": {"map": "power", "k": 1}}).passed
 
@@ -560,6 +563,9 @@ def test_sample_ahlfors_cli(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["metrics"]["n_balls"] == 2
+    # only the given flags enter the config
+    assert out["config"] == {"map": {"map": "power", "k": 2}, "center_points": [[1.0, 0.0]],
+                             "radii_list": [0.05, 0.1], "samples": 5000}
     assert (tmp_path / "a.csv").exists()
 
 
@@ -574,6 +580,8 @@ def test_modulus_cli(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["metrics"]["rel_error"] < 0.05
+    # only the given flags enter the config; --count alone counts radial curves
+    assert out["config"] == {"grid": 64, "family": {"family": "radial", "count": 256}}
 
 
 def test_format_csv_stdout(capsys):

@@ -17,9 +17,9 @@ from almqr.covers import (
     h_function,
     minv,
     minv_batch,
+    build_map,
     planar_power,
     precomposed,
-    preimage_measure_check,
 )
 from almqr.modulus import (
     CurveFamily,
@@ -30,17 +30,22 @@ from almqr.modulus import (
     build_family,
     circle_family,
     discrete_modulus,
-    energy_bound_check,
     metric_jacobian_values,
     metric_qc_check,
+    preimage_measure_check,
     pushforward_modulus_check,
     radial_family,
     ring_modulus_exact,
-    upper_gradient_check,
 )
 from almqr.regions import Annulus, Box
 
 ANN = Annulus(np.zeros(2), 1.0, np.e)
+Z2 = {"map": "power", "k": 2}
+
+
+def _affine(a):
+    """The spec of the map z^2 after the linear map a."""
+    return {"map": "precompose", "affine": a, "base": Z2}
 
 
 def test_ring_modulus_converges():
@@ -102,21 +107,24 @@ def test_family_dsl():
         build_family({"family": "bogus"}, ANN)
 
 
+# geom-qc on the radial family of ANN (its default region), smaller than the defaults
+GEOM_QC = {"family": {"family": "radial", "count": 256}, "grid": 96, "lift_steps": 64}
+
+
 def test_pushforward_modulus_identity_and_square():
     rep = pushforward_modulus_check(planar_power(1), radial_family(ANN, 256), ANN, grid=96, lift_steps=64)
     assert abs(rep["ratio"] - 1.0) < 0.05
-    rep2 = pushforward_modulus_check(planar_power(2), radial_family(ANN, 256), ANN, grid=96, lift_steps=64)
-    assert rep2["pass"]
-    assert abs(rep2["ratio"] - 1.0) < 0.05
+    record = runner.run_check("geom-qc", {"map": Z2, **GEOM_QC})
+    assert record.passed
+    assert abs(record.metrics["ratio"] - 1.0) < 0.05
 
 
 def test_pushforward_modulus_affine_band():
     lam = 1.3
-    f = precomposed(np.array([[lam, 0.0], [0.0, 1.0 / lam]]), planar_power(2))
-    rep = pushforward_modulus_check(f, radial_family(ANN, 256), ANN, grid=96, lift_steps=64)
-    K = rep["K_I_K_O"]
+    record = runner.run_check("geom-qc", {"map": _affine([[lam, 0.0], [0.0, 1.0 / lam]]), **GEOM_QC})
+    K = record.metrics["K_I_K_O"]
     assert K == pytest.approx(lam**4)
-    assert rep["pass"]
+    assert record.passed
 
 
 def _rasterize_reference(polylines, grid, seg_values=None):
@@ -312,17 +320,20 @@ def test_discrete_modulus_equals_the_untrimmed_step_bit_for_bit(n):
         _same_result(got, _discrete_modulus_reference(fam, ANN, grid=32, n=n, **kwargs))
 
 
-def test_pushforward_modulus_fails_closed_on_lift_failures():
+def test_pushforward_modulus_fails_closed_on_lift_failures(monkeypatch):
     f = planar_power(2)
 
     def fiber_batch(ys):  # the stub cannot invert a band of the plane: NaN fibers there
         return np.where((ys[:, 1] > 1.5)[:, None, None], np.nan, f.fiber_batch(ys))
 
     stub = dataclasses.replace(f, fiber_batch=fiber_batch)
-    rep = pushforward_modulus_check(stub, radial_family(ANN, 64), ANN, grid=64, slack=10.0, lift_steps=32)
-    assert 0 < rep["lift_failures"] < 64
-    assert rep["bound_lo"] <= rep["ratio"] <= rep["bound_hi"]  # the ratio alone would pass
-    assert not rep["pass"]
+    monkeypatch.setattr(runner, "build_map", lambda spec: stub)
+    config = {"family": {"family": "radial", "count": 64}, "grid": 64, "slack": 10.0, "lift_steps": 32}
+    record = runner.run_check("geom-qc", config)
+    assert 0 < record.excluded < 64  # the lift failures
+    m = record.metrics
+    assert m["bound_lo"] <= m["ratio"] <= m["bound_hi"]  # the ratio alone would pass
+    assert not record.passed
 
 
 def test_modulus_verdicts_fail_closed_on_non_convergence(monkeypatch):
@@ -343,14 +354,13 @@ def test_modulus_verdicts_fail_closed_on_non_convergence(monkeypatch):
 
 
 def test_upper_gradient_conformal_and_distorted():
-    fam = radial_family(Annulus(np.zeros(2), 0.5, 1.5), 8)
-    for f in (planar_power(1), planar_power(2), planar_power(3)):
-        rep = upper_gradient_check(f, fam, samples_per_curve=32)
-        assert rep["pass"]
-        assert rep["violation_fraction"] == 0.0
-    f = precomposed(np.array([[1.4, 0.1], [0.0, 0.75]]), planar_power(2))
-    rep = upper_gradient_check(f, fam, samples_per_curve=32)
-    assert rep["pass"]
+    # 8 radial curves of the default region 0.5 < |y| < 1.5, at the default tol 1e-6
+    small = {"family": {"family": "radial", "count": 8}, "samples_per_curve": 32}
+    for k in (1, 2, 3):
+        record = runner.run_check("upper-gradient", {"map": {"map": "power", "k": k}, **small})
+        assert record.passed
+        assert record.metrics["violation_fraction"] == 0.0
+    assert runner.run_check("upper-gradient", {"map": _affine([[1.4, 0.1], [0.0, 0.75]]), **small}).passed
 
 
 def test_area_formula_and_energy():
@@ -362,10 +372,11 @@ def test_area_formula_and_energy():
         assert rep["rel_discrepancy"] < 1e-6
         rep2 = area_formula_check(f, lambda X: np.einsum("ij,ij->i", X, X), E, pre, orders=(16, 32))
         assert rep2["rel_discrepancy"] < 1e-6
-    eb = energy_bound_check(planar_power(2), E, Annulus(np.zeros(2), 1.0, 2.0), order=32)
-    assert eb["pass"]
+    # the image annulus E and its preimage 1 < |x| < 2 under z^2
+    eb = runner.run_check("energy", {"map": Z2, "image_annulus": [1.0, 4.0], "order": 32})
+    assert eb.passed
     # the conformal case is sharp: the bound is attained up to quadrature error
-    assert abs(eb["slack"]) < 1e-6 * eb["bound"]
+    assert abs(eb.metrics["slack"]) < 1e-6 * eb.metrics["bound"]
 
 
 def test_area_formula_identity_exact():
@@ -521,18 +532,21 @@ AFFINE = np.array([[1.5, 0.2], [0.0, 0.8]])
 
 
 @pytest.mark.parametrize(
-    "f, h_limit",
+    "spec, h_limit",
     [
-        (planar_power(2), 1.0),
-        (complex_polynomial([0, -3, 0, 1]), 1.0),
+        (Z2, 1.0),
+        ({"map": "poly", "coeffs": [0, -3, 0, 1]}, 1.0),
         # a conformal base: the squared distortion of the affine part
-        (precomposed(AFFINE, planar_power(2)), np.linalg.cond(AFFINE) ** 2),
+        (_affine(AFFINE.tolist()), np.linalg.cond(AFFINE) ** 2),
     ],
     ids=["z2", "z3-3z", "affine"],
 )
-def test_metric_qc_rows(f, h_limit):
-    rep = metric_qc_check(f, np.array([1.0, 0.0]), [0.1, 0.05, 0.02])
-    assert rep["pass"]
+def test_metric_qc_rows(spec, h_limit):
+    f = build_map(spec)
+    record = runner.run_check("metric-qc", {"map": spec, "y": [1.0, 0.0], "radii": [0.1, 0.05, 0.02]})
+    assert record.passed
+    rep = record.metrics
+    assert all(row["pass"] for row in rep["rows"])
     hs = [row["H_minv_sq"] for row in rep["rows"]]
     # the branches are locally linear: the distortion tends to that of Df^-1 as r shrinks
     assert hs[-1] < hs[0]
@@ -549,9 +563,9 @@ def test_metric_qc_identity():
 
 def test_metric_qc_at_a_branch_value():
     # one fiber point of local index 2: each circle point lifts to two points near it
-    rep = metric_qc_check(planar_power(2), np.array([0.0, 0.0]), [0.1])
-    assert rep["pass"]
-    assert rep["rows"][0]["sum_H_star_sq"] == pytest.approx(1.0, abs=1e-12)
+    record = runner.run_check("metric-qc", {"map": Z2, "y": [0.0, 0.0], "radii": [0.1]})
+    assert record.passed
+    assert record.metrics["rows"][0]["sum_H_star_sq"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_metric_qc_radius_guard():
@@ -570,22 +584,13 @@ def test_preimage_measure_identity_and_square():
     rep = preimage_measure_check(
         f1, z, 0.3, Box([-1.5, -1.5], [1.5, 1.5]), Box([-1.5, -1.5], [1.5, 1.5]), n_samples=20000, seed=0
     )
-    assert rep["ok"]
     assert rep["ratio"] == pytest.approx(1.0, abs=3 * rep["ratio_sd"] + 0.02)
     f2 = planar_power(2)
     z2 = minv(f2, np.array([1.0, 0.0]))
     rep2 = preimage_measure_check(
         f2, z2, 0.3, Box([-2.0, -2.0], [2.0, 2.0]), Box([0.2, -0.8], [1.8, 0.8]), n_samples=20000, seed=1
     )
-    assert rep2["ok"]
     assert rep2["ratio"] <= 2 * (1 + 3 * rep2["ratio_sd"])
-
-
-def test_preimage_measure_small_budget_flagged():
-    f1 = planar_power(1)
-    z = minv(f1, np.array([0.5, 0.0]))
-    rep = preimage_measure_check(f1, z, 0.3, Box([-1, -1], [1, 1]), Box([-1, -1], [1, 1]), n_samples=10)
-    assert not rep["ok"]
 
 
 def test_density_field_admissibility():

@@ -23,7 +23,8 @@ from almqr.mv import (
     qr_curve_check,
 )
 from almqr.modulus import metric_jacobian_values
-from almqr.regions import Annulus, Box, Cylinder
+from almqr.regions import Annulus, Box
+from almqr.runner import run_check
 
 
 BOX = Box([-1.0, -1.0], [1.0, 1.0])
@@ -236,17 +237,20 @@ def test_gen_inverse_fd_gradient_stable():
 
 
 def test_qr_curve_equality_for_powers():
+    # a conformal map: the verdict holds the ratio to 1 +- 1e-9 on the annulus 0.3 < |y| < 1.5
     for d in (2, 3):
-        rep = qr_curve_check(planar_power(d), Annulus(np.zeros(2), 0.3, 1.5), n_samples=1000, seed=0)
-        assert rep["pass"]
-        assert rep["max_ratio"] <= 1 + 1e-9
-        assert rep["min_ratio"] >= 1 - 1e-9
+        record = run_check("qr-curve", {"map": {"map": "power", "k": d}, "samples": 1000}, 0)
+        assert record.passed
+        assert record.thresholds == {"upper": 1 + 1e-9, "lower_if_sharp": 1 - 1e-9}
+        assert record.metrics["max_ratio"] <= 1 + 1e-9
+        assert record.metrics["min_ratio"] >= 1 - 1e-9
 
 
 def test_qr_curve_affine_bounded():
-    f = precomposed(np.array([[1.5, 0.2], [0.0, 0.8]]), planar_power(2))
-    rep = qr_curve_check(f, Annulus(np.zeros(2), 0.3, 1.5), n_samples=500, seed=1, tol=1e-6)
-    assert rep["pass"]
+    affine = {"map": "precompose", "affine": [[1.5, 0.2], [0.0, 0.8]], "base": {"map": "power", "k": 2}}
+    record = run_check("qr-curve", {"map": affine, "samples": 500}, 1)
+    assert record.passed
+    assert record.thresholds == {"upper": 1 + 1e-6, "lower_if_sharp": None}
 
 
 def _qr_ratios_per_point(f, region, n_samples, seed, margin_frac=1e-3):
@@ -265,13 +269,13 @@ def _qr_ratios_per_point(f, region, n_samples, seed, margin_frac=1e-3):
 @pytest.mark.parametrize(
     "f, region",
     [
-        (winding_map_3d(2), Cylinder(0.3, 1.5, -0.9, 0.9)),
+        (winding_map_3d(2), Box([-1.4, -1.4, -0.9], [1.4, 1.4, 0.9])),
         (precomposed(np.array([[1.5, 0.2], [0.0, 0.8]]), planar_power(2)), Annulus(np.zeros(2), 0.3, 1.5)),
     ],
     ids=["wind3", "affine"],
 )
 def test_qr_curve_batch_matches_per_point(f, region):
-    rep = qr_curve_check(f, region, n_samples=400, seed=3, tol=1e-6)
+    rep = qr_curve_check(f, region, n_samples=400, seed=3)
     ref = _qr_ratios_per_point(f, region, 400, 3)
     assert rep["n_used"] == len(ref)
     for key, value in (("max_ratio", ref.max()), ("min_ratio", ref.min()), ("mean_ratio", ref.mean())):

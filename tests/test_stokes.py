@@ -7,6 +7,7 @@ from almqr.covers import planar_power
 from almqr.forms import GroupAction, KForm, MultiPoly, natural_volume_form, polynomial_one_form, symmetrize, trace_form
 from almqr.mv import BumpTestForm, from_cover, weak_stokes_check
 from almqr.regions import Box, gl_nodes, legendre_rule
+from almqr.runner import run_check
 
 SUPPORT = Box([0.4, 0.4], [1.8, 1.8])
 BUMP = BumpTestForm(lo=[0.5, 0.5], hi=[1.7, 1.7], q=3)
@@ -16,6 +17,17 @@ def invariant_one_form(d, coeffs=((0, 1, 1.0), (1, 0, -0.5))):
     p = MultiPoly(2, {(i, j): c for i, j, c in coeffs[:1]})
     q = MultiPoly(2, {(i, j): c for i, j, c in coeffs[1:]})
     return symmetrize(trace_form(polynomial_one_form(2, [p, q]), d), GroupAction.full(2, d))
+
+
+def stokes_row(k, orders):
+    """The one row of the stokes check of z^k on SUPPORT, with BUMP and the trace of y dx - x/2 dy."""
+    form = {"kind": "trace_1form", "n": 2, "d": k, "c0": {"0,1": 1.0}, "c1": {"1,0": -0.5}}
+    testform = {"lo": [0.5, 0.5], "hi": [1.7, 1.7], "q": 3}
+    config = {"map": {"map": "power", "k": k}, "form": form, "testform": testform, "forms": 1, "testforms": 1,
+              "orders": orders}
+    record = run_check("stokes", config)
+    (row,) = record.metrics["rows"]
+    return record, row
 
 
 def test_closed_top_degree_form_vanishes():
@@ -31,7 +43,7 @@ def test_classical_single_valued_oracle():
     rep = weak_stokes_check(F, om, BUMP, orders=(4, 8, 16))
     discs = [l["abs_discrepancy"] for l in rep["levels"]]
     assert discs[-1] < 1e-12
-    assert rep["decreasing"]
+    assert stokes_row(1, [4, 8, 16])[1]["decreasing"]
 
 
 def test_inverse_square_one_form():
@@ -39,7 +51,9 @@ def test_inverse_square_one_form():
     om = invariant_one_form(2)
     rep = weak_stokes_check(F, om, BUMP, orders=(8, 16, 32))
     assert rep["rel_discrepancy"] < 1e-3
-    assert rep["decreasing"]
+    record, row = stokes_row(2, [8, 16, 32])
+    assert record.passed and record.thresholds == {"tol": 1e-3}  # rel <= 1e-3 on decreasing levels
+    assert row["decreasing"] and row["rel"] < 1e-3
 
 
 def test_fd_derivative_route():
