@@ -129,7 +129,8 @@ def _cmd_verify(args) -> int:
     if args.region:
         config["region"] = args.region
     if args.family:
-        config["family"] = {"family": args.family, "count": args.count}
+        family = {"family": args.family}
+        config["family"] = family if args.count is None else {**family, "count": args.count}
     if args.samples is not None:
         config["samples"] = args.samples
     if args.grid is not None:
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--testform")
     p.add_argument("--region")
     p.add_argument("--family")
-    p.add_argument("--count", type=int, default=512)
+    p.add_argument("--count", type=int, help="curves of the --family (the check's own count if not given)")
     p.add_argument("--samples", type=int)
     p.add_argument("--grid", type=int)
     p.add_argument("--seed", type=int, default=0)
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modulus", help="discrete modulus of a curve family (the modulus check's defaults)")
     p.add_argument("--region")
-    p.add_argument("--family", help="radial (with --count alone) or circles")
+    p.add_argument("--family", help="radial, the family of the exact value 2 pi / log R (as --count alone)")
     p.add_argument("--count", type=int)
     p.add_argument("--grid", type=int)
     p.add_argument("--n", type=float)

@@ -33,8 +33,10 @@ Every catalog map also bounds its differential over balls:
 ``df_bound(X, r)`` is an upper bound of sup ||Df|| over B(X[p], r).  By the
 mean-value inequality, ``ball_reach(f, Z, r)`` turns a metric ball of
 radius r around the fiber Z into a certified disc in the base: a point
-whose fiber lies in the ball is within the reach of f(Z).  The Ahlfors
-sampler lifts only the samples inside that disc.
+whose fiber lies in the ball is within the reach of f(Z).  The metric-ball
+test of the Ahlfors and preimage-measure checks (``modulus.rows_in_ball``)
+lifts only the samples inside that disc, and the Ahlfors sampling box is a
+fixed multiple of it.
 """
 
 from __future__ import annotations

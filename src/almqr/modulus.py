@@ -14,14 +14,14 @@ dual value a lower bound (the gap is part of the diagnostics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .almgren import AlmgrenPoint, sorted_tuples
+from .almgren import sorted_tuples
 from .covers import (
     BranchedCoverSpec,
     CoverError,
@@ -97,14 +97,14 @@ def circle_family(ann: Annulus, count: int, vertices: int = 720) -> CurveFamily:
     return CurveFamily(lines, name="circles")
 
 
-def build_family(spec, region) -> CurveFamily:
-    """Family DSL: 'radial' | 'circles' | {'family': 'radial' | 'circles', 'count': n >= 1} on an annulus |
-    {'family': 'polylines', 'paths': [...]}; SpecError for any other spec."""
+def build_family(spec, region, count: int) -> CurveFamily:
+    """Family DSL: 'radial' | 'circles' | {'family': 'radial' | 'circles', 'count': n >= 1 (default ``count``)}
+    on an annulus | {'family': 'polylines', 'paths': [...]}; SpecError for any other spec."""
     if isinstance(spec, str):
         spec = {"family": spec}
     kind = spec.get("family") if isinstance(spec, dict) else None
     if kind in ("radial", "circles"):
-        count = spec.get("count", 512)
+        count = spec.get("count", count)
         if isinstance(count, bool) or not isinstance(count, Integral) or count < 1 or not isinstance(region, Annulus):
             raise SpecError(f"a {kind} family needs a count of at least 1 and an annulus, got {count!r} on {region!r}")
         return (radial_family if kind == "radial" else circle_family)(region, int(count))
@@ -559,10 +559,38 @@ def energy_bound_check(f: BranchedCoverSpec, image_region, preimage_region, orde
 
 
 # ---------------------------------------------------------------------------
+# metric balls in the image of the multi-valued inverse
+
+
+def rows_in_ball(f: BranchedCoverSpec, y0: np.ndarray, Z: np.ndarray, r: float, Y) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of points Y (P, n) whose fibers lie in the metric ball B(Z, r), Z (d, n) the expanded
+    fiber over y0, and those fibers (m, d, n), gathered plane by plane for a Jacobian of contiguous planes.
+
+    Every row is checked against f's image (``check_image``), so the test
+    fails closed on any row, but only the rows within the certified reach of
+    y0 (``covers.ball_reach``) can lie in the ball, and only they are lifted,
+    in one ``minv_batch`` call.  A relative slack of 1e-6 on the squared
+    reach absorbs rounding in the bounds and in fibers computed to within
+    about 1e-7 r, so the lifted rows hold every row the ball test accepts.
+    """
+    Y = check_image(f, Y)
+    reach_sq = ball_reach(f, Z, r) ** 2 * (1.0 + 1e-6)
+    near = np.flatnonzero(sum((Y[:, c] - y0[c]) ** 2 for c in range(f.n)) < reach_sq)
+    fibers = minv_batch(f, Y.take(near, axis=0))
+    inside = kernels.dist_sq_one_to_many(Z, fibers) < r * r
+    return near[inside], fibers.T.compress(inside, axis=-1).T
+
+
+# ---------------------------------------------------------------------------
 # Ahlfors regularity sampling
 
 
 UNIT_BALL_VOLUME = {1: 2.0, 2: float(np.pi), 3: 4.0 * np.pi / 3.0}
+
+# the half-width of the sampling box in units of the certified reach: the reach
+# disc covers pi / (4 BOX_FACTOR^2), 24.0%, of the box; a larger box lifts fewer
+# rows per ball but widens its confidence interval
+BOX_FACTOR = 1.81
 
 
 @dataclass
@@ -573,18 +601,9 @@ class OmegaFSample:
     ci_halfwidth: float
     ratio: float
     ratio_ci: float
-    boundary_fraction: float
 
     def to_json(self) -> dict:
-        return {
-            "center": self.center,
-            "radius": self.radius,
-            "measure": self.measure,
-            "ci_halfwidth": self.ci_halfwidth,
-            "ratio": self.ratio,
-            "ratio_ci": self.ratio_ci,
-            "boundary_fraction": self.boundary_fraction,
-        }
+        return asdict(self)
 
 
 def ahlfors_sampler(
@@ -593,29 +612,20 @@ def ahlfors_sampler(
     radii: Sequence[float],
     n_samples: int,
     seed: int = 0,
-    box_safety: float = 2.0,
 ) -> list[OmegaFSample]:
     """Monte Carlo estimates of the Hausdorff measure of metric balls in the
     image of the multi-valued inverse, via the area formula, compared with
     the upper-regularity constant vol(B^n) d^{n/2} K_I K_O r^n.
 
+    The sampling box of the ball of radius r around minv(y0) is the square
+    of half-width ``BOX_FACTOR`` times its certified reach
+    (``covers.ball_reach``), which holds every point whose fiber lies in the
+    ball, so no box truncates a ball, and which is finite at branch values.
     Each box draw is ``Generator.random((N, 2))`` scaled column by column in
     place, col * (hi - lo) + lo, which is ``Generator.uniform(lo, hi)`` of
-    the same stream bit for bit.  The sampling box around each center is
-    grown until the ball indicator stops touching its outer shell; a ball
-    that still touches it after the last growth raises NumericalError, since
-    a truncated ball underestimates the measure that the upper bound is
-    checked against.  Every box draw is checked against f's image whole,
-    but only the samples within the certified reach of the center
-    (``covers.ball_reach``) can lie in the ball, so only they are lifted, in
-    one ``minv_batch`` call per draw; the others have density 0.  A relative
-    slack of 1e-6 on the squared reach absorbs rounding in the bounds and in
-    fibers computed to within about 1e-7 r, so the lifted rows hold every
-    row the ball test accepts.  The reach test and the shell test read the
-    same coordinate differences from the center; the ball test, the shell
-    test and the metric Jacobian read the lifted fibers, and the
-    branch-differential checks run on the held fibers of the samples inside
-    the ball.  A cover that is not planar raises CoverError.
+    the same stream bit for bit.  ``rows_in_ball`` finds the rows in the
+    ball, and the metric Jacobian reads their fibers; the other rows have
+    density 0.  A cover that is not planar raises CoverError.
     """
     n = f.n
     if n != 2:
@@ -626,39 +636,20 @@ def ahlfors_sampler(
         y0 = np.asarray(y0, dtype=np.float64)
         z = minv(f, y0)
         zC = z.expand()
-        H0 = h_function(f, y0)
         for ir, r in enumerate(radii):
             rng = np.random.default_rng(np.random.SeedSequence([seed, 11, ic, ir]))
-            R = box_safety * r / H0
-            reach_sq = ball_reach(f, zC, r) ** 2 * (1.0 + 1e-6)
-            for _ in range(4):
-                lo, hi = y0 - R, y0 + R
-                span = hi - lo
-                ys = rng.random((n_samples, 2))
-                for c in range(2):
-                    col = ys[:, c]
-                    col *= span[c]
-                    col += lo[c]
-                ys = check_image(f, ys)
-                dx, dy = ys[:, 0] - y0[0], ys[:, 1] - y0[1]
-                near = np.flatnonzero(dx * dx + dy * dy < reach_sq)
-                # the metric Jacobian below reads the fibers of the last draw
-                fibers = minv_batch(f, ys.take(near, axis=0))
-                inside = kernels.dist_sq_one_to_many(zC, fibers) < r * r
-                shell = np.maximum(np.abs(dx.take(near)), np.abs(dy.take(near))) > 0.85 * R
-                boundary_fraction = float((inside & shell).sum() / max(inside.sum(), 1))
-                if boundary_fraction == 0.0:
-                    break
-                R *= 1.6
-            else:
-                raise NumericalError(
-                    f"ball of radius {r} around {y0.tolist()} still touches its sampling box after 4 growths"
-                )
-            vol_box = float(np.prod(span))
+            R = BOX_FACTOR * ball_reach(f, zC, r)
+            lo, hi = y0 - R, y0 + R
+            span = hi - lo
+            ys = rng.random((n_samples, 2))
+            for c in range(2):
+                col = ys[:, c]
+                col *= span[c]
+                col += lo[c]
+            rows, fibers = rows_in_ball(f, y0, zC, r, ys)
             vals = np.zeros(n_samples)
-            if inside.any():
-                # gathered plane by plane, so the Jacobian reads contiguous (d, P) planes
-                vals[near[inside]] = metric_jacobian_values(f, fibers.T.compress(inside, axis=-1).T)
+            vals[rows] = metric_jacobian_values(f, fibers)
+            vol_box = float(np.prod(span))
             est = vol_box * float(vals.mean())
             sd = vol_box * float(vals.std(ddof=1) / np.sqrt(n_samples))
             denom = const * r**n
@@ -670,7 +661,6 @@ def ahlfors_sampler(
                     ci_halfwidth=3.0 * sd,
                     ratio=est / denom,
                     ratio_ci=3.0 * sd / denom,
-                    boundary_fraction=boundary_fraction,
                 )
             )
     return out
@@ -682,7 +672,7 @@ def ahlfors_sampler(
 
 def preimage_measure_check(
     f: BranchedCoverSpec,
-    center: AlmgrenPoint,
+    center_y: np.ndarray,
     radius: float,
     domain_region,
     image_region,
@@ -690,34 +680,35 @@ def preimage_measure_check(
     seed: int = 0,
 ) -> dict:
     """Monte Carlo comparison of |(minv o f)^{-1} E| against the Hausdorff
-    measure of the metric ball E in the image of the multi-valued inverse.
+    measure of the metric ball E = B(minv(center_y), radius) in the image of
+    the multi-valued inverse.
 
     The Hausdorff side is computed through the area formula (density =
-    metric Jacobian of the inverse).  Returns both estimates, their CIs and
-    the ratio.
+    metric Jacobian of the inverse).  Both sides find their samples in the
+    ball with ``rows_in_ball``, which checks every sample against f's image
+    and lifts only those within the certified reach of ``center_y``.
+    Returns both estimates, their standard deviations and the ratio.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-    zC = center.expand()
+    y0 = np.asarray(center_y, dtype=np.float64)
+    zC = minv(f, y0).expand()
 
     # LHS: Lebesgue measure of {x in domain : d_A(minv(f(x)), z) < r}
     xs = check_points(f, domain_region.sample(rng, n_samples))
-    fibers = minv_batch(f, f.evaluate(xs))
-    ind = kernels.dist_sq_one_to_many(zC, fibers) < radius**2
-    if not ind.any():
+    hits = len(rows_in_ball(f, y0, zC, radius, f.evaluate(xs))[0])
+    if not hits:
         raise NumericalError(f"no domain sample of {n_samples} falls in the ball of radius {radius}")
     vol = domain_region.volume()
-    p_hat = ind.mean()
+    p_hat = hits / n_samples
     lhs = vol * p_hat
     lhs_sd = vol * float(np.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_samples))
 
     # RHS: integral of the indicator times the metric Jacobian over the image
-    ys = image_region.sample(rng, n_samples)
-    fibers = minv_batch(f, ys)
-    inside = kernels.dist_sq_one_to_many(zC, fibers) < radius**2
-    if not inside.any():
+    rows, fibers = rows_in_ball(f, y0, zC, radius, image_region.sample(rng, n_samples))
+    if not len(rows):
         raise NumericalError(f"no image sample of {n_samples} falls in the ball of radius {radius}")
     vals = np.zeros(n_samples)
-    vals[inside] = metric_jacobian_values(f, fibers[inside])
+    vals[rows] = metric_jacobian_values(f, fibers)
     rhs = image_region.volume() * float(vals.mean())
     rhs_sd = image_region.volume() * float(vals.std(ddof=1) / np.sqrt(n_samples))
 

@@ -28,10 +28,6 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(self.hi - self.lo))
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.all((x >= self.lo) & (x <= self.hi), axis=1)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(size, self.dim))
 
@@ -58,10 +54,6 @@ class Disk:
 
     def volume(self) -> float:
         return float(np.pi * self.radius**2)
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.linalg.norm(x - self.center, axis=1) <= self.radius
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         r = self.radius * np.sqrt(rng.uniform(size=size))
@@ -92,11 +84,6 @@ class Annulus:
 
     def volume(self) -> float:
         return float(np.pi * (self.r_out**2 - self.r_in**2))
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        r = np.linalg.norm(x - self.center, axis=1)
-        return (r >= self.r_in) & (r <= self.r_out)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.uniform(size=size)

@@ -178,11 +178,18 @@ BOX = Kind("a pair [lo, hi] of points of the map's dimension with lo < hi", _box
 IMAGE_ANNULUS = Kind("radii [r_in, r_out] with 0 <= r_in < r_out whose d-th roots stay apart", _image_annuli)
 REGION = Kind("a region 'annulus:r0,r1', 'disk:r' or 'box:x0,x1,y0,y1'", lambda raw, _: parse_region(raw))
 ANNULUS = Kind("an annulus region 'annulus:r0,r1'", _annulus)
-FAMILY = Kind("a curve family 'radial', 'circles' or {'family': ...}", lambda raw, v: build_family(raw, v["region"]))
 MAP = Kind("a catalog map spec", _map)
 PLANAR_MAP = Kind("a catalog map spec of dimension 2", lambda raw, v: _map(raw, v, dim=2))
 FORM = Kind("a form spec", lambda raw, _: build_form(raw))
 TESTFORM = Kind("a test form spec {'lo': [...], 'hi': [...], 'q': ..., 'amp': ...}", lambda raw, _: build_testform(raw))
+
+
+def family_field(curves: int) -> Field:
+    """The ``family`` field on the check's ``region``: a radial family of ``curves`` curves by default, as is
+    the count of a radial or circles spec that gives none."""
+    kind = Kind("a curve family 'radial', 'circles' or {'family': ...}",
+                lambda raw, v: build_family(raw, v["region"], curves))
+    return Field("family", kind, {"family": "radial", "count": curves})
 
 
 def validate(fields: list[Field], config: dict) -> tuple[dict, dict]:
@@ -524,7 +531,7 @@ def _check_split_pullback(seed, points, tol, shapes):
 # the sharp lower bound and the tighter tolerance hold for conformal maps
 @_check("qr-curve", "qr-curve-bound", ANY_MAP, Field("region", REGION, "annulus:0.3,1.5"), SAMPLES,
         Field("tol", TOL, lambda v: 1e-9 if v["map"].K_I == 1.0 else 1e-6),
-        Field("sharp", FLAG, lambda v: v["map"].K_I == 1.0))
+        Field("sharp", FLAG, lambda v: bool(v["map"].K_I == 1.0)))
 def _check_qr_curve(seed, map, region, samples, tol, sharp):
     rep = qr_curve_check(map, region, n_samples=samples, seed=seed)
     passed = rep["max_ratio"] <= 1.0 + tol
@@ -591,8 +598,7 @@ def _check_stokes(seed, map, form, testform, forms, testforms, orders, tol):
 
 
 @_check("upper-gradient", "upper-gradient-sandwich", ANY_MAP, Field("region", REGION, "annulus:0.5,1.5"),
-        Field("family", FAMILY, {"family": "radial", "count": 16}), Field("samples_per_curve", COUNT, 64),
-        Field("tol", TOL, 1e-6))
+        family_field(16), Field("samples_per_curve", COUNT, 64), Field("tol", TOL, 1e-6))
 def _check_upper_gradient(seed, map, region, family, samples_per_curve, tol):
     rep = upper_gradient_check(map, family, samples_per_curve=samples_per_curve, tol=tol)
     metrics = {k: rep[k] for k in ("violation_fraction", "worst_low_gap", "worst_high_gap", "n_samples", "K_factor")}
@@ -646,10 +652,11 @@ def _check_gen_inverse(seed, degrees, samples, tol, use_power):
 
 
 # the dual exponent n / (n - 1) needs n > 1
-@_check("modulus", "ring-modulus", Field("region", ANNULUS, E_ANNULUS),
-        Field("family", FAMILY, {"family": "radial", "count": 1024}), Field("grid", COUNT, 256),
-        Field("n", number(1.0, above=True), 2.0), Field("tol", TOL, 0.05))
+@_check("modulus", "ring-modulus", Field("region", ANNULUS, E_ANNULUS), family_field(1024),
+        Field("grid", COUNT, 256), Field("n", number(1.0, above=True), 2.0), Field("tol", TOL, 0.05))
 def _check_modulus(seed, region, family, grid, n, tol):
+    if family.name != "radial":
+        raise SpecError(f"the exact value 2 pi / log R is the radial family's, got a {family.name} family")
     res = discrete_modulus(family, region, grid=grid, n=n)
     exact = ring_modulus_exact(region.r_in, region.r_out)
     rel = abs(res.value - exact) / exact
@@ -659,7 +666,7 @@ def _check_modulus(seed, region, family, grid, n, tol):
 
 
 @_check("geom-qc", "modulus-two-sided", PLANAR, Field("region", REGION, E_ANNULUS),
-        Field("family", FAMILY, {"family": "radial", "count": 512}), Field("grid", COUNT, 256),
+        family_field(512), Field("grid", COUNT, 256),
         Field("slack", TOL, 0.05), Field("lift_steps", COUNT, 128))
 def _check_geom_qc(seed, map, region, family, grid, slack, lift_steps):
     rep = pushforward_modulus_check(map, family, region, grid=grid, lift_steps=lift_steps)
@@ -765,8 +772,7 @@ def _check_interp(seed, ds, eps, pairs, tol, cloud):
         Field("radius", POSITIVE, 0.3), Field("domain_box", BOX, [[-2.0, -2.0], [2.0, 2.0]]),
         Field("image_box", BOX, [[0.2, -0.8], [1.8, 0.8]]), Field("samples", count(100), 100_000))
 def _check_preimage_measure(seed, map, center_y, radius, domain_box, image_box, samples):
-    z = minv(map, center_y)
-    rep = preimage_measure_check(map, z, radius, domain_box, image_box, n_samples=samples, seed=seed)
+    rep = preimage_measure_check(map, center_y, radius, domain_box, image_box, n_samples=samples, seed=seed)
     d, ratio, sd = map.degree, rep["ratio"], rep["ratio_sd"]
     # the bound d with a 3 sigma allowance, both absolute and relative to the ratio
     upper = min(d + 3.0 * sd, d * (1.0 + 3.0 * sd / ratio))

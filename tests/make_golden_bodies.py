@@ -7,7 +7,9 @@ compares each entry's body with it.  Run from the repository root:
 
     PYTHONPATH=src python tests/make_golden_bodies.py
 
-Regenerate it only in a change that lists the bodies that moved and says why.
+It prints the ids whose bodies moved against the file it replaces: changed,
+new and removed.  Regenerate it only in a change that lists the bodies that
+moved and says why.
 """
 
 import json
@@ -26,6 +28,14 @@ def main() -> None:
         bodies[rid] = stable_body(record.dumps())
         env = record.timing["env"]
     golden = {"numpy": env["numpy"], "simd": env["simd"], "seed": SUITE_SEED, "bodies": bodies}
+    old = json.loads(GOLDEN.read_text())["bodies"] if GOLDEN.exists() else {}
+    for rid in sorted(set(bodies) | set(old)):
+        if rid not in old:
+            print(f"new: {rid}")
+        elif rid not in bodies:
+            print(f"removed: {rid}")
+        elif bodies[rid] != old[rid]:
+            print(f"changed: {rid}")
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(bodies)} bodies to {GOLDEN}")
 

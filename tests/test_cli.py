@@ -263,6 +263,7 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
         ("modulus", {"region": "annulus:1,inf"}),
         ("modulus", {"n": 1}),
         ("modulus", {"family": {"family": "polylines", "paths": [[1.1, 0]]}}),
+        ("modulus", {"family": "circles"}),
         ("upper-gradient", {"region": "disk:1"}),
         ("interp", {"eps": 0}),
         ("preimage-measure", {"samples": 50}),
@@ -286,7 +287,8 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
          "area-annulus-reversed", "energy-annulus-reversed", "area-annulus-one-radius", "energy-annulus-negative",
          "area-annulus-nan", "energy-annulus-a-string", "geom-qc-wind3", "monodromy-wind3", "stokes-wind3",
          "stokes-form-of-another-dimension", "stokes-testform-3d", "stokes-testform-reversed", "modulus-disk",
-         "modulus-infinite-annulus", "modulus-n-1", "modulus-polyline-not-a-path", "upper-gradient-radial-on-a-disk",
+         "modulus-infinite-annulus", "modulus-n-1", "modulus-polyline-not-a-path",
+         "modulus-circles", "upper-gradient-radial-on-a-disk",
          "interp-eps-0", "preimage-measure-too-few-samples", "ahlfors-center-points-and-centers",
          "ahlfors-radii-list-and-radii"],
 )
@@ -361,6 +363,7 @@ def test_unknown_key_exit_code(argv, known, capsys):
 
 
 @pytest.mark.parametrize("argv", [["modulus", "--region", "foo"], ["modulus", "--count", "0"],
+                                  ["modulus", "--family", "circles", "--grid", "32"],
                                   ["verify", "modulus", "--family", "radial", "--count", "-1"]])
 def test_bad_region_or_family_exit_code(argv, capsys):
     assert run_cli(*argv) == 2

@@ -1,5 +1,6 @@
 """Multi-valued calculus: differentials, pull-backs, interpolation, ratios."""
 
+import dataclasses
 from functools import partial
 from math import comb
 
@@ -24,6 +25,7 @@ from almqr.mv import (
 )
 from almqr.modulus import metric_jacobian_values
 from almqr.regions import Annulus, Box
+from almqr import runner
 from almqr.runner import run_check
 
 
@@ -249,6 +251,15 @@ def test_qr_curve_equality_for_powers():
 def test_qr_curve_affine_bounded():
     affine = {"map": "precompose", "affine": [[1.5, 0.2], [0.0, 0.8]], "base": {"map": "power", "k": 2}}
     record = run_check("qr-curve", {"map": affine, "samples": 500}, 1)
+    assert record.passed
+    assert record.thresholds == {"upper": 1 + 1e-6, "lower_if_sharp": None}
+
+
+def test_qr_curve_default_config_with_numpy_distortion_constants(monkeypatch):
+    # a K_I of numpy's float type derives a numpy boolean for sharp, which the schema must take as a flag
+    stub = dataclasses.replace(planar_power(2), K_I=np.float64(1.2), K_O=np.float64(1.2))
+    monkeypatch.setattr(runner, "build_map", lambda spec: stub)
+    record = run_check("qr-curve", {}, 0)
     assert record.passed
     assert record.thresholds == {"upper": 1 + 1e-6, "lower_if_sharp": None}
 

@@ -59,3 +59,12 @@ def test_a_valid_config_is_echoed_as_given():
     # defaults are not filled into the report's config echo
     record = run_check("metric-axioms", {"samples": 20}, 3)
     assert record.config == {"samples": 20}
+
+
+@pytest.mark.parametrize("name, curves", [("modulus", 1024), ("geom-qc", 512), ("upper-gradient", 16)])
+def test_a_family_without_a_count_takes_the_checks_own(name, curves):
+    values, _ = validate(CHECKS[name][2], {"family": "radial"})
+    assert len(values["family"]) == curves
+    if name != "modulus":  # the modulus check takes only the radial family
+        values, _ = validate(CHECKS[name][2], {"family": {"family": "circles"}})
+        assert len(values["family"]) == curves
