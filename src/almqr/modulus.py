@@ -6,10 +6,11 @@ The discrete modulus problem
 
     minimize sum_c V_c rho_c^n   s.t.   sum_c a_{gc} rho_c >= 1 per curve g
 
-is solved through its concave dual by projected gradient ascent; the primal
-density recovered from the dual variables is rescaled to exact feasibility,
-so the reported value is a true upper bound for the discrete optimum and the
-dual value a lower bound (the gap is part of the diagnostics).
+is solved through its concave dual by accelerated projected gradient ascent;
+the primal density recovered from the dual variables is rescaled to exact
+feasibility, so the reported value is a true upper bound for the discrete
+optimum and the dual value a lower bound.  The solver stops when their
+relative gap is at most ``TOL_GAP``.
 """
 
 from __future__ import annotations
@@ -80,11 +81,9 @@ class CurveFamily:
 def radial_family(ann: Annulus, count: int) -> CurveFamily:
     """Segments joining the two boundary circles of an annulus."""
     thetas = 2 * np.pi * np.arange(count) / count
-    lines = []
-    for t in thetas:
-        u = np.array([np.cos(t), np.sin(t)])
-        lines.append(np.stack([ann.center + ann.r_in * u, ann.center + ann.r_out * u]))
-    return CurveFamily(lines, name="radial")
+    u = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    ends = np.stack([ann.center + ann.r_in * u, ann.center + ann.r_out * u], axis=1)  # (count, 2, 2)
+    return CurveFamily(list(ends), name="radial")
 
 
 def circle_family(ann: Annulus, count: int, vertices: int = 720) -> CurveFamily:
@@ -220,7 +219,7 @@ class ModulusResult:
     dual_value: float
     gap: float
     iterations: int
-    converged: bool  # stopped on the tolerance, not at max_iters
+    converged: bool  # stopped on a relative gap certified at most TOL_GAP, not at max_iters
     n_curves: int
     n_cells: int
     min_curve_integral: float
@@ -241,6 +240,12 @@ class ModulusResult:
         }
 
 
+# the solver stops once the relative duality gap (value - dual_value) / value is at most
+# TOL_GAP; it evaluates that certificate every GAP_EVERY iterations
+TOL_GAP = 1e-6
+GAP_EVERY = 10
+
+
 def discrete_modulus(
     family: CurveFamily,
     region,
@@ -249,15 +254,23 @@ def discrete_modulus(
     cell_weight: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     seg_values: Optional[Sequence[np.ndarray]] = None,
     max_iters: int = 4000,
-    tol: float = 1e-9,
 ) -> ModulusResult:
     """Discrete n-modulus of a curve family on a grid over the region's bbox.
 
     ``cell_weight`` rescales the cell volumes (the density of the measure
     against Lebesgue); ``seg_values`` overrides the per-segment admissibility
-    mass (the length element along the curves).  Convex duality supplies the
-    convergence certificate; ``converged`` is False when the ascent ran out
-    of ``max_iters`` before its tolerance held.
+    mass (the length element along the curves).
+
+    At n = 2 the dual ascends by FISTA (Beck and Teboulle 2009) with a step
+    of one over a 40-step power estimate of the gradient's Lipschitz
+    constant, and restarts its momentum whenever the projected step turns
+    against it (the gradient restart of O'Donoghue and Candes 2015); other
+    exponents take backtracking projected gradient steps.  Every
+    ``GAP_EVERY`` iterations (from the 110th on the backtracking branch) the
+    dual iterate gives a lower bound and its density, rescaled to
+    feasibility, an upper bound; ``converged`` means that the solver
+    stopped on their relative gap certified at most ``TOL_GAP`` within
+    ``max_iters``.
     """
     g2 = Grid2D(region.bbox(), grid)
     rows, cols, vals = _rasterize(family.polylines, g2, seg_values=seg_values)
@@ -281,18 +294,30 @@ def discrete_modulus(
     def a(rho: np.ndarray) -> np.ndarray:  # A rho over curves
         return np.bincount(rows, weights=vals * rho[cols_c], minlength=M)
 
-    def rho_of(lam: np.ndarray) -> np.ndarray:
-        # at n = 2 the power is 1.0, which would only copy its input, bits unchanged
-        return a_t(lam) / nV if n == 2.0 else (a_t(lam) / nV) ** (1.0 / (n - 1.0))
+    def rho_of(s: np.ndarray) -> np.ndarray:  # the density of a dual iterate lam from s = A^T lam / (n V)
+        return s if n == 2.0 else s ** (1.0 / (n - 1.0))
 
-    def dual(lam: np.ndarray) -> float:
-        s = a_t(lam) / nV
+    def dual(lam: np.ndarray, s: np.ndarray) -> float:  # the dual objective at lam, s = A^T lam / (n V)
         return float(lam.sum() - (n - 1.0) * (V * s**q).sum())
 
-    # Lipschitz estimate of the dual gradient at n = 2 via power iteration
+    def certificate(lam: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """(value, dual value, density, its curve integrals) at the dual iterate lam; the value is the
+        mass of the density rescaled to feasibility, inf when a curve has no mass."""
+        s = a_t(lam) / nV
+        rho = rho_of(s)
+        integrals = a(rho)
+        mu = float(integrals.min())
+        value = float((V * (rho / mu) ** n).sum()) if mu > 0 else np.inf
+        return value, dual(lam, s), rho, integrals
+
+    def certified(cert) -> bool:
+        return cert[0] < np.inf and cert[0] - cert[1] <= TOL_GAP * cert[0]
+
     lam = np.full(M, 1e-3)
     converged = False
+    it = 0
     if n == 2.0:
+        # Lipschitz estimate of the dual gradient via power iteration
         v = np.ones(M)
         for _ in range(40):
             w = a(a_t(v) / nV)
@@ -300,47 +325,41 @@ def discrete_modulus(
             if nv == 0:
                 break
             v = w / nv
-        Lg = max(nv, 1e-30)
-        step = 1.0 / Lg
-        it = 0
-        prev = -np.inf
+        step = 1.0 / max(nv, 1e-30)
+        y, t = lam, 1.0
         for it in range(1, max_iters + 1):
-            grad = 1.0 - a(rho_of(lam))
-            lam = np.maximum(0.0, lam + step * grad)
-            if it % 50 == 0:
-                cur = dual(lam)
-                if cur - prev < tol * max(1.0, abs(cur)):
-                    converged = True
-                    break
-                prev = cur
+            x = np.maximum(0.0, y + step * (1.0 - a(a_t(y) / nV)))
+            if np.dot(x - y, x - lam) < 0:  # the projected step turns against the momentum: restart
+                t = 1.0
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = x + ((t - 1.0) / t_next) * (x - lam)
+            lam, t = x, t_next
+            if it % GAP_EVERY == 0 and certified(cert := certificate(lam)):
+                converged = True
+                break
     else:
         # backtracking projected gradient for general exponents
         step = 1.0
-        cur = dual(lam)
-        it = 0
+        cur = dual(lam, a_t(lam) / nV)
         for it in range(1, max_iters + 1):
-            grad = 1.0 - a(rho_of(lam))
+            grad = 1.0 - a(rho_of(a_t(lam) / nV))
             while step > 1e-18:
                 trial = np.maximum(0.0, lam + step * grad)
-                val = dual(trial)
+                val = dual(trial, a_t(trial) / nV)
                 if val >= cur - 1e-14:
                     break
                 step *= 0.5
-            improved = val - cur
             lam, cur = trial, val
             step *= 1.3
-            if 0 <= improved < tol * max(1.0, abs(cur)) and it > 100:
+            if it > 100 and it % GAP_EVERY == 0 and certified(cert := certificate(lam)):
                 converged = True
                 break
-
-    rho = rho_of(lam)
-    integrals = a(rho)
+    if not converged:
+        cert = certificate(lam)
+    primal, dval, rho, integrals = cert
     mu = float(integrals.min())
     if mu <= 0:
         raise NumericalError("dual iterate left a curve with zero mass")
-    rho_feasible = rho / mu
-    primal = float((V * rho_feasible**n).sum())
-    dval = dual(lam)
     return ModulusResult(
         value=primal,
         dual_value=dval,
@@ -354,7 +373,7 @@ def discrete_modulus(
         density=DensityField(
             grid=g2,
             cells=touched,
-            values=rho_feasible,
+            values=rho / mu,
             exponent=float(n),
             curve_integrals=integrals / mu,
         ),
@@ -562,6 +581,10 @@ def energy_bound_check(f: BranchedCoverSpec, image_region, preimage_region, orde
 # metric balls in the image of the multi-valued inverse
 
 
+# the relative slack on the squared certified reach within which rows are lifted
+REACH_SLACK = 1e-6
+
+
 def rows_in_ball(f: BranchedCoverSpec, y0: np.ndarray, Z: np.ndarray, r: float, Y) -> tuple[np.ndarray, np.ndarray]:
     """The rows of points Y (P, n) whose fibers lie in the metric ball B(Z, r), Z (d, n) the expanded
     fiber over y0, and those fibers (m, d, n), gathered plane by plane for a Jacobian of contiguous planes.
@@ -569,12 +592,13 @@ def rows_in_ball(f: BranchedCoverSpec, y0: np.ndarray, Z: np.ndarray, r: float, 
     Every row is checked against f's image (``check_image``), so the test
     fails closed on any row, but only the rows within the certified reach of
     y0 (``covers.ball_reach``) can lie in the ball, and only they are lifted,
-    in one ``minv_batch`` call.  A relative slack of 1e-6 on the squared
-    reach absorbs rounding in the bounds and in fibers computed to within
-    about 1e-7 r, so the lifted rows hold every row the ball test accepts.
+    in one ``minv_batch`` call.  A relative slack of ``REACH_SLACK`` on the
+    squared reach absorbs rounding in the bounds and in fibers computed to
+    within about 1e-7 r, so the lifted rows hold every row the ball test
+    accepts.
     """
     Y = check_image(f, Y)
-    reach_sq = ball_reach(f, Z, r) ** 2 * (1.0 + 1e-6)
+    reach_sq = ball_reach(f, Z, r) ** 2 * (1.0 + REACH_SLACK)
     near = np.flatnonzero(sum((Y[:, c] - y0[c]) ** 2 for c in range(f.n)) < reach_sq)
     fibers = minv_batch(f, Y.take(near, axis=0))
     inside = kernels.dist_sq_one_to_many(Z, fibers) < r * r
@@ -588,8 +612,10 @@ def rows_in_ball(f: BranchedCoverSpec, y0: np.ndarray, Z: np.ndarray, r: float, 
 UNIT_BALL_VOLUME = {1: 2.0, 2: float(np.pi), 3: 4.0 * np.pi / 3.0}
 
 # the half-width of the sampling box in units of the certified reach: the reach
-# disc covers pi / (4 BOX_FACTOR^2), 24.0%, of the box; a larger box lifts fewer
-# rows per ball but widens its confidence interval
+# square, which holds every point whose fiber lies in the ball, is 1 / BOX_FACTOR^2,
+# 30.5%, of the box, and only the draws that land in it are made. The factor keeps
+# the box, and so the law of the estimate, of a sampler that draws the whole box;
+# a larger box widens the confidence interval
 BOX_FACTOR = 1.81
 
 
@@ -601,6 +627,7 @@ class OmegaFSample:
     ci_halfwidth: float
     ratio: float
     ratio_ci: float
+    in_ball: int  # the draws whose fibers lie in the ball
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -617,15 +644,21 @@ def ahlfors_sampler(
     image of the multi-valued inverse, via the area formula, compared with
     the upper-regularity constant vol(B^n) d^{n/2} K_I K_O r^n.
 
-    The sampling box of the ball of radius r around minv(y0) is the square
-    of half-width ``BOX_FACTOR`` times its certified reach
-    (``covers.ball_reach``), which holds every point whose fiber lies in the
-    ball, so no box truncates a ball, and which is finite at branch values.
-    Each box draw is ``Generator.random((N, 2))`` scaled column by column in
-    place, col * (hi - lo) + lo, which is ``Generator.uniform(lo, hi)`` of
-    the same stream bit for bit.  ``rows_in_ball`` finds the rows in the
-    ball, and the metric Jacobian reads their fibers; the other rows have
-    density 0.  A cover that is not planar raises CoverError.
+    The ball of radius r around minv(y0) is estimated from ``n_samples``
+    uniform draws on a box around y0, of half-width ``BOX_FACTOR`` times the
+    certified reach (``covers.ball_reach``, with the slack of
+    ``rows_in_ball``).  Every point whose fiber lies in the ball lies in the
+    reach square [y0 - reach, y0 + reach]^2, so no box truncates a ball, and
+    the reach is finite at branch values.  Only the draws in the reach
+    square are made: their number is Binomial(``n_samples``, 1 /
+    BOX_FACTOR^2), given which they are uniform on the square, so the
+    estimate, box volume times the mean density over all ``n_samples``
+    draws, has the law of one from the whole box.  Each ball's stream draws
+    that number with ``Generator.binomial``, then ``Generator.random((m,
+    2))`` scaled column by column in place, col * (hi - lo) + lo.
+    ``rows_in_ball`` finds the draws in the ball, and the metric Jacobian
+    reads their fibers; the other draws have density 0.  A ball with no draw
+    in it raises NumericalError, and a cover that is not planar CoverError.
     """
     n = f.n
     if n != 2:
@@ -638,20 +671,24 @@ def ahlfors_sampler(
         zC = z.expand()
         for ir, r in enumerate(radii):
             rng = np.random.default_rng(np.random.SeedSequence([seed, 11, ic, ir]))
-            R = BOX_FACTOR * ball_reach(f, zC, r)
-            lo, hi = y0 - R, y0 + R
+            reach = float(np.sqrt(ball_reach(f, zC, r) ** 2 * (1.0 + REACH_SLACK)))
+            lo, hi = y0 - reach, y0 + reach
             span = hi - lo
-            ys = rng.random((n_samples, 2))
+            ys = rng.random((rng.binomial(n_samples, 1.0 / BOX_FACTOR**2), 2))
             for c in range(2):
                 col = ys[:, c]
                 col *= span[c]
                 col += lo[c]
             rows, fibers = rows_in_ball(f, y0, zC, r, ys)
-            vals = np.zeros(n_samples)
-            vals[rows] = metric_jacobian_values(f, fibers)
-            vol_box = float(np.prod(span))
-            est = vol_box * float(vals.mean())
-            sd = vol_box * float(vals.std(ddof=1) / np.sqrt(n_samples))
+            if not len(rows):
+                raise NumericalError(f"no draw of {n_samples} falls in the ball of radius {r} around {y0.tolist()}")
+            vals = metric_jacobian_values(f, fibers)
+            mean = float(vals.sum()) / n_samples
+            # the sample variance over all n_samples draws, the n_samples - len(vals) outside the ball at 0
+            var = (float(((vals - mean) ** 2).sum()) + (n_samples - len(vals)) * mean**2) / (n_samples - 1)
+            vol_box = (2.0 * BOX_FACTOR * reach) ** 2
+            est = vol_box * mean
+            sd = vol_box * float(np.sqrt(var / n_samples))
             denom = const * r**n
             out.append(
                 OmegaFSample(
@@ -661,6 +698,7 @@ def ahlfors_sampler(
                     ci_halfwidth=3.0 * sd,
                     ratio=est / denom,
                     ratio_ci=3.0 * sd / denom,
+                    in_ball=len(rows),
                 )
             )
     return out

@@ -40,6 +40,7 @@ from .forms import (
     wedge_rows,
 )
 from .modulus import (
+    TOL_GAP,
     ahlfors_sampler,
     area_formula_check,
     build_family,
@@ -662,7 +663,7 @@ def _check_modulus(seed, region, family, grid, n, tol):
     rel = abs(res.value - exact) / exact
     passed = rel <= tol and res.converged
     metrics = {"value": res.value, "exact": exact, "rel_error": rel, **res.to_json()}
-    return passed, metrics, {"rel_tol": tol}, 0
+    return passed, metrics, {"rel_tol": tol, "tol_gap": TOL_GAP}, 0
 
 
 @_check("geom-qc", "modulus-two-sided", PLANAR, Field("region", REGION, E_ANNULUS),
@@ -674,8 +675,14 @@ def _check_geom_qc(seed, map, region, family, grid, slack, lift_steps):
     lo, hi = 1.0 / K - slack, K + slack
     # fails closed: every curve lifted and both modulus solves converged
     solved = rep["lift_failures"] == 0 and rep["base_diag"]["converged"] and rep["image_diag"]["converged"]
-    metrics = {**{k: rep[k] for k in ("mod_base", "mod_image", "ratio", "K_I_K_O")}, "bound_lo": lo, "bound_hi": hi}
-    return lo <= ratio <= hi and solved, metrics, {"slack": slack}, rep["lift_failures"]
+    metrics = {
+        **{k: rep[k] for k in ("mod_base", "mod_image", "ratio", "K_I_K_O", "lift_failures")},
+        "bound_lo": lo,
+        "bound_hi": hi,
+        # each solve's certificate: its converged flag, gap and iterations
+        **{diag: {k: rep[diag][k] for k in ("converged", "gap", "iterations")} for diag in ("base_diag", "image_diag")},
+    }
+    return lo <= ratio <= hi and solved, metrics, {"slack": slack, "tol_gap": TOL_GAP}, rep["lift_failures"]
 
 
 # a confidence interval needs two samples; given points and radii replace the drawn centers and the

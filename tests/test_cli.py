@@ -167,6 +167,17 @@ def test_preimage_measure_empty_ball_exit_code(capsys):
     assert "falls in the ball" in capsys.readouterr().err
 
 
+def test_ahlfors_empty_ball_exit_code(capsys):
+    # at the critical value 2 of z^3 - 3z the global df_bound of a polynomial makes the reach far
+    # larger than the ball, and no draw of 200 falls in the ball of radius 0.02:
+    # a numerical failure (exit 3), not a ball of measure 0 that passes
+    poly = json.dumps({"map": "poly", "coeffs": [0, -3, 0, 1]})
+    code = run_cli(
+        "sample", "ahlfors", "--map", poly, "--centers", "[[2, 0]]", "--radii", "0.02", "--N", "200", "--seed", "0"
+    )
+    assert code == 3
+    assert "no draw of 200 falls in the ball" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "config",

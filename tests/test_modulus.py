@@ -4,8 +4,10 @@ import dataclasses
 import json
 from functools import partial
 
+import modulus_reference
 import numpy as np
 import pytest
+from ahlfors_reference import ahlfors_box_sampler
 
 from almqr import modulus, runner
 from almqr import kernels
@@ -21,6 +23,7 @@ from almqr.covers import (
     precomposed,
 )
 from almqr.modulus import (
+    TOL_GAP,
     CurveFamily,
     Grid2D,
     _rasterize,
@@ -116,7 +119,14 @@ def test_pushforward_modulus_identity_and_square():
     assert abs(rep["ratio"] - 1.0) < 0.05
     record = runner.run_check("geom-qc", {"map": Z2, **GEOM_QC})
     assert record.passed
-    assert abs(record.metrics["ratio"] - 1.0) < 0.05
+    m = record.metrics
+    assert abs(m["ratio"] - 1.0) < 0.05
+    # the report carries what the verdict reads: the lift failures and both solves' certificates
+    assert m["lift_failures"] == 0 and record.thresholds["tol_gap"] == TOL_GAP
+    for solve, value in (("base_diag", m["mod_base"]), ("image_diag", m["mod_image"])):
+        assert sorted(m[solve]) == ["converged", "gap", "iterations"]
+        assert m[solve]["converged"] is True and 0 < m[solve]["iterations"] < 4000
+        assert m[solve]["gap"] <= TOL_GAP * value
 
 
 def test_pushforward_modulus_affine_band():
@@ -189,117 +199,6 @@ def test_rasterize_groups_of_curves_keep_the_bytes(monkeypatch, chunk):
         _rasterize(curves, grid, seg_values=values[:-1] + [values[-1][:1]])
 
 
-def _discrete_modulus_reference(
-    family,
-    region,
-    grid: int = 256,
-    n: float = 2.0,
-    cell_weight=None,
-    seg_values=None,
-    max_iters: int = 4000,
-    tol: float = 1e-9,
-):
-    """``discrete_modulus`` as it was before its n = 2 step was trimmed: ``n * V`` per call, ``** 1.0``."""
-    g2 = Grid2D(region.bbox(), grid)
-    rows, cols, vals = _rasterize(family.polylines, g2, seg_values=seg_values)
-    # restrict to touched cells
-    touched, cols_c = np.unique(cols, return_inverse=True)
-    ncells = len(touched)
-    M = len(family)
-    V = np.full(ncells, g2.cell_volume())
-    if cell_weight is not None:
-        V = V * np.asarray(cell_weight(g2.centers(touched)), dtype=np.float64)
-    if np.any(V <= 0):
-        raise ValueError("nonpositive cell weights")
-
-    q = n / (n - 1.0)
-    per_row = np.bincount(rows, minlength=M)  # rows is sorted, so lam[rows] is np.repeat(lam, per_row)
-
-    def a_t(lam: np.ndarray) -> np.ndarray:  # A^T lam over touched cells
-        return np.bincount(cols_c, weights=vals * np.repeat(lam, per_row), minlength=ncells)
-
-    def a(rho: np.ndarray) -> np.ndarray:  # A rho over curves
-        return np.bincount(rows, weights=vals * rho[cols_c], minlength=M)
-
-    def rho_of(lam: np.ndarray) -> np.ndarray:
-        return (a_t(lam) / (n * V)) ** (1.0 / (n - 1.0))
-
-    def dual(lam: np.ndarray) -> float:
-        s = a_t(lam) / (n * V)
-        return float(lam.sum() - (n - 1.0) * (V * s**q).sum())
-
-    # Lipschitz estimate of the dual gradient at n = 2 via power iteration
-    lam = np.full(M, 1e-3)
-    converged = False
-    if n == 2.0:
-        v = np.ones(M)
-        for _ in range(40):
-            w = a(a_t(v) / (2.0 * V))
-            nv = np.linalg.norm(w)
-            if nv == 0:
-                break
-            v = w / nv
-        Lg = max(nv, 1e-30)
-        step = 1.0 / Lg
-        it = 0
-        prev = -np.inf
-        for it in range(1, max_iters + 1):
-            grad = 1.0 - a(rho_of(lam))
-            lam = np.maximum(0.0, lam + step * grad)
-            if it % 50 == 0:
-                cur = dual(lam)
-                if cur - prev < tol * max(1.0, abs(cur)):
-                    converged = True
-                    break
-                prev = cur
-    else:
-        # backtracking projected gradient for general exponents
-        step = 1.0
-        cur = dual(lam)
-        it = 0
-        for it in range(1, max_iters + 1):
-            grad = 1.0 - a(rho_of(lam))
-            while step > 1e-18:
-                trial = np.maximum(0.0, lam + step * grad)
-                val = dual(trial)
-                if val >= cur - 1e-14:
-                    break
-                step *= 0.5
-            improved = val - cur
-            lam, cur = trial, val
-            step *= 1.3
-            if 0 <= improved < tol * max(1.0, abs(cur)) and it > 100:
-                converged = True
-                break
-
-    rho = rho_of(lam)
-    integrals = a(rho)
-    mu = float(integrals.min())
-    if mu <= 0:
-        raise AssertionError("dual iterate left a curve with zero mass")
-    rho_feasible = rho / mu
-    primal = float((V * rho_feasible**n).sum())
-    dval = dual(lam)
-    return modulus.ModulusResult(
-        value=primal,
-        dual_value=dval,
-        gap=primal - dval,
-        iterations=it,
-        converged=converged,
-        n_curves=M,
-        n_cells=ncells,
-        min_curve_integral=mu,
-        grid=grid,
-        density=modulus.DensityField(
-            grid=g2,
-            cells=touched,
-            values=rho_feasible,
-            exponent=float(n),
-            curve_integrals=integrals / mu,
-        ),
-    )
-
-
 def _same_result(got, ref):
     for field in dataclasses.fields(ref):
         a, b = getattr(got, field.name), getattr(ref, field.name)
@@ -311,13 +210,77 @@ def _same_result(got, ref):
             assert type(a) is type(b) and a == b
 
 
-@pytest.mark.parametrize("n", [2.0, 3.0])
+def _weight(ys):
+    return 1.0 + 0.1 * ys[:, 0] ** 2
+
+
+@pytest.mark.parametrize("n", [3.0, 1.5])
 def test_discrete_modulus_equals_the_untrimmed_step_bit_for_bit(n):
+    # off n = 2 the solver keeps the old backtracking steps and only stops on its
+    # certified gap: the old ascent, run as many iterations (tol 0 turns its own rule
+    # off), reaches the same iterate, value, dual value and density bit for bit
     fam = radial_family(ANN, 48)
-    weight = lambda ys: 1.0 + 0.1 * ys[:, 0] ** 2
-    for kwargs in ({}, {"cell_weight": weight}):
+    for kwargs in ({}, {"cell_weight": _weight}):
         got = discrete_modulus(fam, ANN, grid=32, n=n, **kwargs)
-        _same_result(got, _discrete_modulus_reference(fam, ANN, grid=32, n=n, **kwargs))
+        assert got.converged and got.iterations > 100
+        ref = modulus_reference.discrete_modulus(fam, ANN, grid=32, n=n, max_iters=got.iterations, tol=0.0, **kwargs)
+        assert not ref.converged and ref.iterations == got.iterations
+        _same_result(got, dataclasses.replace(ref, converged=True))
+
+
+SEG_FAMILY = radial_family(ANN, 40)
+INTERVAL_CASES = {
+    "radial-48@32": (radial_family(ANN, 48), 32, {}),
+    "radial-48@32-weighted": (radial_family(ANN, 48), 32, {"cell_weight": _weight}),
+    "radial-256@64": (radial_family(ANN, 256), 64, {}),
+    "circles-12@48": (circle_family(ANN, 12, vertices=180), 48, {}),
+    "radial-40@40-seg-values": (
+        SEG_FAMILY, 40, {"seg_values": [np.array([1.0 + 0.5 * np.sin(i)]) for i in range(len(SEG_FAMILY))]}
+    ),
+    "radial-48@32-n3": (radial_family(ANN, 48), 32, {"n": 3.0}),
+}
+
+
+@pytest.mark.parametrize("case", list(INTERVAL_CASES))
+def test_certified_intervals_of_the_old_and_new_ascent_overlap(case):
+    # each solver brackets the same discrete optimum by [dual_value, value], the dual
+    # value of a nonnegative iterate below it and the mass of a feasible density above,
+    # so each interval holds the optimum that certifies the other's, and they overlap
+    family, grid, kwargs = INTERVAL_CASES[case]
+    new = discrete_modulus(family, ANN, grid=grid, **kwargs)
+    old = modulus_reference.discrete_modulus(family, ANN, grid=grid, **kwargs)
+    for res in (new, old):
+        assert res.dual_value <= res.value and res.gap == res.value - res.dual_value
+    assert old.dual_value <= new.value and new.dual_value <= old.value
+    assert new.converged and new.gap <= TOL_GAP * new.value
+
+
+def test_modulus_of_curves_sharing_no_cell_is_the_closed_form():
+    # curves in disjoint cells decouple: each is admissible alone, with density
+    # l_c / V_c scaled to integral 1, so Mod = sum over curves of 1 / sum_c (l_c^2 / V_c)
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    ys = (np.arange(8) + 0.5) / 8
+    family = CurveFamily(
+        [np.array([[0.1, y], [0.3 + 0.08 * i, y + 0.02 * (i % 3)]]) for i, y in enumerate(ys)]
+        + [np.array([[0.95, 0.05], [0.95, 0.5], [0.9, 0.9]])]
+    )
+    grid = Grid2D(box, 64)
+    rows, cols, vals = _rasterize(family.polylines, grid)
+    assert len(np.unique(cols)) == len(cols)  # no cell is shared
+    for kwargs, weight in (({}, np.ones(len(cols))), ({"cell_weight": _weight}, _weight(grid.centers(cols)))):
+        V = grid.cell_volume() * weight
+        closed = float((1.0 / np.bincount(rows, weights=vals**2 / V)).sum())
+        res = discrete_modulus(family, box, grid=64, **kwargs)
+        assert res.converged and res.gap <= TOL_GAP * res.value
+        assert res.dual_value * (1 - 1e-12) <= closed <= res.value * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("grid", [64, 128])
+def test_dense_radial_families_converge_within_max_iters(grid):
+    # 1,024 curves over 64^2 or 128^2 cells: the old ascent stopped unconverged at 4,000 iterations
+    res = discrete_modulus(radial_family(ANN, 1024), ANN, grid=grid)
+    assert res.converged and res.iterations < 4000
+    assert res.gap <= TOL_GAP * res.value
 
 
 def test_pushforward_modulus_fails_closed_on_lift_failures(monkeypatch):
@@ -395,17 +358,29 @@ def test_ahlfors_identity_and_square():
         assert s.ratio <= 1.0 + s.ratio_ci
 
 
+def _square_draws(f, y0, r, N, seed, ic=0, ir=0):
+    """The draws of the sampler's ball (ic, ir), from its stream: the binomial count of the
+    box draws in the reach square, then that many points on the square; and its half-width."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 11, ic, ir]))
+    half = float(np.sqrt(ball_reach(f, minv(f, y0).expand(), r) ** 2 * (1.0 + modulus.REACH_SLACK)))
+    m = rng.binomial(N, 1.0 / modulus.BOX_FACTOR**2)
+    return rng.uniform(y0 - half, y0 + half, size=(m, 2)), half
+
+
 def test_ahlfors_density_reads_the_fibers_of_its_own_samples():
     # one ball recomputed from the sampler's own draws with the closed-form
-    # density of z^2, H(y)^2 = 1 / (2|y|): a Jacobian taken from other rows moves it
+    # density of z^2, H(y)^2 = 1 / (2|y|): a Jacobian taken from other rows moves it.
+    # The box draws outside the reach square are never made; their density is 0
     f, y0, r, N = planar_power(2), np.array([1.0, 0.0]), 0.05, 20000
     (s,) = ahlfors_sampler(f, [y0], [r], n_samples=N, seed=1)
-    rng = np.random.default_rng(np.random.SeedSequence([1, 11, 0, 0]))
-    R = modulus.BOX_FACTOR * ball_reach(f, minv(f, y0).expand(), r)
-    ys = rng.uniform(y0 - R, y0 + R, size=(N, 2))
+    ys, half = _square_draws(f, y0, r, N, 1)
     inside = kernels.dist_sq_one_to_many(minv(f, y0).expand(), minv_batch(f, ys)) < r * r
-    density = np.where(inside, 0.5 / np.hypot(ys[:, 0], ys[:, 1]), 0.0)
-    assert s.measure == pytest.approx((2 * R) ** 2 * density.mean(), rel=1e-12)
+    density = np.zeros(N)
+    density[: len(ys)] = np.where(inside, 0.5 / np.hypot(ys[:, 0], ys[:, 1]), 0.0)
+    vol_box = (2 * modulus.BOX_FACTOR * half) ** 2
+    assert s.in_ball == inside.sum() > 0
+    assert s.measure == pytest.approx(vol_box * density.mean(), rel=1e-12)
+    assert s.ci_halfwidth == pytest.approx(3 * vol_box * density.std(ddof=1) / np.sqrt(N), rel=1e-12)
 
 
 def _metric_jacobian_reference(L: np.ndarray) -> np.ndarray:
@@ -455,33 +430,32 @@ CENTERS = [[0.6, 0.1], [-1.3, 0.9], [-1.9, 0.05]]
 
 
 def _ahlfors_lifting_every_row(f, centers, radii, N, seed):
-    """(OmegaFSample.to_json(), rows inside) of each ball, from ``Generator.uniform``
-    draws of the sampler's streams with every row lifted."""
+    """``OmegaFSample.to_json()`` of each ball, from the sampler's draws with every row lifted."""
     const = modulus.UNIT_BALL_VOLUME[2] * f.degree ** 1.0 * f.K_I * f.K_O
     out = []
     for ic, y0 in enumerate(centers):
         z = minv(f, y0)
         zC = z.expand()
         for ir, r in enumerate(radii):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 11, ic, ir]))
-            R = modulus.BOX_FACTOR * ball_reach(f, zC, r)
-            lo, hi = y0 - R, y0 + R
-            ys = rng.uniform(lo, hi, size=(N, 2))
+            ys, half = _square_draws(f, y0, r, N, seed, ic, ir)
             fibers = minv_batch(f, ys)
             inside = kernels.dist_sq_one_to_many(zC, fibers) < r * r
-            vals = np.zeros(N)
-            vals[inside] = metric_jacobian_values(f, fibers[inside])
-            est = float(np.prod(hi - lo)) * float(vals.mean())
-            sd = float(np.prod(hi - lo)) * float(vals.std(ddof=1) / np.sqrt(N))
-            sample = {
-                "center": z.to_json(),
-                "radius": float(r),
-                "measure": est,
-                "ci_halfwidth": 3.0 * sd,
-                "ratio": est / (const * r**2),
-                "ratio_ci": 3.0 * sd / (const * r**2),
-            }
-            out.append((sample, int(inside.sum())))
+            vals = metric_jacobian_values(f, fibers[inside])
+            mean = float(vals.sum()) / N
+            var = (float(((vals - mean) ** 2).sum()) + (N - len(vals)) * mean**2) / (N - 1)
+            vol_box = (2.0 * modulus.BOX_FACTOR * half) ** 2
+            est, sd = vol_box * mean, vol_box * float(np.sqrt(var / N))
+            out.append(
+                {
+                    "center": z.to_json(),
+                    "radius": float(r),
+                    "measure": est,
+                    "ci_halfwidth": 3.0 * sd,
+                    "ratio": est / (const * r**2),
+                    "ratio_ci": 3.0 * sd / (const * r**2),
+                    "in_ball": int(inside.sum()),
+                }
+            )
     return out
 
 
@@ -499,17 +473,38 @@ def test_ahlfors_lifting_the_certified_reach_equals_lifting_every_row(f):
 
     got = ahlfors_sampler(dataclasses.replace(f, fiber_batch=fiber_batch), centers, radii, n_samples=4000, seed=3)
     ref = _ahlfors_lifting_every_row(f, centers, radii, 4000, 3)
-    for s, (sample, n_inside) in zip(got, ref, strict=True):
-        assert n_inside > 0
+    for s, sample in zip(got, ref, strict=True):
+        assert sample["in_ball"] > 0
         assert json.dumps(s.to_json()) == json.dumps(sample)
     assert sum(lifted) < len(ref) * 4000  # some rows were never lifted
 
 
-def test_ahlfors_box_leaving_the_image_fails_closed():
-    # the box around (1, 0) reaches |y| = 1.13, outside this image, though the rows it lifts stay within 1.08
-    f = dataclasses.replace(planar_power(2), contains_image=lambda ys: np.hypot(ys[:, 0], ys[:, 1]) < 1.1)
+def _within(radius):
+    return lambda ys: np.hypot(ys[:, 0], ys[:, 1]) < radius
+
+
+def test_ahlfors_reach_square_leaving_the_image_fails_closed():
+    # the reach square of the ball of radius 0.05 around minv(1, 0) reaches |y| = 1.077
+    # at its corners, and the box around it |y| = 1.13
+    f, y0 = planar_power(2), np.array([1.0, 0.0])
     with pytest.raises(CoverError, match="outside the image"):
-        ahlfors_sampler(f, [np.array([1.0, 0.0])], [0.05], n_samples=2000, seed=0)
+        ahlfors_sampler(dataclasses.replace(f, contains_image=_within(1.06)), [y0], [0.05], n_samples=2000, seed=0)
+    # an image boundary that cuts only the box outside the square: no point there can be in
+    # the ball, and none is drawn, so the estimate is the whole plane's
+    got = ahlfors_sampler(dataclasses.replace(f, contains_image=_within(1.1)), [y0], [0.05], n_samples=2000, seed=0)
+    assert [s.to_json() for s in got] == [s.to_json() for s in ahlfors_sampler(f, [y0], [0.05], 2000, seed=0)]
+
+
+def test_ahlfors_estimate_has_the_law_of_the_box_sampler():
+    # the square draws against the whole-box reference over 200 seeds of one ball:
+    # the mean measure, interval and in-ball count agree within 4 standard errors
+    f, centers, radii, N = planar_power(2), [np.array([1.0, 0.3])], [0.1], 1000
+    new = [ahlfors_sampler(f, centers, radii, N, seed)[0] for seed in range(200)]
+    old = [ahlfors_box_sampler(f, centers, radii, N, seed)[0] for seed in range(200)]
+    for key in ("measure", "ci_halfwidth", "in_ball"):
+        a, b = (np.array([getattr(s, key) for s in side], dtype=float) for side in (new, old))
+        se = np.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+        assert abs(a.mean() - b.mean()) <= 4 * se, key
 
 
 REACH_CASES = [(name, y0) for name in MAPS for y0 in CENTERS] + [("z2", [0, 0]), ("z3-3z", [2, 0]), ("z3-3z", [-2, 0])]
