@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modulus", help="discrete modulus of a curve family (the modulus check's defaults)")
     p.add_argument("--region")
-    p.add_argument("--family", help="radial, the family of the exact value 2 pi / log R (as --count alone)")
+    p.add_argument("--family", help="radial, the family of the exact n-modulus (as --count alone)")
     p.add_argument("--count", type=int)
     p.add_argument("--grid", type=int)
     p.add_argument("--n", type=float)

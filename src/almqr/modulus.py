@@ -40,7 +40,7 @@ from .covers import (
     minv_batch,
     polyline_paths,
 )
-from .regions import Annulus, Box, annulus_quadrature, box_quadrature
+from .regions import Annulus, Box, region_quadrature
 from .util import SpecError, row_norms
 
 
@@ -244,6 +244,8 @@ class ModulusResult:
 # TOL_GAP; it evaluates that certificate every GAP_EVERY iterations
 TOL_GAP = 1e-6
 GAP_EVERY = 10
+# the backtracking test allows this rounding relative to h(y); a smaller step fails it by noise alone
+ROUNDING = 8 * np.finfo(np.float64).eps
 
 
 def discrete_modulus(
@@ -261,16 +263,18 @@ def discrete_modulus(
     against Lebesgue); ``seg_values`` overrides the per-segment admissibility
     mass (the length element along the curves).
 
-    At n = 2 the dual ascends by FISTA (Beck and Teboulle 2009) with a step
-    of one over a 40-step power estimate of the gradient's Lipschitz
-    constant, and restarts its momentum whenever the projected step turns
-    against it (the gradient restart of O'Donoghue and Candes 2015); other
-    exponents take backtracking projected gradient steps.  Every
-    ``GAP_EVERY`` iterations (from the 110th on the backtracking branch) the
-    dual iterate gives a lower bound and its density, rescaled to
-    feasibility, an upper bound; ``converged`` means that the solver
-    stopped on their relative gap certified at most ``TOL_GAP`` within
-    ``max_iters``.
+    The dual ascends by projected FISTA (Beck and Teboulle 2009) at every
+    exponent.  Its step 1/L backtracks: the step from the extrapolated point
+    y to x is taken when the Bregman divergence of the dual's convex part
+    h = (n - 1) sum_c V_c s_c^q, s = A^T lam / (n V), from y to x is at most
+    (L/2) |x - y|^2, else L doubles; each step then shrinks L by 0.9.  The
+    momentum restarts whenever the projected step turns against it (the
+    gradient restart of O'Donoghue and Candes 2015).  Every ``GAP_EVERY``
+    iterations the dual iterate gives a lower bound and its density,
+    rescaled to feasibility, an upper bound; ``converged`` means that the
+    solver stopped on their relative gap certified at most ``TOL_GAP``
+    within ``max_iters``.  A non-finite gradient, divergence or step raises
+    ``NumericalError``.
     """
     g2 = Grid2D(region.bbox(), grid)
     rows, cols, vals = _rasterize(family.polylines, g2, seg_values=seg_values)
@@ -285,7 +289,6 @@ def discrete_modulus(
         raise ValueError("nonpositive cell weights")
 
     q = n / (n - 1.0)
-    nV = n * V
     per_row = np.bincount(rows, minlength=M)  # rows is sorted, so lam[rows] is np.repeat(lam, per_row)
 
     def a_t(lam: np.ndarray) -> np.ndarray:  # A^T lam over touched cells
@@ -294,69 +297,61 @@ def discrete_modulus(
     def a(rho: np.ndarray) -> np.ndarray:  # A rho over curves
         return np.bincount(rows, weights=vals * rho[cols_c], minlength=M)
 
-    def rho_of(s: np.ndarray) -> np.ndarray:  # the density of a dual iterate lam from s = A^T lam / (n V)
-        return s if n == 2.0 else s ** (1.0 / (n - 1.0))
+    def rho_of(s: np.ndarray) -> np.ndarray:  # the density of a dual point lam from s = A^T lam / (n V)
+        # an extrapolated point may have s < 0: off n = 2 that cell's density is 0
+        return s if n == 2.0 else np.maximum(s, 0.0) ** (1.0 / (n - 1.0))
 
     def dual(lam: np.ndarray, s: np.ndarray) -> float:  # the dual objective at lam, s = A^T lam / (n V)
         return float(lam.sum() - (n - 1.0) * (V * s**q).sum())
 
-    def certificate(lam: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """(value, dual value, density, its curve integrals) at the dual iterate lam; the value is the
-        mass of the density rescaled to feasibility, inf when a curve has no mass."""
-        s = a_t(lam) / nV
+    def certificate(lam: np.ndarray, s: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """(value, dual value, curve integrals of rho_of(s)) at the dual iterate lam, s = A^T lam / (n V);
+        the value is the mass of the density rescaled to feasibility, inf when a curve has no mass."""
         rho = rho_of(s)
         integrals = a(rho)
         mu = float(integrals.min())
         value = float((V * (rho / mu) ** n).sum()) if mu > 0 else np.inf
-        return value, dual(lam, s), rho, integrals
+        return value, dual(lam, s), integrals
 
     def certified(cert) -> bool:
         return cert[0] < np.inf and cert[0] - cert[1] <= TOL_GAP * cert[0]
 
     lam = np.full(M, 1e-3)
+    s_lam = a_t(lam) / (n * V)
+    y, s_y = lam, s_lam
+    L, t = 1.0, 1.0
     converged = False
     it = 0
-    if n == 2.0:
-        # Lipschitz estimate of the dual gradient via power iteration
-        v = np.ones(M)
-        for _ in range(40):
-            w = a(a_t(v) / nV)
-            nv = np.linalg.norm(w)
-            if nv == 0:
+    for it in range(1, max_iters + 1):
+        rho_y = rho_of(s_y)  # h(y) = (n - 1) sum_c V_c s_y rho_y
+        grad = 1.0 - a(rho_y)
+        slack = ROUNDING * (n - 1.0) * float((V * s_y * rho_y).sum())
+        while True:  # double L until the Bregman divergence of h from y to x is at most (L/2) |x - y|^2
+            x = np.maximum(0.0, y + grad / L)
+            s_x = a_t(x) / (n * V)
+            step = x - y
+            # summed cell by cell, in closed form at n = 2; a non-finite gradient makes it non-finite
+            div = float((V * ((s_x - s_y) ** 2 if n == 2.0 else
+                              (n - 1.0) * (s_x**q - s_y * rho_y) - n * rho_y * (s_x - s_y))).sum())
+            if not np.isfinite([div, L]).all():
+                raise NumericalError(f"non-finite dual gradient, divergence or step at iteration {it}")
+            if div <= 0.5 * L * np.dot(step, step) + slack:
                 break
-            v = w / nv
-        step = 1.0 / max(nv, 1e-30)
-        y, t = lam, 1.0
-        for it in range(1, max_iters + 1):
-            x = np.maximum(0.0, y + step * (1.0 - a(a_t(y) / nV)))
-            if np.dot(x - y, x - lam) < 0:  # the projected step turns against the momentum: restart
-                t = 1.0
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x + ((t - 1.0) / t_next) * (x - lam)
-            lam, t = x, t_next
-            if it % GAP_EVERY == 0 and certified(cert := certificate(lam)):
-                converged = True
-                break
-    else:
-        # backtracking projected gradient for general exponents
-        step = 1.0
-        cur = dual(lam, a_t(lam) / nV)
-        for it in range(1, max_iters + 1):
-            grad = 1.0 - a(rho_of(a_t(lam) / nV))
-            while step > 1e-18:
-                trial = np.maximum(0.0, lam + step * grad)
-                val = dual(trial, a_t(trial) / nV)
-                if val >= cur - 1e-14:
-                    break
-                step *= 0.5
-            lam, cur = trial, val
-            step *= 1.3
-            if it > 100 and it % GAP_EVERY == 0 and certified(cert := certificate(lam)):
-                converged = True
-                break
+            L *= 2.0
+        L *= 0.9  # let L fall back to the local curvature
+        if np.dot(step, x - lam) < 0:  # the projected step turns against the momentum: restart
+            t = 1.0
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        # A^T is linear, so the extrapolated point's s comes from the stored ones
+        y, s_y = x + beta * (x - lam), s_x + beta * (s_x - s_lam)
+        lam, s_lam, t = x, s_x, t_next
+        if it % GAP_EVERY == 0 and certified(cert := certificate(lam, s_lam)):
+            converged = True
+            break
     if not converged:
-        cert = certificate(lam)
-    primal, dval, rho, integrals = cert
+        cert = certificate(lam, s_lam)
+    primal, dval, integrals = cert
     mu = float(integrals.min())
     if mu <= 0:
         raise NumericalError("dual iterate left a curve with zero mass")
@@ -373,16 +368,20 @@ def discrete_modulus(
         density=DensityField(
             grid=g2,
             cells=touched,
-            values=rho / mu,
+            values=rho_of(s_lam) / mu,
             exponent=float(n),
             curve_integrals=integrals / mu,
         ),
     )
 
 
-def ring_modulus_exact(r_in: float, r_out: float) -> float:
-    """Continuum 2-modulus of the connecting family of a round annulus."""
-    return float(2 * np.pi / np.log(r_out / r_in))
+def ring_modulus_exact(r_in: float, r_out: float, n: float = 2.0) -> float:
+    """Continuum n-modulus of the radial (connecting) family of a round planar annulus:
+    2 pi / log(r_out / r_in) at n = 2, and 2 pi (int_{r_in}^{r_out} r^(-1/(n-1)) dr)^(1-n) in general."""
+    if n == 2.0:
+        return float(2 * np.pi / np.log(r_out / r_in))
+    p = (n - 2.0) / (n - 1.0)
+    return float(2 * np.pi * ((r_out**p - r_in**p) / p) ** (1.0 - n))
 
 
 # ---------------------------------------------------------------------------
@@ -540,17 +539,12 @@ def area_formula_check(
     the fibers of all its image-side nodes in one ``minv_batch`` call.
     """
 
-    def quad(region, order):
-        if isinstance(region, Annulus):
-            return annulus_quadrature(region, order, 2 * order)
-        return box_quadrature(region, order)
-
     levels = []
     for order in orders:
-        pts, w = quad(image_region, order)
+        pts, w = region_quadrature(image_region, order)
         fibers = minv_batch(f, pts)  # (M, d, n), index-weighted by repetition
         lhs = float(w @ g(fibers.reshape(-1, f.n)).reshape(len(pts), f.degree).sum(axis=1))
-        pts2, w2 = quad(preimage_region, order)
+        pts2, w2 = region_quadrature(preimage_region, order)
         rhs = float(w2 @ (g(pts2) * f.jacobian(pts2)))
         disc = abs(lhs - rhs)
         scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -568,10 +562,7 @@ def energy_bound_check(f: BranchedCoverSpec, image_region, preimage_region, orde
     H takes one batch ``h_function`` call over all quadrature nodes.
     """
     n = f.n
-    if isinstance(image_region, Annulus):
-        pts, w = annulus_quadrature(image_region, order, 2 * order)
-    else:
-        pts, w = box_quadrature(image_region, order)
+    pts, w = region_quadrature(image_region, order)
     lhs = float(w @ h_function(f, pts) ** n)
     rhs = f.degree ** (n / 2.0 - 1.0) * f.K_I * f.K_O * preimage_region.volume()
     return {"energy": lhs, "bound": rhs, "slack": rhs - lhs}

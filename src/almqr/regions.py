@@ -149,6 +149,13 @@ def box_quadrature(box: Box, order: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, w.ravel()
 
 
+def region_quadrature(region, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor rule of a region at one order: polar on an annulus (2 * order angles), else on its box."""
+    if isinstance(region, Annulus):
+        return annulus_quadrature(region, order, 2 * order)
+    return box_quadrature(region, order)
+
+
 def annulus_quadrature(ann: Annulus, order_r: int, order_t: int) -> tuple[np.ndarray, np.ndarray]:
     """Polar tensor rule over an annulus (weights include the r factor)."""
     r, wr = gl_nodes(ann.r_in, ann.r_out, order_r)

@@ -1,9 +1,8 @@
-"""The projected dual ascent that ``modulus.discrete_modulus`` replaced at n = 2, kept as a reference.
+"""The projected dual ascent that ``modulus.discrete_modulus`` replaced, kept as a reference.
 
 Its iterates differ from the accelerated solver's, but both report a
 certified interval [dual_value, value] around the same discrete optimum, so
-their intervals must overlap; off n = 2 the solver keeps these backtracking
-steps, so the same number of iterations reaches the same iterate bit for bit.
+their intervals must overlap.
 """
 
 import numpy as np

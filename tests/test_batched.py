@@ -388,17 +388,21 @@ def test_quadrature_node_on_branch_value_raises():
                 differential(F, [0.0, 0.0])
 
 
-# -- the verdict rule: closed pull-backs are degenerate, not failures ----------------
+# -- the verdict rule: closed pull-backs are degenerate, not failures, but not a check either ----
 
 
-@pytest.mark.parametrize("seed", [7, 23])
-def test_closed_pullback_seeds_pass_as_degenerate(seed):
+@pytest.mark.parametrize("seed", [7, 23, 1137836843])
+def test_closed_pullback_seeds_are_degenerate_and_fail_closed_alone(seed):
     config = {"map": {"map": "power", "k": 2}, "forms": 1, "testforms": 1, "orders": [16, 32, 64], "tol": 0.001}
     rec = run_check("stokes", config, seed)
-    assert rec.passed
     (row,) = rec.metrics["rows"]
     assert row["degenerate"] and row["S"] > 0.1
     assert row["rel"] < 1e-3
+    assert not rec.passed  # a sweep of degenerate rows certified only 0 = 0
+    # beside a row that is not degenerate, the same degenerate row passes
+    rec = run_check("stokes", {**config, "forms": 2}, seed)
+    assert rec.metrics["rows"][0] == row and not rec.metrics["rows"][1]["degenerate"]
+    assert rec.passed
 
 
 def test_wrong_analytic_derivative_still_fails():

@@ -9,6 +9,7 @@ import pytest
 from almqr import kernels, runner
 from almqr.cli import load_manifest, main
 from almqr.dsl import SpecError
+from almqr.modulus import ring_modulus_exact
 from almqr.reports import stable_body
 from almqr.runner import CHECKS, run_check
 
@@ -596,6 +597,15 @@ def test_modulus_cli(capsys):
     assert out["metrics"]["rel_error"] < 0.05
     # only the given flags enter the config; --count alone counts radial curves
     assert out["config"] == {"grid": 64, "family": {"family": "radial", "count": 256}}
+
+
+@pytest.mark.parametrize("n", [1.5, 3, 4])
+def test_verify_modulus_off_n_2_compares_with_the_n_modulus(n, capsys):
+    # at builtin size the n-modulus reads -2.3%, -1.4% and -1.2% off its closed form, not 2 pi / log R
+    assert run_cli("verify", "modulus", "--config", json.dumps({"n": n})) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert metrics["exact"] == ring_modulus_exact(1.0, np.e, n) and metrics["converged"]
+    assert -0.03 < (metrics["value"] - metrics["exact"]) / metrics["exact"] < 0
 
 
 def test_format_csv_stdout(capsys):
