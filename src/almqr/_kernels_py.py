@@ -9,13 +9,18 @@ dense Jonker-Volgenant scheme), run in lockstep on a stack of cost matrices.
 Its float operations are those of the one-matrix method, so each matrix of a
 stack gets the value and matching it gets alone; :func:`solve_assignment` is
 its batch of one.  A batch of one pays numpy's per-call cost at every step,
-so callers gather their matrices into one stack.  Batches of small tuples
-(3 <= d <= 6) are priced by :func:`enumerate_min`, which takes all d!
-matchings of every row at once; larger d goes to the solver, one stack per
-batch.  A single pair is priced as a batch of one, so scalar and batch
-distances round alike.  Every route fails closed: a NaN or infinite input,
-or squares that overflow, raise ``ValueError`` (the closed forms of d <= 2
-check their (m,) result, the others their cost matrices).
+so callers gather their matrices into one stack.  With ``runner_up`` the
+solver also certifies its matchings from its own dual potentials: a lower
+bound on the total of every other matching, as :func:`enumerate_min` gives
+its runner-up.  The solver route of the metric (``almgren.lex_matchings``)
+keeps the matchings that this certifies and refines only the near-ties, and
+path lifting certifies its windows with it above the enumerated degrees.
+Batches of small tuples (3 <= d <= 6) are priced by :func:`enumerate_min`,
+which takes all d! matchings of every row at once; larger d goes to the
+solver, one stack per batch.  A single pair is priced as a batch of one, so
+scalar and batch distances round alike.  Every route fails closed: a NaN or
+infinite input, or squares that overflow, raise ``ValueError`` (the closed
+forms of d <= 2 check their (m,) result, the others their cost matrices).
 """
 
 from __future__ import annotations
@@ -34,12 +39,16 @@ def _check_finite(cost: np.ndarray) -> None:
         raise ValueError(f"cost matrices {bad.tolist()} have non-finite entries")
 
 
-def solve_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def solve_assignments(cost: np.ndarray, runner_up: bool = False):
     """Minimum-cost perfect matchings of a stack of dense square cost matrices (m, d, d).
 
     Returns ``(value, col_of_row)``: ``col_of_row[a, i]`` (m, d) is the
     column assigned to row ``i`` of matrix ``a`` and
-    ``value[a] = cost[a, arange(d), col_of_row[a]].sum()``.
+    ``value[a] = cost[a, arange(d), col_of_row[a]].sum()``.  With
+    ``runner_up``, returns ``(value, col_of_row, second)``, where
+    ``second[a]`` is a certified lower bound on the exact total of every
+    other matching (inf at d <= 1), read from the final potentials
+    (:func:`_runner_up`), as :func:`enumerate_min` returns its runner-up.
 
     The O(d^3) shortest-augmenting-path method with row and column
     potentials (R. Jonker and A. Volgenant, Computing 38, 1987; R. Burkard,
@@ -59,7 +68,8 @@ def solve_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, d = cost.shape[0], cost.shape[1]
     _check_finite(cost)
     if d <= 1:
-        return cost[:, 0, 0].copy() if d else np.zeros(m), np.zeros((m, d), dtype=np.int64)
+        value, col_of_row = cost[:, 0, 0].copy() if d else np.zeros(m), np.zeros((m, d), dtype=np.int64)
+        return (value, col_of_row, np.full(m, np.inf)) if runner_up else (value, col_of_row)
 
     rows = np.arange(m)
     C = np.zeros((m, d + 1, d + 1))  # 1-based rows and columns; row and column 0 unused
@@ -109,7 +119,65 @@ def solve_assignments(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     col_of_row = np.empty((m, d), dtype=np.int64)
     np.put_along_axis(col_of_row, p[:, 1:] - 1, np.arange(d)[None], axis=1)
     value = np.take_along_axis(cost, col_of_row[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-    return value, col_of_row
+    if not runner_up:
+        return value, col_of_row
+    return value, col_of_row, _runner_up(cost, col_of_row, value, u[:, 1:], v[:, 1:])
+
+
+def _runner_up(cost, col_of_row, value, u, v) -> np.ndarray:
+    """Lower bounds (m,) on the exact total of every matching but ``col_of_row`` (m, d), d >= 2.
+
+    ``value`` (m,) is the total of ``col_of_row`` on ``cost`` (m, d, d),
+    and u and v (m, d) are the solver's final row and column potentials.
+
+    Write pi for ``col_of_row[a]`` and R_ij = c_ij - u_i - v_j for the
+    exact reduced costs.  A matching sigma != pi sends row i to column
+    pi(k) for a permutation k = tau(i) of the rows, and
+
+        cost(sigma) - cost(pi) = sum_i W[i, tau(i)],  W[i, k] = R[i, pi(k)] - R[i, pi(i)],
+
+    since the potentials cancel over both matchings.  The sum splits over
+    the cycles of tau, so the exact runner-up gap is the lightest cycle of
+    the digraph on the rows with edge weights W (R. Burkard, M. Dell'Amico
+    and S. Martello, Assignment Problems, SIAM 2009, ch. 4).  The solver's
+    final potentials make every edge a reduced cost, nonnegative up to
+    rounding.  Floyd-Warshall over the (m, d, d) stack, d ``np.minimum``
+    steps, finds the lightest closed walk g^ of the computed edges;
+    rounding is monotone, so g^ is at most the float sum of the lightest
+    cycle's computed edges.
+
+    The identity holds for any real u and v, so the potentials' own
+    rounding does not enter; the rest is bounded with u_r = 2^-53 and
+    S = max|c| + max|u| + max|v| per matrix.  Each computed reduced cost is
+    within 3 u_r S of R and at most 1.01 S in size; each edge is within
+    8.1 u_r S of W and at most 2.03 S.  A cycle has at most d edges: their
+    errors add up to 8.1 d u_r S, and their float sum, in any order, is
+    within 1.01 (d - 1) u_r 2.03 d S of the sum of the computed edges.
+    ``value``, a float sum of d entries, is within 1.01 (d - 1) d u_r S of
+    cost(pi).  So far that is less than 3.1 d^2 + 10.3 d units of u_r S.
+    Rounding is monotone, so the operations below may take g^ at that float
+    sum, at most 2.1 d S in size.  Then they round by at most 5.2 d u_r S
+    more, or by 2.1 d^2 + 3.1 d units where the (d // 2) product is taken.
+    Either total stays below err = 6 d (d + 3) u_r S.  If lo = g^ - err is
+    at least 0, pi is optimal and every other matching costs at least
+    cost(pi) + lo; otherwise a matching has at most d // 2 cycles, each
+    weighing at least lo.  A NaN (reduced costs that overflow) gives -inf,
+    which certifies nothing.
+    """
+    m, d = col_of_row.shape
+    rows = np.arange(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # r[a, i, k]: reduced cost of row i at the column matched to row k
+        c_pi = np.take_along_axis(cost, np.broadcast_to(col_of_row[:, None, :], (m, d, d)), axis=2)
+        r = c_pi - u[:, :, None] - np.take_along_axis(v, col_of_row, axis=1)[:, None, :]
+        w = r - r[:, rows, rows][:, :, None]
+        w[:, rows, rows] = np.inf
+        for k in range(d):
+            np.minimum(w, w[:, :, k, None] + w[:, None, k, :], out=w)
+        scale = np.abs(cost).max(axis=(1, 2)) + np.abs(u).max(axis=1) + np.abs(v).max(axis=1)
+        lo = w[:, rows, rows].min(axis=1) - 6 * d * (d + 3) * 2.0**-53 * scale
+        second = value + np.where(lo >= 0.0, lo, (d // 2) * lo)
+    return np.where(np.isnan(second), -np.inf, second)
 
 
 def solve_assignment(cost: np.ndarray) -> tuple[float, np.ndarray]:

@@ -370,11 +370,28 @@ def _lex_refine(cost: np.ndarray, best: np.ndarray) -> np.ndarray:
 def lex_matchings(cost: np.ndarray) -> np.ndarray:
     """The lexicographically first optimal matching (m, d) of each cost matrix (m, d, d).
 
-    One ``kernels.solve_assignments`` call and one :func:`_lex_refine` over
-    the whole stack; a matrix gets the matching it gets alone.
+    One ``kernels.solve_assignments`` call certifies most rows, and one
+    :func:`_lex_refine` call serves the rest; a matrix gets the matching it
+    gets alone.  A row keeps the solver's matching pi when its certified
+    runner-up bound (``second``) beats ``best`` by more than the refinement's
+    band ``tol`` and the rounding of its sums.  At every row i with pi's
+    prefix fixed, a candidate column other than pi(i) completes to a
+    matching sigma != pi, and the refinement prices it as a float sum of
+    sigma's d terms, within (d - 1) u_r d max|c| of cost(sigma) >= second
+    (u_r = 2^-53): it lies above fl(best + tol) and is rejected.  The
+    candidate pi(i) completes to pi itself, priced within 2 (d - 1) u_r d
+    max|c| of ``best``, which the bound ``slack <= tol / 2`` keeps inside
+    the band.  So :func:`_lex_refine` would return pi, bit for bit.
     """
     cost = np.asarray(cost, dtype=np.float64)
-    return _lex_refine(cost, kernels.solve_assignments(cost)[0])
+    d = cost.shape[1]
+    best, perm, second = kernels.solve_assignments(cost, runner_up=True)
+    tol = 1e-12 * (1.0 + np.abs(best))  # _lex_refine's band
+    slack = 2 * d * d * 2.0**-53 * (np.abs(cost).max(axis=(1, 2), initial=0.0) + np.abs(best))
+    refine = np.flatnonzero(~((slack <= 0.5 * tol) & (second - best > tol + slack)))
+    if len(refine):
+        perm[refine] = _lex_refine(cost[refine], best[refine])
+    return perm
 
 
 def _degree_stack(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

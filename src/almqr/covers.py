@@ -777,18 +777,21 @@ def _matching(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     For d <= ENUMERATED_DEGREE every permutation is priced at once
     (``kernels.enumerate_min``) and the first minimum in lexicographic order
     wins; above that all rows go to one ``kernels.solve_assignments`` call.
-    A matching is certified when it beats every other by more than the
-    rounding of its d-term totals, so that it is the unique optimum however
-    the rows of the cost matrix are ordered.  The solver's are never.
+    Both return a runner-up: the enumeration the second smallest total, the
+    solver a certified lower bound on the exact total of every other
+    matching, from its own potentials.  A matching is certified by one rule
+    on either: when the runner-up beats it by more than the rounding of its
+    d-term totals, so that it is the unique optimum however the rows of the
+    cost matrix are ordered.
     """
     d = cost.shape[1]
     if not len(cost):  # an empty stack costs the solver a full sweep of its loops
         return np.zeros((0, d), dtype=np.int64), np.zeros(0, dtype=bool)
-    if d > ENUMERATED_DEGREE:
-        return kernels.solve_assignments(cost)[1], np.zeros(len(cost), dtype=bool)
-    value, perm, second = kernels.enumerate_min(cost, runner_up=True)
+    route = kernels.solve_assignments if d > ENUMERATED_DEGREE else kernels.enumerate_min
+    value, perm, second = route(cost, runner_up=True)
     # a total of two terms rounds alike in either order; a sum of d >= 3 nonnegative
-    # terms lies within (d - 1) u of the exact one in any order (u = 2^-53)
+    # terms lies within (d - 1) u of the exact one in any order (u = 2^-53), and the
+    # solver's runner-up is already below the exact totals
     return perm, second > value * (1.0 if d <= 2 else 1.0 + 8 * d * 2.0**-53)
 
 
@@ -891,9 +894,8 @@ def lift_paths(
     the lift and the error that stepping one step at a time gives, bit for
     bit, and an error is reported only at a point such stepping reaches.
     A round prices at most ``LIFT_ROWS`` rows; a path's window shrinks
-    after a rejection and doubles with each full commit.  Above degree
-    ENUMERATED_DEGREE, and after ``gamma`` raises in a window, every window
-    is one step.
+    after a rejection and doubles with each full commit.  After ``gamma``
+    raises in a window, every window is one step.
 
     The lift labels start in the order of ``minv(f, gamma(t0)).expand()``.
     Entry p of the result is path p's LiftedPath, or the error that stopped
@@ -925,7 +927,7 @@ def lift_paths(
     h_try = np.minimum(h, t1 - t)
     max_jump = np.zeros(P)
     t_end = t1 - 1e-15
-    cap = LIFT_ROWS if f.degree <= ENUMERATED_DEGREE else 1
+    cap = LIFT_ROWS
     window = np.full(P, cap)
     running &= t < t_end
     while running.any():

@@ -8,6 +8,8 @@ it, with ``lex_refine`` and ``distance`` built on it one pair at a time as
 ``almgren._lex_refine`` and ``almgren.distance`` are built on the batched
 solver.  ``matched_value`` is the value of one matching by ``math.fsum`` on
 Python floats: ``almgren.matched_values`` must match it bit for bit.
+``near_tie_costs`` builds the stacks of near-tied matchings that the
+matching certificates must refuse.
 """
 
 import math
@@ -104,6 +106,25 @@ def assignment_value(cost: np.ndarray) -> float:
     return solve_assignment(cost)[0]
 
 
+
+
+def near_tie_costs(rng, d: int, m: int) -> np.ndarray:
+    """Cost matrices (m, d, d) whose two cheapest matchings a and b differ on one cycle of all d rows.
+
+    b totals what a does, within a few ulps (factors 1 and 1 +- 1e-15), 1e-13
+    apart, or 0.1% apart.  Every other matching takes an entry of at least
+    max(1, 0.3 d), above the at most 0.3 d that a totals, so the race is
+    between a and b alone.
+    """
+    rows = np.arange(d)
+    a = rng.permutation(d)
+    b = a[(rows + 1) % d]
+    cost = rng.uniform(1.0, 2.0, size=(m, d, d)) * max(1.0, 0.3 * d)
+    cost[:, rows, a] = rng.uniform(0.2, 0.3, size=(m, d))
+    cost[:, rows, b] = rng.uniform(0.0, 0.05, size=(m, d))
+    excess = cost[:, rows, b].sum(axis=1) - cost[:, rows, a].sum(axis=1)
+    cost[:, 0, b[0]] -= excess * rng.choice([1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 1e-13, 0.999], size=m)
+    return cost
 
 
 def lex_refine(cost: np.ndarray, best: float) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scalar_assignment import lex_refine, near_tie_costs
 from scalar_assignment import solve_assignment as scalar_solve
 
 from almqr import _kernels_py, almgren, kernels
@@ -308,6 +309,12 @@ def test_solver_on_empty_and_tiny_stacks():
     for d in (0, 1, 3, 8):
         value, perm = kernels.solve_assignments(np.zeros((0, d, d)))
         assert value.shape == (0,) and perm.shape == (0, d)
+        value, perm, second = kernels.solve_assignments(np.zeros((0, d, d)), runner_up=True)
+        assert value.shape == second.shape == (0,) and perm.shape == (0, d)
+    for d in (0, 1):  # one matching: no runner-up, as the enumeration says
+        cost = np.arange(3.0 * d * d).reshape(3, d, d)
+        ours, theirs = kernels.solve_assignments(cost, runner_up=True), kernels.enumerate_min(cost, runner_up=True)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs)) and np.all(ours[2] == np.inf)
     value, perm = kernels.solve_assignments(np.array([[[-0.0]], [[2.5]]]))
     assert value.tobytes() == np.array([-0.0, 2.5]).tobytes() and perm.tolist() == [[0], [0]]
     assert kernels.solve_assignment(np.zeros((0, 0)))[0] == 0.0
@@ -315,6 +322,64 @@ def test_solver_on_empty_and_tiny_stacks():
         kernels.solve_assignments(np.zeros((2, 3, 4)))
     with pytest.raises(ValueError):
         kernels.solve_assignment(np.zeros((3, 4)))
+
+
+def _solver_runner_up(cost, monkeypatch):
+    """``solve_assignments(cost, runner_up=True)`` and the rounding bound its docstring states,
+    err = 6 d (d + 3) 2^-53 S, S = max|c| + max|u| + max|v|, with the potentials the solve ends with."""
+    scales = []
+    original = _kernels_py._runner_up
+
+    def spy(cost, col_of_row, value, u, v):
+        scales.append(np.abs(cost).max(axis=(1, 2)) + np.abs(u).max(axis=1) + np.abs(v).max(axis=1))
+        return original(cost, col_of_row, value, u, v)
+
+    monkeypatch.setattr(_kernels_py, "_runner_up", spy)
+    value, perm, second = kernels.solve_assignments(cost, runner_up=True)
+    d = cost.shape[1]
+    return value, perm, second, 6 * d * (d + 3) * 2.0**-53 * scales[0]
+
+
+def _exact_totals(cost, perms):
+    """Exactly rounded totals (m, k) of the permutations perms (k, d) on cost matrices (m, d, d), as ``math.fsum``."""
+    terms = cost[:, np.arange(cost.shape[1]), perms]  # (m, k, d)
+    return almgren.exact_sums(terms.reshape(-1, terms.shape[2])).reshape(terms.shape[:2])
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_solver_runner_up_agrees_with_enumeration(d, monkeypatch):
+    # the certificate reads the solver's potentials only; the enumeration (d <= 6) or a full
+    # scan of the d! permutations (d = 7, 8) checks it from outside
+    rng = np.random.default_rng(70 + d)
+    m = 40 if d <= 6 else 12
+    cost = np.concatenate([
+        kernels.sq_costs(rng.normal(size=(m, d, 2)), rng.normal(size=(m, d, 2))),
+        _tie_costs(rng, d, 2)[:m] if d <= 6 else rng.integers(0, 3, size=(m, d, d)).astype(np.float64),
+        near_tie_costs(rng, d, m),
+    ])
+    value, perm, second, err = _solver_runner_up(cost, monkeypatch)
+    plain = kernels.solve_assignments(cost)
+    assert value.tobytes() == plain[0].tobytes() and perm.tobytes() == plain[1].tobytes()
+    perms = _kernels_py._permutations(d)
+    exact = _exact_totals(cost, perms)
+    mine = (perms[None] == perm[:, None]).all(axis=2)
+    assert mine.sum(axis=1).tolist() == [1] * len(cost)
+    runner = np.where(mine, np.inf, exact).min(axis=1)  # every other matching, exactly rounded
+    # a lower bound on every other matching, however close the race ...
+    assert np.all(second <= runner)
+    # ... and within the stated rounding of the exact gap: the d // 2 cycles of a tie at most
+    rounding = (d - 1) * d * 2.0**-53 * np.abs(cost).max(axis=(1, 2))  # of value, a d-term float sum
+    gap = runner - exact[mine]
+    assert np.all((second - value) >= np.minimum(gap, (d // 2) * gap) - (d // 2 + 1) * (err + rounding))
+    if d <= 6:
+        ve, pe, se = kernels.enumerate_min(cost, runner_up=True)
+        same = (pe == perm).all(axis=1)
+        assert same.mean() > 0.8
+        off = np.abs((second - value) - (se - ve))
+        np.testing.assert_array_less(off[same], (d // 2 + 1) * (err + rounding)[same])
+    # near ties within a few ulps are never certified: the bound sits at or below the value
+    close = np.abs(gap) <= 1e-14 * exact[mine]
+    assert close.sum() >= m // 2 and np.all(second[close] <= value[close])
 
 
 def test_solver_fails_closed_on_non_finite_costs():
@@ -406,6 +471,31 @@ def test_lex_matchings_are_the_first_optimal_matching(d):
         p, q = AlmgrenPoint.from_points(P[a]), AlmgrenPoint.from_points(Q[a])
         ref = almgren.distance_bruteforce(p, q)
         assert almgren.distance(p, q) == ref
+    # certified rows skip the refinement and keep what it returns: on these ties, the near
+    # ties within a few ulps and plain random tuples, row by row as the scalar reference does
+    cost = np.concatenate([
+        kernels.sq_costs(P, Q),
+        near_tie_costs(rng, d, 60),
+        kernels.sq_costs(rng.normal(size=(60, d, 2)), rng.normal(size=(60, d, 2))),
+    ])
+    got = almgren.lex_matchings(cost)
+    assert np.array_equal(got, almgren._lex_refine(cost, kernels.solve_assignments(cost)[0]))
+    for c, g in zip(cost, got):
+        assert tuple(g.tolist()) == lex_refine(c, scalar_solve(c)[0])
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_lex_matchings_refine_only_the_uncertified_rows(d, monkeypatch):
+    rng = np.random.default_rng(80 + d)
+    gaussian = kernels.sq_costs(rng.normal(size=(1500, d, 2)), rng.normal(size=(1500, d, 2)))
+    ties = near_tie_costs(rng, d, 100)  # 4 in 5 within the refinement's band
+    original = almgren._lex_refine
+    for cost, least, most in ((gaussian, 0, 15), (ties, 60, 100)):
+        seen = []
+        monkeypatch.setattr(almgren, "_lex_refine", lambda c, best: seen.append(len(c)) or original(c, best))
+        got = almgren.lex_matchings(cost)
+        assert least <= sum(seen) <= most  # at most 1% of the Gaussian rows
+        assert np.array_equal(got, original(cost, kernels.solve_assignments(cost)[0]))
 
 
 @pytest.mark.parametrize("d", [7, 8])

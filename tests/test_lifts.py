@@ -3,6 +3,7 @@
 import lift_reference
 import numpy as np
 import pytest
+from scalar_assignment import near_tie_costs
 
 from almqr import covers
 from almqr.almgren import distance_value
@@ -304,18 +305,11 @@ def test_uncertified_steps_are_settled_as_lone_steps(monkeypatch):
         _assert_matches_reference(f, polyline_paths(curves), len(curves), initial_steps=32)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 7, 8])  # d > 6: the solver's certificate
 def test_certified_matchings_are_the_optimum_in_any_row_order(d):
     # near ties: the two cheapest matchings a and b, which differ on one cycle, total within a few ulps
     rng = np.random.default_rng(d)
-    rows = np.arange(d)
-    a = rng.permutation(d)
-    b = a[(rows + 1) % d]
-    cost = rng.uniform(1.0, 2.0, size=(2000, d, d))
-    cost[:, rows, a] = rng.uniform(0.2, 0.3, size=(2000, d))
-    cost[:, rows, b] = rng.uniform(0.0, 0.05, size=(2000, d))
-    excess = cost[:, rows, b].sum(axis=1) - cost[:, rows, a].sum(axis=1)
-    cost[:, 0, b[0]] -= excess * rng.choice([1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 1e-13, 0.999], size=2000)
+    cost = near_tie_costs(rng, d, 2000)
     perm, certified = covers._matching(cost)
     assert certified.any() and not certified.all()
     for sigma in (rng.permutation(d) for _ in range(6)):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-from functools import partial
 
 import modulus_reference
 import numpy as np
@@ -319,19 +318,28 @@ def test_modulus_verdicts_fail_closed_on_non_convergence(monkeypatch):
     fam = radial_family(ANN, 64)
     res = discrete_modulus(fam, ANN, grid=64)
     assert res.converged and res.to_json()["converged"] is True
-    short = discrete_modulus(fam, ANN, grid=64, max_iters=10)
-    assert not short.converged and short.iterations == 10
+    # every unconverged case stops far from the tolerance (a relative gap of about 2.5e-2
+    # after 3 iterations here), so a solver that certifies sooner leaves it unconverged
+    short = discrete_modulus(fam, ANN, grid=64, max_iters=3)
+    assert not short.converged and short.iterations == 3 and short.gap > 100 * TOL_GAP * short.value
     # 1,024 curves at n = 3 leave a relative gap of about 2e-2 after 10 iterations
     dense = discrete_modulus(radial_family(ANN, 1024), ANN, grid=64, n=3.0, max_iters=10)
     assert not dense.converged and dense.iterations == 10 and dense.gap > 1e-3 * dense.value
     # both verdicts that rest on the solver need it converged, however loose the tolerance
-    monkeypatch.setattr(runner, "discrete_modulus", partial(discrete_modulus, max_iters=10))
-    monkeypatch.setattr(modulus, "discrete_modulus", partial(discrete_modulus, max_iters=10))
+    solves = []
+
+    def stopped_early(*args, **kwargs):
+        solves.append(discrete_modulus(*args, max_iters=3, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(runner, "discrete_modulus", stopped_early)
+    monkeypatch.setattr(modulus, "discrete_modulus", stopped_early)
     family = {"family": "radial", "count": 64}
     ring = runner.run_check("modulus", {"grid": 64, "family": family, "tol": 10.0})
     assert ring.metrics["converged"] is False and not ring.passed
     qc = runner.run_check("geom-qc", {"grid": 64, "family": family, "slack": 10.0, "lift_steps": 32})
     assert not qc.passed
+    assert len(solves) == 3 and all(r.gap > 100 * TOL_GAP * r.value for r in solves)
 
 
 def test_upper_gradient_conformal_and_distorted():
