@@ -215,24 +215,17 @@ def _check_compatible(p: AlmgrenPoint, q: AlmgrenPoint):
 
 
 def distance_value(p: AlmgrenPoint, q: AlmgrenPoint) -> float:
-    """Assignment distance, value only (the hot path).
-
-    Computed on a canonical orientation of the pair (the expanded tuple
-    whose bytes compare smaller goes first), so the result is bitwise
-    symmetric in the arguments.
-    """
+    """Assignment distance, value only: :func:`distance_values` of one pair, bitwise symmetric in p and q."""
     _check_compatible(p, q)
-    P, Q = p.expand(), q.expand()
-    if Q.tobytes() < P.tobytes():
-        P, Q = Q, P
-    return float(np.sqrt(kernels.dist_sq(P, Q)))
+    return float(distance_values(p.expand()[None], q.expand()[None])[0])
 
 
 def distance_values(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Assignment distances of paired tuples P, Q (m, d, n) in ``sorted_tuples`` form.
 
-    Each pair is priced in the orientation ``distance_value`` gives it, so
-    the values are bitwise symmetric in P and Q.
+    Each pair is priced in a canonical orientation (the tuple whose bytes
+    compare smaller goes first), so the values are bitwise symmetric in P
+    and Q.
     """
     P = np.ascontiguousarray(P, dtype=np.float64)
     Q = np.ascontiguousarray(Q, dtype=np.float64)

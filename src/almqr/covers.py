@@ -707,9 +707,6 @@ class LiftedPath:
 # rows of window steps that one round of ``lift_paths`` prices, over all its paths
 LIFT_ROWS = 1 << 12
 
-# the largest degree whose fibers are matched by enumerating every permutation
-ENUMERATED_DEGREE = 6
-
 
 def _fibers_failing_alone(f: BranchedCoverSpec, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``minv_batch`` over Y (A, n), except that a row it rejects fails alone.
@@ -774,21 +771,18 @@ def _fiber_costs(X: np.ndarray, F: np.ndarray) -> np.ndarray:
 def _matching(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Optimal assignments perm (A, d) of cost matrices (A, d, d), and which of them are certified (A,).
 
-    For d <= ENUMERATED_DEGREE every permutation is priced at once
-    (``kernels.enumerate_min``) and the first minimum in lexicographic order
-    wins; above that all rows go to one ``kernels.solve_assignments`` call.
-    Both return a runner-up: the enumeration the second smallest total, the
-    solver a certified lower bound on the exact total of every other
-    matching, from its own potentials.  A matching is certified by one rule
-    on either: when the runner-up beats it by more than the rounding of its
-    d-term totals, so that it is the unique optimum however the rows of the
-    cost matrix are ordered.
+    All rows go to one ``kernels.min_assignments`` call: up to
+    ``kernels.ENUMERATED_DEGREE`` every permutation is priced at once and
+    the first minimum in lexicographic order wins, above it the solver
+    matches them.  Both routes return a runner-up: the enumeration the
+    second smallest total, the solver a certified lower bound on the exact
+    total of every other matching, from its own potentials.  A matching is
+    certified by one rule on either: when the runner-up beats it by more
+    than the rounding of its d-term totals, so that it is the unique optimum
+    however the rows of the cost matrix are ordered.
     """
     d = cost.shape[1]
-    if not len(cost):  # an empty stack costs the solver a full sweep of its loops
-        return np.zeros((0, d), dtype=np.int64), np.zeros(0, dtype=bool)
-    route = kernels.solve_assignments if d > ENUMERATED_DEGREE else kernels.enumerate_min
-    value, perm, second = route(cost, runner_up=True)
+    value, perm, second = kernels.min_assignments(cost, runner_up=True)
     # a total of two terms rounds alike in either order; a sum of d >= 3 nonnegative
     # terms lies within (d - 1) u of the exact one in any order (u = 2^-53), and the
     # solver's runner-up is already below the exact totals

@@ -629,3 +629,21 @@ def test_trace_form_invariance_sampled():
         V = rng.normal(size=(1, n * d))
         g = G.gathers[rng.integers(len(G.gathers))]
         assert tr.at(x)(V) == pytest.approx(tr.at(x[g])(V[:, g]), rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_projecting_a_trace_form_keeps_its_bits_up_to_d_2(d):
+    # the stokes and split-pullback checks take their drawn trace forms unprojected:
+    # up to d = 2 the S_d projection returns the trace form's coefficients and
+    # analytic derivative bit for bit
+    rng = np.random.default_rng(50 + d)
+    for _ in range(5):
+        polys = [
+            MultiPoly(2, {tuple(int(e) for e in rng.integers(0, 3, size=2)): float(rng.normal()) for _ in range(3)})
+            for _ in range(2)
+        ]
+        tr = trace_form(polynomial_one_form(2, polys), d)
+        proj = symmetrize(tr, GroupAction.full(2, d))
+        X = rng.uniform(-2.0, 2.0, size=(1000, 2 * d))
+        assert proj.coeff_fn(X).tobytes() == tr.coeff_fn(X).tobytes()
+        assert proj.analytic_derivative(X).tobytes() == tr.analytic_derivative(X).tobytes()

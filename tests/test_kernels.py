@@ -7,7 +7,7 @@ import pytest
 from scalar_assignment import lex_refine, near_tie_costs
 from scalar_assignment import solve_assignment as scalar_solve
 
-from almqr import _kernels_py, almgren, kernels
+from almqr import almgren, kernels
 from almqr.almgren import AlmgrenPoint
 from almqr.covers import match_fibers
 
@@ -151,7 +151,7 @@ def _tie_costs(rng, d, n):
     Qs = np.array(Qs)
     Ps = np.repeat(P[None], len(Qs), axis=0)
     Ps[:3, -1] = Ps[:3, 0]  # doubled points on both sides
-    return _kernels_py.sq_costs(Ps, Qs)
+    return kernels.sq_costs(Ps, Qs)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
@@ -188,13 +188,43 @@ def test_enumerate_min_empty_and_chunked(monkeypatch):
     cost = rng.normal(size=(300, 6, 6)) ** 2  # several chunks at d = 6
     cost[::7] = cost[::7, :, ::-1]
     whole = kernels.enumerate_min(cost)
-    assert len(cost) * 720 > _kernels_py.ENUMERATION_CHUNK
-    monkeypatch.setattr(_kernels_py, "ENUMERATION_CHUNK", 1)  # one row per chunk
+    assert len(cost) * 720 > kernels.ENUMERATION_CHUNK
+    monkeypatch.setattr(kernels, "ENUMERATION_CHUNK", 1)  # one row per chunk
     for a, b in zip(whole, kernels.enumerate_min(cost)):
         assert a.tobytes() == b.tobytes()
     for c, v, p in zip(cost[:40], *whole):
         ref, ref_perm = brute_min_cost(c)
         assert v == ref and tuple(p.tolist()) == ref_perm
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_min_assignments_enumerates_up_to_d_6_and_solves_above(d):
+    rng = np.random.default_rng(90 + d)
+    cost = np.concatenate([_tie_costs(rng, d, 2), rng.normal(size=(20, d, d)) ** 2])
+    route = kernels.enumerate_min if d <= 6 else kernels.solve_assignments
+    assert (d <= kernels.ENUMERATED_DEGREE) == (d <= 6)
+    for runner_up in (False, True):
+        got, want = kernels.min_assignments(cost, runner_up=runner_up), route(cost, runner_up=runner_up)
+        assert len(got) == len(want) == 2 + runner_up
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        if d in (2, 6, 7):  # an empty stack keeps its shapes on either route
+            empty = kernels.min_assignments(np.zeros((0, d, d)), runner_up=runner_up)
+            assert [a.shape for a in empty] == [(0,), (0, d), (0,)][: 2 + runner_up]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_distance_faces_are_one_body(d):
+    # the one-to-many and scalar faces equal the paired face on the same pairs, bit for bit
+    rng = np.random.default_rng(110 + d)
+    for n in (1, 2, 3, 4):
+        P = rng.normal(size=(d, n))
+        Qs = np.concatenate([rng.normal(size=(12, d, n)), P[None, rng.permutation(d)]])
+        for batch in (Qs, Qs[:0]):
+            one = kernels.dist_sq_one_to_many(P, batch)
+            assert one.shape == (len(batch),)
+            assert one.tobytes() == kernels.dist_sq_pairs(np.broadcast_to(P, batch.shape), batch).tobytes()
+        for Q in Qs[-3:]:
+            assert np.float64(kernels.dist_sq(P, Q)).tobytes() == kernels.dist_sq_pairs(P[None], Q[None])[0].tobytes()
 
 
 def _solve_assignment_numpy_scalars(cost):
@@ -263,7 +293,7 @@ def test_solver_on_python_floats_equals_numpy_scalar_solver():
                 Q[-1] = Q[0]  # tied matchings
             if trial % 5 == 0:
                 Q = P[rng.permutation(d)]
-            cost = _kernels_py.sq_costs(P[None], Q[None])[0]
+            cost = kernels.sq_costs(P[None], Q[None])[0]
             for c in (cost, rng.normal(size=(d, d))):  # also negative entries
                 value, perm = scalar_solve(c)
                 ref, ref_perm = _solve_assignment_numpy_scalars(c)
@@ -285,7 +315,7 @@ def _solver_stack(rng, d):
             Q[-1] = Q[0]
         if trial % 4 == 1:
             Q = P[rng.permutation(d)]
-        costs.append(_kernels_py.sq_costs(P[None], Q[None])[0])
+        costs.append(kernels.sq_costs(P[None], Q[None])[0])
         costs.append(rng.normal(size=(d, d)) * 10.0 ** rng.integers(-6, 7))
         costs.append(rng.integers(-2, 3, size=(d, d)).astype(np.float64))
     costs += [c[rng.permutation(d)][:, rng.permutation(d)] for c in costs[::2]]
@@ -328,13 +358,13 @@ def _solver_runner_up(cost, monkeypatch):
     """``solve_assignments(cost, runner_up=True)`` and the rounding bound its docstring states,
     err = 6 d (d + 3) 2^-53 S, S = max|c| + max|u| + max|v|, with the potentials the solve ends with."""
     scales = []
-    original = _kernels_py._runner_up
+    original = kernels._runner_up
 
     def spy(cost, col_of_row, value, u, v):
         scales.append(np.abs(cost).max(axis=(1, 2)) + np.abs(u).max(axis=1) + np.abs(v).max(axis=1))
         return original(cost, col_of_row, value, u, v)
 
-    monkeypatch.setattr(_kernels_py, "_runner_up", spy)
+    monkeypatch.setattr(kernels, "_runner_up", spy)
     value, perm, second = kernels.solve_assignments(cost, runner_up=True)
     d = cost.shape[1]
     return value, perm, second, 6 * d * (d + 3) * 2.0**-53 * scales[0]
@@ -360,7 +390,7 @@ def test_solver_runner_up_agrees_with_enumeration(d, monkeypatch):
     value, perm, second, err = _solver_runner_up(cost, monkeypatch)
     plain = kernels.solve_assignments(cost)
     assert value.tobytes() == plain[0].tobytes() and perm.tobytes() == plain[1].tobytes()
-    perms = _kernels_py._permutations(d)
+    perms = kernels._permutations(d)
     exact = _exact_totals(cost, perms)
     mine = (perms[None] == perm[:, None]).all(axis=2)
     assert mine.sum(axis=1).tolist() == [1] * len(cost)
@@ -450,7 +480,7 @@ def test_closed_form_kernels_fail_closed(d):
         with pytest.raises(ValueError, match="non-finite"):
             almgren.distance_value(AlmgrenPoint.from_points(Ps[0] * 1e200), AlmgrenPoint.from_points(-Qs[0] * 1e200))
     # the check reads the result only: finite input keeps its bytes
-    assert kernels.dist_sq_one_to_many(Ps[0], Qs).tobytes() == _kernels_py._checked(
+    assert kernels.dist_sq_one_to_many(Ps[0], Qs).tobytes() == kernels._checked(
         kernels.dist_sq_one_to_many(Ps[0], Qs)
     ).tobytes()
 

@@ -56,6 +56,23 @@ def test_inverse_square_one_form():
     assert row["decreasing"] and row["rel"] < 1e-3
 
 
+def test_a_given_form_or_testform_is_one_row_of_the_sweep():
+    # what is given is not swept again: one row with both given, the five draws of the other with one
+    form = {"kind": "trace_1form", "n": 2, "d": 2, "c0": {"0,1": 1.0}, "c1": {"1,0": -0.5}}
+    testform = {"lo": [0.5, 0.5], "hi": [1.7, 1.7], "q": 3}
+    base = {"map": {"map": "power", "k": 2}, "orders": [8, 16]}
+    both = run_check("stokes", {**base, "form": form, "testform": testform}, 1)
+    assert [(row["form"], row["testform"]) for row in both.metrics["rows"]] == [(0, 0)]
+    counted = run_check("stokes", {**base, "form": form, "testform": testform, "forms": 1, "testforms": 1}, 1)
+    assert counted.metrics == both.metrics
+    rows = run_check("stokes", {**base, "form": form}, 1).metrics["rows"]
+    assert [(row["form"], row["testform"]) for row in rows] == [(0, j) for j in range(5)]
+    rows = run_check("stokes", {**base, "testform": testform}, 1).metrics["rows"]
+    assert [(row["form"], row["testform"]) for row in rows] == [(i, 0) for i in range(5)]
+    # a given count is still honoured
+    assert len(run_check("stokes", {**base, "form": form, "testform": testform, "forms": 2}, 1).metrics["rows"]) == 2
+
+
 def test_fd_derivative_route():
     # strip the analytic derivative: the check must fall back to FD of the coefficients
     F = from_cover(planar_power(2), SUPPORT)

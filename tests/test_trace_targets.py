@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from almqr import covers
+import numpy as np
+
+from almqr import covers, kernels
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -47,3 +49,20 @@ def test_installed_trace_counts_a_cover_query(layertrace):
     assert tracer.counts["covers.fiber_batch.rows"] == 2
     assert tracer.counts["covers.branch_diff_batch.rows"] == 2
     assert not layertrace.wrapped_sites()  # every original is restored
+
+
+def test_each_public_kernel_is_its_own_span(layertrace):
+    # the faces share private bodies, so a call counts once, in its own span
+    rng = np.random.default_rng(0)
+    P, Qs = rng.normal(size=(4, 2)), rng.normal(size=(3, 4, 2))
+    calls = {
+        "kernels.dist_sq": lambda: kernels.dist_sq(P, Qs[0]),
+        "kernels.dist_sq_one_to_many": lambda: kernels.dist_sq_one_to_many(P, Qs),
+        "kernels.assignment_value": lambda: kernels.assignment_value(rng.normal(size=(7, 7))),
+    }
+    for name, call in calls.items():
+        tracer = layertrace.Tracer()
+        with layertrace.installed(tracer):
+            call()
+        assert dict(tracer.calls) == {name: 1}
+    assert not layertrace.wrapped_sites()
