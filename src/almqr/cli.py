@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -39,14 +38,12 @@ def _load_json_arg(text: str):
 
 
 def _emit(record: ReportRecord, args) -> int:
-    if getattr(args, "out", None):
+    if args.out:
         write_report(record, args.out)
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         print(_csv_text(record), end="")
     else:
         print(json.dumps(record.to_json_dict(), sort_keys=True, indent=2))
-    if getattr(args, "csv", None):
-        _write_csv(record, args.csv)
     return EXIT_PASS if record.passed else EXIT_FAIL
 
 
@@ -74,16 +71,6 @@ def _csv_text(record: ReportRecord) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _write_csv(record: ReportRecord, path: str) -> None:
-    """Flatten plottable metrics (histograms, per-row tables) to a CSV file."""
-    text = _csv_text(record)
-    if not text:
-        return
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
 
 
 def _cmd_inverse(args) -> int:
@@ -131,35 +118,13 @@ def _cmd_verify(args) -> int:
     if args.family:
         family = {"family": args.family}
         config["family"] = family if args.count is None else {**family, "count": args.count}
+    elif args.count is not None:
+        raise SpecError("--count is the curve count of a --family; give --family with it")
     if args.samples is not None:
         config["samples"] = args.samples
     if args.grid is not None:
         config["grid"] = args.grid
     record = run_check(args.check, config, seed=args.seed)
-    return _emit(record, args)
-
-
-def _cmd_modulus(args) -> int:
-    # only the flags given enter the config; the check's schema holds the defaults
-    config = {key: value for key, value in (("region", args.region), ("grid", args.grid), ("n", args.n))
-              if value is not None}
-    if args.family is not None or args.count is not None:
-        family = {"family": args.family or "radial"}
-        config["family"] = family if args.count is None else {**family, "count": args.count}
-    record = run_check("modulus", config, seed=args.seed)
-    return _emit(record, args)
-
-
-def _cmd_sample_ahlfors(args) -> int:
-    config: dict = {} if args.N is None else {"samples": args.N}
-    if args.map:
-        config["map"] = _load_json_arg(args.map)
-    if args.centers:
-        centers = _load_json_arg(args.centers)
-        config["center_points"] = centers
-    if args.radii:
-        config["radii_list"] = json.loads(f"[{args.radii}]")  # comma-separated numbers; the schema checks each
-    record = run_check("ahlfors", config, seed=args.seed)
     return _emit(record, args)
 
 
@@ -188,6 +153,8 @@ def _cmd_suite(args) -> int:
     results: list[tuple[str, ReportRecord]] = []
     tasks = [(entry, args.seed, args.out) for entry in runs]
     if args.jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so `import almqr.cli` loads no multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_manifest_entry, tasks))
     else:
@@ -249,39 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--testform")
     p.add_argument("--region")
     p.add_argument("--family")
-    p.add_argument("--count", type=int, help="curves of the --family (the check's own count if not given)")
+    p.add_argument("--count", type=int, help="curves of the --family; needs --family (the check's own count if not given)")
     p.add_argument("--samples", type=int)
     p.add_argument("--grid", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--csv")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("modulus", help="discrete modulus of a curve family (the modulus check's defaults)")
-    p.add_argument("--region")
-    p.add_argument("--family", help="radial, the family of the exact n-modulus (as --count alone)")
-    p.add_argument("--count", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--n", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--csv")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(fn=_cmd_modulus)
-
-    p = sub.add_parser("sample", help="sampling utilities")
-    ssub = p.add_subparsers(dest="sample_command", required=True)
-    pa = ssub.add_parser("ahlfors", help="ball-measure regularity sweep")
-    pa.add_argument("--map")
-    pa.add_argument("--centers")
-    pa.add_argument("--radii")
-    pa.add_argument("--N", type=int)
-    pa.add_argument("--seed", type=int, default=7)
-    pa.add_argument("--out")
-    pa.add_argument("--csv")
-    pa.add_argument("--format", choices=["json", "csv"], default="json")
-    pa.set_defaults(fn=_cmd_sample_ahlfors)
 
     p = sub.add_parser("suite", help="run a manifest of checks and summarize")
     p.add_argument("--manifest", required=True, help="manifest JSON path, or 'builtin'")

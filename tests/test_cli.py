@@ -1,13 +1,18 @@
 """CLI dispatch, report determinism, suite aggregation, exit codes, verdict rules."""
 
+import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import almqr
 from almqr import kernels, runner
-from almqr.cli import load_manifest, main
+from almqr.cli import build_parser, load_manifest, main
 from almqr.dsl import SpecError
 from almqr.modulus import ring_modulus_exact
 from almqr.reports import stable_body
@@ -86,8 +91,8 @@ def test_unconverged_comass_check_is_numerical_failure(monkeypatch, capsys):
 
 
 def test_verify_writes_report_and_csv(tmp_path, capsys):
+    # --out takes the JSON report; --format csv prints the plottable rows
     report = tmp_path / "r.json"
-    csvf = tmp_path / "r.csv"
     code = run_cli(
         "verify",
         "qr-curve",
@@ -99,16 +104,15 @@ def test_verify_writes_report_and_csv(tmp_path, capsys):
         "3",
         "--out",
         str(report),
-        "--csv",
-        str(csvf),
+        "--format",
+        "csv",
     )
     assert code == 0
     rec = json.loads(report.read_text())
     assert rec["check"] == "qr-curve"
     assert rec["claim_id"] == "qr-curve-bound"
     assert rec["pass"] is True
-    assert csvf.exists() and "bin_lo" in csvf.read_text()
-    capsys.readouterr()
+    assert capsys.readouterr().out.startswith("bin_lo,bin_hi,count")
 
 
 def test_report_determinism(tmp_path, capsys):
@@ -173,9 +177,8 @@ def test_ahlfors_empty_ball_exit_code(capsys):
     # larger than the ball, and no draw of 200 falls in the ball of radius 0.02:
     # a numerical failure (exit 3), not a ball of measure 0 that passes
     poly = json.dumps({"map": "poly", "coeffs": [0, -3, 0, 1]})
-    code = run_cli(
-        "sample", "ahlfors", "--map", poly, "--centers", "[[2, 0]]", "--radii", "0.02", "--N", "200", "--seed", "0"
-    )
+    balls = json.dumps({"center_points": [[2, 0]], "radii_list": [0.02]})
+    code = run_cli("verify", "ahlfors", "--map", poly, "--samples", "200", "--seed", "0", "--config", balls)
     assert code == 3
     assert "no draw of 200 falls in the ball" in capsys.readouterr().err
 
@@ -194,9 +197,10 @@ def test_ahlfors_empty_ball_exit_code(capsys):
         {"samples": "abc"},
         {"radii_list": 0.1},
         {"center_points": 5},
+        {"radii_list": [0.05, "abc"]},
     ],
     ids=["no-centers", "no-radii", "wind3", "no-samples", "one-sample", "zero-radius", "negative-radius",
-         "nan-radius", "samples-not-an-integer", "radii-not-a-list", "centers-not-a-list"],
+         "nan-radius", "samples-not-an-integer", "radii-not-a-list", "centers-not-a-list", "radius-a-string"],
 )
 def test_ahlfors_bad_config_exit_code(config, capsys):
     # a config the sampler cannot run is a usage error (exit 2), not a FAIL verdict (exit 1)
@@ -211,7 +215,7 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
         ("upper-gradient", {"samples_per_curve": 0}),
         ("gen-inverse", {"samples": 0}),
         ("energy", {"order": 0}),
-        ("area", {"orders": []}),
+        ("area", {"order": 0}),
         ("metric-qc", {"radii": []}),
         ("metric-qc", {"radii": [0.1, 0.0]}),
         ("metric-qc", {"map": {"map": "wind3", "k": 2}, "y": [1.0, 0.0, 0.0]}),
@@ -238,8 +242,8 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
         ("stokes", {"tol": "ab"}),
         ("stokes", {"tol": None}),
         ("stokes", {"tol": float("inf")}),
-        ("area", {"orders": [32, 1025]}),
-        ("area", {"orders": ["32"]}),
+        ("area", {"order": 1025}),
+        ("area", {"order": "32"}),
         ("energy", {"order": 100000}),
         ("energy", {"order": 2.5}),
         ("energy", {"order": "64"}),
@@ -282,7 +286,7 @@ def test_ahlfors_bad_config_exit_code(config, capsys):
         ("ahlfors", {"center_points": [[1.0, 0.0]], "centers": 5}),
         ("ahlfors", {"radii_list": [0.1], "radii": 7}),
     ],
-    ids=["interp-no-pairs", "upper-gradient-no-samples", "gen-inverse-no-samples", "energy-order-0", "area-no-orders",
+    ids=["interp-no-pairs", "upper-gradient-no-samples", "gen-inverse-no-samples", "energy-order-0", "area-order-0",
          "metric-qc-no-radii", "metric-qc-zero-radius", "metric-qc-wind3", "qr-curve-wind3-planar-region",
          "preimage-measure-wind3-planar-points", "metric-qc-y-a-string", "metric-qc-y-nan", "metric-qc-y-nested",
          "metric-qc-y-empty", "preimage-measure-center-a-string", "preimage-measure-center-a-string-entry",
@@ -374,12 +378,17 @@ def test_unknown_key_exit_code(argv, known, capsys):
     assert err.startswith("error: unknown config key") and known in err
 
 
-@pytest.mark.parametrize("argv", [["modulus", "--region", "foo"], ["modulus", "--count", "0"],
-                                  ["modulus", "--family", "circles", "--grid", "32"],
-                                  ["verify", "modulus", "--family", "radial", "--count", "-1"]])
+@pytest.mark.parametrize("argv", [["verify", "modulus", "--region", "foo"],
+                                  ["verify", "modulus", "--family", "radial", "--count", "0"],
+                                  ["verify", "modulus", "--family", "circles", "--grid", "32"],
+                                  ["verify", "modulus", "--family", "radial", "--count", "-1"],
+                                  ["verify", "modulus", "--count", "64", "--grid", "32"]])
 def test_bad_region_or_family_exit_code(argv, capsys):
     assert run_cli(*argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "--count" in argv and "--family" not in argv:
+        assert "--family" in err  # a count alone is not dropped
 
 
 @pytest.mark.parametrize("config", ["[1, 2]", '"ab"', "null"])
@@ -558,44 +567,24 @@ def test_preimage_measure_degree_one_is_two_sided(monkeypatch):
     assert not run_check("preimage-measure", {"map": {"map": "power", "k": 1}}).passed
 
 
-def test_sample_ahlfors_cli(tmp_path, capsys):
-    code = run_cli(
-        "sample",
-        "ahlfors",
-        "--map",
-        '{"map":"power","k":2}',
-        "--centers",
-        "[[1.0, 0.0]]",
-        "--radii",
-        "0.05,0.1",
-        "--N",
-        "5000",
-        "--seed",
-        "7",
-        "--csv",
-        str(tmp_path / "a.csv"),
-    )
+def test_sample_ahlfors_cli(capsys):
+    balls = json.dumps({"center_points": [[1.0, 0.0]], "radii_list": [0.05, 0.1]})
+    code = run_cli("verify", "ahlfors", "--map", '{"map":"power","k":2}', "--samples", "5000", "--seed", "7",
+                   "--config", balls)
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["metrics"]["n_balls"] == 2
-    # only the given flags enter the config
+    # only the given flags and config keys enter the config
     assert out["config"] == {"map": {"map": "power", "k": 2}, "center_points": [[1.0, 0.0]],
                              "radii_list": [0.05, 0.1], "samples": 5000}
-    assert (tmp_path / "a.csv").exists()
-
-
-@pytest.mark.parametrize("radii", ["0.05,abc", "0.05,0", "-0.1"])
-def test_sample_ahlfors_bad_radii_exit_code(radii, capsys):
-    assert run_cli("sample", "ahlfors", "--radii", radii, "--N", "100") == 2
-    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_modulus_cli(capsys):
-    code = run_cli("modulus", "--grid", "64", "--count", "256", "--seed", "1")
+    code = run_cli("verify", "modulus", "--grid", "64", "--family", "radial", "--count", "256", "--seed", "1")
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["metrics"]["rel_error"] < 0.05
-    # only the given flags enter the config; --count alone counts radial curves
+    # only the given flags enter the config
     assert out["config"] == {"grid": 64, "family": {"family": "radial", "count": 256}}
 
 
@@ -615,3 +604,21 @@ def test_format_csv_stdout(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("bin_lo,bin_hi,count")
+
+
+def test_subcommands_are_one_route_per_job():
+    # `verify <check>` is the one route into the checks; --out and --format the one output route
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["form", "inverse", "suite", "verify"]
+    for name, p in sub.choices.items():
+        assert all("--csv" not in a.option_strings for a in p._actions), name
+
+
+def test_cli_import_loads_no_process_pool():
+    # every perfbench setup probe imports the CLI: the process pool of `suite --jobs` is imported on use
+    src = os.path.dirname(os.path.dirname(almqr.__file__))
+    code = "import sys, almqr.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
