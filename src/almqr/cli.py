@@ -56,7 +56,9 @@ def _csv_rows(record: ReportRecord) -> list[dict]:
             for lo, hi, c in zip(edges[:-1], edges[1:], m["histogram"]["counts"])
         ]
     if "rows" in m and isinstance(m["rows"], list) and m["rows"] and isinstance(m["rows"][0], dict):
-        return m["rows"]
+        # a nested value (an ahlfors row's center, say) is one JSON cell
+        return [{k: json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v for k, v in row.items()}
+                for row in m["rows"]]
     return [{k: v for k, v in m.items() if isinstance(v, (int, float, str, bool))}]
 
 

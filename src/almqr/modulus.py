@@ -526,34 +526,29 @@ def upper_gradient_check(
 
 def area_formula_check(
     f: BranchedCoverSpec,
-    g: Callable[[np.ndarray], float],
+    gs: dict[str, Callable[[np.ndarray], np.ndarray]],
     image_region,
     preimage_region,
-    orders: tuple[int, ...],
-) -> dict:
-    """Quadrature comparison of the push-forward integral with the domain-side
-    integral of g * Jf over the exact preimage region, which keeps the
-    integrands smooth.
+    order: int,
+) -> dict[str, dict]:
+    """Quadrature comparison of the push-forward integral of each g in ``gs`` with the domain-side
+    integral of g * Jf over the exact preimage region, which keeps the integrands smooth.
 
-    ``g`` is batch-first: points (M, n) to values (M,).  Each level takes
-    the fibers of all its image-side nodes in one ``minv_batch`` call.
+    Each g is batch-first: points (M, n) to values (M,).  The fibers of all
+    image-side nodes come from one ``minv_batch`` call and the preimage
+    nodes and Jacobian from one quadrature, shared by every g.  Returns
+    {name: {"lhs", "rhs", "rel_discrepancy"}} in the order of ``gs``.
     """
-
-    levels = []
-    for order in orders:
-        pts, w = region_quadrature(image_region, order)
-        fibers = minv_batch(f, pts)  # (M, d, n), index-weighted by repetition
-        lhs = float(w @ g(fibers.reshape(-1, f.n)).reshape(len(pts), f.degree).sum(axis=1))
-        pts2, w2 = region_quadrature(preimage_region, order)
-        rhs = float(w2 @ (g(pts2) * f.jacobian(pts2)))
-        disc = abs(lhs - rhs)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        levels.append({"order": order, "lhs": lhs, "rhs": rhs, "rel_discrepancy": disc / scale})
-    finest = levels[-1]
-    return {
-        "levels": levels,
-        "rel_discrepancy": finest["rel_discrepancy"],
-    }
+    pts, w = region_quadrature(image_region, order)
+    fibers = minv_batch(f, pts).reshape(-1, f.n)  # (M * d, n), index-weighted by repetition
+    pts2, w2 = region_quadrature(preimage_region, order)
+    jac = f.jacobian(pts2)
+    rows = {}
+    for name, g in gs.items():
+        lhs = float(w @ g(fibers).reshape(len(pts), f.degree).sum(axis=1))
+        rhs = float(w2 @ (g(pts2) * jac))
+        rows[name] = {"lhs": lhs, "rhs": rhs, "rel_discrepancy": abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)}
+    return rows
 
 
 def energy_bound_check(f: BranchedCoverSpec, image_region, preimage_region, order: int) -> dict:

@@ -1,7 +1,9 @@
 """CLI dispatch, report determinism, suite aggregation, exit codes, verdict rules."""
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -431,12 +433,12 @@ def test_qr_curve_sharp_false_is_read_as_false():
         {"shapes": []},
         {"shapes": [[0, 1]]},
         {"shapes": [[2]]},
-        {"shapes": [[8, 1]]},
+        {"shapes": [[17, 1]]},
         {"shapes": [[1.5, 1]]},
         {"shapes": "2,1"},
     ],
     ids=["no-points", "negative-points", "points-not-an-integer", "fewer-points-than-shapes", "no-shapes",
-         "zero-degree", "one-degree", "degree-above-7", "degree-not-an-integer", "shapes-not-a-list"],
+         "zero-degree", "one-degree", "degree-above-16", "degree-not-an-integer", "shapes-not-a-list"],
 )
 def test_split_pullback_bad_config_exit_code(config, capsys):
     # a config that checks nothing, or shapes it cannot build, is a usage error (exit 2), not a PASS or a traceback
@@ -604,6 +606,16 @@ def test_format_csv_stdout(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("bin_lo,bin_hi,count")
+
+
+def test_format_csv_writes_nested_values_as_json(capsys):
+    config = {"center_points": [[1.0, 0.2]], "radii_list": [0.05, 0.1]}
+    code = run_cli("verify", "ahlfors", "--samples", "2000", "--config", json.dumps(config), "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert code == 0 and len(rows) == 2
+    for row in rows:
+        center = json.loads(row["center"])
+        assert isinstance(center, dict) and row["center"] == json.dumps(center, sort_keys=True)
 
 
 def test_subcommands_are_one_route_per_job():

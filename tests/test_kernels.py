@@ -180,6 +180,24 @@ def test_enumerate_min_runner_up_is_the_second_smallest_total(d):
         assert s == (totals[1] if len(totals) > 1 else np.inf) and v == totals[0]
 
 
+def test_enumerate_min_d2_closed_form_equals_the_permutation_route():
+    rng = np.random.default_rng(12)
+    cost = rng.normal(size=(400, 2, 2)) ** 2
+    cost[::5] = cost[::5, :, ::-1]  # column swaps
+    cost[1::5] = np.round(cost[1::5])  # exact ties of the two totals
+    cost[2::5, 0, 1], cost[2::5, 1, 0] = cost[2::5, 0, 0], cost[2::5, 1, 1]
+    zeros = np.array([0.0, -0.0])
+    cost[3::5] = zeros[rng.integers(0, 2, size=(len(cost[3::5]), 2, 2))]  # signed zeros, every total 0
+    perms = np.array([[0, 1], [1, 0]])
+    totals = cost[:, 0, perms[:, 0]] + cost[:, 1, perms[:, 1]]  # every matching priced, as at d > 2
+    best = np.argmin(totals, axis=1)
+    want = (totals[np.arange(len(cost)), best], perms[best], np.maximum(totals[:, 0], totals[:, 1]))
+    got = kernels.enumerate_min(cost, runner_up=True)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(kernels.enumerate_min(cost), want[:2]))
+    assert np.any(np.signbit(got[0])) and np.any(totals[:, 0] == totals[:, 1])
+
+
 def test_enumerate_min_empty_and_chunked(monkeypatch):
     for d in (0, 1, 3):
         value, perm = kernels.enumerate_min(np.zeros((0, d, d)))

@@ -354,13 +354,14 @@ def test_upper_gradient_conformal_and_distorted():
 
 def test_area_formula_and_energy():
     E = Annulus(np.zeros(2), 1.0, 4.0)
+    gs = {"one": lambda X: np.ones(len(X)), "sq_norm": lambda X: np.einsum("ij,ij->i", X, X)}
     for d in (2, 3):
         f = planar_power(d)
         pre = Annulus(np.zeros(2), 1.0 ** (1 / d), 4.0 ** (1 / d))
-        rep = area_formula_check(f, lambda X: np.ones(len(X)), E, pre, orders=(16, 32))
-        assert rep["rel_discrepancy"] < 1e-6
-        rep2 = area_formula_check(f, lambda X: np.einsum("ij,ij->i", X, X), E, pre, orders=(16, 32))
-        assert rep2["rel_discrepancy"] < 1e-6
+        for order in (16, 32):
+            rows = area_formula_check(f, gs, E, pre, order)
+            assert rows["one"]["rel_discrepancy"] < 1e-6
+            assert rows["sq_norm"]["rel_discrepancy"] < 1e-6
     # the image annulus E and its preimage 1 < |x| < 2 under z^2
     eb = runner.run_check("energy", {"map": Z2, "image_annulus": [1.0, 4.0], "order": 32})
     assert eb.passed
@@ -370,8 +371,34 @@ def test_area_formula_and_energy():
 
 def test_area_formula_identity_exact():
     E = Annulus(np.zeros(2), 0.5, 1.5)
-    rep = area_formula_check(planar_power(1), lambda X: X[:, 0] ** 2 + 1.0, E, E, orders=(8, 16))
-    assert rep["rel_discrepancy"] < 1e-12
+    for order in (8, 16):
+        rows = area_formula_check(planar_power(1), {"g": lambda X: X[:, 0] ** 2 + 1.0}, E, E, order)
+        assert rows["g"]["rel_discrepancy"] < 1e-12
+
+
+def test_area_check_makes_one_fiber_batch(monkeypatch):
+    calls = []
+
+    def counted(f, Y):
+        calls.append(f)
+        return minv_batch(f, Y)
+
+    monkeypatch.setattr(modulus, "minv_batch", counted)
+    record = runner.run_check("area", {"map": Z2, "order": 16})
+    assert record.passed and len(record.metrics["rel_discrepancy"]) == 3
+    assert len(calls) == 1  # one batch of the image-side nodes serves all three integrands
+
+
+def test_area_check_fails_closed_on_a_nan_discrepancy(monkeypatch):
+    priced = area_formula_check
+
+    def nan_row(*args):
+        rows = priced(*args)
+        rows["sq_norm"]["rel_discrepancy"] = np.nan
+        return rows
+
+    monkeypatch.setattr(runner, "area_formula_check", nan_row)
+    assert not runner.run_check("area", {"map": Z2, "order": 16}).passed
 
 
 def test_ahlfors_identity_and_square():

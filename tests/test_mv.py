@@ -136,6 +136,11 @@ def test_split_pullback_identity_random():
         assert np.abs(lhs - rhs).max() < 1e-9
 
 
+def test_split_pullback_check_at_the_degree_cap():
+    record = runner.run_check("split-pullback", {"points": 100, "shapes": [[16, 16]]}, 0)
+    assert record.passed and record.metrics["max_deviation"] <= 1e-10
+
+
 def split_pair(rng, d0, d1):
     return MultiValuedPair(*(from_affine_branches([(rng.normal(size=(2, 2)), rng.normal(size=2)) for _ in range(dj)], BOX, m=2) for dj in (d0, d1)))
 

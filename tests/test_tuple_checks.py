@@ -1,13 +1,15 @@
 """The batched tuple-space checks against the scalar loops they replaced.
 
-``metric-oracle``, ``metric-axioms`` and ``barycenter-lipschitz`` draw all
-their samples, sort each tuple's rows, group the samples by (d, n) and price
-each group at once (the solver route of ``metric-oracle`` takes all samples
-of one degree at once); ``interp`` prices each of its per-pair loops in one
-batch.  The per-sample loops below are the references: one
-``AlmgrenPoint`` per tuple, one distance per pair (``metric-oracle``'s by the
-scalar solver of ``scalar_assignment``), the enumeration oracle one
-permutation at a time.
+``metric-oracle``, ``metric-axioms`` and ``barycenter-lipschitz`` draw by
+one law (``runner._draw_groups``): every sample's d, then every sample's n,
+then per (d, n) in lexicographic order one normal draw for the group's
+samples in index order.  They sort each tuple's rows and price each group at
+once (the solver route of ``metric-oracle`` takes all samples of one degree
+at once); ``interp`` prices each of its per-pair loops in one batch.  The
+per-sample loops below are the references: they draw by the same law one
+sample at a time, and price one ``AlmgrenPoint`` per tuple, one distance
+per pair (``metric-oracle``'s by the scalar solver of ``scalar_assignment``),
+the enumeration oracle one permutation at a time.
 """
 
 import dataclasses
@@ -32,8 +34,20 @@ from almqr.mv import interpolate_feps
 from almqr.util import seeded_rng
 
 
-def _random_point(rng, d, n, spread=2.0):
-    return AlmgrenPoint.from_points(rng.normal(scale=spread, size=(d, n)))
+def _law_groups(rng, count, d_hi, n_hi):
+    """The draw law's labels: every d in [2, d_hi), then every n in [1, n_hi); the
+    (d, n) pairs drawn in lexicographic order, each with its sample indices ascending."""
+    ds = rng.integers(2, d_hi, size=count).tolist()
+    ns = rng.integers(1, n_hi, size=count).tolist()
+    for d, n in sorted(set(zip(ds, ns))):
+        yield d, n, [s for s in range(count) if (ds[s], ns[s]) == (d, n)]
+
+
+def _law_samples(rng, n_samples, tuples, spread=2.0):
+    """(sample index, d, [AlmgrenPoint] * tuples) in the law's order, one ``rng.normal`` per sample."""
+    for d, n, idx in _law_groups(rng, n_samples, 7, 5):
+        for s in idx:
+            yield s, d, [AlmgrenPoint.from_points(x) for x in rng.normal(scale=spread, size=(tuples, d, n))]
 
 
 def _distance_value_reference(p, q):
@@ -57,40 +71,30 @@ def _bruteforce_reference(p, q):
 
 
 def _metric_oracle_reference(n_samples, seed, distance=scalar_distance):
-    rng = seeded_rng(seed, 1)
-    worst = 0.0
-    for _ in range(n_samples):
-        d = int(rng.integers(2, 7))
-        n = int(rng.integers(1, 5))
-        p = _random_point(rng, d, n)
-        q = _random_point(rng, d, n)
-        worst = max(worst, abs(distance(p, q).value - _bruteforce_reference(p, q)))
-        if worst != 0.0:
-            break
-    return {"n_samples": n_samples, "worst_abs_gap": worst}
+    gaps = {}
+    for s, _, (p, q) in _law_samples(seeded_rng(seed, 1), n_samples, 2):
+        gaps[s] = abs(distance(p, q).value - _bruteforce_reference(p, q))
+    first = [gaps[s] for s in range(n_samples) if gaps[s] != 0.0][:1]  # the first gap in sample order
+    return {"n_samples": n_samples, "worst_abs_gap": first[0] if first else 0.0}
 
 
 def _metric_axioms_reference(n_samples, seed):
     rng = seeded_rng(seed, 2)
     worst_tri = -np.inf
     worst_sym = 0.0
-    for _ in range(n_samples):
-        d = int(rng.integers(2, 7))
-        n = int(rng.integers(1, 5))
-        p, q, r = (_random_point(rng, d, n) for _ in range(3))
+    for _, _, (p, q, r) in _law_samples(rng, n_samples, 3):
         dpq = _distance_value_reference(p, q)
         dqr = _distance_value_reference(q, r)
         dpr = _distance_value_reference(p, r)
         worst_tri = max(worst_tri, dpr - (dpq + dqr))
         worst_sym = max(worst_sym, abs(dpq - _distance_value_reference(q, p)))
     ident_ok = True
-    for _ in range(200):
-        d = int(rng.integers(2, 6))
-        n = int(rng.integers(1, 4))
-        pts = rng.normal(size=(d, n))
-        p = AlmgrenPoint.from_points(pts)
-        q = AlmgrenPoint.from_points(pts[rng.permutation(d)])
-        ident_ok = ident_ok and p == q and _distance_value_reference(p, q) == 0.0
+    for d, n, idx in _law_groups(rng, 200, 6, 4):
+        pts = [rng.normal(size=(d, n)) for _ in idx]
+        for x in pts:  # the group's shuffles after its points
+            p = AlmgrenPoint.from_points(x)
+            q = AlmgrenPoint.from_points(x[rng.permutation(d)])
+            ident_ok = ident_ok and p == q and _distance_value_reference(p, q) == 0.0
     return {
         "n_samples": n_samples,
         "worst_triangle_excess": float(worst_tri),
@@ -102,24 +106,19 @@ def _metric_axioms_reference(n_samples, seed):
 def _barycenter_lipschitz_reference(n_samples, seed):
     rng = seeded_rng(seed, 3)
     worst = 0.0
-    for _ in range(n_samples):
-        d = int(rng.integers(2, 7))
-        n = int(rng.integers(1, 5))
-        p = _random_point(rng, d, n)
-        q = _random_point(rng, d, n)
+    for _, d, (p, q) in _law_samples(rng, n_samples, 2):
         dv = _distance_value_reference(p, q)
         if dv == 0:
             continue
         worst = max(worst, np.sqrt(d) * np.linalg.norm(barycenter(p) - barycenter(q)) / dv)
     eq_gap = 0.0
-    for _ in range(100):
-        d = int(rng.integers(2, 7))
-        n = int(rng.integers(1, 5))
-        a, b = rng.normal(size=(2, n))
-        p = AlmgrenPoint.diagonal(a, d)
-        q = AlmgrenPoint.diagonal(b, d)
-        ratio = np.sqrt(d) * np.linalg.norm(barycenter(p) - barycenter(q)) / _distance_value_reference(p, q)
-        eq_gap = max(eq_gap, abs(ratio - 1.0))
+    for d, n, idx in _law_groups(rng, 100, 7, 5):
+        for _ in idx:
+            a, b = rng.normal(size=(2, n))
+            p = AlmgrenPoint.diagonal(a, d)
+            q = AlmgrenPoint.diagonal(b, d)
+            ratio = np.sqrt(d) * np.linalg.norm(barycenter(p) - barycenter(q)) / _distance_value_reference(p, q)
+            eq_gap = max(eq_gap, abs(ratio - 1.0))
     return {"n_samples": n_samples, "max_ratio": float(worst), "diagonal_equality_gap": eq_gap}
 
 
@@ -133,12 +132,56 @@ REFERENCES = {
 @pytest.mark.parametrize("seed", [0, 1, 7919])
 @pytest.mark.parametrize("check", sorted(REFERENCES))
 def test_batched_check_equals_scalar_loop(check, seed, monkeypatch):
-    monkeypatch.setattr(runner, "SAMPLE_BLOCK", 64)  # 300 samples in five blocks
+    monkeypatch.setattr(runner, "SAMPLE_BLOCK", 8)  # 20 groups of about 15 samples, each in blocks
     record = runner.run_check(check, {"samples": 300}, seed)
     ref = REFERENCES[check](300, seed)
     assert record.metrics == ref
     assert {k: repr(v) for k, v in record.metrics.items()} == {k: repr(v) for k, v in ref.items()}
     assert record.passed and record.excluded == 0
+
+
+@pytest.mark.parametrize("check", sorted(REFERENCES))
+def test_sample_block_bounds_memory_only(check, monkeypatch):
+    # 20 groups of about 100 samples: one block each by default, two at 64
+    default = runner.run_check(check, {"samples": 2000}, 1).metrics
+    monkeypatch.setattr(runner, "SAMPLE_BLOCK", 64)
+    assert repr(runner.run_check(check, {"samples": 2000}, 1).metrics) == repr(default)
+
+
+def _drawn(n_samples, tuples, seed):
+    """{(d, n): (indices, [batch] * tuples)} of ``_draw_groups``, its blocks joined, and the keys in yield order."""
+    groups, keys = {}, []
+    for idx, batches in runner._draw_groups(seeded_rng(seed), n_samples, tuples):
+        _, d, n = batches[0].shape
+        assert len(batches) == tuples and all(B.shape == (len(idx), d, n) for B in batches)
+        if (d, n) not in groups:
+            keys.append((d, n))
+            groups[(d, n)] = ([], [[] for _ in range(tuples)])
+        groups[(d, n)][0].append(idx)
+        for joined, B in zip(groups[(d, n)][1], batches):
+            joined.append(B)
+    return {key: (np.concatenate(idx), [np.concatenate(B) for B in bs]) for key, (idx, bs) in groups.items()}, keys
+
+
+def test_draw_law_groups_labels_in_lexicographic_order(monkeypatch):
+    monkeypatch.setattr(runner, "SAMPLE_BLOCK", 7)
+    groups, keys = _drawn(400, 3, 5)
+    # every (d, n) of the range occurs at 400 samples, once each, in lexicographic order
+    assert keys == sorted(keys) == [(d, n) for d in range(2, 7) for n in range(1, 5)]
+    for idx, _ in groups.values():
+        assert np.all(np.diff(idx) > 0)
+    assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in groups.values()])), np.arange(400))
+    # the labels are the first two draws of the stream
+    rng = seeded_rng(5)
+    ds, ns = rng.integers(2, 7, size=400), rng.integers(1, 5, size=400)
+    for (d, n), (idx, _) in groups.items():
+        assert np.array_equal(idx, np.flatnonzero((ds == d) & (ns == n)))
+    # the block size bounds memory only: the default draws the same values
+    monkeypatch.setattr(runner, "SAMPLE_BLOCK", 500)
+    whole, _ = _drawn(400, 3, 5)
+    for key, (idx, batches) in groups.items():
+        assert np.array_equal(whole[key][0], idx)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(whole[key][1], batches))
 
 
 def _skew(d):
@@ -155,7 +198,7 @@ def test_metric_oracle_reports_the_first_gap_in_sample_order(monkeypatch):
         return lex_distances(pairs) + _skew(pairs[0][0].shape[1])
 
     monkeypatch.setattr(runner, "lex_distances", skewed_route)
-    monkeypatch.setattr(runner, "SAMPLE_BLOCK", 64)
+    monkeypatch.setattr(runner, "SAMPLE_BLOCK", 8)
     for seed in (0, 1):
         record = runner.run_check("metric-oracle", {"samples": 300}, seed)
         assert not record.passed
