@@ -232,8 +232,7 @@ def enumerate_min(cost: np.ndarray, runner_up: bool = False):
     second)``, where ``second[a]`` is the smallest total of the other
     permutations (equal to ``value[a]`` at a tie; inf at d <= 1).  Totals
     are accumulated one row of the cost matrices at a time, so memory stays
-    at (rows, d!) per chunk of ``ENUMERATION_CHUNK`` entries; at d = 2 the
-    two totals are compared directly, to the same bits.  A NaN or
+    at (rows, d!) per chunk of ``ENUMERATION_CHUNK`` entries.  A NaN or
     infinite total has no minimum to take, so a stack with a non-finite
     entry raises ``ValueError`` naming its matrices, as
     :func:`solve_assignments` does.
@@ -244,14 +243,6 @@ def enumerate_min(cost: np.ndarray, runner_up: bool = False):
         raise ValueError("cost must have shape (m, d, d)")
     _check_finite(cost)
     perms = _permutations(d)
-    if d == 2:
-        # the two totals, added from row 0 down; the first minimum is the swap only when it is smaller
-        t0 = cost[:, 0, 0] + cost[:, 1, 1]
-        t1 = cost[:, 0, 1] + cost[:, 1, 0]
-        swap = t1 < t0
-        value = np.where(swap, t1, t0)
-        perm = perms[swap.astype(np.int64)]
-        return (value, perm, np.maximum(t0, t1)) if runner_up else (value, perm)
     value = np.zeros(m)
     arg = np.zeros(m, dtype=np.int64)
     second = np.full(m, np.inf) if runner_up else None

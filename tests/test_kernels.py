@@ -171,31 +171,23 @@ def test_enumerate_min_matches_brute_min_cost(d):
 def test_enumerate_min_runner_up_is_the_second_smallest_total(d):
     rng = np.random.default_rng(30 + d)
     cost = _tie_costs(rng, d, 2) if d else np.zeros((4, 0, 0))
+    if d:  # signed zeros: every total is a zero, and the first minimum keeps its sign
+        zeros = np.array([0.0, -0.0])[rng.integers(0, 2, size=(16, d, d))]
+        zeros[0] = -0.0  # a total is -0.0 only when each of its terms is
+        cost = np.concatenate([cost, np.round(cost), zeros])  # rounding makes more exact ties
     value, perm, second = kernels.enumerate_min(cost, runner_up=True)
     plain = kernels.enumerate_min(cost)
     assert value.tobytes() == plain[0].tobytes() and perm.tobytes() == plain[1].tobytes()
-    for c, v, s in zip(cost, value, second):
-        totals = sorted(sum(c[i, p[i]] for i in range(d)) for p in itertools.permutations(range(d)))
+    for c, v, p, s in zip(cost, value, perm, second):
+        totals = sorted(sum(c[i, q[i]] for i in range(d)) for q in itertools.permutations(range(d)))
         # the same left-to-right sums; ties give second == value, a single matching inf
         assert s == (totals[1] if len(totals) > 1 else np.inf) and v == totals[0]
-
-
-def test_enumerate_min_d2_closed_form_equals_the_permutation_route():
-    rng = np.random.default_rng(12)
-    cost = rng.normal(size=(400, 2, 2)) ** 2
-    cost[::5] = cost[::5, :, ::-1]  # column swaps
-    cost[1::5] = np.round(cost[1::5])  # exact ties of the two totals
-    cost[2::5, 0, 1], cost[2::5, 1, 0] = cost[2::5, 0, 0], cost[2::5, 1, 1]
-    zeros = np.array([0.0, -0.0])
-    cost[3::5] = zeros[rng.integers(0, 2, size=(len(cost[3::5]), 2, 2))]  # signed zeros, every total 0
-    perms = np.array([[0, 1], [1, 0]])
-    totals = cost[:, 0, perms[:, 0]] + cost[:, 1, perms[:, 1]]  # every matching priced, as at d > 2
-    best = np.argmin(totals, axis=1)
-    want = (totals[np.arange(len(cost)), best], perms[best], np.maximum(totals[:, 0], totals[:, 1]))
-    got = kernels.enumerate_min(cost, runner_up=True)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(kernels.enumerate_min(cost), want[:2]))
-    assert np.any(np.signbit(got[0])) and np.any(totals[:, 0] == totals[:, 1])
+        total = np.float64(0.0) if d == 0 else c[0, p[0]]
+        for i in range(1, d):
+            total = total + c[i, p[i]]
+        assert v.tobytes() == total.tobytes()  # the value of the matching returned, sign of zero included
+    if d:
+        assert np.any(np.signbit(value))
 
 
 def test_enumerate_min_empty_and_chunked(monkeypatch):

@@ -189,6 +189,18 @@ def _skew(d):
     return 1e-9 * d if d >= 4 else 0.0
 
 
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_permuted_rows_equal_successive_permutations(d):
+    # metric-axioms shuffles a group's multisets with one rng.permuted over a
+    # (k, d) stack; the reference draws one rng.permutation(d) per multiset
+    for seed in range(5):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        k = 1 + 7 * seed
+        rows = batched.permuted(np.tile(np.arange(d), (k, 1)), axis=1)
+        assert np.array_equal(rows, [scalar.permutation(d) for _ in range(k)])
+        assert batched.normal() == scalar.normal()  # and the stream is left at the same place
+
+
 def test_metric_oracle_reports_the_first_gap_in_sample_order(monkeypatch):
     def skewed(p, q):  # the scalar reference, off by the gap
         res = scalar_distance(p, q)
