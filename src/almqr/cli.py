@@ -75,23 +75,27 @@ def _csv_text(record: ReportRecord) -> str:
     return buf.getvalue()
 
 
+def _vector_arg(flag: str, raw, n: int) -> np.ndarray:
+    """The JSON value of ``flag`` as a vector of n numbers; SpecError otherwise."""
+    try:
+        x = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{flag} must be a vector of numbers: {exc}") from exc
+    if x.shape != (n,):
+        raise SpecError(f"{flag} must be a vector of length {n}, got shape {x.shape}")
+    return x
+
+
 def _cmd_inverse(args) -> int:
     f = build_map(_load_json_arg(args.map))
-    y = _load_json_arg(args.y)
-    p = minv(f, np.asarray(y, dtype=float))
+    p = minv(f, _vector_arg("--y", _load_json_arg(args.y), f.n))
     print(json.dumps(p.to_json(), sort_keys=True, indent=2))
     return EXIT_PASS
 
 
 def _cmd_form_comass(args) -> int:
     form = build_form(_load_json_arg(args.form))
-    point = _load_json_arg(args.point)
-    try:
-        x = np.asarray(point, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"--point must be a vector of numbers: {exc}") from exc
-    if x.shape != (form.dim,):
-        raise SpecError(f"--point must be a vector of length {form.dim}, got shape {x.shape}")
+    x = _vector_arg("--point", _load_json_arg(args.point), form.dim)
     if args.starts < 1:
         raise SpecError(f"--starts must be at least 1, got {args.starts}")
     res = comass(form, x, ComassSettings(n_starts=args.starts))
@@ -141,17 +145,30 @@ def _run_manifest_entry(entry_seed):
 
 
 def load_manifest(path: str) -> dict:
-    """A suite manifest read from a JSON file, or the shipped one for ``"builtin"``."""
+    """A suite manifest read from a JSON file, or the shipped one for ``"builtin"``.
+
+    SpecError unless ``runs`` is a list of objects, each with a string ``check`` and, if given, a string ``id``
+    and an integer ``seed`` >= 0.
+    """
     if path == "builtin":
         from importlib import resources
 
-        return json.loads(resources.files("almqr").joinpath("data/acceptance_manifest.json").read_text())
-    with open(path) as fh:
-        return json.load(fh)
+        manifest = json.loads(resources.files("almqr").joinpath("data/acceptance_manifest.json").read_text())
+    else:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("runs"), list):
+        raise SpecError("a manifest must be a JSON object with a list of runs")
+    for entry in manifest["runs"]:
+        seed = entry.get("seed", 0) if isinstance(entry, dict) else None
+        if not (isinstance(entry, dict) and isinstance(entry.get("check"), str) and isinstance(entry.get("id", ""), str)
+                and type(seed) is int and seed >= 0):
+            raise SpecError(f"a manifest run must be an object with a string check (id a string, seed >= 0), got {entry!r}")
+    return manifest
 
 
 def _cmd_suite(args) -> int:
-    runs = load_manifest(args.manifest).get("runs", [])
+    runs = load_manifest(args.manifest)["runs"]
     results: list[tuple[str, ReportRecord]] = []
     tasks = [(entry, args.seed, args.out) for entry in runs]
     if args.jobs > 1 and len(tasks) > 1:

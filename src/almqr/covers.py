@@ -3,9 +3,9 @@
 The catalog: complex polynomials (roots via companion-matrix eigenvalues),
 planar power maps z -> z^k, the 3D winding map (r, theta, z) -> (r, k theta, z),
 and affine precompositions of these.  Every catalog map carries batch
-evaluation and Jacobian, a scalar differential, batch fibers (local indices
-as repetitions) and exact distortion constants, which is what the verifiers
-consume.
+evaluation, one batch-first forward derivative ``differential`` (its
+``det`` is the Jacobian), batch fibers (local indices as repetitions), the
+branch differentials at them, and exact distortion constants.
 
 The fiber oracle is batch-first.  ``minv_batch(f, Y)`` evaluates the
 multi-valued inverse over points Y (P, n) in one call of the cover's
@@ -26,8 +26,8 @@ singular rows.  ``branch_differentials_batch(f, Y)`` is ``minv_batch`` plus
 that step.  A Monte Carlo check evaluates each sample's fiber once: the
 ball test and the metric Jacobian (``modulus.metric_jacobian_values``) read
 the same fibers, and the branch-differential checks run on them, as does
-the batch ``h_function``.  The scalar ``branch_differentials``, built on
-the cover's scalar ``differential``, is the independent reference.
+the batch ``h_function``.  The scalar ``branch_differentials``, the
+inverse of ``differential`` at one fiber, is the independent reference.
 
 Every catalog map also bounds its differential over balls:
 ``df_bound(X, r)`` is an upper bound of sup ||Df|| over B(X[p], r).  By the
@@ -162,11 +162,10 @@ class BranchedCoverSpec:
     """A proper branched cover f with batch oracles.
 
     ``evaluate(X)`` maps points (P, n) to their images (P, n) and
-    ``jacobian(X)`` to the Jacobian determinants (P,); ``differential(x)``,
-    Df (n, n) at one point (n,), is the scalar reference that
-    ``branch_diff_batch`` is tested against.  ``fiber_batch(Y)`` maps
-    points (P, n) to expanded fibers (P, d, n), each row an unordered tuple
-    with every location repeated by its local index;
+    ``differential(X)`` to Df (P, n, n), one point (n,) to (n, n), NaN where
+    Df does not exist; the Jacobian J_f is its ``det``.  ``fiber_batch(Y)``
+    maps points (P, n) to expanded fibers (P, d, n), each row an unordered
+    tuple with every location repeated by its local index;
     ``branch_diff_batch(X)`` maps such fibers (P, d, n) to the branch
     differentials (P, d, n, n), Df(X[p, j])^{-1} row by row.  Both promise
     shapes, not memory layouts: a batch oracle may return a transposed view
@@ -185,7 +184,6 @@ class BranchedCoverSpec:
     degree: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     differential: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
     fiber_batch: Callable[[np.ndarray], np.ndarray]
     branch_diff_batch: Callable[[np.ndarray], np.ndarray]
     df_bound: Callable[[np.ndarray, float], np.ndarray]
@@ -264,25 +262,20 @@ def branch_differentials(f: BranchedCoverSpec, y) -> tuple[np.ndarray, np.ndarra
     Returns (X (d, n), idx (d,), L (d, n, n)) where X = the expanded fiber,
     idx[j] = local index of the cluster X[j] belongs to, and
     L[j] = Df(X[j])^{-1} is the differential of the local inverse branch
-    through X[j] (inverse function theorem).  Rows are repeated at fiber
-    points of index > 1 so frame sums always have d terms; only meaningful
-    off the branch set.
+    through X[j] (inverse function theorem), one ``f.differential`` call
+    over the merged fiber points.  Rows are repeated at fiber points of
+    index > 1 so frame sums always have d terms.  NumericalError where Df is
+    non-finite or singular, as on the branch set.
     """
     p = minv(f, y)
-    X = p.expand()  # np.repeat of the lex-sorted merged locations
-    L = np.empty((p.d, f.n, f.n))
-    idx = np.repeat(p.weights, p.weights)
-    j = 0
-    for loc, w in zip(p.locations, p.weights):
-        D = f.differential(loc)
-        det = np.linalg.det(D)
-        if abs(det) <= SINGULAR_DET:
-            raise NumericalError(f"branch differential singular at fiber point {loc.tolist()}")
-        Dinv = np.linalg.inv(D)
-        for _ in range(int(w)):
-            L[j] = Dinv
-            j += 1
-    return X, idx, L
+    D = f.differential(p.locations)
+    finite = np.isfinite(D).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"branch differential non-finite at fiber point {p.locations[np.argmin(finite)].tolist()}")
+    dets = np.abs(np.linalg.det(D))
+    if dets.min() <= SINGULAR_DET:
+        raise NumericalError(f"branch differential singular at fiber point {p.locations[np.argmin(dets)].tolist()}")
+    return p.expand(), np.repeat(p.weights, p.weights), np.repeat(np.linalg.inv(D), p.weights, axis=0)
 
 
 def fiber_branch_differentials(f: BranchedCoverSpec, X: np.ndarray) -> np.ndarray:
@@ -408,12 +401,8 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
         w = _poly_eval(c, _complex(X))
         return np.stack([w.real, w.imag], axis=-1)
 
-    def differential(x):
-        z = complex(x[0], x[1])
-        return _conformal_matrix(_poly_eval(dc, z))
-
-    def jacobian(X):
-        return np.abs(_poly_eval(dc, _complex(X))) ** 2
+    def differential(X):
+        return _conformal_matrix(_poly_eval(dc, _complex(X)))
 
     def fiber_batch(ys):
         """Roots of p - w for every row: stacked companion matrices (m, deg, deg)."""
@@ -459,7 +448,6 @@ def complex_polynomial(coeffs) -> BranchedCoverSpec:
         degree=deg,
         evaluate=evaluate,
         differential=differential,
-        jacobian=jacobian,
         fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
         df_bound=df_bound,
@@ -480,12 +468,8 @@ def planar_power(k: int) -> BranchedCoverSpec:
         w = _complex(X) ** k
         return np.stack([w.real, w.imag], axis=-1)
 
-    def differential(x):
-        z = complex(x[0], x[1])
-        return _conformal_matrix(k * z ** (k - 1))
-
-    def jacobian(X):
-        return (k * np.hypot(X[..., 0], X[..., 1]) ** (k - 1)) ** 2
+    def differential(X):
+        return _conformal_matrix(k * _complex(X) ** (k - 1))
 
     def fiber_batch(ys):
         """Vectorized fibers for points avoiding the branch value 0: (m, k, 2),
@@ -514,7 +498,6 @@ def planar_power(k: int) -> BranchedCoverSpec:
         degree=k,
         evaluate=evaluate,
         differential=differential,
-        jacobian=jacobian,
         fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
         df_bound=df_bound,
@@ -538,23 +521,15 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
             out = np.where(r > 0, w**k / r ** (k - 1), 0.0)  # the axis maps to itself
         return np.stack([out.real, out.imag, X[..., 2]], axis=-1)
 
-    def differential(x):
-        w = complex(x[0], x[1])
-        r = abs(w)
-        if r == 0:
-            raise NumericalError("differential undefined on the branch axis")
-        t = np.angle(w)
-        ct, st = np.cos(t), np.sin(t)
-        ckt, skt = np.cos(k * t), np.sin(k * t)
-        Rk = np.array([[ckt, -skt], [skt, ckt]])
-        Rt = np.array([[ct, st], [-st, ct]])
-        M = Rk @ np.diag([1.0, float(k)]) @ Rt
-        out = np.eye(3)
-        out[:2, :2] = M
+    def differential(X):
+        """Df = R_{k theta} diag(1, k) R_{-theta} on the first two coordinates,
+        with e^{i theta} = z / |z|; NaN on the branch axis, where Df does not exist."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = _complex(X) / np.hypot(X[..., 0], X[..., 1])
+        out = np.zeros(X.shape + (3,))
+        out[..., :2, :2] = _conformal_matrix(u**k) @ np.diag([1.0, float(k)]) @ _conformal_matrix(u.conj())
+        out[..., 2, 2] = 1.0
         return out
-
-    def jacobian(X):
-        return np.full(X.shape[:-1], float(k))
 
     def fiber_batch(ys):
         r = np.hypot(ys[:, 0], ys[:, 1])[:, None]
@@ -583,7 +558,6 @@ def winding_map_3d(k: int, r_max: float = 2.0, z_half: float = 1.0) -> BranchedC
         degree=k,
         evaluate=evaluate,
         differential=differential,
-        jacobian=jacobian,
         fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
         df_bound=df_bound,
@@ -613,7 +587,6 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
     sv = np.linalg.svd(A, compute_uv=False)
     norm_A = float(sv[0])
     lam = float(sv[0] / sv[-1])
-    det_A = float(np.linalg.det(A))
 
     def affine(X):
         # stacked matrix-vector products: row p is A @ X[p] + b bit for bit, whatever the batch
@@ -622,11 +595,8 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
     def evaluate(X):
         return base.evaluate(affine(X))
 
-    def differential(x):
-        return base.differential(A @ np.asarray(x, dtype=np.float64) + b) @ A
-
-    def jacobian(X):
-        return base.jacobian(affine(X)) * det_A
+    def differential(X):
+        return base.differential(affine(X)) @ A
 
     def fiber_batch(ys):
         return (base.fiber_batch(ys) - b) @ Ainv.T
@@ -645,7 +615,6 @@ def precomposed(affine: np.ndarray, base: BranchedCoverSpec, shift=None) -> Bran
         degree=base.degree,
         evaluate=evaluate,
         differential=differential,
-        jacobian=jacobian,
         fiber_batch=fiber_batch,
         branch_diff_batch=branch_diff_batch,
         df_bound=df_bound,

@@ -536,13 +536,14 @@ def area_formula_check(
 
     Each g is batch-first: points (M, n) to values (M,).  The fibers of all
     image-side nodes come from one ``minv_batch`` call and the preimage
-    nodes and Jacobian from one quadrature, shared by every g.  Returns
+    nodes and Jacobian det Df from one quadrature and one ``f.differential``
+    call, shared by every g.  Returns
     {name: {"lhs", "rhs", "rel_discrepancy"}} in the order of ``gs``.
     """
     pts, w = region_quadrature(image_region, order)
     fibers = minv_batch(f, pts).reshape(-1, f.n)  # (M * d, n), index-weighted by repetition
     pts2, w2 = region_quadrature(preimage_region, order)
-    jac = f.jacobian(pts2)
+    jac = det(f.differential(pts2))  # J_f = det Df
     rows = {}
     for name, g in gs.items():
         lhs = float(w @ g(fibers).reshape(len(pts), f.degree).sum(axis=1))

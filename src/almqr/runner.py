@@ -23,7 +23,7 @@ from .almgren import (
     points_of,
     sorted_tuples,
 )
-from .covers import NumericalError, build_map, lift_path, minv, planar_power
+from .covers import NumericalError, build_map, lift_paths, minv, planar_power
 from .dsl import SpecError, build_form, build_testform
 from .forms import (
     GroupAction,
@@ -797,9 +797,11 @@ def _check_preimage_measure(seed, map, center_y, radius, domain_box, image_box, 
 @_check("monodromy", "monodromy-loop", PLANAR, Field("steps", COUNT, 256))
 def _check_monodromy(seed, map, steps):
     def gamma(t):
-        return np.array([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)])
+        return np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=-1)
 
-    lp = lift_path(map, gamma, initial_steps=steps)
+    (lp,) = lift_paths(map, lambda rows, t: gamma(t), 1, initial_steps=steps)
+    if isinstance(lp, Exception):
+        raise lp
     perm = lp.monodromy()
     closed_gap = distance_value(minv(map, gamma(0.0)), minv(map, gamma(1.0)))
     nontrivial = perm is not None and not np.array_equal(perm, np.arange(map.degree))

@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 
 import pytest
+from make_golden_bodies import MISSING, leaf_moves
 
 from almqr.cli import SUITE_SEED, _run_manifest_entry, load_manifest
 from almqr.reports import stable_body
@@ -39,3 +40,12 @@ def test_manifest_entry(entry):
         assert body == golden
     else:
         assert json.loads(body)["pass"] == json.loads(golden)["pass"]
+
+
+def test_leaf_moves_split_float_moves_from_other_changes():
+    old = {"a": [1.0, 2, "x"], "b": {"c": 0.5, "n": float("nan")}, "e": []}
+    new = {"a": [1.5, 2, "y"], "b": {"c": 0.5, "n": float("nan"), "k": True}, "e": []}
+    floats, others = leaf_moves(old, new)
+    assert floats == [("a.0", 1.0, 1.5)]
+    assert others == [("a.2", "x", "y"), ("b.k", MISSING, True)]
+    assert leaf_moves({"i": 1, "t": True}, {"i": 1.0, "t": 1}) == ([], [("i", 1, 1.0), ("t", True, 1)])

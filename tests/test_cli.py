@@ -39,6 +39,14 @@ def test_inverse_malformed_map(capsys):
     assert run_cli("inverse", "--map", "not json", "--y", "[0,0]") == 2
 
 
+@pytest.mark.parametrize("y", ['["a", 1]', '{"x": 1}', "[1, 0, 0]", "[[1, 0]]", "1.0"])
+def test_inverse_malformed_point_exit_code(y, capsys):
+    # a point that is not a vector of the map's dimension is a usage error (exit 2), not a traceback
+    assert run_cli("inverse", "--map", '{"map":"power","k":2}', "--y", y) == 2
+    err = capsys.readouterr().err
+    assert "--y" in err and "Traceback" not in err
+
+
 def test_form_comass_command(capsys):
     code = run_cli(
         "form", "comass", "--form", '{"kind":"trace_vol","n":2,"d":2}', "--point", "[0.1,0.2,0.3,0.4]"
@@ -510,6 +518,32 @@ def test_suite_empty_manifest(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        [],
+        {},
+        {"runs": {"a": 1}},
+        {"runs": [1]},
+        {"runs": [{"id": "x"}]},
+        {"runs": [{"check": 3}]},
+        {"runs": [{"check": "monodromy", "id": 7}]},
+        {"runs": [{"check": "monodromy", "seed": "1"}]},
+        {"runs": [{"check": "monodromy", "seed": 1.5}]},
+        {"runs": [{"check": "monodromy", "seed": True}]},
+        {"runs": [{"check": "monodromy", "seed": -1}]},
+    ],
+    ids=["top-level-list", "no-runs", "runs-an-object", "run-a-number", "run-without-check", "check-a-number",
+         "id-a-number", "seed-a-string", "seed-a-float", "seed-a-boolean", "seed-negative"],
+)
+def test_suite_malformed_manifest_exit_code(manifest, tmp_path, capsys):
+    mf = tmp_path / "m.json"
+    mf.write_text(json.dumps(manifest))
+    assert run_cli("suite", "--manifest", str(mf)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_suite_aggregation_and_summary(tmp_path, capsys):
     mf = tmp_path / "m.json"
     mf.write_text(
@@ -560,6 +594,24 @@ def test_invariant_projection_catches_wrong_derivative(monkeypatch):
 
     monkeypatch.setattr(runner, "_poly_kform", wrong_derivative)
     assert not run_check("invariant-projection", {}).passed
+
+
+def test_monodromy_lift_failure_is_a_numerical_failure(monkeypatch, capsys):
+    # a fiber oracle that goes non-finite on the lower half of the loop stops the lift: exit 3, not a traceback
+    build = runner.build_map
+
+    def planted(raw):
+        f = build(raw)
+
+        def fiber_batch(Y):
+            X = f.fiber_batch(Y)
+            return np.where((Y[:, 1] < -0.5)[:, None, None], np.nan, X)
+
+        return dataclasses.replace(f, fiber_batch=fiber_batch)
+
+    monkeypatch.setattr(runner, "build_map", planted)
+    assert run_cli("verify", "monodromy") == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_preimage_measure_degree_one_is_two_sided(monkeypatch):

@@ -238,7 +238,7 @@ def test_catalog_distortion_invariants():
     for _ in range(100):
         x = rng.normal(size=2)
         D = f.differential(x)
-        J = f.jacobian(x[None])[0]
+        J = det(D)
         if J < 1e-12:
             continue
         assert op_norm(D) ** 2 <= f.K_O * J * (1 + 1e-9)
@@ -253,7 +253,7 @@ def test_catalog_distortion_invariants():
     for _ in range(100):
         x = rng.normal(size=2)
         D = g.differential(x)
-        J = g.jacobian(x[None])[0]
+        J = det(D)
         if J < 1e-12:
             continue
         assert op_norm(D) ** 2 <= g.K_O * J * (1 + 1e-9)
@@ -267,7 +267,7 @@ def test_catalog_distortion_invariants():
         D = w.differential(x)
         assert op_norm(D) == pytest.approx(3.0, rel=1e-10)
         assert min_singular(D) == pytest.approx(1.0, rel=1e-10)
-        J = w.jacobian(x[None])[0]
+        J = det(D)
         assert op_norm(D) ** 3 <= w.K_O * J * (1 + 1e-12)
         assert J <= w.K_I * min_singular(D) ** 3 * (1 + 1e-12)
 
@@ -443,6 +443,17 @@ def test_branch_diff_batch_fails_closed(block):
         metric_jacobian_values(bad, minv_batch(bad, np.random.default_rng(0).uniform(0.3, 1.0, size=(20, 2))))
 
 
+@pytest.mark.parametrize(
+    "f, y",
+    [(winding_map_3d(3), [0.0, 0.0, 0.4]), (planar_power(2), [0.0, 0.0]), (complex_polynomial([0.0, -3.0, 0.0, 1.0]), [-2.0, 0.0])],
+    ids=["wind3-axis", "z2-origin", "poly-double-root"],
+)
+def test_branch_differentials_fail_closed_where_df_is_undefined_or_singular(f, y):
+    # the winding map's Df is NaN on its axis; z^2 and z^3 - 3z have Df = 0 at their critical points
+    with pytest.raises(NumericalError):
+        branch_differentials(f, y)
+
+
 def test_jacobian_positive_off_branch_set():
     rng = np.random.default_rng(7)
     for f in (planar_power(2), complex_polynomial([1.0, -2.0, 0.0, 1.0]), winding_map_3d(3)):
@@ -456,7 +467,7 @@ def test_jacobian_positive_off_branch_set():
             # x is off the branch set iff its fiber point has index 1
             p = minv(f, f.evaluate(x[None])[0])
             if p.weights[np.argmin(np.linalg.norm(p.locations - x, axis=1))] == 1:
-                assert f.jacobian(x[None])[0] > 0.0
+                assert det(f.differential(x)) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +629,13 @@ def _power_reference(k):
 
 
 def _wind3_reference(k):
-    # (r, theta, z) -> (r, k theta, z), which has Jacobian k off the axis
+    # (r, theta, z) -> (r, k theta, z), which has Jacobian k off the axis and no differential on it
     def evaluate(x):
         w = complex(x[0], x[1])
         out = abs(w) * (w / abs(w)) ** k if w else 0j
         return [out.real, out.imag, x[2]]
 
-    return evaluate, lambda x: float(k)
+    return evaluate, lambda x: float(k) if complex(x[0], x[1]) else np.nan
 
 
 def _precomposed_reference(A, b, base):
@@ -655,7 +666,8 @@ def test_batch_evaluate_and_jacobian_match_scalar_references(kind):
     f, (evaluate, jacobian) = CATALOG_REFERENCES[kind]
     X = np.random.default_rng(15).uniform(-1.2, 1.2, size=(200, f.n))
     X[0, :2] = 0.0  # on the branch axis of the power and winding maps
-    Y, J = f.evaluate(X), f.jacobian(X)
+    with np.errstate(invalid="ignore"):  # Df is NaN on the winding map's axis
+        Y, J = f.evaluate(X), det(f.differential(X))  # J_f = det Df
     assert Y.shape == X.shape and J.shape == (len(X),)
     ref_Y = np.array([evaluate(x) for x in X])
     ref_J = np.array([jacobian(x) for x in X])
@@ -663,7 +675,41 @@ def test_batch_evaluate_and_jacobian_match_scalar_references(kind):
     np.testing.assert_allclose(J, ref_J, rtol=1e-13, atol=1e-14)
     # a row's value does not depend on the batch it is in
     for x, y, j in zip(X, Y, J):
-        assert np.array_equal(f.evaluate(x[None])[0], y) and f.jacobian(x[None])[0] == j
+        assert np.array_equal(f.evaluate(x[None])[0], y)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(det(f.differential(x[None]))[0], j, equal_nan=True)
+
+
+def _richardson_jacobian(evaluate, X, h):
+    """Central differences of ``evaluate`` at X (P, n), Richardson-extrapolated from steps h and h / 2: (P, n, n)."""
+    n = X.shape[1]
+
+    def central(step):
+        E = step * np.eye(n)
+        return np.stack([(evaluate(X + E[j]) - evaluate(X - E[j])) / (2 * step) for j in range(n)], axis=-1)
+
+    return (4 * central(h / 2) - central(h)) / 3
+
+
+DIFFERENTIAL_MAPS = {
+    **{kind: f for kind, (f, _) in CATALOG_REFERENCES.items()},
+    "precompose-wind3": precomposed(np.array([[1.1, 0.2, 0.0], [-0.1, 0.9, 0.3], [0.0, 0.1, 1.2]]), winding_map_3d(2)),
+}
+
+
+@pytest.mark.parametrize("kind", list(DIFFERENTIAL_MAPS))
+def test_differential_matches_richardson_differences_of_evaluate(kind):
+    # the forward map is the route independent of the derivative oracle
+    f = DIFFERENTIAL_MAPS[kind]
+    X = np.random.default_rng(16).uniform(-1.2, 1.2, size=(100, f.n))
+    if f.n == 3:  # off the winding map's axis, where f is smooth
+        X = X[np.hypot(*(f.spec.get("affine", np.eye(3)) @ X.T)[:2]) > 0.3]
+    D = f.differential(X)
+    assert D.shape == X.shape + (f.n,)
+    ref = _richardson_jacobian(f.evaluate, X, 1e-3)
+    scale = np.maximum(1.0, np.abs(ref).max(axis=(1, 2)))
+    assert (np.abs(D - ref).max(axis=(1, 2)) / scale).max() < 1e-8
+    np.testing.assert_allclose(f.differential(X[0]), D[0], rtol=1e-14, atol=1e-15)  # one point is the batch of one
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,20 @@ def test_area_check_fails_closed_on_a_nan_discrepancy(monkeypatch):
     assert not runner.run_check("area", {"map": Z2, "order": 16}).passed
 
 
+@pytest.mark.parametrize("spec", [Z2, {"map": "power", "k": 3}], ids=["z2", "z3"])
+def test_area_check_fails_a_scaled_differential(spec, monkeypatch):
+    # J_f is det Df: a differential scaled by 1.01 moves the domain side by 2.01%, far above the tol
+    def planted(raw):
+        f = build_map(raw)
+        return dataclasses.replace(f, differential=lambda X: 1.01 * f.differential(X))
+
+    config = {"map": spec, "order": 16}
+    assert runner.run_check("area", config).passed
+    monkeypatch.setattr(runner, "build_map", planted)
+    record = runner.run_check("area", config)
+    assert not record.passed and record.metrics["worst"] > 0.01
+
+
 def test_ahlfors_identity_and_square():
     outs = ahlfors_sampler(planar_power(1), [np.array([0.6, 0.1])], [0.05, 0.1], n_samples=20000, seed=0)
     for s in outs:
